@@ -11,6 +11,8 @@
 #include "cli/registry.hpp"
 #include "cli/sweep.hpp"
 #include "cli/validate.hpp"
+#include "core/baseline.hpp"
+#include "core/excess.hpp"
 #include "core/lbp1.hpp"
 #include "core/lbp2.hpp"
 #include "markov/two_node_mean.hpp"
@@ -77,7 +79,7 @@ Usage:
   lbsim perf [--quick] [--profile] [--out=FILE] [--check[=BASELINE]]
         [--max-regression=F]
         timing baseline (perf_solver/perf_mc/perf_des, many-node
-        perf_mc_n16/32/64 and sharded-queue perf_mc_n256, variance-reduced
+        perf_mc_n16/32/64 and policy n-scaling perf_mc_n256, variance-reduced
         effective throughput perf_mc_vr, env-modulated perf_mc_env,
         topology-restricted perf_mc_graph, open-system perf_mc_steady,
         lossy state-plane perf_testbed_lossy);
@@ -341,7 +343,8 @@ int cmd_list(const util::CliArgs& args, std::ostream& out) {
   return 0;
 }
 
-int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::ostream& out) {
+int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::ostream& out,
+            std::ostream& err) {
   ScenarioInvocation invocation = parse_scenario_invocation(args);
   for (const std::string& assignment : invocation.extra) {
     apply_override(invocation.raw, assignment);
@@ -459,6 +462,7 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
   meta.scenario = invocation.spec->name;
   meta.threads = engine.threads;
 
+  std::string warning;
   const auto start = std::chrono::steady_clock::now();
   if (engine.engine == "mc") {
     mc::McConfig mc_config;
@@ -494,6 +498,8 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
     table.add_row(std::move(row));
     meta.seed = mc_config.seed;
     meta.replications = mc_config.replications;
+    warning = degeneration_warning(*scenario.policy, scenario.params, scenario.workloads,
+                                   result.mean_tasks_moved);
   } else {
     // The testbed emulates its own communication layer and start-up sequence;
     // refuse scenario semantics it cannot honour rather than silently
@@ -536,12 +542,15 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
                    util::format_double(result.mean_state_lost, 1)});
     meta.seed = seed;
     meta.replications = realizations;
+    warning =
+        degeneration_warning(*tb.policy, tb.params, tb.workloads, result.mean_tasks_moved);
   }
   meta.wall_seconds = std::chrono::duration_cast<std::chrono::duration<double>>(
                           std::chrono::steady_clock::now() - start)
                           .count();
   emit(args, meta, table, out);
   flush_obs(meta, out);
+  if (!warning.empty()) err << "lbsim: warning: " << warning << "\n";
   return 0;
 }
 
@@ -929,10 +938,11 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
     }
   }
 
-  // perf_mc_n256: the sharded-queue scaling witness — many-node-churn at
-  // n=256 with an 8-way event-queue shard split. Shard routing keys on the
-  // node id, so per-shard heaps stay small (and compaction local) while pop
-  // order — and hence every statistic — is bit-identical to one heap.
+  // perf_mc_n256: the witness for how the policy layer scales with n —
+  // many-node-churn at n=256, where LBP-2 decides about 3,900 times per
+  // replication (the t=0 split plus eq. (8) at every failure). Those
+  // decisions cost O(n * J) and O(n) (core/excess.cpp); a per-pair re-sum
+  // would make them O(n^3) and O(n^2) again and show here first.
   {
     const std::size_t reps = quick ? 20 : 100;
     const ScenarioSpec& spec = find_scenario("many-node-churn");
@@ -949,7 +959,7 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
       mean = mc::run_monte_carlo(scenario, mc_config).mean();
     });
     table.add_row({"perf_mc_n256", util::format_double(ms, 2),
-                   std::to_string(reps) + " reps x 256 nodes, 8 queue shards, mean " +
+                   std::to_string(reps) + " reps x 256 nodes, policy n-scaling, mean " +
                        util::format_double(mean, 2) + " s",
                    util::format_double(reps * 1000.0 / ms, 1)});
     note_reps("perf_mc_n256", reps);
@@ -1146,6 +1156,28 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
 
 }  // namespace
 
+std::string degeneration_warning(const core::LoadBalancingPolicy& policy,
+                                 const markov::MultiNodeParams& params,
+                                 const std::vector<std::size_t>& workloads,
+                                 double mean_tasks_moved) {
+  if (mean_tasks_moved > 0.0 || dynamic_cast<const core::NoBalancingPolicy*>(&policy)) {
+    return {};
+  }
+  std::vector<double> rates;
+  for (const markov::NodeParams& node : params.nodes) rates.push_back(node.lambda_d);
+  for (std::size_t j = 0; j < workloads.size(); ++j) {
+    const double excess = core::excess_load(rates, workloads, j);
+    if (excess < 1.0) continue;
+    std::ostringstream os;
+    os << policy.name() << " moved no task in any replication, although node " << j
+       << " starts " << util::format_double(excess, 1)
+       << " tasks above its fair share; its per-pair shares all rounded to zero, so these "
+          "results are those of policy=none";
+    return os.str();
+  }
+  return {};
+}
+
 int run_lbsim(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
   try {
     const util::CliArgs args(argc, argv);
@@ -1158,7 +1190,7 @@ int run_lbsim(int argc, const char* const* argv, std::ostream& out, std::ostream
     }
     const std::string& command = args.positional()[0];
     if (command == "list") return cmd_list(args, out);
-    if (command == "run") return cmd_run(argc, argv, args, out);
+    if (command == "run") return cmd_run(argc, argv, args, out, err);
     if (command == "sweep") return cmd_sweep(argc, argv, args, out);
     if (command == "validate") return cmd_validate(argc, argv, args, out);
     if (command == "reproduce") return cmd_reproduce(argc, argv, args, out);

@@ -12,6 +12,11 @@
 ///   lbsim perf                     timing baseline (perf_des/perf_mc/perf_solver)
 
 #include <iosfwd>
+#include <string>
+#include <vector>
+
+#include "core/policy.hpp"
+#include "markov/params.hpp"
 
 namespace lbsim::cli {
 
@@ -19,5 +24,17 @@ namespace lbsim::cli {
 /// usage/config errors). Writes results to `out` and diagnostics to `err`;
 /// never throws.
 int run_lbsim(int argc, const char* const* argv, std::ostream& out, std::ostream& err);
+
+/// The warning `lbsim run` writes to stderr when a balancing policy silently
+/// behaved like policy=none: it moved no task in any replication
+/// (`mean_tasks_moved` is 0) although the initial `workloads` put some node at
+/// least one task above its fair share. LBP-1/LBP-2 round every per-pair
+/// share, and at large n each share rounds to zero. Empty when there is
+/// nothing to report. It reads only the run's result, so the policy hot path
+/// carries no counter.
+[[nodiscard]] std::string degeneration_warning(const core::LoadBalancingPolicy& policy,
+                                               const markov::MultiNodeParams& params,
+                                               const std::vector<std::size_t>& workloads,
+                                               double mean_tasks_moved);
 
 }  // namespace lbsim::cli

@@ -13,19 +13,7 @@ PolicyPtr NoBalancingPolicy::clone() const {
 }
 
 std::vector<TransferDirective> ProportionalOncePolicy::on_start(const SystemView& view) {
-  const std::size_t n = view.node_count();
-  std::vector<double> rates(n);
-  std::vector<std::size_t> loads(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rates[i] = view.node_params(static_cast<int>(i)).lambda_d;
-    loads[i] = view.queue_length(static_cast<int>(i));
-  }
-  std::vector<TransferDirective> directives;
-  for (const InitialTransfer& t : initial_balance_transfers(rates, loads, 1.0)) {
-    directives.push_back(TransferDirective{static_cast<int>(t.from),
-                                           static_cast<int>(t.to), t.count});
-  }
-  return directives;
+  return excess_balance(view, 1.0);
 }
 
 PolicyPtr ProportionalOncePolicy::clone() const {

@@ -1,5 +1,6 @@
 #include "core/excess.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -70,29 +71,90 @@ std::size_t lbp2_failure_transfer(const std::vector<markov::NodeParams>& nodes,
   return static_cast<std::size_t>(std::floor(amount));
 }
 
-std::vector<InitialTransfer> initial_balance_transfers(
-    const std::vector<double>& lambda_d, const std::vector<std::size_t>& workloads,
-    double gain) {
-  validate_inputs(lambda_d, workloads);
+std::vector<TransferDirective> excess_balance(const SystemView& view, double gain,
+                                              bool up_senders_only) {
+  const std::span<const markov::NodeParams> nodes = view.params();
+  const std::size_t n = nodes.size();
+  LBSIM_REQUIRE(n >= 2 && n == view.node_count(),
+                n << " parameter sets for " << view.node_count() << " nodes");
   LBSIM_REQUIRE(gain >= 0.0 && gain <= 1.0 + 1e-9, "gain=" << gain);
-  const std::size_t n = lambda_d.size();
-  std::vector<InitialTransfer> out;
+  // Every sum below accumulates in index order, as excess_load and
+  // partition_fraction do; a sum is never derived as total - x_j.
+  std::vector<std::size_t> loads(n);
+  std::vector<double> drain(n);  // m_l / lambda_dl
+  double rate_sum = 0.0;
+  double load_sum = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    LBSIM_REQUIRE(nodes[k].lambda_d > 0.0, "lambda_d=" << nodes[k].lambda_d);
+    loads[k] = view.queue_length(static_cast<int>(k));
+    rate_sum += nodes[k].lambda_d;
+    load_sum += static_cast<double>(loads[k]);
+    drain[k] = static_cast<double>(loads[k]) / nodes[k].lambda_d;
+  }
+  std::vector<TransferDirective> out;
   for (std::size_t j = 0; j < n; ++j) {
-    const double excess = excess_load(lambda_d, workloads, j);
+    const double excess =
+        static_cast<double>(loads[j]) - (nodes[j].lambda_d / rate_sum) * load_sum;
     if (excess <= 0.0) continue;
-    std::size_t remaining = workloads[j];
-    for (std::size_t i = 0; i < n; ++i) {
+    if (up_senders_only && !view.is_up(static_cast<int>(j))) continue;
+    double drain_sum = 0.0;  // sum over l != j of m_l / lambda_dl
+    for (std::size_t l = 0; l < n; ++l) {
+      if (l != j) drain_sum += drain[l];
+    }
+    std::size_t remaining = loads[j];
+    for (std::size_t i = 0; i < n && remaining > 0; ++i) {
       if (i == j) continue;
-      const double fraction = partition_fraction(lambda_d, workloads, i, j);
+      double fraction = 1.0;  // p_ij: everything to the one peer when n = 2
+      if (n > 2) {
+        fraction = drain_sum <= 0.0 ? 1.0 / static_cast<double>(n - 1)
+                                    : (1.0 - drain[i] / drain_sum) / static_cast<double>(n - 2);
+      }
       const auto count = static_cast<std::size_t>(std::llround(gain * fraction * excess));
       if (count == 0) continue;
       const std::size_t sendable = std::min(count, remaining);
-      if (sendable == 0) continue;
       remaining -= sendable;
-      out.push_back(InitialTransfer{j, i, sendable});
+      out.push_back(TransferDirective{static_cast<int>(j), static_cast<int>(i), sendable});
     }
   }
   return out;
+}
+
+std::vector<TransferDirective> failure_compensation(const SystemView& view, int node,
+                                                    bool up_peers_only) {
+  const std::span<const markov::NodeParams> nodes = view.params();
+  const std::size_t n = nodes.size();
+  LBSIM_REQUIRE(n == view.node_count() && node >= 0 && static_cast<std::size_t>(node) < n,
+                "node " << node << " of " << n << " parameter sets for " << view.node_count()
+                        << " nodes");
+  const auto j = static_cast<std::size_t>(node);
+  const auto receives = [&](std::size_t i) {
+    return i != j && (!up_peers_only || view.is_up(static_cast<int>(i)));
+  };
+  std::vector<TransferDirective> directives;
+  std::size_t available = view.queue_length(node);
+  // lbp2_failure_transfer checks the recovery law only once it prices a
+  // receiver: an empty queue, or no eligible receiver, never throws.
+  std::size_t i = 0;
+  while (i < n && !receives(i)) ++i;
+  if (available == 0 || i == n) return directives;
+  const markov::NodeParams& failed = nodes[j];
+  LBSIM_REQUIRE(failed.lambda_r > 0.0,
+                "node " << j << " has no recovery law; LF is undefined");
+  double rate_sum = 0.0;
+  for (const markov::NodeParams& peer : nodes) rate_sum += peer.lambda_d;
+  const double expected_backlog = failed.lambda_d / failed.lambda_r;
+  for (; i < n && available > 0; ++i) {
+    if (!receives(i)) continue;
+    const double receiver_share = nodes[i].lambda_d / rate_sum;
+    const double amount =
+        markov::availability(nodes[i]) * receiver_share * expected_backlog;
+    const auto lf = static_cast<std::size_t>(std::floor(amount));
+    if (lf == 0) continue;
+    const std::size_t count = std::min(lf, available);
+    available -= count;
+    directives.push_back(TransferDirective{node, static_cast<int>(i), count});
+  }
+  return directives;
 }
 
 }  // namespace lbsim::core

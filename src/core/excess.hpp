@@ -1,11 +1,13 @@
 #pragma once
 /// \file
-/// The arithmetic of LBP-2's balancing actions (paper eqs. (6)-(8)) as pure,
-/// separately-testable functions.
+/// The arithmetic of LBP-2's balancing actions (paper eqs. (6)-(8)): per-pair
+/// reference functions, and the whole-decision helpers every global policy
+/// runs through.
 
 #include <cstddef>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "markov/params.hpp"
 
 namespace lbsim::core {
@@ -34,16 +36,24 @@ namespace lbsim::core {
 [[nodiscard]] std::size_t lbp2_failure_transfer(const std::vector<markov::NodeParams>& nodes,
                                                 std::size_t i, std::size_t j);
 
-/// All transfers LBP-2 issues at t = 0 for gain K: node j sends
-/// round(K * p_ij * excess_j) tasks to each node i (paper eq. (7)). Entries
-/// with zero tasks are omitted.
-struct InitialTransfer {
-  std::size_t from = 0;
-  std::size_t to = 0;
-  std::size_t count = 0;
-};
-[[nodiscard]] std::vector<InitialTransfer> initial_balance_transfers(
-    const std::vector<double>& lambda_d, const std::vector<std::size_t>& workloads,
-    double gain);
+/// The excess-load balance with gain K over the view's queues (paper eq. (7)):
+/// every node j above its fair share sends round(K * p_ij * excess_j) tasks to
+/// each peer i in ascending order, until its queue is spent. Zero-task entries
+/// are omitted. With `up_senders_only`, nodes the view reports down send
+/// nothing; the other senders' directives do not change. Costs O(n * J) for
+/// J nodes above their fair share, and equals the per-pair references bit for
+/// bit.
+[[nodiscard]] std::vector<TransferDirective> excess_balance(const SystemView& view,
+                                                            double gain,
+                                                            bool up_senders_only = false);
+
+/// LBP-2's compensation when `node` fails: LF_i,node tasks (eq. (8)) to each
+/// peer i in ascending order, capped by the failed node's queue. With
+/// `up_peers_only`, peers the view reports down receive nothing. Costs O(n)
+/// and equals lbp2_failure_transfer bit for bit; it throws where that would,
+/// i.e. only when a non-empty queue has an eligible receiver.
+[[nodiscard]] std::vector<TransferDirective> failure_compensation(const SystemView& view,
+                                                                  int node,
+                                                                  bool up_peers_only = false);
 
 }  // namespace lbsim::core

@@ -39,18 +39,7 @@ std::vector<TransferDirective> Lbp1Policy::on_start(const SystemView& view) {
   }
 
   // Multi-node extension: one preemptive excess-load balance.
-  std::vector<double> rates(n);
-  std::vector<std::size_t> loads(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rates[i] = view.node_params(static_cast<int>(i)).lambda_d;
-    loads[i] = view.queue_length(static_cast<int>(i));
-  }
-  std::vector<TransferDirective> directives;
-  for (const InitialTransfer& t : initial_balance_transfers(rates, loads, gain_)) {
-    directives.push_back(TransferDirective{static_cast<int>(t.from),
-                                           static_cast<int>(t.to), t.count});
-  }
-  return directives;
+  return excess_balance(view, gain_);
 }
 
 PolicyPtr Lbp1Policy::clone() const { return std::make_unique<Lbp1Policy>(*this); }

@@ -21,51 +21,20 @@ std::string PeriodicRebalancePolicy::name() const {
   return os.str();
 }
 
-std::vector<TransferDirective> PeriodicRebalancePolicy::balance(
-    const SystemView& view) const {
-  const std::size_t n = view.node_count();
-  std::vector<double> rates(n);
-  std::vector<std::size_t> loads(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rates[i] = view.node_params(static_cast<int>(i)).lambda_d;
-    loads[i] = view.queue_length(static_cast<int>(i));
-  }
-  std::vector<TransferDirective> directives;
-  for (const InitialTransfer& t : initial_balance_transfers(rates, loads, gain_)) {
-    // Do not strip a down node of its queue mid-outage; its backup acts only
-    // at failure instants (LBP-2 semantics), not on the periodic tick.
-    if (!view.is_up(static_cast<int>(t.from))) continue;
-    directives.push_back(TransferDirective{static_cast<int>(t.from),
-                                           static_cast<int>(t.to), t.count});
-  }
-  return directives;
-}
-
+// Down senders are skipped: do not strip a down node of its queue mid-outage;
+// its backup acts only at failure instants (LBP-2 semantics), not on a tick.
 std::vector<TransferDirective> PeriodicRebalancePolicy::on_start(const SystemView& view) {
-  return balance(view);
+  return excess_balance(view, gain_, /*up_senders_only=*/true);
 }
 
 std::vector<TransferDirective> PeriodicRebalancePolicy::on_periodic(const SystemView& view) {
-  return balance(view);
+  return excess_balance(view, gain_, /*up_senders_only=*/true);
 }
 
 std::vector<TransferDirective> PeriodicRebalancePolicy::on_failure(int node,
                                                                    const SystemView& view) {
   if (!compensate_failures_) return {};
-  const std::size_t n = view.node_count();
-  std::vector<markov::NodeParams> nodes(n);
-  for (std::size_t i = 0; i < n; ++i) nodes[i] = view.node_params(static_cast<int>(i));
-  std::vector<TransferDirective> directives;
-  std::size_t available = view.queue_length(node);
-  for (std::size_t i = 0; i < n && available > 0; ++i) {
-    if (static_cast<int>(i) == node) continue;
-    const std::size_t lf = lbp2_failure_transfer(nodes, i, static_cast<std::size_t>(node));
-    if (lf == 0) continue;
-    const std::size_t count = std::min(lf, available);
-    available -= count;
-    directives.push_back(TransferDirective{node, static_cast<int>(i), count});
-  }
-  return directives;
+  return failure_compensation(view, node);
 }
 
 PolicyPtr PeriodicRebalancePolicy::clone() const {

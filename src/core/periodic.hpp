@@ -26,8 +26,6 @@ class PeriodicRebalancePolicy final : public LoadBalancingPolicy {
   [[nodiscard]] double period() const noexcept { return period_; }
 
  private:
-  [[nodiscard]] std::vector<TransferDirective> balance(const SystemView& view) const;
-
   double period_;
   double gain_;
   bool compensate_failures_;

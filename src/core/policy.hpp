@@ -7,10 +7,12 @@
 /// by what the sender actually holds — and charge the network delays.
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "markov/params.hpp"
+#include "util/error.hpp"
 
 namespace lbsim::stoch {
 class RngStream;
@@ -33,8 +35,16 @@ class SystemView {
   [[nodiscard]] virtual std::size_t queue_length(int node) const = 0;
   [[nodiscard]] virtual bool is_up(int node) const = 0;
   /// The stochastic parameters the policy is allowed to know (the paper's
-  /// policies know rates, not realisations).
-  [[nodiscard]] virtual markov::NodeParams node_params(int node) const = 0;
+  /// policies know rates, not realisations), one entry per node. A decision
+  /// takes the span once and reads every rate from it: no per-node virtual
+  /// call, no copy.
+  [[nodiscard]] virtual std::span<const markov::NodeParams> params() const = 0;
+  /// params()[node], bounds-checked.
+  [[nodiscard]] const markov::NodeParams& node_params(int node) const {
+    const std::span<const markov::NodeParams> nodes = params();
+    LBSIM_REQUIRE(node >= 0 && static_cast<std::size_t>(node) < nodes.size(), "node=" << node);
+    return nodes[static_cast<std::size_t>(node)];
+  }
   [[nodiscard]] virtual double per_task_delay_mean() const = 0;
 
   /// Neighbourhood restriction. The default is the complete exchange graph

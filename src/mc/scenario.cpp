@@ -34,8 +34,8 @@ class LiveView final : public core::SystemView {
   [[nodiscard]] bool is_up(int n) const override {
     return up_.at(static_cast<std::size_t>(n)) != 0;
   }
-  [[nodiscard]] markov::NodeParams node_params(int n) const override {
-    return params_.nodes.at(static_cast<std::size_t>(n));
+  [[nodiscard]] std::span<const markov::NodeParams> params() const override {
+    return params_.nodes;
   }
   [[nodiscard]] double per_task_delay_mean() const override {
     return params_.per_task_delay_mean;

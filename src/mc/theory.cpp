@@ -24,8 +24,8 @@ class InitialView final : public core::SystemView {
   [[nodiscard]] bool is_up(int node) const override {
     return !config_.starts_down(static_cast<std::size_t>(node));
   }
-  [[nodiscard]] markov::NodeParams node_params(int node) const override {
-    return config_.params.nodes.at(static_cast<std::size_t>(node));
+  [[nodiscard]] std::span<const markov::NodeParams> params() const override {
+    return config_.params.nodes;
   }
   [[nodiscard]] double per_task_delay_mean() const override {
     return config_.params.per_task_delay_mean;

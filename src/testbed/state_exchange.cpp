@@ -42,9 +42,7 @@ bool NodeLocalView::is_up(int node) const {
   return board_.last_heard(self_, node).node_up;
 }
 
-markov::NodeParams NodeLocalView::node_params(int node) const {
-  return params_.nodes.at(static_cast<std::size_t>(node));
-}
+std::span<const markov::NodeParams> NodeLocalView::params() const { return params_.nodes; }
 
 double NodeLocalView::per_task_delay_mean() const { return params_.per_task_delay_mean; }
 

@@ -46,7 +46,7 @@ class NodeLocalView final : public core::SystemView {
   [[nodiscard]] std::size_t node_count() const override;
   [[nodiscard]] std::size_t queue_length(int node) const override;
   [[nodiscard]] bool is_up(int node) const override;
-  [[nodiscard]] markov::NodeParams node_params(int node) const override;
+  [[nodiscard]] std::span<const markov::NodeParams> params() const override;
   [[nodiscard]] double per_task_delay_mean() const override;
 
  private:

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "cli/lbsim.hpp"
+#include "core/baseline.hpp"
+#include "core/lbp2.hpp"
 #include "test_support.hpp"
 
 namespace lbsim::cli {
@@ -123,6 +125,38 @@ TEST(CliRun, RunsAScenarioWithOverrides) {
   EXPECT_NE(result.out.find("# scenario=paper-two-node"), std::string::npos);
   EXPECT_NE(result.out.find("LBP-1(K=0.4"), std::string::npos);
   EXPECT_NE(result.out.find("# replications=5"), std::string::npos);
+}
+
+TEST(CliRun, WarnsWhenABalancingPolicyMovedNothing) {
+  // The rounding cliff of many-node-churn: at n = 256 every LBP-2 share
+  // rounds to zero tasks; at n = 128 the t = 0 split still moves tasks.
+  const CliResult cliff = run({"run", "many-node-churn", "nodes=256", "--reps=3",
+                               "--threads=1", "--format=csv"});
+  ASSERT_EQ(cliff.exit_code, 0) << cliff.err;
+  EXPECT_NE(cliff.err.find("warning: LBP-2(K=1) moved no task"), std::string::npos)
+      << cliff.err;
+  EXPECT_NE(cliff.out.find(",0.00,0.00\n"), std::string::npos) << cliff.out;
+  EXPECT_EQ(cliff.out.find("warning"), std::string::npos);  // stdout stays the table
+
+  const CliResult moving =
+      run({"run", "many-node-churn", "nodes=128", "--reps=3", "--threads=1"});
+  ASSERT_EQ(moving.exit_code, 0) << moving.err;
+  EXPECT_EQ(moving.err, "");
+
+  const CliResult none = run(
+      {"run", "many-node-churn", "nodes=256", "policy=none", "--reps=3", "--threads=1"});
+  ASSERT_EQ(none.exit_code, 0) << none.err;
+  EXPECT_EQ(none.err, "");
+}
+
+TEST(CliRun, DegenerationWarningNeedsOneTaskOfExcess) {
+  markov::MultiNodeParams params;
+  params.nodes = {markov::NodeParams{1.0, 0.0, 0.0}, markov::NodeParams{1.0, 0.0, 0.0}};
+  const core::Lbp2Policy lbp2(1.0);
+  EXPECT_NE(degeneration_warning(lbp2, params, {12, 10}, 0.0), "");  // excess 1
+  EXPECT_EQ(degeneration_warning(lbp2, params, {11, 10}, 0.0), "");  // excess 0.5
+  EXPECT_EQ(degeneration_warning(lbp2, params, {12, 10}, 0.5), "");  // something moved
+  EXPECT_EQ(degeneration_warning(core::NoBalancingPolicy{}, params, {12, 10}, 0.0), "");
 }
 
 TEST(CliRun, ReportsConfigErrorsWithExitCode2) {

@@ -6,6 +6,8 @@
 #include "core/periodic.hpp"
 #include "mc/engine.hpp"
 #include "mc/scenario.hpp"
+#include "policy_oracle.hpp"
+#include "test_support.hpp"
 
 namespace lbsim::core {
 namespace {
@@ -21,8 +23,8 @@ class FakeView final : public SystemView {
   [[nodiscard]] bool is_up(int n) const override {
     return up_.at(static_cast<std::size_t>(n));
   }
-  [[nodiscard]] markov::NodeParams node_params(int n) const override {
-    return nodes_.at(static_cast<std::size_t>(n));
+  [[nodiscard]] std::span<const markov::NodeParams> params() const override {
+    return nodes_;
   }
   [[nodiscard]] double per_task_delay_mean() const override { return 0.02; }
   void set_down(int n) { up_.at(static_cast<std::size_t>(n)) = false; }
@@ -68,6 +70,58 @@ TEST(PeriodicPolicyTest, FailureCompensationOptIn) {
   const auto directives = with_lf.on_failure(1, view);
   ASSERT_EQ(directives.size(), 1u);
   EXPECT_EQ(directives[0].count, 9u);  // eq. (8) constant
+}
+
+TEST(PeriodicPolicyTest, TicksMatchThePerPairLoopWithDownSenders) {
+  stoch::RngStream rng(test::kFixedSeed);
+  std::size_t moved = 0;
+  std::size_t filtered = 0;  // ticks where a down sender's split was dropped
+  for (const std::size_t n : {2, 3, 5, 64, 256}) {
+    for (int trial = 0; trial < (n >= 64 ? 2 : 8); ++trial) {
+      const FakeView view = oracle::make_view<FakeView>(oracle::random_system(rng, n));
+      for (const double gain : {0.0, 0.35, 1.0}) {
+        PeriodicRebalancePolicy policy(5.0, gain);
+        const auto expected = oracle::balance(view, gain, /*skip_down_senders=*/true);
+        EXPECT_EQ(policy.on_periodic(view), expected) << "n=" << n << " K=" << gain;
+        EXPECT_EQ(policy.on_start(view), expected) << "n=" << n << " K=" << gain;
+        for (const auto& d : expected) moved += d.count;
+        if (expected != oracle::balance(view, gain)) ++filtered;
+      }
+    }
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(filtered, 0u);
+}
+
+TEST(PeriodicPolicyTest, CompensationMatchesThePerPairLoop) {
+  // Periodic's eq. (8) path ignores peer state: down peers still receive.
+  stoch::RngStream rng(test::kFixedSeed, 1);
+  std::size_t moved = 0;
+  for (const std::size_t n : {2, 3, 5, 64, 256}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const FakeView view = oracle::make_view<FakeView>(oracle::random_system(rng, n));
+      PeriodicRebalancePolicy with_lf(5.0, 1.0, true);
+      PeriodicRebalancePolicy bare(5.0, 1.0, false);
+      for (std::size_t j = 0; j < n; j += std::max<std::size_t>(1, n / 16)) {
+        const int node = static_cast<int>(j);
+        const auto expected = oracle::failure(node, view);
+        EXPECT_EQ(with_lf.on_failure(node, view), expected) << "n=" << n << " j=" << j;
+        EXPECT_TRUE(bare.on_failure(node, view).empty());
+        for (const auto& d : expected) moved += d.count;
+      }
+    }
+  }
+  EXPECT_GT(moved, 0u);
+
+  // A node without a recovery law: LF is undefined once its queue is
+  // non-empty, exactly as in the per-pair loop; an empty queue never throws.
+  FakeView view({markov::NodeParams{1.0, 0.05, 0.1}, markov::NodeParams{1.5, 0.0, 0.0}},
+                {5, 0});
+  PeriodicRebalancePolicy with_lf(5.0, 1.0, true);
+  EXPECT_TRUE(with_lf.on_failure(1, view).empty());
+  view.set_queue(1, 3);
+  EXPECT_THROW((void)oracle::failure(1, view), std::invalid_argument);
+  EXPECT_THROW((void)with_lf.on_failure(1, view), std::invalid_argument);
 }
 
 TEST(PeriodicPolicyTest, ValidationAndClone) {

@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 
 #include "core/baseline.hpp"
 #include "core/excess.hpp"
 #include "core/lbp1.hpp"
 #include "core/lbp2.hpp"
+#include "policy_oracle.hpp"
+#include "test_support.hpp"
 
 namespace lbsim::core {
 namespace {
@@ -28,8 +31,8 @@ class FakeView final : public SystemView {
   [[nodiscard]] bool is_up(int n) const override {
     return up_.at(static_cast<std::size_t>(n));
   }
-  [[nodiscard]] markov::NodeParams node_params(int n) const override {
-    return nodes_.at(static_cast<std::size_t>(n));
+  [[nodiscard]] std::span<const markov::NodeParams> params() const override {
+    return nodes_;
   }
   [[nodiscard]] double per_task_delay_mean() const override { return d_; }
 
@@ -44,6 +47,13 @@ class FakeView final : public SystemView {
 
 std::vector<markov::NodeParams> paper_nodes() {
   return {markov::NodeParams{1.08, 0.05, 0.1}, markov::NodeParams{1.86, 0.05, 0.05}};
+}
+
+/// Never-failing nodes with the given service rates.
+FakeView rated_view(const std::vector<double>& rates, std::vector<std::size_t> queues) {
+  std::vector<markov::NodeParams> nodes;
+  for (const double rate : rates) nodes.push_back(markov::NodeParams{rate, 0.0, 0.0});
+  return FakeView(std::move(nodes), std::move(queues));
 }
 
 // ---------- excess-load arithmetic ----------
@@ -106,29 +116,33 @@ TEST(ExcessTest, LfRequiresRecoveryLaw) {
 
 TEST(ExcessTest, InitialBalanceTransfersMatchHandComputation) {
   // (100, 200), rates (1.08, 1.86), K = 0.8: node 1 sends round(0.8 * 10.2) = 8.
-  const auto transfers =
-      initial_balance_transfers({1.08, 1.86}, {100, 200}, 0.8);
+  const auto transfers = excess_balance(rated_view({1.08, 1.86}, {100, 200}), 0.8);
   ASSERT_EQ(transfers.size(), 1u);
-  EXPECT_EQ(transfers[0].from, 1u);
-  EXPECT_EQ(transfers[0].to, 0u);
-  EXPECT_EQ(transfers[0].count, 8u);
+  EXPECT_EQ(transfers[0], (TransferDirective{1, 0, 8}));
 }
 
 TEST(ExcessTest, InitialBalanceZeroGainMovesNothing) {
-  EXPECT_TRUE(initial_balance_transfers({1.08, 1.86}, {100, 200}, 0.0).empty());
+  EXPECT_TRUE(excess_balance(rated_view({1.08, 1.86}, {100, 200}), 0.0).empty());
 }
 
 TEST(ExcessTest, InitialBalanceThreeNodes) {
-  const std::vector<double> rates{1.0, 1.0, 1.0};
-  const std::vector<std::size_t> loads{90, 0, 0};
-  const auto transfers = initial_balance_transfers(rates, loads, 1.0);
+  const auto transfers = excess_balance(rated_view({1.0, 1.0, 1.0}, {90, 0, 0}), 1.0);
   ASSERT_EQ(transfers.size(), 2u);
   std::size_t total = 0;
   for (const auto& t : transfers) {
-    EXPECT_EQ(t.from, 0u);
+    EXPECT_EQ(t.from, 0);
     total += t.count;
   }
   EXPECT_EQ(total, 60u);  // excess = 90 - 30 = 60, split 30/30
+}
+
+TEST(ExcessTest, DecisionHelpersRejectInvalidInputs) {
+  EXPECT_THROW((void)excess_balance(rated_view({1.0, 0.0}, {5, 5}), 1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)excess_balance(rated_view({1.0, 1.0}, {5, 5}), 1.5),
+               std::invalid_argument);
+  EXPECT_THROW((void)failure_compensation(rated_view({1.0, 1.0}, {5, 5}), 2),
+               std::invalid_argument);
 }
 
 // ---------- LBP-1 ----------
@@ -243,6 +257,166 @@ TEST(Lbp2Test, ThreeNodeFailureSplitsAcrossPeers) {
 
 TEST(Lbp2Test, NameCarriesGain) {
   EXPECT_NE(Lbp2Policy(0.8).name().find("0.8"), std::string::npos);
+}
+
+// ---------- equivalence with the per-pair loops (tests/policy_oracle.hpp) ----------
+
+constexpr std::size_t kSizes[] = {2, 3, 5, 64, 256};
+constexpr double kGains[] = {0.0, 0.35, 1.0};
+
+TEST(PolicyEquivalenceTest, StartDirectivesMatchThePerPairLoop) {
+  stoch::RngStream rng(test::kFixedSeed);
+  std::size_t moved = 0;
+  for (const std::size_t n : kSizes) {
+    for (int trial = 0; trial < (n >= 64 ? 2 : 8); ++trial) {
+      const FakeView view = oracle::make_view<FakeView>(oracle::random_system(rng, n));
+      for (const double gain : kGains) {
+        const auto expected = oracle::balance(view, gain);
+        EXPECT_EQ(Lbp2Policy(gain).on_start(view), expected) << "n=" << n << " K=" << gain;
+        EXPECT_EQ(Lbp1Policy(gain).on_start(view), expected) << "n=" << n << " K=" << gain;
+        for (const auto& d : expected) moved += d.count;
+      }
+      EXPECT_EQ(ProportionalOncePolicy().on_start(view), oracle::balance(view, 1.0))
+          << "n=" << n;
+    }
+  }
+  EXPECT_GT(moved, 0u);
+}
+
+TEST(PolicyEquivalenceTest, StartDirectivesMatchAtRoundingBoundaries) {
+  stoch::RngStream rng(test::kFixedSeed, 3);
+  std::size_t probes = 0;
+  for (const std::size_t n : kSizes) {
+    for (int trial = 0; trial < (n >= 64 ? 2 : 12); ++trial) {
+      const oracle::RandomSystem system = oracle::random_system(rng, n);
+      const FakeView view = oracle::make_view<FakeView>(system);
+      std::vector<double> rates;
+      for (const auto& node : system.nodes) rates.push_back(node.lambda_d);
+      for (int probe = 0; probe < 8; ++probe) {
+        const std::size_t j = rng.uniform_index(n);
+        const std::size_t i = (j + 1 + rng.uniform_index(n - 1)) % n;
+        const double gain = oracle::boundary_gain(rates, system.queues, i, j);
+        if (gain == 0.0) continue;
+        EXPECT_EQ(Lbp2Policy(gain).on_start(view), oracle::balance(view, gain))
+            << "n=" << n << " pair " << j << "->" << i << " K=" << gain;
+        ++probes;
+      }
+    }
+  }
+  EXPECT_GT(probes, 50u);
+}
+
+TEST(PolicyEquivalenceTest, AllReceiversEmptySplitsTheExcessEvenly) {
+  // Only node k holds work: sum_{l != k} m_l / lambda_dl = 0, so p_ik = 1/(n-1).
+  stoch::RngStream rng(test::kFixedSeed, 1);
+  for (const std::size_t n : kSizes) {
+    oracle::RandomSystem system = oracle::random_system(rng, n);
+    const std::size_t k = n / 2;
+    std::fill(system.queues.begin(), system.queues.end(), 0);
+    system.queues[k] = 40 * n + 7;
+    const FakeView view = oracle::make_view<FakeView>(system);
+    for (const double gain : kGains) {
+      const auto directives = Lbp2Policy(gain).on_start(view);
+      EXPECT_EQ(directives, oracle::balance(view, gain)) << "n=" << n << " K=" << gain;
+      for (const auto& d : directives) EXPECT_EQ(d.from, static_cast<int>(k));
+    }
+  }
+  // Equal rates: the excess 90 - 18 = 72 splits 18 to each of the four peers.
+  const auto even = Lbp2Policy(1.0).on_start(rated_view({1, 1, 1, 1, 1}, {0, 0, 90, 0, 0}));
+  ASSERT_EQ(even.size(), 4u);
+  for (const auto& d : even) EXPECT_EQ(d.count, 18u);
+}
+
+TEST(PolicyEquivalenceTest, FailureDirectivesMatchThePerPairLoop) {
+  stoch::RngStream rng(test::kFixedSeed, 2);
+  std::size_t moved = 0;
+  std::size_t capped = 0;       // the failed node's queue ran out mid-split
+  std::size_t empty_queue = 0;  // the failed node held nothing
+  std::size_t withheld = 0;     // state-aware mode skipped a down peer
+  for (const std::size_t n : kSizes) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const oracle::RandomSystem system = oracle::random_system(rng, n);
+      const FakeView view = oracle::make_view<FakeView>(system);
+      for (std::size_t j = 0; j < n; j += std::max<std::size_t>(1, n / 16)) {
+        const int node = static_cast<int>(j);
+        const auto blind = oracle::failure(node, view, false);
+        const auto aware = oracle::failure(node, view, true);
+        EXPECT_EQ(Lbp2Policy(1.0).on_failure(node, view), blind) << "n=" << n << " j=" << j;
+        EXPECT_EQ(Lbp2Policy(1.0, true).on_failure(node, view), aware)
+            << "n=" << n << " j=" << j;
+        for (const auto& d : blind) moved += d.count;
+        if (!blind.empty() && blind.back().count < lbp2_failure_transfer(system.nodes,
+                                                                         blind.back().to, j)) {
+          ++capped;
+        }
+        if (system.queues[j] == 0) ++empty_queue;
+        if (aware != blind) ++withheld;
+      }
+    }
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(capped, 0u);
+  EXPECT_GT(empty_queue, 0u);
+  EXPECT_GT(withheld, 0u);
+}
+
+TEST(PolicyEquivalenceTest, FailureDirectivesMatchAtRoundingBoundaries) {
+  stoch::RngStream rng(test::kFixedSeed, 4);
+  std::size_t probes = 0;
+  for (const std::size_t n : kSizes) {
+    for (int trial = 0; trial < 12; ++trial) {
+      oracle::RandomSystem system = oracle::random_system(rng, n);
+      const std::size_t j = rng.uniform_index(n);
+      const std::size_t i = (j + 1 + rng.uniform_index(n - 1)) % n;
+      system.nodes[j].lambda_r =
+          oracle::boundary_recovery_rate(system.nodes, i, j, 1 + rng.uniform_index(3));
+      system.queues[j] = 100000;  // no cap: every receiver's LF is shipped in full
+      const FakeView view = oracle::make_view<FakeView>(system);
+      const int node = static_cast<int>(j);
+      EXPECT_EQ(Lbp2Policy(1.0).on_failure(node, view), oracle::failure(node, view))
+          << "n=" << n << " pair " << j << "->" << i;
+      EXPECT_EQ(Lbp2Policy(1.0, true).on_failure(node, view),
+                oracle::failure(node, view, true))
+          << "n=" << n << " pair " << j << "->" << i;
+      ++probes;
+    }
+  }
+  EXPECT_EQ(probes, 60u);
+}
+
+TEST(PolicyEquivalenceTest, LfUndefinedThrowsWhereThePerPairLoopThrew) {
+  // Node 1 never fails, so it has no recovery law and LF_i1 is undefined. The
+  // per-pair loop prices a receiver (and throws) only when node 1's queue is
+  // non-empty and some peer is eligible.
+  const auto outcome = [](const std::function<std::vector<TransferDirective>()>& decide) {
+    try {
+      return decide().empty() ? std::string("empty") : std::string("moved");
+    } catch (const std::invalid_argument&) {
+      return std::string("throws");
+    }
+  };
+  struct Case {
+    std::size_t queue;
+    bool aware;
+    std::vector<int> down;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {10, false, {}, "throws"},   {0, false, {}, "empty"},
+      {10, true, {0, 2}, "empty"}, {10, true, {2}, "throws"},
+      {0, true, {}, "empty"},      {10, false, {0, 2}, "throws"},
+  };
+  for (const Case& c : cases) {
+    FakeView view({markov::NodeParams{1.0, 0.05, 0.1}, markov::NodeParams{1.5, 0.0, 0.0},
+                   markov::NodeParams{2.0, 0.05, 0.1}},
+                  {5, c.queue, 5});
+    for (const int peer : c.down) view.set_down(peer);
+    const std::string parent = outcome([&] { return oracle::failure(1, view, c.aware); });
+    const std::string now =
+        outcome([&] { return Lbp2Policy(1.0, c.aware).on_failure(1, view); });
+    EXPECT_EQ(parent, c.expected) << "queue=" << c.queue << " aware=" << c.aware;
+    EXPECT_EQ(now, parent) << "queue=" << c.queue << " aware=" << c.aware;
+  }
 }
 
 // ---------- baselines ----------
