@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <string>
 
 #include "cli/registry.hpp"
 #include "core/baseline.hpp"
@@ -14,8 +16,12 @@
 #include "markov/two_node_mean.hpp"
 #include "mc/engine.hpp"
 #include "mc/scenario.hpp"
+#include "mc/steady.hpp"
 #include "sim/simulator.hpp"
+#include "stochastic/stats.hpp"
 #include "test_support.hpp"
+#include "testbed/config.hpp"
+#include "testbed/experiment.hpp"
 
 namespace lbsim::mc {
 namespace {
@@ -286,50 +292,77 @@ TEST(EngineTest, NoBalancingMatchesTheoryZeroGain) {
                solver.mean_no_transit(30, 20), 4.0);
 }
 
-// ---------- bit-identity pins across the per-task-record refactor ----------
+// ---------- bit-identity pins: one golden table per engine ----------
+
+struct Golden {
+  const char* family;
+  double mean, p50, p90, p99;
+};
+
+// Finite mc-engine families: mean/p50/p90/p99 captured at reps = 25,
+// seed = 0x5eed2006, threads = 2 immediately BEFORE the per-task
+// latency-record refactor.
+constexpr Golden kFiniteGoldens[] = {
+    {"paper-two-node", 116.61103909863549, 107.71454130988158, 188.55173836262219,
+     208.28513126617386},
+    {"multi-node", 114.13477969202212, 116.1862243825236, 141.83479394478616,
+     193.13308647396823},
+    {"many-node-churn", 101.33114750456271, 101.31374530663599, 116.17344501814591,
+     122.42756594569006},
+    {"churn-storm", 111.78423985018355, 111.88879213943629, 136.79691514282791,
+     155.00134569499735},
+    {"cold-start", 123.65141736552651, 119.10093513663399, 165.3986302898856,
+     201.56176966447714},
+    {"periodic-rebalance", 110.9883685731524, 103.87991250127128, 171.39297012558143,
+     196.37284876354502},
+    {"correlated-churn", 156.87487419645061, 139.5359549129561, 269.55959839699125,
+     320.34221592067752},
+    {"open-arrivals", 295.33829574617022, 296.75439276080596, 357.44840725420784,
+     379.21143155637697},
+    {"scheduled-churn", 70.323470686165209, 70.997272651383753, 76.883301486046832,
+     85.790294700289891},
+    {"custom-delay", 116.61103909863549, 107.71454130988158, 188.55173836262219,
+     208.28513126617386},
+    // Graph families at their sparse defaults (ring diffusion, torus
+    // diffusion, random-regular probe): pins the topology layer's RNG
+    // stream layout (the appended policy stream) and graph construction.
+    {"graph-ring", 93.550722634097752, 97.427238370790761, 111.70778963688932,
+     116.75978295048613},
+    {"graph-torus", 125.90302528653861, 123.33412498899476, 140.73850116371136,
+     236.11077561407274},
+    {"graph-rr", 84.375246079558039, 84.287993329342541, 93.297972085717447,
+     102.7413167186772},
+};
+
+// Testbed engine, captured at realizations = 25, seed = 0x5eed2006,
+// threads = 2: the lossy-exchange defaults, plus paper-two-node mapped through
+// testbed::from_scenario (the `--engine=testbed` path). Both schedule every
+// event through the compute elements, the failure processes, net::Link and
+// the net::Network state plane. Quantiles are type-7 over the sorted samples.
+struct TestbedGolden {
+  const char* family;
+  double mean, p50, p90, p99, state_lost;
+};
+constexpr TestbedGolden kTestbedGoldens[] = {
+    {"lossy-exchange", 107.65976303445396, 101.28501216129942, 161.4381855767939,
+     206.34947606645389, 39.479999999999997},
+    {"paper-two-node", 115.41743491738112, 103.40865953887524, 183.96694883745772,
+     212.64492180115855, 0.0},
+};
+
+// Steady engine at the CI smoke's size (steady.tasks = 5000,
+// steady.batches = 16), seed = 0x5eed2006, two replications on threads = 2:
+// mean sojourn and the post-warm-up quantiles.
+constexpr Golden kSteadyGoldens[] = {
+    {"open-steady", 4.0972549921537462, 1.9565797332566603, 10.646047004138383,
+     27.477560683320927},
+};
 
 TEST(EngineTest, FiniteFamilyStatisticsBitIdenticalToPreRefactorGoldens) {
-  // Golden mean/p50/p90/p99 captured at reps = 25, seed = 0x5eed2006,
-  // threads = 2 immediately BEFORE the per-task latency-record refactor.
   // EXPECT_DOUBLE_EQ on purpose: stamping arrival/first-service times must not
   // move a single RNG draw or reorder a single event in the finite path, and
   // any change to the stream layout shows up here as a 17-digit mismatch.
-  struct Golden {
-    const char* family;
-    double mean, p50, p90, p99;
-  };
-  static constexpr Golden kGoldens[] = {
-      {"paper-two-node", 116.61103909863549, 107.71454130988158, 188.55173836262219,
-       208.28513126617386},
-      {"multi-node", 114.13477969202212, 116.1862243825236, 141.83479394478616,
-       193.13308647396823},
-      {"many-node-churn", 101.33114750456271, 101.31374530663599, 116.17344501814591,
-       122.42756594569006},
-      {"churn-storm", 111.78423985018355, 111.88879213943629, 136.79691514282791,
-       155.00134569499735},
-      {"cold-start", 123.65141736552651, 119.10093513663399, 165.3986302898856,
-       201.56176966447714},
-      {"periodic-rebalance", 110.9883685731524, 103.87991250127128, 171.39297012558143,
-       196.37284876354502},
-      {"correlated-churn", 156.87487419645061, 139.5359549129561, 269.55959839699125,
-       320.34221592067752},
-      {"open-arrivals", 295.33829574617022, 296.75439276080596, 357.44840725420784,
-       379.21143155637697},
-      {"scheduled-churn", 70.323470686165209, 70.997272651383753, 76.883301486046832,
-       85.790294700289891},
-      {"custom-delay", 116.61103909863549, 107.71454130988158, 188.55173836262219,
-       208.28513126617386},
-      // Graph families at their sparse defaults (ring diffusion, torus
-      // diffusion, random-regular probe): pins the topology layer's RNG
-      // stream layout (the appended policy stream) and graph construction.
-      {"graph-ring", 93.550722634097752, 97.427238370790761, 111.70778963688932,
-       116.75978295048613},
-      {"graph-torus", 125.90302528653861, 123.33412498899476, 140.73850116371136,
-       236.11077561407274},
-      {"graph-rr", 84.375246079558039, 84.287993329342541, 93.297972085717447,
-       102.7413167186772},
-  };
-  for (const Golden& g : kGoldens) {
+  for (const Golden& g : kFiniteGoldens) {
     const cli::ScenarioSpec& spec = cli::find_scenario(g.family);
     ASSERT_FALSE(spec.steady) << g.family;
     const ScenarioConfig config = spec.build(spec.schema.resolve({}));
@@ -343,14 +376,55 @@ TEST(EngineTest, FiniteFamilyStatisticsBitIdenticalToPreRefactorGoldens) {
     EXPECT_DOUBLE_EQ(result.p90, g.p90) << g.family;
     EXPECT_DOUBLE_EQ(result.p99, g.p99) << g.family;
   }
-  // Every finite mc-engine family is pinned: a new family must add a golden
-  // row unless it is a steady family (which the finite engines refuse) or a
-  // testbed family (which never runs on the mc engine at all).
-  std::size_t finite = 0;
-  for (const cli::ScenarioSpec& spec : cli::scenario_registry()) {
-    if (!spec.steady && !spec.testbed) ++finite;
+}
+
+TEST(EngineTest, TestbedFamilyStatisticsBitIdenticalToGoldens) {
+  for (const TestbedGolden& g : kTestbedGoldens) {
+    const cli::ScenarioSpec& spec = cli::find_scenario(g.family);
+    const testbed::TestbedConfig config =
+        testbed::from_scenario(spec.build(spec.schema.resolve({})));
+    const testbed::ExperimentSummary result =
+        testbed::run_experiment(config, 25, 0x5eed2006, /*threads=*/2);
+    EXPECT_DOUBLE_EQ(result.mean(), g.mean) << g.family;
+    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.50), g.p50) << g.family;
+    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.90), g.p90) << g.family;
+    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.99), g.p99) << g.family;
+    EXPECT_DOUBLE_EQ(result.mean_state_lost, g.state_lost) << g.family;
   }
-  EXPECT_EQ(finite, std::size(kGoldens));
+}
+
+TEST(EngineTest, SteadyFamilyStatisticsBitIdenticalToGoldens) {
+  for (const Golden& g : kSteadyGoldens) {
+    const cli::ScenarioSpec& spec = cli::find_scenario(g.family);
+    ASSERT_TRUE(spec.steady) << g.family;
+    cli::RawConfig raw;
+    raw.set("steady.tasks", "5000");
+    raw.set("steady.batches", "16");
+    SteadyConfig steady;
+    steady.seed = 0x5eed2006;
+    steady.replications = 2;
+    steady.threads = 2;
+    const SteadyResult result = run_steady(spec.build(spec.schema.resolve(raw)), steady);
+    EXPECT_DOUBLE_EQ(result.mean(), g.mean) << g.family;
+    EXPECT_DOUBLE_EQ(result.p50, g.p50) << g.family;
+    EXPECT_DOUBLE_EQ(result.p90, g.p90) << g.family;
+    EXPECT_DOUBLE_EQ(result.p99, g.p99) << g.family;
+  }
+}
+
+TEST(EngineTest, EveryRegistryFamilyHasAGoldenRow) {
+  // A new family must pin its engine's stream layout and event order: a
+  // golden row in the table of the engine it routes to.
+  const auto pinned = [](const auto& table, const std::string& family) {
+    return std::any_of(std::begin(table), std::end(table),
+                       [&](const auto& golden) { return family == golden.family; });
+  };
+  for (const cli::ScenarioSpec& spec : cli::scenario_registry()) {
+    bool has_row = pinned(kFiniteGoldens, spec.name);
+    if (spec.testbed) has_row = pinned(kTestbedGoldens, spec.name);
+    if (spec.steady) has_row = pinned(kSteadyGoldens, spec.name);
+    EXPECT_TRUE(has_row) << spec.name << " has no golden row";
+  }
 }
 
 TEST(EngineTest, GraphFamiliesAtCompleteTopologyMatchGlobalBaselineBitIdentically) {
