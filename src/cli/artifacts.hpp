@@ -1,14 +1,16 @@
 #pragma once
 /// \file
 /// Regeneration of the paper's artefacts (Tables 1-3, Figures 1-5) behind one
-/// entry point, shared by `lbsim reproduce` and the thin bench/ wrappers.
+/// entry point, `lbsim reproduce <name>`.
 ///
-/// Each artefact runner prints the same banner/table/shape-check output the
-/// original bench binaries produced, and returns its primary result table so
-/// the CLI can re-emit it as CSV/JSON with run metadata. Table 1 and Table 2
-/// additionally expose a cheap "golden block" — the exact-solver values at the
-/// pinned operating point (m0,m1) = (100,60), gain 0.35 of
-/// tests/markov_golden_test.cpp — used by the golden-output CTest entry.
+/// Each artefact runner prints a banner, its table and any shape checks, and
+/// returns its primary result table so the CLI can re-emit it as CSV/JSON with
+/// run metadata. The `reproduce.<name>` CTest entries run every artefact at
+/// its quick size and fail on a "VIOLATED" shape check (fig3, fig5) or on
+/// "No crossover observed" (table3). Table 1 and Table 2 additionally expose a
+/// cheap "golden block" — the exact-solver values at the pinned operating
+/// point (m0,m1) = (100,60), gain 0.35 of tests/markov_golden_test.cpp — used
+/// by the golden-output CTest entry.
 
 #include <cstdint>
 #include <iosfwd>

@@ -179,17 +179,24 @@ const OptionSpec* Schema::find(const std::string& key) const {
   return it == options_.end() ? nullptr : &*it;
 }
 
-std::string Schema::suggest(const std::string& key) const {
+std::string closest_match(const std::string& key, const std::vector<std::string>& candidates) {
   std::string best;
   std::size_t best_distance = 3;  // suggest only close matches
-  for (const OptionSpec& candidate : options_) {
-    const std::size_t d = edit_distance(key, candidate.key);
+  for (const std::string& candidate : candidates) {
+    const std::size_t d = edit_distance(key, candidate);
     if (d < best_distance) {
       best_distance = d;
-      best = candidate.key;
+      best = candidate;
     }
   }
   return best;
+}
+
+std::string Schema::suggest(const std::string& key) const {
+  std::vector<std::string> keys;
+  keys.reserve(options_.size());
+  for (const OptionSpec& option : options_) keys.push_back(option.key);
+  return closest_match(key, keys);
 }
 
 Config Schema::resolve(const RawConfig& raw) const {

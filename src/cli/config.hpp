@@ -103,9 +103,8 @@ class Schema {
   [[nodiscard]] const std::vector<OptionSpec>& options() const noexcept { return options_; }
   [[nodiscard]] const OptionSpec* find(const std::string& key) const;
 
-  /// Closest declared key within edit distance 2 of `key` ("" if none) — the
-  /// did-you-mean suggestion used for unknown keys here and by the sweep's
-  /// fail-fast axis check.
+  /// closest_match over the declared keys — the did-you-mean suggestion used
+  /// for unknown keys here and by the sweep's fail-fast axis check.
   [[nodiscard]] std::string suggest(const std::string& key) const;
 
   /// Validates `raw` against the schema: applies defaults, rejects unknown
@@ -146,6 +145,11 @@ class Config {
   std::map<std::string, OptionType> types_;
   std::map<std::string, bool> supplied_;
 };
+
+/// The candidate nearest to `key` within edit distance 2 ("" if none; the
+/// earliest on ties): the did-you-mean suggestion for unknown keys and flags.
+[[nodiscard]] std::string closest_match(const std::string& key,
+                                        const std::vector<std::string>& candidates);
 
 /// Low-level typed parsers, shared with the sweep-axis grammar. Each throws
 /// ConfigError(kBadValue) naming `key` when `text` does not fully parse.

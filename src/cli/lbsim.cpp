@@ -1,9 +1,12 @@
 #include "cli/lbsim.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/artifacts.hpp"
 #include "cli/config.hpp"
@@ -38,7 +41,7 @@ Usage:
   lbsim list [scenario]             registered scenarios, or one scenario's keys
   lbsim run <scenario> [key=value ...]
         [--config=FILE] [--engine=mc|testbed] [--reps=N] [--threads=N]
-        [--seed=S] [--vr=none|antithetic|cv|both] [--cv-pilot=N] [--shards=N]
+        [--seed=S] [--vr=none|antithetic|cv|both] [--cv-pilot=N]
         [--trace=FILE[:jsonl|chrome]] [--metrics=FILE]
         [--format=table|csv|json] [--out=FILE]
         --trace writes the structured event trace (task/service/transfer/
@@ -51,12 +54,10 @@ Usage:
         churn-free surrogate under common random numbers with its exact mean
         from the theory oracle, both composes them. Adds vr/adj_mean_s/
         adj_ci95_s/vr_ratio columns; raw statistics stay alongside. An
-        inadmissible component falls back with a note ("!" on the mode).
-        --shards=N splits the event queue into N shards (bit-identical
-        results at any N)
+        inadmissible component falls back with a note ("!" on the mode)
   lbsim sweep <scenario> [key=v1,v2 | key=lo:hi:step ...]
-        [--reps=N] [--threads=N] [--seed=S] [--dry-run]
-        [--vr=MODE] [--cv-pilot=N] [--shards=N] [--metrics=FILE]
+        [--config=FILE] [--reps=N] [--threads=N] [--seed=S] [--dry-run]
+        [--vr=MODE] [--cv-pilot=N] [--metrics=FILE]
         [--quantiles] [--ecdf[=K]] [--compare=theory]
         [--format=table|csv|json] [--out=FILE]
         --metrics dumps one registry merged over every grid point
@@ -76,25 +77,41 @@ Usage:
   lbsim reproduce <table1|table2|table3|fig1..fig5>
         [--quick] [--golden-only] [--reps=N] [--realizations=N] [--seed=S]
         [--format=table|csv|json] [--out=FILE]
-  lbsim perf [--quick] [--profile] [--out=FILE] [--check[=BASELINE]]
-        [--max-regression=F]
+  lbsim perf [--quick] [--profile] [--out=FILE]
         timing baseline (perf_solver/perf_mc/perf_des, many-node
         perf_mc_n16/32/64 and policy n-scaling perf_mc_n256, variance-reduced
         effective throughput perf_mc_vr, env-modulated perf_mc_env,
         topology-restricted perf_mc_graph, open-system perf_mc_steady,
-        lossy state-plane perf_testbed_lossy);
-        --check exits nonzero when any bench regresses >F (default 0.30) vs the
-        baseline JSON (default BENCH_baseline.json); --profile appends a
-        per-bench phase breakdown (setup / event loop / stats fold wall time)
-        from the engines' self-profiling
+        lossy state-plane perf_testbed_lossy); --profile appends a per-bench
+        phase breakdown (setup / event loop / stats fold wall time) from the
+        engines' self-profiling. scripts/compare_bench.py gates an --out file
+        against BENCH_baseline.json
 
-Global flags: --log-level=trace|debug|info|warn|error|off (default warn).
+Global flags: --log-level=trace|debug|info|warn|error|off (default warn) and
+--help. Any other flag a subcommand does not list above is an error.
 
 Scenario keys are INI-style (`lbsim list <scenario>` documents them); a
 --config file may also carry them, with command-line key=value pairs winning.
 The reserved keys `mc.reps`, `mc.threads`, `mc.seed`, `mc.vr`, `mc.cv-pilot`,
-`mc.shards`, and `engine` select the execution engine rather than the scenario.
+and `engine` select the execution engine rather than the scenario.
 )";
+
+/// Throws ConfigError(kUnknownKey), with a did-you-mean suggestion, on any
+/// flag outside `known` plus the global --log-level and --help. Each
+/// subcommand passes exactly the flags kUsage lists for it, so a typo such
+/// as --rep=5 fails instead of being silently ignored.
+void reject_unknown_flags(const util::CliArgs& args, const std::string& command,
+                          std::vector<std::string> known) {
+  known.insert(known.end(), {"log-level", "help"});
+  for (const std::string& flag : args.flag_names()) {
+    if (std::find(known.begin(), known.end(), flag) != known.end()) continue;
+    std::string msg = "lbsim " + command + " has no flag '--" + flag + "'";
+    if (const std::string best = closest_match(flag, known); !best.empty()) {
+      msg += " (did you mean '--" + best + "'?)";
+    }
+    throw ConfigError(ConfigError::Kind::kUnknownKey, flag, msg);
+  }
+}
 
 /// Emission sink: --out writes the formatted table to a file, keeping the
 /// human narration on stdout.
@@ -125,14 +142,13 @@ void emit(const util::CliArgs& args, const RunMetadata& meta, const util::TextTa
   out << "wrote " << format << " to " << path << "\n";
 }
 
-/// Observability sinks shared by run (all engines) and sweep (metrics only):
+/// The observability sinks of `lbsim run` (sweep takes --metrics only):
 /// `--trace=FILE[:jsonl|chrome]` and `--metrics=FILE`. Attaching them never
 /// perturbs the run — no RNG draws, bit-identical statistics.
 struct ObsOptions {
   std::string trace_path;
   std::string trace_format = "jsonl";
   std::string metrics_path;
-  [[nodiscard]] bool any() const { return !trace_path.empty() || !metrics_path.empty(); }
 };
 
 ObsOptions parse_obs_options(const util::CliArgs& args) {
@@ -207,7 +223,6 @@ struct EngineOptions {
   std::uint64_t seed = 0;        // 0 = engine default
   mc::VrMode vr = mc::VrMode::kNone;
   std::size_t cv_pilot = 0;      // 0 = engine auto
-  std::size_t shards = 1;
 };
 
 EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) {
@@ -231,7 +246,6 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
   }
   std::string vr_text = take("mc.vr");
   std::string cv_pilot_text = take("mc.cv-pilot");
-  std::string shards_text = take("mc.shards");
   // Command-line flags win over config-file keys.
   options.engine = args.get_string("engine", options.engine);
   options.replications =
@@ -241,7 +255,6 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
       static_cast<std::uint64_t>(args.get_int64("seed", static_cast<long long>(options.seed)));
   vr_text = args.get_string("vr", vr_text);
   cv_pilot_text = args.get_string("cv-pilot", cv_pilot_text);
-  shards_text = args.get_string("shards", shards_text);
   if (!vr_text.empty() && !mc::parse_vr_mode(vr_text, options.vr)) {
     throw ConfigError(ConfigError::Kind::kOutOfRange, "vr",
                       "--vr must be none, antithetic, cv, or both (got '" + vr_text + "')");
@@ -254,20 +267,12 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
     }
     options.cv_pilot = static_cast<std::size_t>(pilot);
   }
-  if (!shards_text.empty()) {
-    const long long shards = parse_int(shards_text, "shards");
-    if (shards < 1) {
-      throw ConfigError(ConfigError::Kind::kOutOfRange, "shards", "--shards must be >= 1");
-    }
-    options.shards = static_cast<std::size_t>(shards);
-  }
   if (options.engine != "mc" && options.engine != "testbed") {
     throw ConfigError(ConfigError::Kind::kOutOfRange, "engine",
                       "engine must be 'mc' or 'testbed'");
   }
-  if (options.engine != "mc" && (options.vr != mc::VrMode::kNone || options.shards != 1)) {
-    throw ConfigError(ConfigError::Kind::kOutOfRange, "vr",
-                      "--vr/--shards belong to the mc engine");
+  if (options.engine != "mc" && options.vr != mc::VrMode::kNone) {
+    throw ConfigError(ConfigError::Kind::kOutOfRange, "vr", "--vr belongs to the mc engine");
   }
   return options;
 }
@@ -313,6 +318,7 @@ ScenarioInvocation parse_scenario_invocation(const util::CliArgs& args) {
 }
 
 int cmd_list(const util::CliArgs& args, std::ostream& out) {
+  reject_unknown_flags(args, "list", {});
   const auto& positional = args.positional();
   if (positional.size() > 1) {
     const ScenarioSpec& spec = find_scenario(positional[1]);
@@ -345,6 +351,9 @@ int cmd_list(const util::CliArgs& args, std::ostream& out) {
 
 int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::ostream& out,
             std::ostream& err) {
+  reject_unknown_flags(args, "run",
+                       {"config", "engine", "reps", "threads", "seed", "vr", "cv-pilot",
+                        "trace", "metrics", "format", "out"});
   ScenarioInvocation invocation = parse_scenario_invocation(args);
   for (const std::string& assignment : invocation.extra) {
     apply_override(invocation.raw, assignment);
@@ -379,10 +388,10 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
   if (invocation.spec->testbed) {
     // Emulation family: the testbed engine is the only one with a state plane
     // to degrade, so the family always routes there.
-    if (engine.vr != mc::VrMode::kNone || engine.shards != 1) {
+    if (engine.vr != mc::VrMode::kNone) {
       throw ConfigError(ConfigError::Kind::kOutOfRange, "vr",
-                        "--vr/--shards belong to the mc engine; scenario '" +
-                            invocation.spec->name + "' runs on the testbed engine");
+                        "--vr belongs to the mc engine; scenario '" + invocation.spec->name +
+                            "' runs on the testbed engine");
     }
     engine.engine = "testbed";
   }
@@ -396,9 +405,9 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
                             "' is infinite-horizon; only the mc (steady-state) engine "
                             "runs it");
     }
-    if (engine.vr != mc::VrMode::kNone || engine.shards != 1) {
+    if (engine.vr != mc::VrMode::kNone) {
       throw ConfigError(ConfigError::Kind::kOutOfRange, "vr",
-                        "--vr/--shards apply to finite-horizon replications; scenario '" +
+                        "--vr applies to finite-horizon replications; scenario '" +
                             invocation.spec->name + "' is infinite-horizon");
     }
     mc::SteadyConfig steady_config;
@@ -471,7 +480,6 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
     mc_config.threads = engine.threads;
     mc_config.vr = engine.vr;
     mc_config.cv_pilot = engine.cv_pilot;
-    mc_config.shards = engine.shards;
     mc_config.obs = sinks;
     const std::string policy_name = scenario.policy->name();
     const mc::McResult result = mc::run_monte_carlo(scenario, mc_config);
@@ -556,6 +564,9 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
 
 int cmd_sweep(int argc, const char* const* argv, const util::CliArgs& args,
               std::ostream& out) {
+  reject_unknown_flags(args, "sweep",
+                       {"config", "reps", "threads", "seed", "dry-run", "vr", "cv-pilot",
+                        "metrics", "quantiles", "ecdf", "compare", "format", "out"});
   ScenarioInvocation invocation = parse_scenario_invocation(args);
   std::vector<SweepAxis> axes;
   for (const std::string& assignment : invocation.extra) {
@@ -574,13 +585,9 @@ int cmd_sweep(int argc, const char* const* argv, const util::CliArgs& args,
   }
 
   SweepOptions options;
-  const ObsOptions obs_options = parse_obs_options(args);
-  if (!obs_options.trace_path.empty()) {
-    throw ConfigError(ConfigError::Kind::kOutOfRange, "trace",
-                      "--trace is per-run; `lbsim sweep` supports --metrics only");
-  }
+  const std::string metrics_path = args.get_string("metrics", "");
   obs::Registry metrics_registry;
-  if (!obs_options.metrics_path.empty()) options.obs.metrics = &metrics_registry;
+  if (!metrics_path.empty()) options.obs.metrics = &metrics_registry;
   EngineOptions engine = extract_engine_options(invocation.raw, args);
   if (engine.engine != "mc" && !invocation.spec->testbed) {
     throw ConfigError(ConfigError::Kind::kOutOfRange, "engine",
@@ -594,7 +601,6 @@ int cmd_sweep(int argc, const char* const* argv, const util::CliArgs& args,
   options.threads = engine.threads;
   options.vr = engine.vr;
   options.cv_pilot = engine.cv_pilot;
-  options.shards = engine.shards;
   options.dry_run = args.get_bool("dry-run", false);
   options.quantiles = args.has("quantiles") && args.get_bool("quantiles", true);
   if (args.has("ecdf")) {
@@ -623,13 +629,16 @@ int cmd_sweep(int argc, const char* const* argv, const util::CliArgs& args,
   }
   emit(args, result.metadata, result.table, out);
   if (options.obs.metrics != nullptr && !options.dry_run) {
-    write_metrics_file(obs_options.metrics_path, metrics_registry, result.metadata, out);
+    write_metrics_file(metrics_path, metrics_registry, result.metadata, out);
   }
   return 0;
 }
 
 int cmd_validate(int argc, const char* const* argv, const util::CliArgs& args,
                  std::ostream& out) {
+  reject_unknown_flags(args, "validate",
+                       {"strict", "reps", "seed", "threads", "sigma", "ks-slack", "format",
+                        "out"});
   ValidationOptions options;
   const auto& positional = args.positional();
   if (positional.size() > 2) {
@@ -673,6 +682,9 @@ int cmd_validate(int argc, const char* const* argv, const util::CliArgs& args,
 
 int cmd_reproduce(int argc, const char* const* argv, const util::CliArgs& args,
                   std::ostream& out) {
+  reject_unknown_flags(args, "reproduce",
+                       {"quick", "golden-only", "reps", "realizations", "seed", "format",
+                        "out"});
   const auto& positional = args.positional();
   if (positional.size() < 2) {
     throw ConfigError(ConfigError::Kind::kSyntax, "artefact",
@@ -706,57 +718,18 @@ int cmd_reproduce(int argc, const char* const* argv, const util::CliArgs& args,
   return 0;
 }
 
-/// Compares current bench rows against a committed baseline: any row whose
-/// throughput fell by more than `max_regression` (fraction) fails, as does a
-/// baseline row that disappeared. Returns the process exit code (0/1).
-int check_against_baseline(const std::string& baseline_path, const util::TextTable& current,
-                           double max_regression, std::ostream& out) {
-  std::ifstream file(baseline_path);
-  if (!file) throw std::runtime_error("cannot read baseline '" + baseline_path + "'");
-  const std::vector<BenchRow> baseline = parse_bench_json(file);
-
-  const auto current_throughput = [&](const std::string& name) -> double {
-    for (std::size_t r = 0; r < current.rows(); ++r) {
-      if (current.row(r)[0] == name) return std::stod(current.row(r)[3]);
-    }
-    return -1.0;
-  };
-
-  util::TextTable report({"bench", "baseline_per_s", "current_per_s", "ratio", "verdict"});
-  int failures = 0;
-  for (const BenchRow& base : baseline) {
-    const double now = current_throughput(base.name);
-    if (now < 0.0) {
-      report.add_row({base.name, util::format_double(base.throughput, 1), "-", "-",
-                      "MISSING"});
-      ++failures;
-      continue;
-    }
-    const double ratio = base.throughput > 0.0 ? now / base.throughput : 1.0;
-    const bool regressed = ratio < 1.0 - max_regression;
-    if (regressed) ++failures;
-    report.add_row({base.name, util::format_double(base.throughput, 1),
-                    util::format_double(now, 1), util::format_double(ratio, 3),
-                    regressed ? "REGRESSED" : "ok"});
-  }
-  out << "\nperf check vs " << baseline_path << " (fail below "
-      << util::format_double((1.0 - max_regression) * 100.0, 0) << "% of baseline):\n\n";
-  report.print(out);
-  if (failures != 0) {
-    out << "\nperf check FAILED: " << failures << " bench(es) regressed or missing\n";
-    return 1;
-  }
-  out << "\nperf check passed\n";
-  return 0;
-}
-
 int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::ostream& out) {
+  reject_unknown_flags(args, "perf", {"quick", "profile", "out"});
+  if (args.positional().size() > 1) {
+    throw ConfigError(ConfigError::Kind::kSyntax, "perf",
+                      "usage: lbsim perf [--quick] [--profile] [--out=FILE]");
+  }
   const bool quick = args.has("quick");
   const bool profile = args.has("profile");
 
   // --profile: the engines' per-phase self-profiling (setup / event loop /
   // stats fold), printed as a separate table so the bench columns — and the
-  // parse_bench_json baseline format — stay fixed. The breakdown is the last
+  // baseline format scripts/compare_bench.py reads — stay fixed. The breakdown is the last
   // timed run of each bench (best-of-k reruns would sum phases across runs).
   util::TextTable profile_table({"bench", "setup_ms", "loop_ms", "fold_ms", "reps"});
   obs::PhaseProfile bench_profile;
@@ -951,7 +924,6 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
     mc::ScenarioConfig scenario = spec.build(spec.schema.resolve(raw));
     mc::McConfig mc_config;
     mc_config.replications = reps;
-    mc_config.shards = 8;
     mc_config.obs = profile_sinks();
     double mean = 0.0;
     const double ms = time_ms(2, [&] {
@@ -1140,16 +1112,6 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
     if (!file) throw std::runtime_error("cannot write to '" + path + "'");
     write_json(file, meta, table);
     out << "wrote json to " << path << "\n";
-  }
-
-  // --check[=FILE]: compare against a committed baseline and fail loudly
-  // (nonzero exit) on >30% throughput regression, so CI cannot silently
-  // `cat` its way past a slowdown.
-  if (args.has("check")) {
-    std::string baseline = args.get_string("check", "");
-    if (baseline.empty() || baseline == "true") baseline = "BENCH_baseline.json";
-    const double max_regression = args.get_double("max-regression", 0.30);
-    return check_against_baseline(baseline, table, max_regression, out);
   }
   return 0;
 }

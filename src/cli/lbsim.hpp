@@ -8,8 +8,12 @@
 ///   lbsim run <scenario> [k=v...]  one configuration through the MC engine
 ///                                  (or --engine=testbed)
 ///   lbsim sweep <scenario> [axes]  cartesian sweep (key=v1,v2 / key=lo:hi:step)
+///   lbsim validate [family]        theory-vs-simulation statistical gate
 ///   lbsim reproduce <artefact>     regenerate a paper table/figure
-///   lbsim perf                     timing baseline (perf_des/perf_mc/perf_solver)
+///   lbsim perf                     timing baseline (perf_des/perf_mc/perf_solver, ...)
+///
+/// Each subcommand accepts exactly the flags its usage text lists, plus the
+/// global --log-level and --help; any other flag is a usage error.
 
 #include <iosfwd>
 #include <string>
@@ -21,8 +25,8 @@
 namespace lbsim::cli {
 
 /// Runs one lbsim invocation; returns the process exit code (0 success, 2 on
-/// usage/config errors). Writes results to `out` and diagnostics to `err`;
-/// never throws.
+/// usage/config errors, unknown flags included). Writes results to `out` and
+/// diagnostics to `err`; never throws.
 int run_lbsim(int argc, const char* const* argv, std::ostream& out, std::ostream& err);
 
 /// The warning `lbsim run` writes to stderr when a balancing policy silently

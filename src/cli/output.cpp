@@ -5,7 +5,6 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #ifndef LBSIM_GIT_DESCRIBE
 #define LBSIM_GIT_DESCRIBE "unknown"
@@ -84,60 +83,6 @@ void write_json(std::ostream& os, const RunMetadata& meta, const util::TextTable
     os << "]";
   }
   os << "\n  ]\n}\n";
-}
-
-std::vector<BenchRow> parse_bench_json(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const std::string text = buffer.str();
-  const std::size_t rows_at = text.find("\"rows\"");
-  if (rows_at == std::string::npos) throw std::runtime_error("bench json: no \"rows\" key");
-
-  std::vector<BenchRow> rows;
-  std::size_t pos = text.find('[', rows_at);
-  if (pos == std::string::npos) throw std::runtime_error("bench json: malformed rows");
-  ++pos;  // inside the rows array
-  while (pos < text.size()) {
-    // Find the next row "[...]" or the end of the rows array.
-    while (pos < text.size() && text[pos] != '[' && text[pos] != ']') ++pos;
-    if (pos >= text.size() || text[pos] == ']') break;
-    const std::size_t row_end = text.find(']', pos);
-    if (row_end == std::string::npos) throw std::runtime_error("bench json: unterminated row");
-
-    BenchRow row;
-    bool have_name = false;
-    bool have_wall = false;
-    std::size_t cell = pos + 1;
-    while (cell < row_end) {
-      if (text[cell] == '"') {  // string cell (no escaped quotes in bench names)
-        const std::size_t close = text.find('"', cell + 1);
-        if (close == std::string::npos || close > row_end) {
-          throw std::runtime_error("bench json: unterminated string cell");
-        }
-        if (!have_name) {
-          row.name = text.substr(cell + 1, close - cell - 1);
-          have_name = true;
-        }
-        cell = close + 1;
-      } else if ((text[cell] >= '0' && text[cell] <= '9') || text[cell] == '-' ||
-                 text[cell] == '+' || text[cell] == '.') {
-        char* end = nullptr;
-        const double value = std::strtod(text.c_str() + cell, &end);
-        if (!have_wall) {
-          row.wall_ms = value;
-          have_wall = true;
-        }
-        row.throughput = value;  // last numeric cell wins
-        cell = static_cast<std::size_t>(end - text.c_str());
-      } else {
-        ++cell;
-      }
-    }
-    if (have_name && have_wall) rows.push_back(std::move(row));
-    pos = row_end + 1;
-  }
-  if (rows.empty()) throw std::runtime_error("bench json: no bench rows parsed");
-  return rows;
 }
 
 std::string json_escape(const std::string& text) {

@@ -65,16 +65,4 @@ void append_vr_cells(const mc::McResult& result, std::vector<std::string>& row);
 /// ...) so JSON/CSV artefacts keep the full story behind the four table cells.
 void note_vr_metadata(const mc::McResult& result, RunMetadata& meta);
 
-/// One row of a `lbsim perf` JSON artefact.
-struct BenchRow {
-  std::string name;     ///< first (string) cell, e.g. "perf_mc"
-  double wall_ms = 0.0;     ///< first numeric cell
-  double throughput = 0.0;  ///< last numeric cell
-};
-
-/// Reads the rows of a file produced by write_json for `lbsim perf`
-/// (first string cell = bench name, first/last numeric cells = wall_ms /
-/// throughput). Throws std::runtime_error when no such rows are found.
-[[nodiscard]] std::vector<BenchRow> parse_bench_json(std::istream& is);
-
 }  // namespace lbsim::cli

@@ -1,9 +1,8 @@
 #pragma once
 /// \file
-/// Shared presentation helpers for the lbsim CLI and the bench binaries:
-/// consistent banners, ASCII curves for the "figure" artefacts, and
-/// paper-vs-measured comparison lines. (Moved from bench/bench_common.hpp so
-/// `lbsim reproduce` and the thin bench wrappers share one implementation.)
+/// Shared presentation helpers for `lbsim reproduce` and the ablation
+/// binaries: consistent banners, ASCII curves for the "figure" artefacts, and
+/// paper-vs-measured comparison lines.
 
 #include <algorithm>
 #include <cstddef>

@@ -56,12 +56,6 @@ void assign(const std::string& key, const std::string& value, RawConfig& raw,
                         "mc.cv-pilot must be >= 0 (0 = auto)");
     }
     options.cv_pilot = static_cast<std::size_t>(pilot);
-  } else if (key == "mc.shards") {
-    const long long shards = parse_int(value, key);
-    if (shards < 1) {
-      throw ConfigError(ConfigError::Kind::kOutOfRange, key, "mc.shards must be >= 1");
-    }
-    options.shards = static_cast<std::size_t>(shards);
   } else {
     raw.set(key, value);
   }
@@ -189,23 +183,20 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
   }
   // Any non-none VR (base option or an mc.vr axis value) appends the VR
   // columns to every row, so a mixed-estimator sweep keeps a rectangular table.
-  const bool vr_axis = std::any_of(axes.begin(), axes.end(), [](const SweepAxis& axis) {
-    return axis.key == "mc.vr" || axis.key == "mc.shards";
-  });
   const bool vr_active =
       options.vr != mc::VrMode::kNone ||
       std::any_of(axes.begin(), axes.end(),
                   [](const SweepAxis& axis) { return axis.key == "mc.vr"; });
-  if (scenario.steady && (vr_active || vr_axis || options.shards != 1)) {
+  if (scenario.steady && vr_active) {
     throw ConfigError(ConfigError::Kind::kOutOfRange, "mc.vr",
-                      "mc.vr/mc.shards apply to finite-horizon replications; scenario '" +
+                      "mc.vr applies to finite-horizon replications; scenario '" +
                           scenario.name + "' is infinite-horizon");
   }
   if (scenario.testbed) {
-    if (vr_active || vr_axis || options.shards != 1) {
+    if (vr_active) {
       throw ConfigError(ConfigError::Kind::kOutOfRange, "mc.vr",
-                        "mc.vr/mc.shards belong to the abstract MC engine; scenario '" +
-                            scenario.name + "' runs on the testbed engine");
+                        "mc.vr belongs to the abstract MC engine; scenario '" + scenario.name +
+                            "' runs on the testbed engine");
     }
     if (options.compare_theory) {
       throw ConfigError(ConfigError::Kind::kOutOfRange, "compare",
@@ -394,7 +385,6 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
       mc_config.collect_samples = options.ecdf_points > 0;
       mc_config.vr = point_options.vr;
       mc_config.cv_pilot = point_options.cv_pilot;
-      mc_config.shards = point_options.shards;
       mc_config.obs = options.obs;
       const mc::ScenarioConfig built = scenario.build(config);
       const mc::McResult mc_result = mc::run_monte_carlo(built, mc_config);

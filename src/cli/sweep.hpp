@@ -62,7 +62,6 @@ struct SweepOptions {
   /// axis) appends the vr/adj_mean_s/adj_ci95_s/vr_ratio columns.
   mc::VrMode vr = mc::VrMode::kNone;
   std::size_t cv_pilot = 0;  ///< control-variate pilot block (0 = engine auto)
-  std::size_t shards = 1;    ///< event-queue shards per replication
   /// Observability sinks attached to every grid point (`--metrics`): the
   /// engines merge into the same registry, so the dump covers the whole grid.
   /// Attaching them never perturbs the swept statistics.

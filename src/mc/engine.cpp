@@ -73,8 +73,6 @@ void fold_queue_metrics(obs::Registry& metrics, const des::Simulator& sim) {
   metrics.counter("des.events.cancelled").add(qs.cancelled);
   metrics.counter("des.slab.compactions").add(qs.compactions);
   metrics.gauge("des.queue.max_depth").max_of(static_cast<double>(qs.max_depth));
-  metrics.gauge("des.queue.max_shard_depth")
-      .max_of(static_cast<double>(qs.max_shard_depth));
 }
 
 /// Stitches per-replication trace buffers into the sink in replication order,
@@ -200,7 +198,6 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc) 
     ScenarioConfig local_surrogate;
     if (use_control) local_surrogate = plan.surrogate.clone();
     des::Simulator sim;
-    sim.set_shard_count(mc.shards);
     Partial& out = partials[tid];
     obs::Registry* metrics = mc.obs.metrics != nullptr ? &out.metrics : nullptr;
     for (std::size_t rep = tid; rep < reps; rep += threads) {
@@ -371,7 +368,6 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc) 
 
 McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
   LBSIM_REQUIRE(mc.replications >= 1, "replications=" << mc.replications);
-  LBSIM_REQUIRE(mc.shards >= 1, "shards=" << mc.shards);
   if (mc.vr != VrMode::kNone) return run_variance_reduced(config, mc);
   unsigned threads = mc.threads == 0 ? std::thread::hardware_concurrency() : mc.threads;
   threads = std::max(1u, std::min<unsigned>(threads, static_cast<unsigned>(mc.replications)));
@@ -416,7 +412,6 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
     // recycled across the whole replication loop.
     const ScenarioConfig local = config.clone();
     des::Simulator sim;
-    sim.set_shard_count(mc.shards);
     Partial& out = partials[tid];
     obs::Registry* metrics = mc.obs.metrics != nullptr ? &out.metrics : nullptr;
     RunControls controls;

@@ -43,9 +43,6 @@ struct McConfig {
   /// Control-variate pilot observations (used to fit beta only); 0 = auto
   /// (roughly 10% of the observations, clamped to [4, 64]).
   std::size_t cv_pilot = 0;
-  /// Event-queue shards per replication (>= 1). Bit-neutral at every value;
-  /// 1 keeps the historical single-heap layout.
-  std::size_t shards = 1;
   /// Observability sinks (trace / metrics / profile), all optional. Attaching
   /// any of them consumes zero RNG draws and leaves every statistic
   /// bit-identical to an unobserved run.

@@ -54,9 +54,9 @@ struct ScenarioConfig {
   /// without touching the per-node rates).
   bool churn_enabled = true;
   /// Bitmask of nodes that start down (bit i); all-up by default. The mask
-  /// addresses nodes 0..63; on larger systems (the sharded-queue scaling
-  /// regime) every node past bit 63 starts up — use `schedule` to take one
-  /// of those down. Query through starts_down(), which encodes that rule.
+  /// addresses nodes 0..63; on larger systems every node past bit 63 starts
+  /// up — use `schedule` to take one of those down. Query through
+  /// starts_down(), which encodes that rule.
   std::uint64_t initially_down = 0;
 
   /// Whether node `i` starts down under initially_down (false for i >= 64:

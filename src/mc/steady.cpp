@@ -110,8 +110,6 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
       metrics->counter("des.events.cancelled").add(qs.cancelled);
       metrics->counter("des.slab.compactions").add(qs.compactions);
       metrics->gauge("des.queue.max_depth").max_of(static_cast<double>(qs.max_depth));
-      metrics->gauge("des.queue.max_shard_depth")
-          .max_of(static_cast<double>(qs.max_shard_depth));
     }
   };
 

@@ -32,7 +32,6 @@ double Link::send(node::TaskBatch tasks, DeliveryHandler on_delivery, double del
   in_flight_tasks_ += n;
   bytes_sent_ += transfer->wire_bytes();
 
-  // Shard hint: deliveries belong to the destination node's event shard.
   sim_.schedule_in(
       delay,
       [this, transfer = std::move(transfer), handler = std::move(on_delivery), n]() mutable {
@@ -41,8 +40,7 @@ double Link::send(node::TaskBatch tasks, DeliveryHandler on_delivery, double del
         delivered_bundles_ += 1;
         delivered_tasks_ += n;
         handler(std::move(*transfer));
-      },
-      static_cast<std::size_t>(to_));
+      });
   return delay;
 }
 

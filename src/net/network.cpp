@@ -84,12 +84,9 @@ std::size_t Network::broadcast_state(const StateInfoPacket& packet, StateHandler
       continue;
     }
     ++delivered;
-    // Shard hint: state deliveries belong to the receiver's event shard, the
-    // same convention Link::send uses for data deliveries.
-    sim_.schedule_in(
-        config_.state_latency * hop.latency_mult,
-        [delivery, to] { delivery->handler(static_cast<int>(to), delivery->packet); },
-        /*shard_hint=*/to);
+    sim_.schedule_in(config_.state_latency * hop.latency_mult, [delivery, to] {
+      delivery->handler(static_cast<int>(to), delivery->packet);
+    });
   }
   return delivered;
 }

@@ -111,9 +111,8 @@ void ComputeElement::maybe_start_service() {
     event_trace_->emit(sim_.now(), obs::Kind::kServiceStart, id_, -1, 1,
                        obs::Record::pack_f64(current_service_duration_));
   }
-  service_event_ = sim_.schedule_in(
-      current_service_duration_, [this] { finish_current_task(); },
-      static_cast<std::size_t>(id_));
+  service_event_ =
+      sim_.schedule_in(current_service_duration_, [this] { finish_current_task(); });
 }
 
 void ComputeElement::finish_current_task() {

@@ -53,15 +53,12 @@ void FailureProcess::set_hazard_multiplier(double mult) {
 
 void FailureProcess::arm_failure() {
   if (ttf_ == nullptr) return;  // perfectly reliable node
-  pending_ = sim_.schedule_in(
-      ttf_->sample(rng_) / hazard_mult_, [this] { fire_failure(); },
-      static_cast<std::size_t>(ce_.id()));
+  pending_ = sim_.schedule_in(ttf_->sample(rng_) / hazard_mult_, [this] { fire_failure(); });
   failure_armed_ = true;
 }
 
 void FailureProcess::arm_recovery() {
-  pending_ = sim_.schedule_in(
-      ttr_->sample(rng_), [this] { fire_recovery(); }, static_cast<std::size_t>(ce_.id()));
+  pending_ = sim_.schedule_in(ttr_->sample(rng_), [this] { fire_recovery(); });
 }
 
 void FailureProcess::fire_failure() {

@@ -26,107 +26,68 @@ void EventQueue::release_slot(std::uint32_t slot) noexcept {
   free_head_ = slot;
 }
 
-EventId EventQueue::push(double time, Callback cb, std::size_t shard_hint) {
+EventId EventQueue::push(double time, Callback cb) {
   LBSIM_REQUIRE(std::isfinite(time) && time >= 0.0, "event time " << time);
   LBSIM_REQUIRE(static_cast<bool>(cb), "null event callback");
   const std::uint64_t serial = next_serial_++;
   const std::uint32_t slot = acquire_slot();
-  const auto shard_index = static_cast<std::uint32_t>(shard_hint % shards_.size());
   slots_[slot].callback = std::move(cb);
   slots_[slot].serial = serial;
-  slots_[slot].shard = shard_index;
-  Shard& shard = shards_[shard_index];
-  shard.heap.push_back(HeapItem{time, serial, slot});
-  std::push_heap(shard.heap.begin(), shard.heap.end(), later);
-  ++shard.live;
+  heap_.push_back(HeapItem{time, serial, slot});
+  std::push_heap(heap_.begin(), heap_.end(), later);
   ++live_;
   ++stats_.scheduled;
   if (live_ > stats_.max_depth) stats_.max_depth = live_;
-  if (shard.live > stats_.max_shard_depth) stats_.max_shard_depth = shard.live;
   return EventId{serial, slot};
 }
 
 bool EventQueue::cancel(EventId id) noexcept {
   if (!id.valid() || id.slot_ >= slots_.size()) return false;
   if (slots_[id.slot_].serial != id.serial_) return false;  // already fired/cancelled
-  Shard& shard = shards_[slots_[id.slot_].shard];
   release_slot(id.slot_);
-  --shard.live;
   --live_;
   ++stats_.cancelled;
   // The heap record stays behind as a corpse; rebuild once corpses dominate.
-  if (shard.heap.size() >= kCompactMin && shard.heap.size() > 2 * shard.live) compact(shard);
+  if (heap_.size() >= kCompactMin && heap_.size() > 2 * live_) compact();
   return true;
 }
 
-void EventQueue::set_shard_count(std::size_t shards) {
-  LBSIM_REQUIRE(shards >= 1, "shard count must be >= 1, got " << shards);
-  LBSIM_REQUIRE(empty(), "set_shard_count with " << live_ << " live events pending");
-  // Only corpses can remain; their slots are already released, so the records
-  // can simply be dropped instead of migrated.
-  for (Shard& shard : shards_) shard.heap.clear();
-  shards_.resize(shards);
-}
-
-std::size_t EventQueue::heap_records() const noexcept {
-  std::size_t records = 0;
-  for (const Shard& shard : shards_) records += shard.heap.size();
-  return records;
-}
-
-void EventQueue::compact(Shard& shard) noexcept {
+void EventQueue::compact() noexcept {
   ++stats_.compactions;
-  shard.heap.erase(std::remove_if(shard.heap.begin(), shard.heap.end(),
-                                  [this](const HeapItem& item) { return is_dead(item); }),
-                   shard.heap.end());
-  std::make_heap(shard.heap.begin(), shard.heap.end(), later);
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const HeapItem& item) { return is_dead(item); }),
+              heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), later);
 }
 
-void EventQueue::drop_dead_top(Shard& shard) {
-  while (!shard.heap.empty() && is_dead(shard.heap.front())) {
-    std::pop_heap(shard.heap.begin(), shard.heap.end(), later);
-    shard.heap.pop_back();
+void EventQueue::drop_dead_top() {
+  while (!heap_.empty() && is_dead(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
   }
-}
-
-EventQueue::Shard& EventQueue::top_shard() {
-  Shard* best = nullptr;
-  for (Shard& shard : shards_) {
-    if (shard.live == 0) continue;
-    drop_dead_top(shard);
-    // Serials are globally unique, so the (time, serial) comparison totally
-    // orders the shard tops: the winner is exactly the event a single global
-    // heap would surface.
-    if (best == nullptr || later(best->heap.front(), shard.heap.front())) best = &shard;
-  }
-  LBSIM_CHECK(best != nullptr, "no live shard in a non-empty queue");
-  return *best;
 }
 
 double EventQueue::next_time() {
   LBSIM_REQUIRE(!empty(), "next_time on empty queue");
-  return top_shard().heap.front().time;
+  drop_dead_top();
+  return heap_.front().time;
 }
 
 EventQueue::Entry EventQueue::pop() {
   LBSIM_REQUIRE(!empty(), "pop on empty queue");
-  Shard& shard = top_shard();
-  std::pop_heap(shard.heap.begin(), shard.heap.end(), later);
-  const HeapItem item = shard.heap.back();
-  shard.heap.pop_back();
+  drop_dead_top();
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  const HeapItem item = heap_.back();
+  heap_.pop_back();
   Entry out{item.time, item.serial, std::move(slots_[item.slot].callback)};
   release_slot(item.slot);
-  --shard.live;
   --live_;
   ++stats_.popped;
   return out;
 }
 
 void EventQueue::clear() noexcept {
-  for (Shard& shard : shards_) {
-    shard.heap.clear();
-    shard.live = 0;
-  }
+  heap_.clear();
   slots_.clear();  // capacity (the slab) is retained for the next run
   free_head_ = kNilSlot;
   live_ = 0;

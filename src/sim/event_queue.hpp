@@ -5,17 +5,9 @@
 /// are bit-reproducible given the same RNG streams.
 ///
 /// Storage is pooled: callbacks live in a slot slab recycled across pushes
-/// (and, via clear(), across Monte-Carlo replications), and the binary heaps
-/// hold plain (time, serial, slot) records. See docs/ARCHITECTURE.md,
+/// (and, via clear(), across Monte-Carlo replications), and one binary heap
+/// holds plain (time, serial, slot) records. See docs/ARCHITECTURE.md,
 /// "Event memory model".
-///
-/// The queue is *sharded*: push() carries a shard hint (reduced modulo the
-/// shard count), each shard keeps its own binary heap, and pop() removes the
-/// globally earliest live event across shards by the same (time, serial)
-/// order a single heap would use. Results are therefore bit-identical for
-/// every shard count; sharding exists as groundwork for intra-replication
-/// parallelism — per-node heaps are independent structures that concurrent
-/// node workers can later own without contending on one global heap.
 
 #include <cstdint>
 #include <vector>
@@ -39,11 +31,11 @@ class EventId {
   std::uint32_t slot_ = 0;
 };
 
-/// Sharded binary min-heaps on (time, serial) over one pooled slot slab.
-/// Cancellation is lazy — the heap record stays behind and is skipped on pop —
-/// but the slot (and its callback) is released immediately, and a shard is
-/// compacted when dead records outnumber its live events, so long churny runs
-/// cannot accumulate unbounded garbage.
+/// Binary min-heap on (time, serial) over a pooled slot slab. Cancellation is
+/// lazy — the heap record stays behind and is skipped on pop — but the slot
+/// (and its callback) is released immediately, and the heap is compacted when
+/// dead records outnumber live events, so long churny runs cannot accumulate
+/// unbounded garbage.
 class EventQueue {
  public:
   using Callback = SmallCallback;
@@ -61,26 +53,15 @@ class EventQueue {
     std::uint64_t scheduled = 0;    ///< push() calls
     std::uint64_t popped = 0;       ///< pop() calls (events fired)
     std::uint64_t cancelled = 0;    ///< successful cancel() calls
-    std::uint64_t compactions = 0;  ///< shard heap rebuilds (corpse sweeps)
-    std::uint64_t max_depth = 0;    ///< live-event high-water mark (all shards)
-    std::uint64_t max_shard_depth = 0;  ///< live high-water mark of any one shard
+    std::uint64_t compactions = 0;  ///< heap rebuilds (corpse sweeps)
+    std::uint64_t max_depth = 0;    ///< live-event high-water mark
   };
 
-  EventQueue() : shards_(1) {}
-
-  /// Schedules `cb` at absolute time `time` (finite, >= 0). The shard hint
-  /// (typically the owning node id) selects the backing heap modulo the shard
-  /// count; it never affects firing order.
-  EventId push(double time, Callback cb, std::size_t shard_hint = 0);
+  /// Schedules `cb` at absolute time `time` (finite, >= 0).
+  EventId push(double time, Callback cb);
 
   /// Cancels a pending event; returns false if already fired/cancelled/invalid.
   bool cancel(EventId id) noexcept;
-
-  /// Re-partitions the backing heaps into `shards` (>= 1) shards. Only legal
-  /// while no live event is pending; the shard count survives clear().
-  void set_shard_count(std::size_t shards);
-
-  [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
   /// True when no live (non-cancelled) event remains.
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
@@ -89,7 +70,7 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
   /// Heap records including dead (cancelled) ones — compaction diagnostics.
-  [[nodiscard]] std::size_t heap_records() const noexcept;
+  [[nodiscard]] std::size_t heap_records() const noexcept { return heap_.size(); }
 
   /// Lifetime counters (see Stats); survive clear().
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -100,15 +81,14 @@ class EventQueue {
   /// Removes and returns the earliest live event; queue must not be empty.
   Entry pop();
 
-  /// Drops everything (live and cancelled). Slab, heap capacity and the shard
-  /// count are kept, and serial numbers keep counting up, so stale EventIds
-  /// can never alias a later event. Safe to call from inside a running
-  /// callback.
+  /// Drops everything (live and cancelled). Slab and heap capacity are kept,
+  /// and serial numbers keep counting up, so stale EventIds can never alias a
+  /// later event. Safe to call from inside a running callback.
   void clear() noexcept;
 
  private:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-  /// Compaction threshold: rebuild once a shard's heap is mostly corpses.
+  /// Compaction threshold: rebuild once the heap is mostly corpses.
   static constexpr std::size_t kCompactMin = 64;
 
   struct HeapItem {
@@ -117,16 +97,10 @@ class EventQueue {
     std::uint32_t slot;
   };
 
-  struct Shard {
-    std::vector<HeapItem> heap;
-    std::size_t live = 0;
-  };
-
   struct Slot {
     Callback callback;
     std::uint64_t serial = 0;  ///< 0 = free; else the serial occupying this slot
     std::uint32_t next_free = kNilSlot;
-    std::uint32_t shard = 0;   ///< heap holding this slot's record
   };
 
   static bool later(const HeapItem& a, const HeapItem& b) noexcept {
@@ -140,17 +114,13 @@ class EventQueue {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
 
-  /// Pops cancelled records off one shard's heap top.
-  void drop_dead_top(Shard& shard);
+  /// Pops cancelled records off the heap top.
+  void drop_dead_top();
 
-  /// The shard holding the globally earliest live event (dead tops dropped);
-  /// queue must not be empty.
-  [[nodiscard]] Shard& top_shard();
+  /// Removes every dead record and re-heapifies (called when dead dominates).
+  void compact() noexcept;
 
-  /// Removes a shard's dead records and re-heapifies (when dead dominates).
-  void compact(Shard& shard) noexcept;
-
-  std::vector<Shard> shards_;
+  std::vector<HeapItem> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
   std::size_t live_ = 0;

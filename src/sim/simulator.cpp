@@ -6,14 +6,14 @@
 
 namespace lbsim::des {
 
-EventId Simulator::schedule_in(double delay, EventQueue::Callback cb, std::size_t shard_hint) {
+EventId Simulator::schedule_in(double delay, EventQueue::Callback cb) {
   LBSIM_REQUIRE(std::isfinite(delay) && delay >= 0.0, "delay " << delay);
-  return queue_.push(now_ + delay, std::move(cb), shard_hint);
+  return queue_.push(now_ + delay, std::move(cb));
 }
 
-EventId Simulator::schedule_at(double time, EventQueue::Callback cb, std::size_t shard_hint) {
+EventId Simulator::schedule_at(double time, EventQueue::Callback cb) {
   LBSIM_REQUIRE(time >= now_, "schedule_at(" << time << ") is in the past (now=" << now_ << ")");
-  return queue_.push(time, std::move(cb), shard_hint);
+  return queue_.push(time, std::move(cb));
 }
 
 bool Simulator::step() {

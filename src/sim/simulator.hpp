@@ -22,13 +22,11 @@ class Simulator {
   /// Current virtual time in seconds.
   [[nodiscard]] double now() const noexcept { return now_; }
 
-  /// Schedules `cb` after a nonnegative delay. The shard hint (typically the
-  /// owning node id) only selects the event queue's backing heap; it never
-  /// changes firing order (see EventQueue).
-  EventId schedule_in(double delay, EventQueue::Callback cb, std::size_t shard_hint = 0);
+  /// Schedules `cb` after a nonnegative delay.
+  EventId schedule_in(double delay, EventQueue::Callback cb);
 
   /// Schedules `cb` at an absolute time >= now().
-  EventId schedule_at(double time, EventQueue::Callback cb, std::size_t shard_hint = 0);
+  EventId schedule_at(double time, EventQueue::Callback cb);
 
   /// Cancels a pending event; false if it already fired or was cancelled.
   bool cancel(EventId id) noexcept { return queue_.cancel(id); }
@@ -55,12 +53,6 @@ class Simulator {
   [[nodiscard]] const EventQueue::Stats& queue_stats() const noexcept {
     return queue_.stats();
   }
-
-  /// Re-partitions the event queue into `shards` (>= 1) per-shard heaps; only
-  /// legal while no event is pending. Bit-neutral: any shard count replays
-  /// events in the identical order. Survives reset().
-  void set_shard_count(std::size_t shards) { queue_.set_shard_count(shards); }
-  [[nodiscard]] std::size_t shard_count() const noexcept { return queue_.shard_count(); }
 
   /// Drops all pending events and rewinds the clock to zero. Statistics reset.
   void reset();

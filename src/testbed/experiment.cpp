@@ -292,8 +292,6 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
     metrics->counter("des.events.cancelled").add(qs.cancelled);
     metrics->counter("des.slab.compactions").add(qs.compactions);
     metrics->gauge("des.queue.max_depth").max_of(static_cast<double>(qs.max_depth));
-    metrics->gauge("des.queue.max_shard_depth")
-        .max_of(static_cast<double>(qs.max_shard_depth));
   }
   return result;
 }

@@ -38,6 +38,13 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
 
 bool CliArgs::has(const std::string& key) const { return values_.count(key) != 0; }
 
+std::vector<std::string> CliArgs::flag_names() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
+}
+
 std::optional<std::string> CliArgs::raw(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;

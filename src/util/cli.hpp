@@ -33,6 +33,9 @@ class CliArgs {
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept { return positional_; }
 
+  /// Names of every `--flag` given, without the dashes, in sorted order.
+  [[nodiscard]] std::vector<std::string> flag_names() const;
+
   /// Name of the executable (argv[0]) or empty when default-constructed.
   [[nodiscard]] const std::string& program() const noexcept { return program_; }
 

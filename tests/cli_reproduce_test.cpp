@@ -172,6 +172,83 @@ TEST(CliRun, ReportsConfigErrorsWithExitCode2) {
   EXPECT_NE(badcmd.err.find("unknown command"), std::string::npos);
 }
 
+/// The `--flag` tokens of `command`'s section of the usage text: from its
+/// "  lbsim <command>" line up to the next subcommand or blank line.
+std::vector<std::string> usage_flags(const std::string& usage, const std::string& command) {
+  std::istringstream in(usage);
+  std::vector<std::string> flags;
+  bool inside = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line.rfind("  lbsim ", 0) == 0) {
+      inside = line.rfind("  lbsim " + command + " ", 0) == 0;
+    }
+    if (!inside) continue;
+    for (std::size_t at = line.find("--"); at != std::string::npos; at = line.find("--", at)) {
+      const std::size_t end = line.find_first_not_of("abcdefghijklmnopqrstuvwxyz-", at + 2);
+      flags.push_back(line.substr(at, end - at));
+      at = end;
+    }
+  }
+  return flags;
+}
+
+TEST(CliFlags, UnknownFlagsFailWithADidYouMean) {
+  const CliResult typo = run({"run", "paper-two-node", "--rep=5"});
+  EXPECT_EQ(typo.exit_code, 2);
+  EXPECT_NE(typo.err.find("lbsim run has no flag '--rep' (did you mean '--reps'?)"),
+            std::string::npos)
+      << typo.err;
+
+  // The removed event-queue and perf-gate flags are rejected, not ignored.
+  const CliResult queue = run({"run", "many-node-churn", "--shards=8"});
+  EXPECT_EQ(queue.exit_code, 2);
+  EXPECT_NE(queue.err.find("has no flag '--shards'"), std::string::npos) << queue.err;
+  const CliResult check = run({"perf", "--check"});
+  EXPECT_EQ(check.exit_code, 2);
+  EXPECT_NE(check.err.find("has no flag '--check'"), std::string::npos) << check.err;
+  const CliResult list = run({"list", "--format=csv"});
+  EXPECT_EQ(list.exit_code, 2);
+
+  // The global flags ride along with any subcommand.
+  const CliResult global = run({"run", "paper-two-node", "--reps=2", "--log-level=warn"});
+  EXPECT_EQ(global.exit_code, 0) << global.err;
+}
+
+TEST(CliFlags, EverySubcommandAcceptsTheFlagsItsUsageLists) {
+  const std::string usage = run({"--help"}).out;
+  // Each probe carries a bad positional, so it fails right after the flag
+  // check without running anything; only whether the flag passed matters.
+  const auto check = [&usage](const std::vector<std::string>& probe) {
+    const std::vector<std::string> flags = usage_flags(usage, probe[0]);
+    EXPECT_GE(flags.size(), 3u) << probe[0];
+    for (const std::string& flag : flags) {
+      std::vector<std::string> args = probe;
+      args.push_back(flag + "=x");
+      const CliResult result = run(args);
+      EXPECT_EQ(result.exit_code, 2) << probe[0] << " " << flag;
+      EXPECT_EQ(result.err.find("has no flag"), std::string::npos) << result.err;
+    }
+    std::vector<std::string> args = probe;
+    args.push_back("--no-such-flag");
+    EXPECT_NE(run(args).err.find("has no flag '--no-such-flag'"), std::string::npos)
+        << probe[0];
+  };
+  check({"run", "no-such-scenario"});
+  check({"sweep", "no-such-scenario"});
+  check({"validate", "a", "b"});
+  check({"reproduce"});
+  check({"perf", "extra"});
+}
+
+TEST(CliSweepCommand, RemovedQueueKeyIsAnUnknownKey) {
+  const CliResult axis = run({"sweep", "many-node-churn", "mc.shards=1,8", "--dry-run"});
+  EXPECT_EQ(axis.exit_code, 2);
+  EXPECT_NE(axis.err.find("unknown key 'mc.shards'"), std::string::npos) << axis.err;
+  const CliResult fixed = run({"run", "many-node-churn", "mc.shards=8", "--reps=2"});
+  EXPECT_EQ(fixed.exit_code, 2);
+  EXPECT_NE(fixed.err.find("unknown key 'mc.shards'"), std::string::npos) << fixed.err;
+}
+
 TEST(CliSweepCommand, DryRunPrintsTheGrid) {
   const CliResult result =
       run({"sweep", "paper-two-node", "gain=0.1:0.3:0.1", "m0=50,100", "--dry-run"});

@@ -1,8 +1,7 @@
-// Tests for the variance-reduced estimator layer and the sharded event queue:
-// antithetic pairs and the control variate must contract the CI without
-// biasing the estimate (checked against the exact solvers), inadmissible
-// controls must fall back with their pinned markers, and every statistic must
-// be bit-identical across event-queue shard counts.
+// Tests for the variance-reduced estimator layer: antithetic pairs and the
+// control variate must contract the CI without biasing the estimate (checked
+// against the exact solvers), and inadmissible controls must fall back with
+// their pinned markers.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include "mc/engine.hpp"
 #include "mc/scenario.hpp"
 #include "mc/theory.hpp"
-#include "sim/simulator.hpp"
 
 namespace lbsim::mc {
 namespace {
@@ -189,55 +187,6 @@ TEST(McVrTest, VrRunsAreThreadCountInvariant) {
   EXPECT_DOUBLE_EQ(one.vr.std_error, four.vr.std_error);
   EXPECT_DOUBLE_EQ(one.vr.beta, four.vr.beta);
   EXPECT_DOUBLE_EQ(one.p99, four.p99);
-}
-
-TEST(McShardsTest, EveryStatisticBitIdenticalAcrossShardCounts) {
-  // The sharded queue pops the global (time, serial) minimum across shards,
-  // so ANY shard count must reproduce the single-heap event order exactly —
-  // not just statistically.
-  const cli::ScenarioSpec& spec = cli::find_scenario("many-node-churn");
-  cli::RawConfig raw;
-  raw.set("nodes", "16");
-  const ScenarioConfig config = spec.build(spec.schema.resolve(raw));
-  McConfig mc;
-  mc.replications = 50;
-  const McResult base = run_monte_carlo(config, mc);
-  for (const std::size_t shards : {std::size_t{3}, std::size_t{8}, std::size_t{64}}) {
-    mc.shards = shards;
-    const McResult sharded = run_monte_carlo(config, mc);
-    EXPECT_DOUBLE_EQ(sharded.mean(), base.mean()) << "shards=" << shards;
-    EXPECT_DOUBLE_EQ(sharded.std_error(), base.std_error()) << "shards=" << shards;
-    EXPECT_DOUBLE_EQ(sharded.p50, base.p50) << "shards=" << shards;
-    EXPECT_DOUBLE_EQ(sharded.p99, base.p99) << "shards=" << shards;
-    EXPECT_DOUBLE_EQ(sharded.mean_failures, base.mean_failures) << "shards=" << shards;
-    EXPECT_DOUBLE_EQ(sharded.mean_tasks_moved, base.mean_tasks_moved)
-        << "shards=" << shards;
-  }
-}
-
-TEST(McShardsTest, ShardingComposesWithVarianceReduction) {
-  const ScenarioConfig config = storm_scenario();
-  McConfig mc;
-  mc.replications = 200;
-  mc.vr = VrMode::kBoth;
-  const McResult base = run_monte_carlo(config, mc);
-  mc.shards = 4;
-  const McResult sharded = run_monte_carlo(config, mc);
-  EXPECT_DOUBLE_EQ(sharded.vr.mean, base.vr.mean);
-  EXPECT_DOUBLE_EQ(sharded.vr.std_error, base.vr.std_error);
-  EXPECT_DOUBLE_EQ(sharded.vr.variance_ratio, base.vr.variance_ratio);
-}
-
-TEST(McShardsTest, SingleRunBitIdenticalUnderShardedSimulator) {
-  const ScenarioConfig config = paper_scenario();
-  des::Simulator plain;
-  const RunResult a = run_scenario(config, 7, 3, nullptr, plain);
-  des::Simulator sharded;
-  sharded.set_shard_count(5);
-  const RunResult b = run_scenario(config, 7, 3, nullptr, sharded);
-  EXPECT_DOUBLE_EQ(a.completion_time, b.completion_time);
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.tasks_moved, b.tasks_moved);
 }
 
 }  // namespace

@@ -138,64 +138,6 @@ TEST(EventQueueTest, MassCancellationCompactsTheHeap) {
   }
 }
 
-TEST(EventQueueTest, ShardedPopOrderMatchesSingleHeap) {
-  // Shard hints select a backing heap but must never affect firing order:
-  // pop() takes the global (time, serial) minimum across shards.
-  std::vector<std::pair<double, int>> plain, sharded;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
-    EventQueue q;
-    q.set_shard_count(shards);
-    auto& sink = shards == 1 ? plain : sharded;
-    sink.clear();
-    for (int i = 0; i < 200; ++i) {
-      const double t = static_cast<double>((i * 37) % 50);
-      const int tag = i;
-      q.push(t, [&sink, t, tag] { sink.emplace_back(t, tag); },
-             static_cast<std::size_t>(i % 11));
-    }
-    while (!q.empty()) q.pop().callback();
-    if (shards != 1) {
-      EXPECT_EQ(sharded, plain) << "shards=" << shards;
-    }
-  }
-}
-
-TEST(EventQueueTest, CancelAndCompactionStayPerShard) {
-  EventQueue q;
-  q.set_shard_count(4);
-  std::vector<EventId> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(q.push(static_cast<double>(i % 97), [] {},
-                         static_cast<std::size_t>(i % 4)));
-  }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i % 10 != 0) EXPECT_TRUE(q.cancel(ids[i]));
-  }
-  EXPECT_EQ(q.size(), 100u);
-  // Compaction bounds corpses shard-locally, so the global bound still holds.
-  EXPECT_LE(q.heap_records(), 2 * q.size() + 4 * 64);
-  double last = -1.0;
-  while (!q.empty()) {
-    EventQueue::Entry e = q.pop();
-    EXPECT_GE(e.time, last);
-    last = e.time;
-  }
-}
-
-TEST(EventQueueTest, SetShardCountRequiresAnEmptyQueue) {
-  EventQueue q;
-  q.push(1.0, [] {});
-  EXPECT_THROW(q.set_shard_count(2), std::invalid_argument);
-  (void)q.pop();
-  q.set_shard_count(2);
-  EXPECT_EQ(q.shard_count(), 2u);
-  EXPECT_THROW(q.set_shard_count(0), std::invalid_argument);
-  // The shard count survives clear().
-  q.push(1.0, [] {}, 1);
-  q.clear();
-  EXPECT_EQ(q.shard_count(), 2u);
-}
-
 TEST(EventQueueTest, RejectsBadTimesAndNullCallbacks) {
   EventQueue q;
   EXPECT_THROW(q.push(-1.0, [] {}), std::invalid_argument);
@@ -357,7 +299,6 @@ TEST(EventQueueStatsTest, CountsScheduledPoppedCancelled) {
   EXPECT_EQ(s.cancelled, 1u);
   EXPECT_EQ(s.popped, 2u);
   EXPECT_EQ(s.max_depth, 3u);
-  EXPECT_GE(s.max_shard_depth, 3u);
 }
 
 TEST(EventQueueStatsTest, StatsSurviveClear) {
