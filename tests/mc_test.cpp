@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <sstream>
 #include <string>
 
 #include "cli/registry.hpp"
@@ -297,6 +298,8 @@ TEST(EngineTest, NoBalancingMatchesTheoryZeroGain) {
 struct Golden {
   const char* family;
   double mean, p50, p90, p99;
+  /// Space-separated key=value overrides of the family defaults.
+  const char* overrides = "";
 };
 
 // Finite mc-engine families: mean/p50/p90/p99 captured at reps = 25,
@@ -332,6 +335,10 @@ constexpr Golden kFiniteGoldens[] = {
      236.11077561407274},
     {"graph-rr", 84.375246079558039, 84.287993329342541, 93.297972085717447,
      102.7413167186772},
+    // The CI graph-family smoke: edge churn driven by the environment CTMC,
+    // the only path through the per-state churned graph copies.
+    {"graph-rr", 88.057449143129759, 88.323278964408559, 97.797090019681576,
+     100.57565363386985, "topology.churn.drop=0.5 env.storm.mult=4"},
 };
 
 // Testbed engine, captured at realizations = 25, seed = 0x5eed2006,
@@ -365,16 +372,20 @@ TEST(EngineTest, FiniteFamilyStatisticsBitIdenticalToPreRefactorGoldens) {
   for (const Golden& g : kFiniteGoldens) {
     const cli::ScenarioSpec& spec = cli::find_scenario(g.family);
     ASSERT_FALSE(spec.steady) << g.family;
-    const ScenarioConfig config = spec.build(spec.schema.resolve({}));
+    cli::RawConfig raw;
+    std::istringstream overrides(g.overrides);
+    for (std::string word; overrides >> word;) cli::apply_override(raw, word);
+    const ScenarioConfig config = spec.build(spec.schema.resolve(raw));
     McConfig mc;
     mc.seed = 0x5eed2006;
     mc.replications = 25;
     mc.threads = 2;
     const McResult result = run_monte_carlo(config, mc);
-    EXPECT_DOUBLE_EQ(result.mean(), g.mean) << g.family;
-    EXPECT_DOUBLE_EQ(result.p50, g.p50) << g.family;
-    EXPECT_DOUBLE_EQ(result.p90, g.p90) << g.family;
-    EXPECT_DOUBLE_EQ(result.p99, g.p99) << g.family;
+    const std::string row = std::string(g.family) + " " + g.overrides;
+    EXPECT_DOUBLE_EQ(result.mean(), g.mean) << row;
+    EXPECT_DOUBLE_EQ(result.p50, g.p50) << row;
+    EXPECT_DOUBLE_EQ(result.p90, g.p90) << row;
+    EXPECT_DOUBLE_EQ(result.p99, g.p99) << row;
   }
 }
 
