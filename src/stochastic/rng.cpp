@@ -11,6 +11,74 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
 
+using State = Xoshiro256pp::State;
+
+/// J^(2^p) for p = 0, 1, 2, where J is long_jump() as a GF(2)-linear map on the
+/// 256-bit state. Entry [p][pos][v] is the image of the state whose only set
+/// bits are the nibble v at nibble position pos (bits 4*pos .. 4*pos+3, word 0
+/// first), so by linearity a jump is the XOR of 64 entries, one per nibble.
+class JumpTables {
+ public:
+  static constexpr unsigned kLevels = 3;  // J, J^2, J^4: every count < 8
+
+  JumpTables() noexcept {
+    // Level 0 comes from long_jump() itself, one single-bit state per bit.
+    for (unsigned bit = 0; bit < 256; ++bit) {
+      State basis{};
+      basis[bit / 64] = std::uint64_t{1} << (bit % 64);
+      Xoshiro256pp engine(basis);
+      engine.long_jump();
+      single_bit(0, bit) = engine.state();
+    }
+    fill_composites(0);
+    // Level p + 1 squares level p: J^(2^(p+1)) e = J^(2^p)(J^(2^p) e).
+    for (unsigned p = 0; p + 1 < kLevels; ++p) {
+      for (unsigned bit = 0; bit < 256; ++bit) {
+        State image = single_bit(p, bit);
+        apply(p, image);
+        single_bit(p + 1, bit) = image;
+      }
+      fill_composites(p + 1);
+    }
+  }
+
+  /// s <- J^(2^p) s.
+  void apply(unsigned p, State& s) const noexcept {
+    State out{};
+    for (unsigned w = 0; w < 4; ++w) {
+      std::uint64_t word = s[w];
+      for (unsigned k = 0; k < 16; ++k, word >>= 4) {
+        const State& entry = table_[p][16 * w + k][word & 0xF];
+        for (unsigned i = 0; i < 4; ++i) out[i] ^= entry[i];
+      }
+    }
+    s = out;
+  }
+
+ private:
+  State& single_bit(unsigned p, unsigned bit) noexcept {
+    return table_[p][bit / 4][1u << (bit % 4)];
+  }
+
+  /// Fills every multi-bit nibble of level p from its single-bit entries.
+  void fill_composites(unsigned p) noexcept {
+    for (auto& row : table_[p]) {
+      for (unsigned v = 3; v < 16; ++v) {
+        const unsigned low = v & (~v + 1);
+        if (low == v) continue;
+        for (unsigned i = 0; i < 4; ++i) row[v][i] = row[low][i] ^ row[v ^ low][i];
+      }
+    }
+  }
+
+  State table_[kLevels][64][16];  // 3 x 32 KiB
+};
+
+const JumpTables& jump_tables() noexcept {
+  static const JumpTables tables;
+  return tables;
+}
+
 }  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
@@ -62,6 +130,15 @@ void Xoshiro256pp::long_jump() noexcept {
   s_[3] = s3;
 }
 
+void Xoshiro256pp::long_jumps(unsigned count) {
+  LBSIM_REQUIRE(count < 8, "long_jumps covers counts below 8, got " << count);
+  if (count == 0) return;
+  const JumpTables& tables = jump_tables();
+  for (unsigned p = 0; p < JumpTables::kLevels; ++p) {
+    if ((count >> p) & 1u) tables.apply(p, s_);
+  }
+}
+
 RngStream::RngStream(std::uint64_t seed, std::uint64_t stream) noexcept
     // Mix the stream id through splitmix so that (seed, 0) and (seed, 1) start in
     // unrelated regions of the state space even before the long jumps.
@@ -69,8 +146,7 @@ RngStream::RngStream(std::uint64_t seed, std::uint64_t stream) noexcept
         std::uint64_t sm = stream + 0x632be59bd9b4e019ULL;
         return Xoshiro256pp(seed ^ splitmix64(sm));
       }()) {
-  const std::uint64_t jumps = stream % 8;  // extra decorrelation, bounded cost
-  for (std::uint64_t i = 0; i < jumps; ++i) engine_.long_jump();
+  engine_.long_jumps(static_cast<unsigned>(stream % 8));  // extra decorrelation
 }
 
 double RngStream::uniform01() noexcept {

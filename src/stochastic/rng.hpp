@@ -8,7 +8,15 @@
 /// golden tests) and (b) Monte-Carlo replications need cheap independent streams.
 /// `RngStream(seed, stream)` yields streams that are independent for distinct
 /// (seed, stream) pairs; replication r of experiment e uses stream id (e, r).
+///
+/// Seeding cost: a stream costs one splitmix64 seed of the 256-bit state plus
+/// J^(stream mod 8), where J is Xoshiro256pp::long_jump(). J is linear over
+/// GF(2), so J, J^2 and J^4 are kept as nibble tables (32 KiB each, 96 KiB in
+/// all) and the jump is at most three passes of 64 table lookups instead of
+/// up to 7 x 256 generator steps. The tables are built from long_jump()
+/// itself on first use, behind a thread-safe function-local static.
 
+#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -22,9 +30,13 @@ namespace lbsim::stoch {
 class Xoshiro256pp {
  public:
   using result_type = std::uint64_t;
+  /// The raw 256-bit state, word 0 first.
+  using State = std::array<std::uint64_t, 4>;
 
   /// Seeds the 256-bit state from `seed` via splitmix64 (never all-zero).
   explicit Xoshiro256pp(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
+  /// Starts from a raw state; the all-zero state is a fixed point.
+  explicit Xoshiro256pp(const State& state) noexcept : s_(state) {}
 
   [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
   [[nodiscard]] static constexpr result_type max() noexcept {
@@ -33,11 +45,17 @@ class Xoshiro256pp {
 
   result_type operator()() noexcept;
 
-  /// Equivalent to 2^128 calls of operator(); used to derive parallel streams.
+  /// Equivalent to 2^192 calls of operator(); used to derive parallel streams.
   void long_jump() noexcept;
 
+  /// Equivalent to `count` calls of long_jump(), for count < 8, in at most
+  /// three passes over the precomputed jump tables.
+  void long_jumps(unsigned count);
+
+  [[nodiscard]] const State& state() const noexcept { return s_; }
+
  private:
-  std::uint64_t s_[4];
+  State s_;
 };
 
 /// A named random stream: engine plus convenience variate generators.

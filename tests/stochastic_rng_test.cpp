@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <latch>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "stochastic/distributions.hpp"
@@ -13,6 +16,33 @@
 
 namespace lbsim::stoch {
 namespace {
+
+// The first two raw draws of RngStream(seed, id) for every id mod 8 (the
+// long-jump count) and id 2^40 + 5. Every downstream statistic hangs on
+// these bits, so stream seeding may change only on purpose.
+struct StreamPin {
+  std::uint64_t seed, id, first, second;
+};
+constexpr StreamPin kStreamPins[] = {
+    {0x1, 0x0, 0xbfc0a8a76ae8391eULL, 0x01f8bcc708833c9bULL},
+    {0x1, 0x1, 0x2e572a13b50e054dULL, 0x511cfbdcc2e458ceULL},
+    {0x1, 0x2, 0xa0af26773de6535cULL, 0x6a9ecd4152931b17ULL},
+    {0x1, 0x3, 0xd1f0811c9c4da770ULL, 0x980cfe1d5257fbc0ULL},
+    {0x1, 0x4, 0xeb954375b2fd8594ULL, 0x3aa3abfc78c721fbULL},
+    {0x1, 0x5, 0x0e98a5b573de2fd3ULL, 0x6b53d06f91f77025ULL},
+    {0x1, 0x6, 0xc1a45da69db4c2e8ULL, 0xe9c6ca85c2121230ULL},
+    {0x1, 0x7, 0xdccb2e2e96dafd32ULL, 0xc5334fef49ebfb5fULL},
+    {0x1, 0x10000000005, 0x766f58f639b7cc50ULL, 0x97005aa11b065c85ULL},
+    {0x5eed2006, 0x0, 0x324e3fa8468cfc45ULL, 0x3e558d4e9df6e334ULL},
+    {0x5eed2006, 0x1, 0xdd1ee43603943eacULL, 0x8813a6d1a2546cf2ULL},
+    {0x5eed2006, 0x2, 0x3472e83983cb8e0bULL, 0x2b9212fc7cba7686ULL},
+    {0x5eed2006, 0x3, 0x4166a8c5bebf9857ULL, 0xc99d98c29a8a89d5ULL},
+    {0x5eed2006, 0x4, 0xd356305a667fef6fULL, 0x0d6900e0a2764881ULL},
+    {0x5eed2006, 0x5, 0x9ddb41f8af076093ULL, 0xe659755c8e03a65dULL},
+    {0x5eed2006, 0x6, 0x5d0fa164eb17b184ULL, 0xedfd2878779fb41cULL},
+    {0x5eed2006, 0x7, 0xefe5ccaef5e3cef6ULL, 0xd69949cd0a0eb97eULL},
+    {0x5eed2006, 0x10000000005, 0x6f2299d764d5866aULL, 0xe1f476083414944eULL},
+};
 
 TEST(Xoshiro256ppTest, DeterministicForSeed) {
   Xoshiro256pp a(42);
@@ -35,6 +65,32 @@ TEST(Xoshiro256ppTest, LongJumpChangesSequence) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (a() == b());
   EXPECT_LE(same, 1);
+}
+
+TEST(Xoshiro256ppTest, TableJumpsEqualRepeatedLongJumps) {
+  // long_jumps(k) applies J^k from the precomputed tables; k calls of
+  // long_jump() are the oracle. The single-bit states pin every column of
+  // the linear map, the rest check the XOR composition.
+  std::vector<Xoshiro256pp::State> starts;
+  for (unsigned bit = 0; bit < 256; ++bit) {
+    Xoshiro256pp::State basis{};
+    basis[bit / 64] = std::uint64_t{1} << (bit % 64);
+    starts.push_back(basis);
+  }
+  starts.push_back({~0ULL, ~0ULL, ~0ULL, ~0ULL});
+  Xoshiro256pp source(2026);
+  for (int i = 0; i < 1000; ++i) starts.push_back({source(), source(), source(), source()});
+  for (const Xoshiro256pp::State& start : starts) {
+    Xoshiro256pp oracle(start);
+    for (unsigned k = 0; k < 8; ++k) {
+      Xoshiro256pp jumped(start);
+      jumped.long_jumps(k);
+      ASSERT_EQ(jumped.state(), oracle.state()) << "k = " << k;
+      oracle.long_jump();
+    }
+  }
+  Xoshiro256pp engine(7);
+  EXPECT_THROW(engine.long_jumps(8), std::invalid_argument);
 }
 
 TEST(RngStreamTest, StreamsAreReproducible) {
@@ -107,36 +163,35 @@ TEST(RngStreamTest, AntitheticExponentialsAreNegativelyCorrelated) {
 }
 
 TEST(RngStreamTest, RawOutputPinnedForEveryJumpCount) {
-  // The first two raw draws of RngStream(seed, id) for every id mod 8 (the
-  // long-jump count) and one id past 2^32. Every downstream statistic hangs
-  // on these bits, so stream seeding may change only on purpose.
-  struct Pin {
-    std::uint64_t seed, id, first, second;
-  };
-  constexpr Pin kPins[] = {
-      {0x1, 0x0, 0xbfc0a8a76ae8391eULL, 0x01f8bcc708833c9bULL},
-      {0x1, 0x1, 0x2e572a13b50e054dULL, 0x511cfbdcc2e458ceULL},
-      {0x1, 0x2, 0xa0af26773de6535cULL, 0x6a9ecd4152931b17ULL},
-      {0x1, 0x3, 0xd1f0811c9c4da770ULL, 0x980cfe1d5257fbc0ULL},
-      {0x1, 0x4, 0xeb954375b2fd8594ULL, 0x3aa3abfc78c721fbULL},
-      {0x1, 0x5, 0x0e98a5b573de2fd3ULL, 0x6b53d06f91f77025ULL},
-      {0x1, 0x6, 0xc1a45da69db4c2e8ULL, 0xe9c6ca85c2121230ULL},
-      {0x1, 0x7, 0xdccb2e2e96dafd32ULL, 0xc5334fef49ebfb5fULL},
-      {0x1, 0x10000000005, 0x766f58f639b7cc50ULL, 0x97005aa11b065c85ULL},
-      {0x5eed2006, 0x0, 0x324e3fa8468cfc45ULL, 0x3e558d4e9df6e334ULL},
-      {0x5eed2006, 0x1, 0xdd1ee43603943eacULL, 0x8813a6d1a2546cf2ULL},
-      {0x5eed2006, 0x2, 0x3472e83983cb8e0bULL, 0x2b9212fc7cba7686ULL},
-      {0x5eed2006, 0x3, 0x4166a8c5bebf9857ULL, 0xc99d98c29a8a89d5ULL},
-      {0x5eed2006, 0x4, 0xd356305a667fef6fULL, 0x0d6900e0a2764881ULL},
-      {0x5eed2006, 0x5, 0x9ddb41f8af076093ULL, 0xe659755c8e03a65dULL},
-      {0x5eed2006, 0x6, 0x5d0fa164eb17b184ULL, 0xedfd2878779fb41cULL},
-      {0x5eed2006, 0x7, 0xefe5ccaef5e3cef6ULL, 0xd69949cd0a0eb97eULL},
-      {0x5eed2006, 0x10000000005, 0x6f2299d764d5866aULL, 0xe1f476083414944eULL},
-  };
-  for (const Pin& pin : kPins) {
+  for (const StreamPin& pin : kStreamPins) {
     RngStream rng(pin.seed, pin.id);
     EXPECT_EQ(rng.next_u64(), pin.first) << "seed " << pin.seed << " id " << pin.id;
     EXPECT_EQ(rng.next_u64(), pin.second) << "seed " << pin.seed << " id " << pin.id;
+  }
+}
+
+TEST(RngStreamTest, ConcurrentFirstUseOfTheJumpTables) {
+  // Under ctest every test case runs in its own process, so these four
+  // threads race to build the jump tables on their first use (`ctest -L rng`
+  // runs this under TSan in CI).
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::uint64_t>> draws(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&start, &out = draws[static_cast<std::size_t>(t)]] {
+      start.arrive_and_wait();
+      for (const StreamPin& pin : kStreamPins) {
+        out.push_back(RngStream(pin.seed, pin.id).next_u64());
+      }
+    });
+  }
+  for (std::thread& thread : pool) thread.join();
+  for (const std::vector<std::uint64_t>& out : draws) {
+    ASSERT_EQ(out.size(), std::size(kStreamPins));
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], kStreamPins[i].first) << "id " << kStreamPins[i].id;
+    }
   }
 }
 
