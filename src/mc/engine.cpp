@@ -141,7 +141,8 @@ ControlPlan plan_control(const ScenarioConfig& config) {
 /// (vr = none) path stays byte-for-byte identical; this path always stores
 /// the per-replication values (they are what the adjustment consumes), so its
 /// quantile summary is exact at any replication count.
-McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc) {
+McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc,
+                              const std::vector<net::Topology>& topology_states) {
   const bool antithetic = mc.vr == VrMode::kAntithetic || mc.vr == VrMode::kBoth;
   const bool want_control = mc.vr == VrMode::kControlVariate || mc.vr == VrMode::kBoth;
   LBSIM_REQUIRE(!antithetic || mc.replications % 2 == 0,
@@ -202,6 +203,7 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc) 
     obs::Registry* metrics = mc.obs.metrics != nullptr ? &out.metrics : nullptr;
     for (std::size_t rep = tid; rep < reps; rep += threads) {
       RunControls controls;
+      controls.topology_states = &topology_states;
       // Only the target run is profiled; the surrogate's cost shows up in
       // measured reps/s and the mc.vr.surrogate_runs counter instead, so
       // profile.reps keeps meaning "replications".
@@ -231,8 +233,11 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc) 
         // Common random numbers: stripping churn leaves the stream layout
         // unchanged, so the surrogate replays the same draws and Y stays
         // tightly coupled to T.
+        // The surrogate keeps the target's topology and environment, so it
+        // shares the target's graphs.
         RunControls ctrl_controls;
         ctrl_controls.antithetic = controls.antithetic;
+        ctrl_controls.topology_states = &topology_states;
         const RunResult ctrl = run_scenario(local_surrogate, mc.seed, stream_rep, nullptr,
                                             sim, SteadyProbe{}, ctrl_controls);
         control[rep] = ctrl.completion_time;
@@ -368,7 +373,10 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc) 
 
 McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
   LBSIM_REQUIRE(mc.replications >= 1, "replications=" << mc.replications);
-  if (mc.vr != VrMode::kNone) return run_variance_reduced(config, mc);
+  // The exchange graphs are replication-invariant: build them once and share
+  // them read-only with every replication on every worker.
+  const std::vector<net::Topology> topology_states = build_topology_states(config);
+  if (mc.vr != VrMode::kNone) return run_variance_reduced(config, mc, topology_states);
   unsigned threads = mc.threads == 0 ? std::thread::hardware_concurrency() : mc.threads;
   threads = std::max(1u, std::min<unsigned>(threads, static_cast<unsigned>(mc.replications)));
 
@@ -415,6 +423,7 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
     Partial& out = partials[tid];
     obs::Registry* metrics = mc.obs.metrics != nullptr ? &out.metrics : nullptr;
     RunControls controls;
+    controls.topology_states = &topology_states;
     if (mc.obs.profile != nullptr) controls.profile = &out.profile;
     if (keep_samples) out.samples.reserve(mc.replications / threads + 1);
     for (std::size_t rep = tid; rep < mc.replications; rep += threads) {

@@ -135,6 +135,26 @@ struct CompletionTracker {
 
 }  // namespace
 
+std::vector<net::Topology> build_topology_states(const ScenarioConfig& config) {
+  std::vector<net::Topology> states;
+  if (config.topology.complete()) return states;
+  net::Topology base = net::Topology::build(config.topology, config.params.nodes.size());
+  if (!config.topology.dynamic()) {
+    states.push_back(std::move(base));
+    return states;
+  }
+  const std::size_t k_states = config.environment.states;
+  states.reserve(k_states);
+  for (std::size_t s = 0; s < k_states; ++s) {
+    const double drop = k_states > 1 ? config.topology.churn_drop * static_cast<double>(s) /
+                                           static_cast<double>(k_states - 1)
+                                     : 0.0;
+    states.push_back(base.with_edge_churn(drop, config.topology.churn_spare,
+                                          config.topology.seed, s));
+  }
+  return states;
+}
+
 ScenarioConfig ScenarioConfig::clone() const {
   ScenarioConfig copy;
   copy.params = params;
@@ -311,33 +331,24 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   }
 
   // --- topology (non-complete graphs restrict every policy's neighbourhood;
-  //     under edge churn one graph per environment state is prebuilt here and
-  //     the transition listener swaps the active pointer) ---
-  std::vector<net::Topology> topo_states;
-  if (!config.topology.complete()) {
-    net::Topology base_topo = net::Topology::build(config.topology, n);
-    if (config.topology.dynamic()) {
-      const std::size_t k_states = config.environment.states;
-      topo_states.reserve(k_states);
-      for (std::size_t s = 0; s < k_states; ++s) {
-        const double drop = k_states > 1
-                                ? config.topology.churn_drop * static_cast<double>(s) /
-                                      static_cast<double>(k_states - 1)
-                                : 0.0;
-        topo_states.push_back(base_topo.with_edge_churn(drop, config.topology.churn_spare,
-                                                        config.topology.seed, s));
-      }
-    } else {
-      topo_states.push_back(std::move(base_topo));
-    }
+  //     under edge churn the transition listener swaps the active pointer
+  //     among the per-state graphs). Engines hand in one prebuilt set. ---
+  std::vector<net::Topology> own_topo_states;
+  const std::vector<net::Topology>* topo_states = controls.topology_states;
+  if (topo_states == nullptr) {
+    own_topo_states = build_topology_states(config);
+    topo_states = &own_topo_states;
   }
+  LBSIM_REQUIRE(topo_states->empty() == config.topology.complete() &&
+                    (topo_states->empty() || topo_states->front().node_count() == n),
+                "prebuilt topology states do not match the scenario");
 
   // --- transfer plumbing ---
   LiveView view(config.params, hot_queue_len, hot_up);
-  if (!topo_states.empty()) {
+  if (!topo_states->empty()) {
     const std::size_t s0 =
         config.topology.dynamic() ? config.environment.initial_state : 0;
-    view.set_topology(&topo_states[s0]);
+    view.set_topology(&(*topo_states)[s0]);
   }
   // The delivery handler captures one pointer to this per-run context so the
   // std::function stays in its small-object buffer (bundle size for the trace
@@ -528,7 +539,7 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     // before this listener runs.)
     environment->set_transition_listener(
         [ctx = EnvCtx{&churn, &*environment, arrivals ? &*arrivals : nullptr, &view,
-                      config.topology.dynamic() ? &topo_states : nullptr}](
+                      config.topology.dynamic() ? topo_states : nullptr}](
             std::size_t /*from*/, std::size_t to) {
           const double mult = ctx.environment->spec().failure_mult[to];
           for (const auto& process : *ctx.churn) {

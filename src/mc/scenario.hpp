@@ -213,7 +213,18 @@ struct RunControls {
   /// accumulated here (the stats fold is timed by the engine). Reads the
   /// monotonic clock only — no RNG draws, no behavioural change.
   obs::PhaseProfile* profile = nullptr;
+  /// When non-null, build_topology_states(config) for the replication's
+  /// config, built once by the caller and shared read-only by every
+  /// replication and worker; null builds the graphs inside the replication.
+  const std::vector<net::Topology>* topology_states = nullptr;
 };
+
+/// The scenario's exchange graphs: empty for a complete topology, the one
+/// base graph for a static one, and under edge churn the churned copy for each
+/// environment state (index = state). A pure function of the topology spec,
+/// the node count and the environment's state count, so one build serves
+/// every replication of a run.
+[[nodiscard]] std::vector<net::Topology> build_topology_states(const ScenarioConfig& config);
 
 /// Controls-carrying form of run_scenario; the most general overload, which
 /// every other form forwards to.

@@ -38,6 +38,9 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
   using ProfileClock = std::chrono::steady_clock;
   const ProfileClock::time_point wall_begin = ProfileClock::now();
 
+  // Replication-invariant exchange graphs, shared read-only by every worker.
+  const std::vector<net::Topology> topology_states = build_topology_states(config);
+
   // Indexed by replication (not worker), so every fold below runs in
   // replication order and the result is independent of the thread count.
   struct Per {
@@ -64,6 +67,7 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
     std::vector<double> log;
     obs::Registry* metrics = sc.obs.metrics != nullptr ? &worker_metrics[tid] : nullptr;
     RunControls controls;
+    controls.topology_states = &topology_states;
     if (sc.obs.profile != nullptr) controls.profile = &worker_profiles[tid];
     for (std::size_t rep = tid; rep < sc.replications; rep += threads) {
       log.clear();

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cli/registry.hpp"
 #include "core/baseline.hpp"
@@ -463,6 +464,48 @@ TEST(EngineTest, GraphFamiliesAtCompleteTopologyMatchGlobalBaselineBitIdenticall
     EXPECT_DOUBLE_EQ(result.p50, baseline.p50) << family;
     EXPECT_DOUBLE_EQ(result.p90, baseline.p90) << family;
     EXPECT_DOUBLE_EQ(result.p99, baseline.p99) << family;
+  }
+}
+
+TEST(EngineTest, SharedTopologyStatesMatchPerReplicationBuilds) {
+  // The engines build a scenario's graphs once and share them with every
+  // replication; run_scenario on its own builds them itself. Every
+  // replication must come out the same either way, on the static and the
+  // churned graph, at any thread count and under antithetic pairing.
+  const cli::ScenarioSpec& spec = cli::find_scenario("graph-rr");
+  constexpr std::size_t kReps = 12;
+  for (const bool churned : {false, true}) {
+    cli::RawConfig raw;
+    if (churned) {
+      raw.set("topology.churn.drop", "0.5");
+      raw.set("env.storm.mult", "4");
+    }
+    const ScenarioConfig config = spec.build(spec.schema.resolve(raw));
+    ASSERT_EQ(build_topology_states(config).size(), churned ? 2u : 1u);
+    for (const VrMode vr : {VrMode::kNone, VrMode::kAntithetic}) {
+      const bool antithetic = vr == VrMode::kAntithetic;
+      std::vector<double> expected;
+      des::Simulator sim;
+      for (std::size_t rep = 0; rep < kReps; ++rep) {
+        RunControls controls;
+        controls.antithetic = antithetic && rep % 2 == 1;
+        const std::uint64_t stream_rep = antithetic ? rep / 2 : rep;
+        expected.push_back(run_scenario(config, 0x5eed2006, stream_rep, nullptr, sim,
+                                        SteadyProbe{}, controls)
+                               .completion_time);
+      }
+      std::sort(expected.begin(), expected.end());
+      for (const unsigned threads : {1u, 4u}) {
+        McConfig mc;
+        mc.seed = 0x5eed2006;
+        mc.replications = kReps;
+        mc.threads = threads;
+        mc.vr = vr;
+        mc.collect_samples = true;
+        EXPECT_EQ(run_monte_carlo(config, mc).samples, expected)
+            << "churned " << churned << " vr " << vr_mode_name(vr) << " threads " << threads;
+      }
+    }
   }
 }
 
