@@ -83,8 +83,8 @@ Usage:
         effective throughput perf_mc_vr, env-modulated perf_mc_env,
         topology-restricted perf_mc_graph, open-system perf_mc_steady,
         lossy state-plane perf_testbed_lossy); --profile appends a per-bench
-        phase breakdown (setup / event loop / stats fold wall time) from the
-        engines' self-profiling. scripts/compare_bench.py gates an --out file
+        phase breakdown (setup, of which RNG streams / event loop / stats
+        fold wall time) from the engines' self-profiling. scripts/compare_bench.py gates an --out file
         against BENCH_baseline.json
 
 Global flags: --log-level=trace|debug|info|warn|error|off (default warn) and
@@ -727,11 +727,12 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
   const bool quick = args.has("quick");
   const bool profile = args.has("profile");
 
-  // --profile: the engines' per-phase self-profiling (setup / event loop /
-  // stats fold), printed as a separate table so the bench columns — and the
+  // --profile: the engines' per-phase self-profiling (setup, with its RNG
+  // stream part / event loop / stats fold), printed as a separate table so the bench columns — and the
   // baseline format scripts/compare_bench.py reads — stay fixed. The breakdown is the last
   // timed run of each bench (best-of-k reruns would sum phases across runs).
-  util::TextTable profile_table({"bench", "setup_ms", "loop_ms", "fold_ms", "reps"});
+  util::TextTable profile_table(
+      {"bench", "setup_ms", "streams_ms", "loop_ms", "fold_ms", "reps"});
   obs::PhaseProfile bench_profile;
   const auto profile_sinks = [&] {
     mc::ObsSinks sinks;
@@ -741,6 +742,7 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
   const auto note_profile = [&](const std::string& bench) {
     if (!profile) return;
     profile_table.add_row({bench, util::format_double(bench_profile.setup_s * 1000.0, 2),
+                           util::format_double(bench_profile.streams_s * 1000.0, 2),
                            util::format_double(bench_profile.loop_s * 1000.0, 2),
                            util::format_double(bench_profile.fold_s * 1000.0, 2),
                            std::to_string(bench_profile.reps)});

@@ -207,7 +207,8 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                        std::uint64_t replication, RunTrace* trace, des::Simulator& sim,
                        const SteadyProbe& probe, const RunControls& controls) {
   // Phase profiling reads the monotonic clock only (never the RNG streams):
-  // everything before the event loop is "setup", the loop itself is "loop".
+  // everything before the event loop is "setup" (its stream-construction part
+  // is also "streams"), the loop itself is "loop".
   using ProfileClock = std::chrono::steady_clock;
   ProfileClock::time_point profile_begin{};
   if (controls.profile != nullptr) profile_begin = ProfileClock::now();
@@ -228,14 +229,17 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                                         (has_environment ? 1 : 0) + (has_arrivals ? 1 : 0) +
                                         (has_policy_rng ? 1 : 0);
   const std::uint64_t base = replication * streams_per_run;
+  ProfileClock::time_point profile_streams{};
+  if (controls.profile != nullptr) profile_streams = ProfileClock::now();
   // One backing vector: entries [0, n) are the service streams, [n, 2n) the
   // churn streams (same stream ids as always).
   std::vector<stoch::RngStream> rngs;
   rngs.reserve(2 * n);
   for (std::size_t i = 0; i < 2 * n; ++i) rngs.emplace_back(seed, base + i);
   stoch::RngStream net_rng(seed, base + 2 * n);
-  // Stream construction is not free (long-jump decorrelation), so the env and
-  // arrival streams exist only when their process does.
+  // The env and arrival streams exist only when their process does, because
+  // the stream layout is load-bearing: reserving their ids unconditionally
+  // would move every replication's base and with it every historical result.
   std::optional<stoch::RngStream> env_rng;
   if (has_environment) env_rng.emplace(seed, base + 2 * n + 1);
   std::optional<stoch::RngStream> arrival_rng;
@@ -260,6 +264,10 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     if (env_rng) env_rng->set_antithetic(true);
     if (arrival_rng) arrival_rng->set_antithetic(true);
     if (policy_rng) policy_rng->set_antithetic(true);
+  }
+  if (controls.profile != nullptr) {
+    controls.profile->streams_s +=
+        std::chrono::duration<double>(ProfileClock::now() - profile_streams).count();
   }
 
   // --- nodes ---

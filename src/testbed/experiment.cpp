@@ -32,6 +32,8 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
   const std::uint64_t streams_per_run =
       2 * static_cast<std::uint64_t>(n) + 2 + (env_enabled ? 1 : 0);
   const std::uint64_t base = replication * streams_per_run;
+  ProfileClock::time_point profile_streams{};
+  if (profile != nullptr) profile_streams = ProfileClock::now();
   std::vector<stoch::RngStream> size_rngs;
   std::vector<stoch::RngStream> churn_rngs;
   for (std::size_t i = 0; i < n; ++i) {
@@ -44,6 +46,10 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
   stoch::RngStream state_rng(seed, base + 2 * n + 1);
   std::optional<stoch::RngStream> env_rng;
   if (env_enabled) env_rng.emplace(seed, base + 2 * n + 2);
+  if (profile != nullptr) {
+    profile->streams_s +=
+        std::chrono::duration<double>(ProfileClock::now() - profile_streams).count();
+  }
 
   des::Simulator sim;
 

@@ -366,15 +366,18 @@ TEST(ObsEngine, MetricsCountersMatchDriverStatistics) {
 TEST(ObsProfile, MergeSumsAndEngineFillsPhases) {
   obs::PhaseProfile a;
   a.setup_s = 1.0;
+  a.streams_s = 0.25;
   a.loop_s = 2.0;
   a.fold_s = 0.5;
   a.reps = 3;
   obs::PhaseProfile b;
+  b.streams_s = 0.5;
   b.loop_s = 4.0;
   b.reps = 2;
   a.merge(b);
+  EXPECT_DOUBLE_EQ(a.streams_s, 0.75);
   EXPECT_DOUBLE_EQ(a.loop_s, 6.0);
-  EXPECT_DOUBLE_EQ(a.total_s(), 7.5);
+  EXPECT_DOUBLE_EQ(a.total_s(), 7.5);  // streams_s lies inside setup_s
   EXPECT_EQ(a.reps, 5u);
 
   const mc::ScenarioConfig config = mc::make_two_node_scenario(
@@ -388,7 +391,19 @@ TEST(ObsProfile, MergeSumsAndEngineFillsPhases) {
   (void)mc::run_monte_carlo(config, mc);
   EXPECT_EQ(profile.reps, 4u);
   EXPECT_GT(profile.loop_s, 0.0);
+  EXPECT_GT(profile.streams_s, 0.0);
+  EXPECT_LE(profile.streams_s, profile.setup_s);
   EXPECT_GE(profile.total_s(), profile.loop_s);
+
+  obs::PhaseProfile bed_profile;
+  mc::ObsSinks sinks;
+  sinks.profile = &bed_profile;
+  (void)testbed::run_experiment(
+      testbed::paper_testbed(40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35)), 4,
+      test::kFixedSeed, 1, sinks);
+  EXPECT_EQ(bed_profile.reps, 4u);
+  EXPECT_GT(bed_profile.streams_s, 0.0);
+  EXPECT_LE(bed_profile.streams_s, bed_profile.setup_s);
 }
 
 // ---------- bit identity: the invariant the whole layer hangs on ----------
