@@ -84,8 +84,9 @@ Usage:
         topology-restricted perf_mc_graph, open-system perf_mc_steady,
         lossy state-plane perf_testbed_lossy); --profile appends a per-bench
         phase breakdown (setup, of which RNG streams / event loop / stats
-        fold wall time) from the engines' self-profiling. scripts/compare_bench.py gates an --out file
-        against BENCH_baseline.json
+        fold wall time) from the engines' self-profiling.
+        scripts/compare_bench.py gates an --out file against
+        BENCH_baseline.json
 
 Global flags: --log-level=trace|debug|info|warn|error|off (default warn) and
 --help. Any other flag a subcommand does not list above is an error.
@@ -728,9 +729,10 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
   const bool profile = args.has("profile");
 
   // --profile: the engines' per-phase self-profiling (setup, with its RNG
-  // stream part / event loop / stats fold), printed as a separate table so the bench columns — and the
-  // baseline format scripts/compare_bench.py reads — stay fixed. The breakdown is the last
-  // timed run of each bench (best-of-k reruns would sum phases across runs).
+  // stream part / event loop / stats fold), printed as a separate table so the
+  // bench columns — and the baseline format scripts/compare_bench.py reads —
+  // stay fixed. The breakdown is the last timed run of each bench (best-of-k
+  // reruns would sum phases across runs).
   util::TextTable profile_table(
       {"bench", "setup_ms", "streams_ms", "loop_ms", "fold_ms", "reps"});
   obs::PhaseProfile bench_profile;

@@ -232,9 +232,8 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc,
       if (use_control) {
         // Common random numbers: stripping churn leaves the stream layout
         // unchanged, so the surrogate replays the same draws and Y stays
-        // tightly coupled to T.
-        // The surrogate keeps the target's topology and environment, so it
-        // shares the target's graphs.
+        // tightly coupled to T. It keeps the target's topology and
+        // environment, so it shares the target's graphs too.
         RunControls ctrl_controls;
         ctrl_controls.antithetic = controls.antithetic;
         ctrl_controls.topology_states = &topology_states;
