@@ -6,13 +6,21 @@
 ///
 /// Storage is pooled: callbacks live in a slot slab recycled across pushes
 /// (and, via clear(), across Monte-Carlo replications), and one binary heap
-/// holds plain (time, serial, slot) records. See docs/ARCHITECTURE.md,
-/// "Event memory model".
+/// holds plain (time, serial, slot) records. The per-event path — push(),
+/// pop(), next_time() — is defined in this header so that it inlines into the
+/// simulator's loop: push() constructs the callable directly in its slot, and
+/// the heap orders records through a function object the compiler inlines.
+/// See docs/ARCHITECTURE.md, "Event memory model".
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/small_callback.hpp"
+#include "util/error.hpp"
 
 namespace lbsim::des {
 
@@ -57,8 +65,14 @@ class EventQueue {
     std::uint64_t max_depth = 0;    ///< live-event high-water mark
   };
 
-  /// Schedules `cb` at absolute time `time` (finite, >= 0).
-  EventId push(double time, Callback cb);
+  /// Schedules `fn` at absolute time `time` (finite, >= 0). `fn` is any
+  /// `void()` callable, constructed in place in its slab slot
+  /// (SmallCallback::emplace); a SmallCallback is moved in. An argument that
+  /// can be empty (SmallCallback, std::function, a function pointer, nullptr)
+  /// must not be: an empty one is rejected before anything is stored. If
+  /// constructing the callable throws, the queue is unchanged.
+  template <typename F>
+  EventId push(double time, F&& fn);
 
   /// Cancels a pending event; returns false if already fired/cancelled/invalid.
   bool cancel(EventId id) noexcept;
@@ -76,10 +90,27 @@ class EventQueue {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
   /// Time of the earliest live event; queue must not be empty.
-  [[nodiscard]] double next_time();
+  [[nodiscard]] double next_time() {
+    LBSIM_REQUIRE(!empty(), "next_time on empty queue");
+    drop_dead_top();
+    return heap_.front().time;
+  }
 
   /// Removes and returns the earliest live event; queue must not be empty.
-  Entry pop();
+  /// The callback is moved out of its slot before the caller runs it, which is
+  /// what makes clear() safe from inside a callback.
+  Entry pop() {
+    LBSIM_REQUIRE(!empty(), "pop on empty queue");
+    drop_dead_top();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const HeapItem item = heap_.back();
+    heap_.pop_back();
+    Entry out{item.time, item.serial, std::move(slots_[item.slot].callback)};
+    release_slot(item.slot);
+    --live_;
+    ++stats_.popped;
+    return out;
+  }
 
   /// Drops everything (live and cancelled). Slab and heap capacity are kept,
   /// and serial numbers keep counting up, so stale EventIds can never alias a
@@ -97,25 +128,47 @@ class EventQueue {
     std::uint32_t slot;
   };
 
+  /// The heap order, as a function object so that the std heap algorithms
+  /// inline it (a function pointer stays an indirect call).
+  struct Later {
+    bool operator()(const HeapItem& a, const HeapItem& b) const noexcept {
+      return a.time > b.time || (a.time == b.time && a.serial > b.serial);
+    }
+  };
+
   struct Slot {
     Callback callback;
     std::uint64_t serial = 0;  ///< 0 = free; else the serial occupying this slot
     std::uint32_t next_free = kNilSlot;
   };
 
-  static bool later(const HeapItem& a, const HeapItem& b) noexcept {
-    return a.time > b.time || (a.time == b.time && a.serial > b.serial);
-  }
-
   [[nodiscard]] bool is_dead(const HeapItem& item) const noexcept {
     return slots_[item.slot].serial != item.serial;
   }
 
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot) noexcept;
+  /// The head of the free list, growing the slab by one free slot when the
+  /// list is empty. The slot stays on the list until push() claims it.
+  std::uint32_t free_slot() {
+    if (free_head_ == kNilSlot) grow_slab();
+    return free_head_;
+  }
+  void grow_slab();
+
+  void release_slot(std::uint32_t slot) noexcept {
+    Slot& s = slots_[slot];
+    s.callback.reset();
+    s.serial = 0;
+    s.next_free = free_head_;
+    free_head_ = slot;
+  }
 
   /// Pops cancelled records off the heap top.
-  void drop_dead_top();
+  void drop_dead_top() noexcept {
+    while (!heap_.empty() && is_dead(heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    }
+  }
 
   /// Removes every dead record and re-heapifies (called when dead dominates).
   void compact() noexcept;
@@ -127,5 +180,32 @@ class EventQueue {
   std::uint64_t next_serial_ = 1;
   Stats stats_;
 };
+
+template <typename F>
+EventId EventQueue::push(double time, F&& fn) {
+  LBSIM_REQUIRE(std::isfinite(time) && time >= 0.0, "event time " << time);
+  if constexpr (kNullable<std::remove_cvref_t<F>>) {
+    LBSIM_REQUIRE(static_cast<bool>(fn), "null event callback");
+  }
+  const std::uint32_t slot = free_slot();
+  // The record goes in first, unordered: if the callable's construction
+  // throws, dropping it again leaves the queue as it was (the slot is still
+  // on the free list).
+  heap_.push_back(HeapItem{time, next_serial_, slot});
+  Slot& s = slots_[slot];
+  try {
+    s.callback.emplace(std::forward<F>(fn));
+  } catch (...) {
+    heap_.pop_back();
+    throw;
+  }
+  free_head_ = s.next_free;
+  s.serial = next_serial_++;
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++live_;
+  ++stats_.scheduled;
+  if (live_ > stats_.max_depth) stats_.max_depth = live_;
+  return EventId{s.serial, slot};
+}
 
 }  // namespace lbsim::des

@@ -15,7 +15,19 @@
 
 namespace lbsim::des {
 
+/// True for callable types that have an empty state — function pointers,
+/// std::function, SmallCallback, nullptr — so the kernel tests them before it
+/// stores or calls one. (A captureless lambda qualifies through its function
+/// pointer conversion and always tests true.)
+template <typename F>
+inline constexpr bool kNullable = std::is_constructible_v<bool, const F&>;
+
 class SmallCallback {
+  /// The callables the converting constructor and emplace() accept.
+  template <typename F>
+  static constexpr bool kCallable = !std::is_same_v<std::remove_cvref_t<F>, SmallCallback> &&
+                                    std::is_invocable_r_v<void, std::remove_cvref_t<F>&>;
+
  public:
   /// Inline capacity in bytes. 64 covers the engine's largest event capture
   /// (a link delivery: owner pointer + owned transfer + std::function handler
@@ -25,19 +37,9 @@ class SmallCallback {
   SmallCallback() noexcept = default;
   SmallCallback(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, SmallCallback> &&
-                std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
+  template <typename F, typename = std::enable_if_t<kCallable<F>>>
   SmallCallback(F&& fn) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::remove_cvref_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-      vtable_ = &inline_vtable<Fn>;
-    } else {
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(fn)));
-      vtable_ = &heap_vtable<Fn>;
-    }
+    construct(std::forward<F>(fn));
   }
 
   SmallCallback(SmallCallback&& other) noexcept : vtable_(other.vtable_) {
@@ -59,6 +61,20 @@ class SmallCallback {
   SmallCallback& operator=(const SmallCallback&) = delete;
 
   ~SmallCallback() { reset(); }
+
+  /// Replaces the held callable with `fn`, constructed directly in this
+  /// object's storage: `cb.emplace(fn)` does what `cb = SmallCallback(fn)`
+  /// does, minus the temporary and its relocation. If constructing `fn` throws,
+  /// the callback is left empty.
+  template <typename F, typename = std::enable_if_t<kCallable<F>>>
+  void emplace(F&& fn) {
+    reset();
+    construct(std::forward<F>(fn));
+  }
+  /// The SmallCallback and nullptr forms, so that emplace() accepts whatever
+  /// the constructors accept: a move-in and a reset.
+  void emplace(SmallCallback&& other) noexcept { *this = std::move(other); }
+  void emplace(std::nullptr_t) noexcept { reset(); }
 
   /// Destroys the held callable (no-op when empty).
   void reset() noexcept {
@@ -84,6 +100,20 @@ class SmallCallback {
   static constexpr bool fits_inline() {
     return sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
            std::is_nothrow_move_constructible_v<Fn>;
+  }
+
+  /// Constructs `fn` into the (empty) storage; sets the vtable only once the
+  /// construction succeeded.
+  template <typename F>
+  void construct(F&& fn) {
+    using Fn = std::remove_cvref_t<F>;
+    if constexpr (fits_inline<Fn>()) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+      vtable_ = &inline_vtable<Fn>;
+    } else {
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(fn)));
+      vtable_ = &heap_vtable<Fn>;
+    }
   }
 
   template <typename Fn>

@@ -414,6 +414,17 @@ TEST(SimulatorTest, RunWhilePendingRejectsANullPredicate) {
   EXPECT_DOUBLE_EQ(sim.run_while_pending(never), 1.0);
 }
 
+TEST(SimulatorTest, EmptyStdFunctionAndNullFunctionPointerAreRejectedWhenScheduled) {
+  // Any argument that can be empty is checked at push time, so an empty one
+  // fails where it is scheduled rather than when it fires.
+  Simulator sim;
+  EXPECT_THROW(sim.schedule_in(1.0, std::function<void()>{}), std::invalid_argument);
+  void (*no_callback)() = nullptr;
+  EXPECT_THROW(sim.schedule_at(1.0, no_callback), std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.queue_stats().scheduled, 0u);
+}
+
 TEST(SimulatorTest, ResetRestartsExecutedEventsButKeepsQueueStats) {
   Simulator sim;
   sim.schedule_in(1.0, [] {});
