@@ -120,9 +120,6 @@ struct CompletionTracker {
     const double now = sim->now();
     const double sojourn = now - task.arrival_time;
     result->sojourn.add(sojourn);
-    if (task.first_service_start >= 0.0) {
-      result->queue_delay.add(task.first_service_start - task.arrival_time);
-    }
     if (sojourn_log != nullptr) sojourn_log->push_back(sojourn);
     if (target_completions > 0 && completed >= target_completions) {
       done = true;

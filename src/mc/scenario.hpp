@@ -105,7 +105,7 @@ struct ScenarioConfig {
 /// Everything observed in one replication. Since the per-task-record refactor
 /// the result carries per-task latency observations, not only the scalar
 /// completion time: every completed task contributes its sojourn (completion -
-/// system arrival) and queueing delay (first service start - arrival).
+/// system arrival).
 struct RunResult {
   double completion_time = 0.0;
   std::uint64_t failures = 0;
@@ -117,7 +117,6 @@ struct RunResult {
   std::uint64_t env_transitions = 0;   ///< environment CTMC jumps during the run
   std::uint64_t state_packets_lost = 0;  ///< state-plane drops (testbed engine)
   stoch::RunningStats sojourn;         ///< per-task time in system (all completed tasks)
-  stoch::RunningStats queue_delay;     ///< per-task wait before first service
   /// Age (now - peer packet timestamp) of every peer entry consulted at every
   /// policy decision instant — the staleness the state plane imposes on
   /// distributed decisions (testbed engine; empty on the abstract MC path).

@@ -100,9 +100,7 @@ void ComputeElement::maybe_start_service() {
     current_service_duration_ = *frozen_remaining_;
     frozen_remaining_.reset();
   } else {
-    Task& head = queue_.front();
-    if (head.first_service_start < 0.0) head.first_service_start = sim_.now();
-    current_service_duration_ = service_time_(head, rng_);
+    current_service_duration_ = service_time_(queue_.front(), rng_);
     LBSIM_CHECK(current_service_duration_ >= 0.0, "negative service time");
   }
   serving_ = true;

@@ -20,9 +20,6 @@ struct Task {
   /// Virtual time the task entered the system (stamped at enqueue; preserved
   /// across migrations, so completion - arrival is the system sojourn time).
   double arrival_time = 0.0;
-  /// Virtual time service first began anywhere (-1 until it does); the gap
-  /// arrival -> first start is the task's queueing delay.
-  double first_service_start = -1.0;
 };
 
 using TaskBatch = std::vector<Task>;
