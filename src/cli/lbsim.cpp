@@ -729,12 +729,12 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
   const bool profile = args.has("profile");
 
   // --profile: the engines' per-phase self-profiling (setup, with its RNG
-  // stream part / event loop / stats fold), printed as a separate table so the
-  // bench columns — and the baseline format scripts/compare_bench.py reads —
-  // stay fixed. The breakdown is the last timed run of each bench (best-of-k
-  // reruns would sum phases across runs).
-  util::TextTable profile_table(
-      {"bench", "setup_ms", "streams_ms", "loop_ms", "fold_ms", "reps"});
+  // stream part / event loop and its cost per fired event / stats fold),
+  // printed as a separate table so the bench columns — and the baseline format
+  // scripts/compare_bench.py reads — stay fixed. The breakdown is the last
+  // timed run of each bench (best-of-k reruns would sum phases across runs).
+  util::TextTable profile_table({"bench", "setup_ms", "streams_ms", "loop_ms",
+                                 "loop_ns_per_event", "fold_ms", "reps"});
   obs::PhaseProfile bench_profile;
   const auto profile_sinks = [&] {
     mc::ObsSinks sinks;
@@ -746,6 +746,11 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
     profile_table.add_row({bench, util::format_double(bench_profile.setup_s * 1000.0, 2),
                            util::format_double(bench_profile.streams_s * 1000.0, 2),
                            util::format_double(bench_profile.loop_s * 1000.0, 2),
+                           bench_profile.events == 0
+                               ? std::string("-")
+                               : util::format_double(bench_profile.loop_s * 1e9 /
+                                                         static_cast<double>(bench_profile.events),
+                                                     1),
                            util::format_double(bench_profile.fold_s * 1000.0, 2),
                            std::to_string(bench_profile.reps)});
   };

@@ -612,6 +612,7 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     controls.profile->loop_s +=
         std::chrono::duration<double>(ProfileClock::now() - profile_loop).count();
     controls.profile->reps += 1;
+    controls.profile->events += sim.executed_events();
   }
   LBSIM_CHECK(tracker.done, "simulation drained its event queue before completing "
                                 << tracker.remaining << " tasks"

@@ -19,6 +19,9 @@ struct PhaseProfile {
   double loop_s = 0.0;   ///< the DES event loop (sim.run_while_pending)
   double fold_s = 0.0;   ///< per-replication stats folding into the aggregate
   std::uint64_t reps = 0;
+  /// Events fired inside loop_s (Simulator::executed_events() after the loop),
+  /// so loop_s / events is the event loop's cost per event.
+  std::uint64_t events = 0;
 
   void merge(const PhaseProfile& other) noexcept {
     setup_s += other.setup_s;
@@ -26,6 +29,7 @@ struct PhaseProfile {
     loop_s += other.loop_s;
     fold_s += other.fold_s;
     reps += other.reps;
+    events += other.events;
   }
 
   /// Wall time over the disjoint phases (streams_s lies inside setup_s).

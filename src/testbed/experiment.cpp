@@ -280,6 +280,7 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
     profile->loop_s +=
         std::chrono::duration<double>(ProfileClock::now() - profile_loop).count();
     profile->reps += 1;
+    profile->events += sim.executed_events();
   }
   LBSIM_CHECK(done, "testbed drained its event queue with " << remaining
                                                             << " tasks outstanding");

@@ -370,40 +370,52 @@ TEST(ObsProfile, MergeSumsAndEngineFillsPhases) {
   a.loop_s = 2.0;
   a.fold_s = 0.5;
   a.reps = 3;
+  a.events = 100;
   obs::PhaseProfile b;
   b.streams_s = 0.5;
   b.loop_s = 4.0;
   b.reps = 2;
+  b.events = 23;
   a.merge(b);
   EXPECT_DOUBLE_EQ(a.streams_s, 0.75);
   EXPECT_DOUBLE_EQ(a.loop_s, 6.0);
   EXPECT_DOUBLE_EQ(a.total_s(), 7.5);  // streams_s lies inside setup_s
   EXPECT_EQ(a.reps, 5u);
+  EXPECT_EQ(a.events, 123u);
 
   const mc::ScenarioConfig config = mc::make_two_node_scenario(
       markov::ipdps2006_params(), 40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35));
   obs::PhaseProfile profile;
+  obs::Registry metrics;
   mc::McConfig mc;
   mc.replications = 4;
   mc.seed = test::kFixedSeed;
   mc.threads = 1;
   mc.obs.profile = &profile;
+  mc.obs.metrics = &metrics;
   (void)mc::run_monte_carlo(config, mc);
   EXPECT_EQ(profile.reps, 4u);
   EXPECT_GT(profile.loop_s, 0.0);
   EXPECT_GT(profile.streams_s, 0.0);
   EXPECT_LE(profile.streams_s, profile.setup_s);
   EXPECT_GE(profile.total_s(), profile.loop_s);
+  // Every event of the run fires inside the loop the profile brackets.
+  EXPECT_GT(profile.events, 0u);
+  EXPECT_EQ(profile.events, metrics.counter("des.events.popped").value());
 
   obs::PhaseProfile bed_profile;
+  obs::Registry bed_metrics;
   mc::ObsSinks sinks;
   sinks.profile = &bed_profile;
+  sinks.metrics = &bed_metrics;
   (void)testbed::run_experiment(
       testbed::paper_testbed(40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35)), 4,
       test::kFixedSeed, 1, sinks);
   EXPECT_EQ(bed_profile.reps, 4u);
   EXPECT_GT(bed_profile.streams_s, 0.0);
   EXPECT_LE(bed_profile.streams_s, bed_profile.setup_s);
+  EXPECT_GT(bed_profile.events, 0u);
+  EXPECT_EQ(bed_profile.events, bed_metrics.counter("des.events.popped").value());
 }
 
 // ---------- bit identity: the invariant the whole layer hangs on ----------
