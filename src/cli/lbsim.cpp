@@ -743,14 +743,12 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
   };
   const auto note_profile = [&](const std::string& bench) {
     if (!profile) return;
+    const double events = static_cast<double>(bench_profile.events);
+    const std::string per_event =
+        events > 0.0 ? util::format_double(bench_profile.loop_s * 1e9 / events, 1) : "-";
     profile_table.add_row({bench, util::format_double(bench_profile.setup_s * 1000.0, 2),
                            util::format_double(bench_profile.streams_s * 1000.0, 2),
-                           util::format_double(bench_profile.loop_s * 1000.0, 2),
-                           bench_profile.events == 0
-                               ? std::string("-")
-                               : util::format_double(bench_profile.loop_s * 1e9 /
-                                                         static_cast<double>(bench_profile.events),
-                                                     1),
+                           util::format_double(bench_profile.loop_s * 1000.0, 2), per_event,
                            util::format_double(bench_profile.fold_s * 1000.0, 2),
                            std::to_string(bench_profile.reps)});
   };

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -232,13 +235,11 @@ TEST(EventQueueTest, LargeAndThrowingMoveCallablesRunFromTheHeapFallback) {
   static_assert(!std::is_nothrow_move_constructible_v<ThrowingMove>);
   EventQueue q;
   std::array<std::uint64_t, 16> big{};
-  for (std::size_t i = 0; i < big.size(); ++i) big[i] = i + 1;
+  std::iota(big.begin(), big.end(), 1);
   static_assert(sizeof(big) > SmallCallback::kInlineSize);
   std::uint64_t big_sum = 0;
   int throwing_hits = 0;
-  q.push(1.0, [big, &big_sum] {
-    for (const std::uint64_t v : big) big_sum += v;
-  });
+  q.push(1.0, [big, &big_sum] { big_sum = std::accumulate(big.begin(), big.end(), big_sum); });
   q.push(2.0, ThrowingMove(&throwing_hits));
   const EventId cancelled = q.push(3.0, [big, &big_sum] { big_sum += big[0]; });
   // Grow the slab well past its first allocation: the fallback pointers move.
