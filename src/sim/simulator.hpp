@@ -6,8 +6,9 @@
 ///
 /// Scheduling, step() and run_while_pending() are defined here so that the
 /// loop inlines: a callable handed to schedule_in()/schedule_at() is built
-/// directly in its event slot, and firing an event costs no indirect call
-/// beyond the callback itself and its move out of the slot.
+/// directly in its event slot, and the only calls through a pointer left on
+/// the per-event path are the callback's own (its move out of the slot, the
+/// call, its destruction).
 
 #include <cmath>
 #include <cstdint>
