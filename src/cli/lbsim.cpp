@@ -729,12 +729,13 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
   const bool profile = args.has("profile");
 
   // --profile: the engines' per-phase self-profiling (setup, with its RNG
-  // stream part / event loop and its cost per fired event / stats fold),
-  // printed as a separate table so the bench columns — and the baseline format
-  // scripts/compare_bench.py reads — stay fixed. The breakdown is the last
-  // timed run of each bench (best-of-k reruns would sum phases across runs).
+  // stream part / event loop and its cost per fired event / stats fold / the
+  // policy hooks inside setup and loop), printed as a separate table so the
+  // bench columns — and the baseline format scripts/compare_bench.py reads —
+  // stay fixed. The breakdown is the last timed run of each bench (best-of-k
+  // reruns would sum phases across runs).
   util::TextTable profile_table({"bench", "setup_ms", "streams_ms", "loop_ms",
-                                 "loop_ns_per_event", "fold_ms", "reps"});
+                                 "loop_ns_per_event", "fold_ms", "policy_ms", "reps"});
   obs::PhaseProfile bench_profile;
   const auto profile_sinks = [&] {
     mc::ObsSinks sinks;
@@ -750,6 +751,7 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
                            util::format_double(bench_profile.streams_s * 1000.0, 2),
                            util::format_double(bench_profile.loop_s * 1000.0, 2), per_event,
                            util::format_double(bench_profile.fold_s * 1000.0, 2),
+                           util::format_double(bench_profile.policy_s * 1000.0, 2),
                            std::to_string(bench_profile.reps)});
   };
 
@@ -839,8 +841,13 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
           mc::make_two_node_scenario(markov::ipdps2006_params(), 100, 60,
                                      std::make_unique<core::Lbp2Policy>(1.0));
       des::Simulator sim;
+      mc::ReplicationWorkspace workspace;
+      mc::RunControls controls;
+      controls.workspace = &workspace;
       for (std::size_t r = 0; r < reps; ++r) {
-        total += mc::run_scenario(scenario, 0x5eed2006, r, nullptr, sim).completion_time;
+        total += mc::run_scenario(scenario, 0x5eed2006, r, nullptr, sim, mc::SteadyProbe{},
+                                  controls)
+                     .completion_time;
       }
     });
     table.add_row({"perf_des", util::format_double(ms, 2),

@@ -7,27 +7,16 @@
 #include "util/error.hpp"
 
 namespace lbsim::core {
-namespace {
 
-/// Snapshot of what a round sees: queue lengths and up/down flags are read
-/// once, so every directive of the round is computed against the same state
-/// (the engine executes directives only after the hook returns).
-struct RoundState {
-  std::vector<std::size_t> queue;
-  std::vector<bool> up;
-
-  explicit RoundState(const SystemView& view) {
-    const std::size_t n = view.node_count();
-    queue.resize(n);
-    up.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      queue[i] = view.queue_length(static_cast<int>(i));
-      up[i] = view.is_up(static_cast<int>(i));
-    }
+void RoundState::read(const SystemView& view) {
+  const std::size_t n = view.node_count();
+  queue.resize(n);
+  up.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    queue[i] = view.queue_length(static_cast<int>(i));
+    up[i] = view.is_up(static_cast<int>(i));
   }
-};
-
-}  // namespace
+}
 
 double metropolis_weight(std::size_t deg_i, std::size_t deg_j) {
   return 1.0 / (1.0 + static_cast<double>(std::max(deg_i, deg_j)));
@@ -43,8 +32,9 @@ std::string DiffusionPolicy::name() const {
   return os.str();
 }
 
-std::vector<TransferDirective> DiffusionPolicy::round(const SystemView& view) const {
-  const RoundState state(view);
+std::vector<TransferDirective> DiffusionPolicy::round(const SystemView& view) {
+  state_.read(view);
+  const RoundState& state = state_;
   const std::size_t n = view.node_count();
   std::vector<TransferDirective> directives;
   for (std::size_t i = 0; i < n; ++i) {
@@ -60,6 +50,7 @@ std::vector<TransferDirective> DiffusionPolicy::round(const SystemView& view) co
       const auto count = static_cast<std::size_t>(alpha_ * w *
                                                   (imbalance < 0 ? -imbalance : imbalance));
       if (count == 0) continue;
+      if (directives.empty()) directives.reserve(n);  // enough for most rounds
       if (imbalance > 0) {
         directives.push_back({static_cast<int>(i), static_cast<int>(j), count});
       } else {
@@ -78,7 +69,7 @@ std::vector<TransferDirective> DiffusionPolicy::on_periodic(const SystemView& vi
   return round(view);
 }
 
-PolicyPtr DiffusionPolicy::clone() const { return std::make_unique<DiffusionPolicy>(*this); }
+PolicyPtr DiffusionPolicy::clone() const { return std::make_unique<DiffusionPolicy>(alpha_); }
 
 RandomProbePolicy::RandomProbePolicy(std::size_t probes) : probes_(probes) {
   LBSIM_REQUIRE(probes >= 1, "probes=" << probes);
@@ -97,10 +88,11 @@ std::vector<TransferDirective> RandomProbePolicy::on_start(const SystemView& vie
 
 std::vector<TransferDirective> RandomProbePolicy::on_periodic(const SystemView& view) {
   LBSIM_CHECK(rng_ != nullptr, "RandomProbePolicy needs an engine-bound RNG stream");
-  const RoundState state(view);
+  state_.read(view);
+  const RoundState& state = state_;
   const std::size_t n = view.node_count();
   std::vector<TransferDirective> directives;
-  std::vector<std::size_t> slots;
+  std::vector<std::size_t>& slots = slots_;
   for (std::size_t i = 0; i < n; ++i) {
     if (!state.up[i]) continue;  // a down node cannot run its local protocol
     const std::size_t deg = view.neighbor_count(static_cast<int>(i));
@@ -132,11 +124,13 @@ std::vector<TransferDirective> RandomProbePolicy::on_periodic(const SystemView& 
     const std::size_t shed_gap = shed_to != n && state.queue[i] > state.queue[shed_to]
                                      ? state.queue[i] - state.queue[shed_to]
                                      : 0;
+    if (steal_gap < 2 && shed_gap < 2) continue;
+    if (directives.empty()) directives.reserve(n);  // at most one per node
     // Halve the larger gap (ties steal: pulling work towards a live node).
-    if (steal_gap >= 2 && steal_gap >= shed_gap) {
+    if (steal_gap >= shed_gap) {
       directives.push_back(
           {static_cast<int>(steal_from), static_cast<int>(i), steal_gap / 2});
-    } else if (shed_gap >= 2) {
+    } else {
       directives.push_back({static_cast<int>(i), static_cast<int>(shed_to), shed_gap / 2});
     }
   }

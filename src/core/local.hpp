@@ -21,10 +21,22 @@
 /// policies' initial balance.
 
 #include <cstddef>
+#include <vector>
 
 #include "core/policy.hpp"
 
 namespace lbsim::core {
+
+/// Snapshot of what a round sees: queue lengths and up/down flags are read
+/// once, so every directive of the round is computed against the same state
+/// (the engine executes directives only after the hook returns). A policy
+/// keeps one as round scratch, so its capacity carries over between rounds.
+struct RoundState {
+  std::vector<std::size_t> queue;
+  std::vector<bool> up;
+
+  void read(const SystemView& view);
+};
 
 /// Metropolis edge weight 1 / (1 + max(deg_i, deg_j)): symmetric, and row sums
 /// stay < 1, so the diffusion matrix I - alpha * W L is doubly stochastic for
@@ -46,9 +58,10 @@ class DiffusionPolicy final : public LoadBalancingPolicy {
   [[nodiscard]] double alpha() const noexcept { return alpha_; }
 
  private:
-  [[nodiscard]] std::vector<TransferDirective> round(const SystemView& view) const;
+  [[nodiscard]] std::vector<TransferDirective> round(const SystemView& view);
 
   double alpha_;
+  RoundState state_;  // round scratch
 };
 
 /// Random local resampling: probe `probes` random neighbours per round.
@@ -71,6 +84,8 @@ class RandomProbePolicy final : public LoadBalancingPolicy {
  private:
   std::size_t probes_;
   stoch::RngStream* rng_ = nullptr;  // engine-owned, rebound every replication
+  RoundState state_;                 // round scratch
+  std::vector<std::size_t> slots_;   // probe scratch: one node's neighbour slots
 };
 
 }  // namespace lbsim::core

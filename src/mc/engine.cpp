@@ -199,11 +199,13 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc,
     ScenarioConfig local_surrogate;
     if (use_control) local_surrogate = plan.surrogate.clone();
     des::Simulator sim;
+    ReplicationWorkspace workspace;  // serves the target and the surrogate in turn
     Partial& out = partials[tid];
     obs::Registry* metrics = mc.obs.metrics != nullptr ? &out.metrics : nullptr;
     for (std::size_t rep = tid; rep < reps; rep += threads) {
       RunControls controls;
       controls.topology_states = &topology_states;
+      controls.workspace = &workspace;
       // Only the target run is profiled; the surrogate's cost shows up in
       // measured reps/s and the mc.vr.surrogate_runs counter instead, so
       // profile.reps keeps meaning "replications".
@@ -237,6 +239,7 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc,
         RunControls ctrl_controls;
         ctrl_controls.antithetic = controls.antithetic;
         ctrl_controls.topology_states = &topology_states;
+        ctrl_controls.workspace = &workspace;
         const RunResult ctrl = run_scenario(local_surrogate, mc.seed, stream_rep, nullptr,
                                             sim, SteadyProbe{}, ctrl_controls);
         control[rep] = ctrl.completion_time;
@@ -413,16 +416,18 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
   const bool keep_samples = mc.collect_samples || mc.replications <= kExactQuantileCap;
 
   const auto worker = [&](unsigned tid) {
-    // Each worker clones the scenario once; per-replication state is rebuilt
-    // inside run_scenario, and RNG streams are keyed by replication index.
-    // One simulator per worker: its pooled event slab and heap capacity are
-    // recycled across the whole replication loop.
+    // Each worker clones the scenario once, and RNG streams are keyed by
+    // replication index. One simulator and one replication workspace per
+    // worker: the event slab, the nodes and the task blocks are reset, not
+    // rebuilt, across the whole replication loop.
     const ScenarioConfig local = config.clone();
     des::Simulator sim;
+    ReplicationWorkspace workspace;
     Partial& out = partials[tid];
     obs::Registry* metrics = mc.obs.metrics != nullptr ? &out.metrics : nullptr;
     RunControls controls;
     controls.topology_states = &topology_states;
+    controls.workspace = &workspace;
     if (mc.obs.profile != nullptr) controls.profile = &out.profile;
     if (keep_samples) out.samples.reserve(mc.replications / threads + 1);
     for (std::size_t rep = tid; rep < mc.replications; rep += threads) {

@@ -1,13 +1,13 @@
 #include "mc/scenario.hpp"
 
 #include <chrono>
-#include <functional>
+#include <deque>
 #include <optional>
 
 #include "app/workload.hpp"
+#include "node/block_pool.hpp"
 #include "node/compute_element.hpp"
 #include "node/failure_process.hpp"
-#include "net/link.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 
@@ -90,8 +90,8 @@ void validate_config(const ScenarioConfig& config, bool allow_unbounded) {
 /// Completion bookkeeping shared by all per-node handlers: the handlers
 /// capture one pointer to this, so their std::functions stay inside the
 /// small-object buffer (no heap allocation per node per replication). Every
-/// completion carries its per-task record (arrival / first service start), so
-/// the tracker also accumulates the run's latency observations.
+/// completed task carries its system arrival time, so the tracker also
+/// accumulates the run's sojourn observations.
 struct CompletionTracker {
   des::Simulator* sim = nullptr;
   RunResult* result = nullptr;
@@ -127,6 +127,240 @@ struct CompletionTracker {
       return;
     }
     maybe_finish();
+  }
+};
+
+}  // namespace
+
+/// The workspace's reusable parts. Containers only grow; reset() returns every
+/// queued or in-flight task's block to the pool and frees every bundle slot,
+/// and run_scenario re-seats the first n node slots.
+struct ReplicationWorkspace::State {
+  /// One node: its CE, its churn driver and the churn laws the driver
+  /// borrows. Never moved (the CE and the driver hold references into each
+  /// other and into the pool).
+  struct NodeSlot {
+    explicit NodeSlot(node::BlockPool& pool) : ce(pool), churn(ce) {}
+    node::ComputeElement ce;
+    node::FailureProcess churn;
+    std::optional<stoch::Exponential> ttf;
+    std::optional<stoch::Exponential> ttr;
+  };
+
+  /// A bundle in flight; its delivery event captures the slot's index.
+  struct BundleSlot {
+    explicit BundleSlot(node::BlockPool& pool) : tasks(pool) {}
+    int from = 0;
+    int to = 0;
+    node::TaskChain tasks;
+    std::uint32_t next_free = 0;
+  };
+
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  /// Declared first, so it outlives every queue that draws from it.
+  node::BlockPool pool;
+  std::deque<NodeSlot> nodes;
+  std::deque<BundleSlot> bundles;
+  std::uint32_t free_bundle = kNoSlot;
+  /// [0, n) service streams, [n, 2n) churn streams.
+  std::vector<stoch::RngStream> rngs;
+  std::vector<std::uint32_t> hot_queue_len;
+  std::vector<std::uint8_t> hot_up;
+
+  void reset(std::size_t n) {
+    while (nodes.size() < n) nodes.emplace_back(pool);
+    for (std::size_t i = n; i < nodes.size(); ++i) nodes[i].ce.clear_queue();
+    free_bundle = kNoSlot;
+    for (std::size_t b = bundles.size(); b-- > 0;) {
+      bundles[b].tasks.clear();
+      bundles[b].next_free = free_bundle;
+      free_bundle = static_cast<std::uint32_t>(b);
+    }
+  }
+
+  std::uint32_t acquire_bundle() {
+    if (free_bundle == kNoSlot) {
+      bundles.emplace_back(pool);
+      return static_cast<std::uint32_t>(bundles.size() - 1);
+    }
+    const std::uint32_t slot = free_bundle;
+    free_bundle = bundles[slot].next_free;
+    return slot;
+  }
+
+  void release_bundle(std::uint32_t slot) noexcept {
+    bundles[slot].next_free = free_bundle;
+    free_bundle = slot;
+  }
+};
+
+ReplicationWorkspace::ReplicationWorkspace() : state_(std::make_unique<State>()) {}
+ReplicationWorkspace::~ReplicationWorkspace() = default;
+
+namespace {
+
+using ProfileClock = std::chrono::steady_clock;
+
+double seconds_since(ProfileClock::time_point begin) {
+  return std::chrono::duration<double>(ProfileClock::now() - begin).count();
+}
+
+/// One replication's wiring. Every callback it hands out (the kernel's
+/// delivery and tick events, the CEs' completion handlers, the churn,
+/// schedule, environment and arrival hooks) captures a pointer to this, plus
+/// at most an index, so each stays in its small-object buffer.
+struct Replication {
+  Replication(const ScenarioConfig& config, ReplicationWorkspace::State& ws,
+              des::Simulator& sim, RunTrace* trace, obs::PhaseProfile* profile,
+              const net::TransferDelayModel& delay, stoch::RngStream& net_rng)
+      : config(config),
+        ws(ws),
+        sim(sim),
+        trace(trace),
+        profile(profile),
+        policy(*config.policy),
+        delay(delay),
+        net_rng(net_rng),
+        view(config.params, ws.hot_queue_len, ws.hot_up) {}
+
+  const ScenarioConfig& config;
+  ReplicationWorkspace::State& ws;
+  des::Simulator& sim;
+  RunTrace* trace;
+  obs::PhaseProfile* profile;
+  core::LoadBalancingPolicy& policy;
+  const net::TransferDelayModel& delay;
+  stoch::RngStream& net_rng;
+  LiveView view;
+  CompletionTracker tracker;
+  RunResult result;
+  std::uint64_t next_id = 1;
+  env::Environment* environment = nullptr;
+  env::ArrivalProcess* arrivals = nullptr;
+  /// The per-state graphs under edge churn; null otherwise.
+  const std::vector<net::Topology>* churned_topologies = nullptr;
+
+  [[nodiscard]] node::ComputeElement& ce(std::size_t i) { return ws.nodes[i].ce; }
+
+  /// Runs one policy hook (timed into policy_s when profiled), records the
+  /// decision when traced, and carries it out.
+  template <typename Hook>
+  void decide(int node_id, Hook&& hook) {
+    ProfileClock::time_point begin{};
+    if (profile != nullptr) begin = ProfileClock::now();
+    const std::vector<core::TransferDirective> directives = hook();
+    if (profile != nullptr) profile->policy_s += seconds_since(begin);
+    if (trace != nullptr) {
+      trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, node_id, -1,
+                         static_cast<std::uint32_t>(directives.size()));
+    }
+    execute(directives);
+  }
+
+  void execute(const std::vector<core::TransferDirective>& directives) {
+    const std::size_t n = config.params.nodes.size();
+    for (const core::TransferDirective& d : directives) {
+      LBSIM_REQUIRE(d.from >= 0 && static_cast<std::size_t>(d.from) < n, "from=" << d.from);
+      LBSIM_REQUIRE(d.to >= 0 && static_cast<std::size_t>(d.to) < n && d.to != d.from,
+                    "to=" << d.to);
+      LBSIM_REQUIRE(view.topology() == nullptr ||
+                        view.topology()->adjacent(static_cast<std::size_t>(d.from),
+                                                  static_cast<std::size_t>(d.to)),
+                    "directive " << d.from << "->" << d.to
+                                 << " crosses a non-edge of the active topology");
+      node::ComputeElement& source = ce(static_cast<std::size_t>(d.from));
+      if (d.count == 0 || source.queue_length() == 0) continue;
+      const std::uint32_t slot = ws.acquire_bundle();
+      ReplicationWorkspace::State::BundleSlot& bundle = ws.bundles[slot];
+      bundle.from = d.from;
+      bundle.to = d.to;
+      const std::size_t moved = source.extract_tasks(d.count, bundle.tasks);
+      result.bundles_sent += 1;
+      result.tasks_moved += moved;
+      if (trace != nullptr) {
+        trace->events.emit(sim.now(), obs::Kind::kTransferSend, d.from, d.to,
+                           static_cast<std::uint32_t>(moved));
+      }
+      sim.schedule_in(delay.sample(moved, net_rng), [rep = this, slot] { rep->deliver(slot); });
+    }
+  }
+
+  void deliver(std::uint32_t slot) {
+    ReplicationWorkspace::State::BundleSlot& bundle = ws.bundles[slot];
+    if (trace != nullptr) {
+      trace->events.emit(sim.now(), obs::Kind::kTransferDeliver, bundle.from, bundle.to,
+                         static_cast<std::uint32_t>(bundle.tasks.size()));
+    }
+    ce(static_cast<std::size_t>(bundle.to)).enqueue_batch(bundle.tasks);
+    ws.release_bundle(slot);
+  }
+
+  void on_failure(int node_id) {
+    ++result.failures;
+    if (trace != nullptr) trace->events.emit(sim.now(), obs::Kind::kFail, node_id);
+    decide(node_id, [&] { return policy.on_failure(node_id, view); });
+  }
+
+  void on_recovery(int node_id) {
+    ++result.recoveries;
+    if (trace != nullptr) trace->events.emit(sim.now(), obs::Kind::kRecover, node_id);
+    decide(node_id, [&] { return policy.on_recovery(node_id, view); });
+  }
+
+  void on_schedule(std::size_t i, bool down) {
+    node::ComputeElement& node = ce(i);
+    if (down) {
+      node.fail();
+      on_failure(node.id());
+    } else {
+      node.recover();
+      on_recovery(node.id());
+    }
+  }
+
+  /// The periodic round timer; it stops rescheduling once the run is done.
+  void tick() {
+    if (tracker.done) return;
+    decide(-1, [&] { return policy.on_periodic(view); });
+    sim.schedule_in(config.rebalance_period, [rep = this] { rep->tick(); });
+  }
+
+  void on_arrival(std::size_t node_index, std::size_t tasks, bool last) {
+    tracker.remaining += tasks;
+    result.tasks_arrived += tasks;
+    ce(node_index).enqueue_units(tasks, next_id);
+    next_id += tasks;
+    if (trace != nullptr) {
+      trace->events.emit(sim.now(), obs::Kind::kInject, static_cast<std::int32_t>(node_index),
+                         -1, static_cast<std::uint32_t>(tasks));
+    }
+    if (config.arrivals.rebalance) {
+      // Section 5's "LB episode at every external arrival": replay the
+      // policy's initial balancing decision against the live queues.
+      decide(static_cast<int>(node_index), [&] { return policy.on_start(view); });
+    }
+    if (last) {
+      tracker.injection_done = true;
+      tracker.maybe_finish();
+    }
+  }
+
+  /// Sets every churn driver's hazard multiplier (a driver that never starts
+  /// ignores it).
+  void set_hazard_multiplier(double mult) {
+    const std::size_t n = config.params.nodes.size();
+    for (std::size_t i = 0; i < n; ++i) ws.nodes[i].churn.set_hazard_multiplier(mult);
+  }
+
+  /// Environment transition: re-arm every failure process at the new state's
+  /// hazard, re-draw the MMPP gap and, under edge churn, swap the graph. (The
+  /// kEnvTransition record is emitted by the Environment itself, before this
+  /// runs.)
+  void on_environment(std::size_t to) {
+    set_hazard_multiplier(environment->spec().failure_mult[to]);
+    if (arrivals != nullptr) arrivals->on_environment_transition();
+    if (churned_topologies != nullptr) view.set_topology(&(*churned_topologies)[to]);
   }
 };
 
@@ -200,19 +434,24 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   return run_scenario(config, seed, replication, trace, sim, probe, RunControls{});
 }
 
+
 RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                        std::uint64_t replication, RunTrace* trace, des::Simulator& sim,
                        const SteadyProbe& probe, const RunControls& controls) {
   // Phase profiling reads the monotonic clock only (never the RNG streams):
   // everything before the event loop is "setup" (its stream-construction part
-  // is also "streams"), the loop itself is "loop".
-  using ProfileClock = std::chrono::steady_clock;
+  // is also "streams"), the loop itself is "loop", and the policy hooks inside
+  // either are also "policy".
   ProfileClock::time_point profile_begin{};
   if (controls.profile != nullptr) profile_begin = ProfileClock::now();
 
   validate_config(config, /*allow_unbounded=*/probe.target_completions > 0);
   const std::size_t n = config.params.nodes.size();
   sim.reset();  // recycles the pooled event slab when the caller reuses `sim`
+  std::optional<ReplicationWorkspace> own_workspace;
+  ReplicationWorkspace::State& ws =
+      (controls.workspace != nullptr ? *controls.workspace : own_workspace.emplace()).state();
+  ws.reset(n);
 
   // Disjoint, deterministic RNG streams per (replication, role, node):
   // results do not depend on thread scheduling. Stream ids keep the
@@ -228,9 +467,8 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   const std::uint64_t base = replication * streams_per_run;
   ProfileClock::time_point profile_streams{};
   if (controls.profile != nullptr) profile_streams = ProfileClock::now();
-  // One backing vector: entries [0, n) are the service streams, [n, 2n) the
-  // churn streams (same stream ids as always).
-  std::vector<stoch::RngStream> rngs;
+  std::vector<stoch::RngStream>& rngs = ws.rngs;
+  rngs.clear();
   rngs.reserve(2 * n);
   for (std::size_t i = 0; i < 2 * n; ++i) rngs.emplace_back(seed, base + i);
   stoch::RngStream net_rng(seed, base + 2 * n);
@@ -263,81 +501,65 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     if (policy_rng) policy_rng->set_antithetic(true);
   }
   if (controls.profile != nullptr) {
-    controls.profile->streams_s +=
-        std::chrono::duration<double>(ProfileClock::now() - profile_streams).count();
+    controls.profile->streams_s += seconds_since(profile_streams);
   }
 
-  // --- nodes ---
-  std::vector<std::unique_ptr<node::ComputeElement>> ces;
-  ces.reserve(n);
+  // Bundle delays are drawn from the configured law in place (laws are
+  // immutable), on the network stream.
+  const net::ExponentialBundleDelay default_delay(config.params.per_task_delay_mean);
+  const net::TransferDelayModel& delay =
+      config.delay_model ? *config.delay_model
+                         : static_cast<const net::TransferDelayModel&>(default_delay);
+  Replication rep(config, ws, sim, trace, controls.profile, delay, net_rng);
+
+  // --- nodes, re-seated on this replication's kernel and streams ---
   for (std::size_t i = 0; i < n; ++i) {
-    ces.push_back(std::make_unique<node::ComputeElement>(
-        sim, static_cast<int>(i),
-        app::exponential_service(config.params.nodes[i].lambda_d), rngs[i]));
+    rep.ce(i).reset(sim, static_cast<int>(i),
+                    app::exponential_service(config.params.nodes[i].lambda_d), rngs[i]);
   }
 
   // --- structure-of-arrays hot state: the per-node queue lengths and up
-  //     flags every policy scan touches live in two packed arrays owned here
-  //     and mirrored by each CE on every transition (LiveView reads these) ---
-  std::vector<std::uint32_t> hot_queue_len(n, 0);
-  std::vector<std::uint8_t> hot_up(n, 1);
+  //     flags every policy scan touches live in two packed arrays owned by
+  //     the workspace and mirrored by each CE on every transition (LiveView
+  //     reads these) ---
+  ws.hot_queue_len.assign(n, 0);
+  ws.hot_up.assign(n, 1);
   for (std::size_t i = 0; i < n; ++i) {
-    ces[i]->bind_hot_cells(&hot_queue_len[i], &hot_up[i]);
+    rep.ce(i).bind_hot_cells(&ws.hot_queue_len[i], &ws.hot_up[i]);
   }
 
   if (trace != nullptr) {
     if (trace->record_queues) {
       trace->queue_lengths.assign(n, des::TimeSeries{});
-      for (std::size_t i = 0; i < n; ++i) {
-        ces[i]->set_queue_trace(&trace->queue_lengths[i]);
-      }
+      for (std::size_t i = 0; i < n; ++i) rep.ce(i).set_queue_trace(&trace->queue_lengths[i]);
     }
-    for (std::size_t i = 0; i < n; ++i) ces[i]->set_event_trace(&trace->events);
+    for (std::size_t i = 0; i < n; ++i) rep.ce(i).set_event_trace(&trace->events);
   }
 
-  // --- links (full mesh, built lazily: an n-node replication only pays for
-  //     the directed pairs the policy actually uses, which matters once
-  //     n*n outgrows the handful of transfers a run performs) ---
-  const net::ExponentialBundleDelay default_delay(config.params.per_task_delay_mean);
-  const net::TransferDelayModel& delay_proto =
-      config.delay_model ? *config.delay_model
-                         : static_cast<const net::TransferDelayModel&>(default_delay);
-  std::vector<std::unique_ptr<net::Link>> links(n * n);
-  const auto link_for = [&](std::size_t from, std::size_t to) -> net::Link& {
-    std::unique_ptr<net::Link>& link = links[from * n + to];
-    if (!link) {
-      link = std::make_unique<net::Link>(sim, static_cast<int>(from), static_cast<int>(to),
-                                         delay_proto.clone(), net_rng);
-    }
-    return *link;
-  };
-
   // --- completion tracking ---
-  RunResult result;
-  CompletionTracker tracker;
+  CompletionTracker& tracker = rep.tracker;
   tracker.sim = &sim;
-  tracker.result = &result;
+  tracker.result = &rep.result;
   tracker.target_completions = probe.target_completions;
   tracker.sojourn_log = probe.sojourn_log;
   for (const std::size_t m : config.workloads) tracker.remaining += m;
   tracker.injection_done = !has_arrivals;
   tracker.maybe_finish();
   for (std::size_t i = 0; i < n; ++i) {
-    ces[i]->set_completion_handler(
-        [&tracker](const node::Task& task) { tracker.on_complete(task); });
+    rep.ce(i).set_completion_handler(
+        [tracker = &tracker](const node::Task& task) { tracker->on_complete(task); });
   }
 
   // --- initial workloads (unit tasks; the abstract model draws service times
   //     from Exp(lambda_d) regardless of size) ---
-  std::uint64_t next_id = 1;
   for (std::size_t i = 0; i < n; ++i) {
-    ces[i]->enqueue_units(config.workloads[i], next_id);
-    next_id += config.workloads[i];
+    rep.ce(i).enqueue_units(config.workloads[i], rep.next_id);
+    rep.next_id += config.workloads[i];
   }
 
   // --- topology (non-complete graphs restrict every policy's neighbourhood;
-  //     under edge churn the transition listener swaps the active pointer
-  //     among the per-state graphs). Engines hand in one prebuilt set. ---
+  //     under edge churn the environment swaps the active graph among the
+  //     per-state ones). Engines hand in one prebuilt set. ---
   std::vector<net::Topology> own_topo_states;
   const std::vector<net::Topology>* topo_states = controls.topology_states;
   if (topo_states == nullptr) {
@@ -347,130 +569,41 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   LBSIM_REQUIRE(topo_states->empty() == config.topology.complete() &&
                     (topo_states->empty() || topo_states->front().node_count() == n),
                 "prebuilt topology states do not match the scenario");
-
-  // --- transfer plumbing ---
-  LiveView view(config.params, hot_queue_len, hot_up);
   if (!topo_states->empty()) {
     const std::size_t s0 =
         config.topology.dynamic() ? config.environment.initial_state : 0;
-    view.set_topology(&(*topo_states)[s0]);
+    rep.view.set_topology(&(*topo_states)[s0]);
   }
-  // The delivery handler captures one pointer to this per-run context so the
-  // std::function stays in its small-object buffer (bundle size for the trace
-  // is recovered from the transfer itself).
-  struct DeliveryCtx {
-    std::vector<std::unique_ptr<node::ComputeElement>>* ces;
-    RunTrace* trace;
-    des::Simulator* sim;
-  };
-  DeliveryCtx delivery{&ces, trace, &sim};
-  const auto execute = [&](const std::vector<core::TransferDirective>& directives) {
-    for (const core::TransferDirective& d : directives) {
-      LBSIM_REQUIRE(d.from >= 0 && static_cast<std::size_t>(d.from) < n, "from=" << d.from);
-      LBSIM_REQUIRE(d.to >= 0 && static_cast<std::size_t>(d.to) < n && d.to != d.from,
-                    "to=" << d.to);
-      LBSIM_REQUIRE(view.topology() == nullptr ||
-                        view.topology()->adjacent(static_cast<std::size_t>(d.from),
-                                                  static_cast<std::size_t>(d.to)),
-                    "directive " << d.from << "->" << d.to
-                                 << " crosses a non-edge of the active topology");
-      if (d.count == 0) continue;
-      node::TaskBatch batch = ces[static_cast<std::size_t>(d.from)]->extract_tasks(d.count);
-      if (batch.empty()) continue;
-      result.bundles_sent += 1;
-      result.tasks_moved += batch.size();
-      if (trace != nullptr) {
-        trace->events.emit(sim.now(), obs::Kind::kTransferSend, d.from, d.to,
-                           static_cast<std::uint32_t>(batch.size()));
-      }
-      link_for(static_cast<std::size_t>(d.from), static_cast<std::size_t>(d.to))
-          .send(std::move(batch), [ctx = &delivery](net::DataTransfer&& xfer) {
-            if (ctx->trace != nullptr) {
-              ctx->trace->events.emit(ctx->sim->now(), obs::Kind::kTransferDeliver,
-                                      xfer.from, xfer.to,
-                                      static_cast<std::uint32_t>(xfer.tasks.size()));
-            }
-            (*ctx->ces)[static_cast<std::size_t>(xfer.to)]->enqueue_batch(
-                std::move(xfer.tasks));
-          });
-    }
-  };
+  if (config.topology.dynamic()) rep.churned_topologies = topo_states;
 
-  // --- churn ---
-  std::vector<std::unique_ptr<node::FailureProcess>> churn;
-  churn.reserve(n);
-  core::LoadBalancingPolicy& policy = *config.policy;
-  /// Shared churn-hook context: per-node handlers capture one pointer, so
-  /// their std::functions also stay inside the small-object buffer.
-  struct ChurnHooks {
-    RunResult* result;
-    RunTrace* trace;
-    des::Simulator* sim;
-    core::LoadBalancingPolicy* policy;
-    LiveView* view;
-    const decltype(execute)* execute_directives;
-
-    void on_failure(int node_id) const {
-      ++result->failures;
-      if (trace != nullptr) trace->events.emit(sim->now(), obs::Kind::kFail, node_id);
-      const std::vector<core::TransferDirective> directives =
-          policy->on_failure(node_id, *view);
-      if (trace != nullptr) {
-        trace->events.emit(sim->now(), obs::Kind::kPolicyDecision, node_id, -1,
-                           static_cast<std::uint32_t>(directives.size()));
-      }
-      (*execute_directives)(directives);
-    }
-    void on_recovery(int node_id) const {
-      ++result->recoveries;
-      if (trace != nullptr) trace->events.emit(sim->now(), obs::Kind::kRecover, node_id);
-      const std::vector<core::TransferDirective> directives =
-          policy->on_recovery(node_id, *view);
-      if (trace != nullptr) {
-        trace->events.emit(sim->now(), obs::Kind::kPolicyDecision, node_id, -1,
-                           static_cast<std::uint32_t>(directives.size()));
-      }
-      (*execute_directives)(directives);
-    }
-  };
-  ChurnHooks hooks{&result, trace, &sim, &policy, &view, &execute};
-  // Scheduled nodes swap the alternating-renewal driver for their
-  // deterministic timeline; both feed the same churn hooks, so policies see
-  // an identical event interface. (Sized lazily: unscheduled scenarios skip
-  // the allocation on the per-replication path.)
+  // --- churn: scheduled nodes swap the alternating-renewal driver for their
+  //     deterministic timeline; both feed the same hooks, so policies see an
+  //     identical event interface. (The schedule drivers are sized lazily:
+  //     unscheduled scenarios skip the allocation.) ---
   std::vector<std::unique_ptr<env::ScheduleDriver>> schedules;
   if (!config.schedule.empty()) schedules.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
+    ReplicationWorkspace::State::NodeSlot& slot = ws.nodes[i];
+    slot.ttf.reset();
+    slot.ttr.reset();
     if (config.schedule.scheduled(i)) {
-      auto driver = std::make_unique<env::ScheduleDriver>(sim, config.schedule.per_node[i]);
-      driver->set_handler([ce = ces[i].get(), hooks_ptr = &hooks](bool down) {
-        if (down) {
-          ce->fail();
-          hooks_ptr->on_failure(ce->id());
-        } else {
-          ce->recover();
-          hooks_ptr->on_recovery(ce->id());
-        }
-      });
-      schedules[i] = std::move(driver);
-      churn.push_back(nullptr);
+      schedules[i] = std::make_unique<env::ScheduleDriver>(sim, config.schedule.per_node[i]);
+      schedules[i]->set_handler([r = &rep, i](bool down) { r->on_schedule(i, down); });
+      slot.churn.reset(sim, nullptr, nullptr, rngs[n + i]);  // never started
       continue;
     }
     const markov::NodeParams& np = config.params.nodes[i];
-    stoch::DistributionPtr ttf;
-    stoch::DistributionPtr ttr;
     if (config.churn_enabled && np.lambda_f > 0.0) {
-      ttf = std::make_unique<stoch::Exponential>(np.lambda_f);
-      ttr = std::make_unique<stoch::Exponential>(np.lambda_r);
+      slot.ttf.emplace(np.lambda_f);
+      slot.ttr.emplace(np.lambda_r);
     } else if (config.starts_down(i)) {
       LBSIM_REQUIRE(np.lambda_r > 0.0, "initially-down node " << i << " cannot recover");
-      ttr = std::make_unique<stoch::Exponential>(np.lambda_r);
+      slot.ttr.emplace(np.lambda_r);
     }
-    auto process = std::make_unique<node::FailureProcess>(sim, *ces[i], std::move(ttf),
-                                                          std::move(ttr), rngs[n + i]);
-    process->set_failure_handler([&hooks](int node_id) { hooks.on_failure(node_id); });
-    process->set_recovery_handler([&hooks](int node_id) { hooks.on_recovery(node_id); });
-    churn.push_back(std::move(process));
+    slot.churn.reset(sim, slot.ttf ? &*slot.ttf : nullptr, slot.ttr ? &*slot.ttr : nullptr,
+                     rngs[n + i]);
+    slot.churn.set_failure_handler([r = &rep](int node_id) { r->on_failure(node_id); });
+    slot.churn.set_recovery_handler([r = &rep](int node_id) { r->on_recovery(node_id); });
   }
 
   // --- environment (common-shock CTMC modulating every failure hazard) ---
@@ -478,116 +611,33 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   if (has_environment) {
     environment.emplace(sim, config.environment, *env_rng);
     if (trace != nullptr) environment->set_event_trace(&trace->events);
+    rep.environment = &*environment;
   }
 
   // --- external arrivals (open-system task injection) ---
   std::optional<env::ArrivalProcess> arrivals;
-  struct ArrivalCtx {
-    std::vector<std::unique_ptr<node::ComputeElement>>* ces;
-    CompletionTracker* tracker;
-    RunResult* result;
-    RunTrace* trace;
-    des::Simulator* sim;
-    core::LoadBalancingPolicy* policy;
-    LiveView* view;
-    const decltype(execute)* execute_directives;
-    std::uint64_t* next_id;
-    bool rebalance;
-  };
-  ArrivalCtx arrival_ctx{&ces,  &tracker, &result,  trace,   &sim,
-                         &policy, &view,  &execute, &next_id, config.arrivals.rebalance};
   if (has_arrivals) {
     arrivals.emplace(sim, config.arrivals, n, environment ? &*environment : nullptr,
                      *arrival_rng);
-    arrivals->set_sink([ctx = &arrival_ctx](std::size_t node, std::size_t tasks, bool last) {
-      ctx->tracker->remaining += tasks;
-      ctx->result->tasks_arrived += tasks;
-      (*ctx->ces)[node]->enqueue_units(tasks, *ctx->next_id);
-      *ctx->next_id += tasks;
-      if (ctx->trace != nullptr) {
-        ctx->trace->events.emit(ctx->sim->now(), obs::Kind::kInject,
-                                static_cast<std::int32_t>(node), -1,
-                                static_cast<std::uint32_t>(tasks));
-      }
-      if (ctx->rebalance) {
-        // Section 5's "LB episode at every external arrival": replay the
-        // policy's initial balancing decision against the live queues.
-        const std::vector<core::TransferDirective> directives =
-            ctx->policy->on_start(*ctx->view);
-        if (ctx->trace != nullptr) {
-          ctx->trace->events.emit(ctx->sim->now(), obs::Kind::kPolicyDecision,
-                                  static_cast<std::int32_t>(node), -1,
-                                  static_cast<std::uint32_t>(directives.size()));
-        }
-        (*ctx->execute_directives)(directives);
-      }
-      if (last) {
-        ctx->tracker->injection_done = true;
-        ctx->tracker->maybe_finish();
-      }
+    arrivals->set_sink([r = &rep](std::size_t node, std::size_t tasks, bool last) {
+      r->on_arrival(node, tasks, last);
     });
+    rep.arrivals = &*arrivals;
   }
 
-  // Wire the environment's listener once its consumers exist: re-arm every
-  // stochastic failure process at the new state's hazard and re-draw the MMPP
-  // gap. Listener fires per transition (rare), so the std::function is off
-  // the per-event hot path.
+  // Wire the environment's listener once its consumers exist; the initial
+  // state's multiplier applies to the very first TTF draws.
   if (environment) {
-    struct EnvCtx {
-      std::vector<std::unique_ptr<node::FailureProcess>>* churn;
-      env::Environment* environment;
-      env::ArrivalProcess* arrivals;
-      LiveView* view;
-      const std::vector<net::Topology>* topo_states;  // null unless edge churn
-    };
-    // (The kEnvTransition trace record is emitted by the Environment itself,
-    // before this listener runs.)
     environment->set_transition_listener(
-        [ctx = EnvCtx{&churn, &*environment, arrivals ? &*arrivals : nullptr, &view,
-                      config.topology.dynamic() ? topo_states : nullptr}](
-            std::size_t /*from*/, std::size_t to) {
-          const double mult = ctx.environment->spec().failure_mult[to];
-          for (const auto& process : *ctx.churn) {
-            if (process) process->set_hazard_multiplier(mult);
-          }
-          if (ctx.arrivals != nullptr) ctx.arrivals->on_environment_transition();
-          if (ctx.topo_states != nullptr) {
-            ctx.view->set_topology(&(*ctx.topo_states)[to]);
-          }
-        });
-    // The initial state's multiplier applies to the very first TTF draws.
-    const double mult = environment->failure_multiplier();
-    for (const auto& process : churn) {
-      if (process) process->set_hazard_multiplier(mult);
-    }
+        [r = &rep](std::size_t /*from*/, std::size_t to) { r->on_environment(to); });
+    rep.set_hazard_multiplier(environment->failure_multiplier());
   }
 
   // --- t = 0: policy's initial action, then churn starts ---
-  {
-    const std::vector<core::TransferDirective> initial = policy.on_start(view);
-    if (trace != nullptr) {
-      trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, -1, -1,
-                         static_cast<std::uint32_t>(initial.size()));
-    }
-    execute(initial);
-  }
-  std::function<void()> tick;
+  rep.decide(-1, [&rep] { return rep.policy.on_start(rep.view); });
   if (config.rebalance_period > 0.0) {
     // Recurring timer for periodic policies; stops mattering once done.
-    // `tick` outlives the whole run (the simulation drains inside this
-    // scope), so the rescheduling lambda can reference it directly — a
-    // self-captured shared_ptr here leaks one cycle per replication.
-    tick = [&] {
-      if (tracker.done) return;
-      const std::vector<core::TransferDirective> directives = policy.on_periodic(view);
-      if (trace != nullptr) {
-        trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, -1, -1,
-                           static_cast<std::uint32_t>(directives.size()));
-      }
-      execute(directives);
-      sim.schedule_in(config.rebalance_period, tick);
-    };
-    sim.schedule_in(config.rebalance_period, tick);
+    sim.schedule_in(config.rebalance_period, [r = &rep] { r->tick(); });
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (!schedules.empty() && schedules[i] != nullptr) {
@@ -596,7 +646,7 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     }
     const bool can_churn = config.churn_enabled && config.params.nodes[i].lambda_f > 0.0;
     const bool starts_down = config.starts_down(i);
-    if (can_churn || starts_down) churn[i]->start(starts_down);
+    if (can_churn || starts_down) ws.nodes[i].churn.start(starts_down);
   }
   if (environment) environment->start();
   if (arrivals) arrivals->start();
@@ -607,10 +657,9 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     controls.profile->setup_s +=
         std::chrono::duration<double>(profile_loop - profile_begin).count();
   }
-  sim.run_while_pending([&] { return tracker.done; });
+  sim.run_while_pending([&tracker] { return tracker.done; });
   if (controls.profile != nullptr) {
-    controls.profile->loop_s +=
-        std::chrono::duration<double>(ProfileClock::now() - profile_loop).count();
+    controls.profile->loop_s += seconds_since(profile_loop);
     controls.profile->reps += 1;
     controls.profile->events += sim.executed_events();
   }
@@ -621,9 +670,12 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                                         : " (arrival stream starved: an MMPP state with "
                                           "rate 0 and no environment transitions?)"));
 
+  RunResult& result = rep.result;
   result.completion_time = tracker.completion_time;
   if (environment) result.env_transitions = environment->transitions();
-  for (const auto& ce : ces) result.tasks_completed += ce->stats().tasks_completed;
+  for (std::size_t i = 0; i < n; ++i) {
+    result.tasks_completed += rep.ce(i).stats().tasks_completed;
+  }
   return result;
 }
 

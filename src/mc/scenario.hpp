@@ -41,13 +41,15 @@ struct SteadySpec {
   double warmup_cap = 0.5;
 };
 
-/// A complete experiment description. Move-only (owns prototypes that are
-/// cloned per replication).
+/// A complete experiment description. Move-only: it owns the policy and the
+/// delay model, which engines clone once per worker (clone()); a replication
+/// uses them in place.
 struct ScenarioConfig {
   markov::MultiNodeParams params;
   std::vector<std::size_t> workloads;
   core::PolicyPtr policy;
-  /// Bundle-delay law; when null, ExponentialBundleDelay(params.per_task_delay_mean)
+  /// Bundle-delay law, sampled in place for every bundle (the laws are
+  /// immutable); when null, ExponentialBundleDelay(params.per_task_delay_mean)
   /// — the analytical model — is used.
   net::TransferDelayModelPtr delay_model;
   /// Master switch for churn (false reproduces the paper's no-failure runs
@@ -171,7 +173,7 @@ struct ObsSinks {
 [[nodiscard]] RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                                      std::uint64_t replication, RunTrace* trace = nullptr);
 
-/// Workspace-reusing form: `sim` is reset and driven in place, so its pooled
+/// Simulator-reusing form: `sim` is reset and driven in place, so its pooled
 /// event slab (and heap capacity) is recycled across a replication loop.
 /// Results are bit-identical to the fresh-simulator overload.
 [[nodiscard]] RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
@@ -193,11 +195,35 @@ struct SteadyProbe {
 };
 
 /// Probe-carrying form of run_scenario. With a default probe this is exactly
-/// the workspace-reusing overload; a probe with target_completions > 0 is the
+/// the simulator-reusing overload; a probe with target_completions > 0 is the
 /// only path that accepts an unbounded arrival stream.
 [[nodiscard]] RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                                      std::uint64_t replication, RunTrace* trace,
                                      des::Simulator& sim, const SteadyProbe& probe);
+
+/// A per-worker replication workspace: the nodes, churn drivers, RNG-stream
+/// and hot-state arrays, in-flight bundle slots and task-block pool that a
+/// replication wires up, kept between replications so a worker's loop reuses
+/// their capacity instead of reallocating it. It keeps capacity, never values:
+/// run_scenario resets it at the start of every replication and re-derives
+/// everything from that replication's config, so one workspace serves any
+/// sequence of configs (a smaller n after a larger one, the VR target and its
+/// surrogate in turn), and a replication that threw leaves it usable. One per
+/// worker, like the worker's des::Simulator; see docs/ARCHITECTURE.md,
+/// "Replication workspace".
+class ReplicationWorkspace {
+ public:
+  ReplicationWorkspace();
+  ~ReplicationWorkspace();
+  ReplicationWorkspace(const ReplicationWorkspace&) = delete;
+  ReplicationWorkspace& operator=(const ReplicationWorkspace&) = delete;
+
+  struct State;  // defined with run_scenario
+  [[nodiscard]] State& state() noexcept { return *state_; }
+
+ private:
+  std::unique_ptr<State> state_;
+};
 
 /// Estimator-layer knobs threaded into the replication wiring (consumed by
 /// the MC engine's variance-reduction modes; the defaults reproduce the
@@ -216,6 +242,9 @@ struct RunControls {
   /// config, built once by the caller and shared read-only by every
   /// replication and worker; null builds the graphs inside the replication.
   const std::vector<net::Topology>* topology_states = nullptr;
+  /// When non-null, the caller's per-worker workspace, reset and reused by
+  /// this replication; null builds a fresh one for this call alone.
+  ReplicationWorkspace* workspace = nullptr;
 };
 
 /// The scenario's exchange graphs: empty for a complete topology, the one

@@ -64,10 +64,12 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
   const auto worker = [&](unsigned tid) {
     const ScenarioConfig local = config.clone();
     des::Simulator sim;
+    ReplicationWorkspace workspace;
     std::vector<double> log;
     obs::Registry* metrics = sc.obs.metrics != nullptr ? &worker_metrics[tid] : nullptr;
     RunControls controls;
     controls.topology_states = &topology_states;
+    controls.workspace = &workspace;
     if (sc.obs.profile != nullptr) controls.profile = &worker_profiles[tid];
     for (std::size_t rep = tid; rep < sc.replications; rep += threads) {
       log.clear();

@@ -6,8 +6,33 @@ namespace lbsim::node {
 
 ComputeElement::ComputeElement(des::Simulator& sim, int id, ServiceTimeFn service_time,
                                stoch::RngStream& rng)
-    : sim_(sim), id_(id), service_time_(std::move(service_time)), rng_(rng) {
+    : sim_(&sim), id_(id), service_time_(std::move(service_time)), rng_(&rng) {
   LBSIM_REQUIRE(service_time_ != nullptr, "CE " << id << " needs a service-time function");
+}
+
+ComputeElement::ComputeElement(BlockPool& pool) : queue_(BlockAllocator<Task>(&pool)) {}
+
+void ComputeElement::reset(des::Simulator& sim, int id, ServiceTimeFn service_time,
+                           stoch::RngStream& rng) {
+  LBSIM_REQUIRE(service_time != nullptr, "CE " << id << " needs a service-time function");
+  sim_ = &sim;
+  id_ = id;
+  service_time_ = std::move(service_time);
+  rng_ = &rng;
+  queue_.clear();
+  up_ = true;
+  serving_ = false;
+  service_event_ = des::EventId{};
+  service_started_at_ = 0.0;
+  current_service_duration_ = 0.0;
+  frozen_remaining_.reset();
+  went_down_at_ = 0.0;
+  on_complete_ = nullptr;
+  queue_trace_ = nullptr;
+  event_trace_ = nullptr;
+  hot_queue_len_ = nullptr;
+  hot_up_ = nullptr;
+  stats_ = CeStats{};
 }
 
 void ComputeElement::record_queue() const {
@@ -15,7 +40,7 @@ void ComputeElement::record_queue() const {
     *hot_queue_len_ = static_cast<std::uint32_t>(queue_.size());
   }
   if (queue_trace_ != nullptr) {
-    queue_trace_->record(sim_.now(), static_cast<double>(queue_.size()));
+    queue_trace_->record(sim_->now(), static_cast<double>(queue_.size()));
   }
 }
 
@@ -34,64 +59,82 @@ void ComputeElement::bind_hot_cells(std::uint32_t* queue_len, std::uint8_t* up) 
 }
 
 void ComputeElement::enqueue(Task task) {
-  task.arrival_time = sim_.now();
+  task.arrival_time = sim_->now();
   queue_.push_back(task);
   ++stats_.tasks_received;
   if (event_trace_ != nullptr) {
-    event_trace_->emit(sim_.now(), obs::Kind::kTaskArrive, id_, -1, 1, task.id);
+    event_trace_->emit(sim_->now(), obs::Kind::kTaskArrive, id_, -1, 1, task.id);
   }
   record_queue();
   maybe_start_service();
 }
 
-void ComputeElement::enqueue_batch(TaskBatch batch) {
+template <typename Batch>
+void ComputeElement::append(Batch& batch) {
   if (batch.empty()) return;
-  for (Task& task : batch) {
+  for (const Task& task : batch) {
     queue_.push_back(task);
   }
   stats_.tasks_received += batch.size();
   if (event_trace_ != nullptr) {
-    event_trace_->emit(sim_.now(), obs::Kind::kTaskArrive, id_, -1,
+    event_trace_->emit(sim_->now(), obs::Kind::kTaskArrive, id_, -1,
                        static_cast<std::uint32_t>(batch.size()));
   }
   record_queue();
   maybe_start_service();
 }
 
+void ComputeElement::enqueue_batch(TaskBatch batch) { append(batch); }
+
+void ComputeElement::enqueue_batch(TaskChain& batch) {
+  append(batch);
+  batch.clear();
+}
+
 void ComputeElement::enqueue_units(std::size_t count, std::uint64_t first_id) {
   if (count == 0) return;
   for (std::size_t i = 0; i < count; ++i) {
-    queue_.push_back(Task{first_id + i, 1.0, id_, sim_.now()});
+    queue_.push_back(Task{first_id + i, 1.0, id_, sim_->now()});
   }
   stats_.tasks_received += count;
   if (event_trace_ != nullptr) {
-    event_trace_->emit(sim_.now(), obs::Kind::kTaskArrive, id_, -1,
+    event_trace_->emit(sim_->now(), obs::Kind::kTaskArrive, id_, -1,
                        static_cast<std::uint32_t>(count), first_id);
   }
   record_queue();
   maybe_start_service();
 }
 
-TaskBatch ComputeElement::extract_tasks(std::size_t count) {
-  TaskBatch out;
+template <typename Out>
+std::size_t ComputeElement::extract_into(std::size_t count, Out& out) {
   const std::size_t take = std::min(count, queue_.size());
-  if (take == 0) return out;
+  if (take == 0) return 0;
   // Abort the running/frozen service only when the head task itself leaves.
   if (take == queue_.size()) {
     if (serving_) {
-      sim_.cancel(service_event_);
+      sim_->cancel(service_event_);
       serving_ = false;
     }
     frozen_remaining_.reset();
   }
-  out.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
     out.push_back(queue_.back());
     queue_.pop_back();
   }
   stats_.tasks_extracted += take;
   record_queue();
+  return take;
+}
+
+TaskBatch ComputeElement::extract_tasks(std::size_t count) {
+  TaskBatch out;
+  out.reserve(std::min(count, queue_.size()));
+  extract_into(count, out);
   return out;
+}
+
+std::size_t ComputeElement::extract_tasks(std::size_t count, TaskChain& out) {
+  return extract_into(count, out);
 }
 
 void ComputeElement::maybe_start_service() {
@@ -100,17 +143,17 @@ void ComputeElement::maybe_start_service() {
     current_service_duration_ = *frozen_remaining_;
     frozen_remaining_.reset();
   } else {
-    current_service_duration_ = service_time_(queue_.front(), rng_);
+    current_service_duration_ = service_time_(queue_.front(), *rng_);
     LBSIM_CHECK(current_service_duration_ >= 0.0, "negative service time");
   }
   serving_ = true;
-  service_started_at_ = sim_.now();
+  service_started_at_ = sim_->now();
   if (event_trace_ != nullptr) {
-    event_trace_->emit(sim_.now(), obs::Kind::kServiceStart, id_, -1, 1,
+    event_trace_->emit(sim_->now(), obs::Kind::kServiceStart, id_, -1, 1,
                        obs::Record::pack_f64(current_service_duration_));
   }
   service_event_ =
-      sim_.schedule_in(current_service_duration_, [this] { finish_current_task(); });
+      sim_->schedule_in(current_service_duration_, [this] { finish_current_task(); });
 }
 
 void ComputeElement::finish_current_task() {
@@ -121,7 +164,7 @@ void ComputeElement::finish_current_task() {
   ++stats_.tasks_completed;
   stats_.service_time_done += current_service_duration_;
   if (event_trace_ != nullptr) {
-    event_trace_->emit(sim_.now(), obs::Kind::kTaskComplete, id_, -1, 1, done.id);
+    event_trace_->emit(sim_->now(), obs::Kind::kTaskComplete, id_, -1, 1, done.id);
   }
   record_queue();
   if (on_complete_) on_complete_(done);
@@ -133,11 +176,11 @@ void ComputeElement::fail() {
   up_ = false;
   if (hot_up_ != nullptr) *hot_up_ = 0;
   ++stats_.failures;
-  went_down_at_ = sim_.now();
+  went_down_at_ = sim_->now();
   if (serving_) {
-    sim_.cancel(service_event_);
+    sim_->cancel(service_event_);
     serving_ = false;
-    const double elapsed = sim_.now() - service_started_at_;
+    const double elapsed = sim_->now() - service_started_at_;
     frozen_remaining_ = std::max(0.0, current_service_duration_ - elapsed);
   }
 }
@@ -147,7 +190,7 @@ void ComputeElement::recover() {
   up_ = true;
   if (hot_up_ != nullptr) *hot_up_ = 1;
   ++stats_.recoveries;
-  stats_.down_time += sim_.now() - went_down_at_;
+  stats_.down_time += sim_->now() - went_down_at_;
   maybe_start_service();
 }
 

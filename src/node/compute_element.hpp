@@ -10,10 +10,10 @@
 /// which is what the regeneration analysis assumes; under the testbed's
 /// size-based service times it models checkpoint-resume faithfully.
 
-#include <deque>
 #include <functional>
 #include <optional>
 
+#include "node/block_pool.hpp"
 #include "node/task.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
@@ -42,12 +42,27 @@ class ComputeElement {
   using CompletionHandler = std::function<void(const Task&)>;
   using Handle = std::function<void(int node_id)>;
 
-  /// The CE references the kernel and its private RNG stream; both must outlive it.
+  /// A standalone CE, ready to use: it references the kernel and its private
+  /// RNG stream (both must outlive it), and its queue draws from the global
+  /// heap.
   ComputeElement(des::Simulator& sim, int id, ServiceTimeFn service_time,
                  stoch::RngStream& rng);
 
+  /// A workspace CE: its queue draws blocks from `pool` (which must outlive
+  /// it), and it is unusable until reset() seats it.
+  explicit ComputeElement(BlockPool& pool);
+
   ComputeElement(const ComputeElement&) = delete;
   ComputeElement& operator=(const ComputeElement&) = delete;
+
+  /// Returns the CE to the state the standalone constructor leaves, re-seated
+  /// on `sim`, `id`, `service_time` and `rng`: an empty queue (its capacity
+  /// is kept), up, idle, zero stats, and no handler, trace or hot cells bound.
+  /// Anything the CE had scheduled must already be gone (des::Simulator::reset).
+  void reset(des::Simulator& sim, int id, ServiceTimeFn service_time, stoch::RngStream& rng);
+
+  /// Drops every queued task (their blocks go back to the queue's pool).
+  void clear_queue() noexcept { queue_.clear(); }
 
   [[nodiscard]] int id() const noexcept { return id_; }
   [[nodiscard]] bool is_up() const noexcept { return up_; }
@@ -58,6 +73,8 @@ class ComputeElement {
   /// Appends tasks and starts service if possible. Works while down (tasks wait).
   void enqueue(Task task);
   void enqueue_batch(TaskBatch batch);
+  /// Appends every task of `batch`, in order, and leaves `batch` empty.
+  void enqueue_batch(TaskChain& batch);
 
   /// Appends `count` unit-size tasks with ids `first_id`, `first_id`+1, ...
   /// originating here — equivalent to enqueue_batch(make_unit_tasks(...))
@@ -68,6 +85,9 @@ class ComputeElement {
   /// queued work leaves first; the in-service task is only taken if the request
   /// drains the whole queue, in which case the service is aborted).
   [[nodiscard]] TaskBatch extract_tasks(std::size_t count);
+  /// The same extraction, appended to `out` in extraction order; returns the
+  /// number of tasks taken.
+  std::size_t extract_tasks(std::size_t count, TaskChain& out);
 
   /// Transitions to the down state, freezing any in-service task. No-op if down.
   void fail();
@@ -97,16 +117,20 @@ class ComputeElement {
   [[nodiscard]] const CeStats& stats() const noexcept { return stats_; }
 
  private:
+  template <typename Batch>
+  void append(Batch& batch);
+  template <typename Out>
+  std::size_t extract_into(std::size_t count, Out& out);
   void maybe_start_service();
   void finish_current_task();
   void record_queue() const;
 
-  des::Simulator& sim_;
-  int id_;
+  des::Simulator* sim_ = nullptr;
+  int id_ = 0;
   ServiceTimeFn service_time_;
-  stoch::RngStream& rng_;
+  stoch::RngStream* rng_ = nullptr;
 
-  std::deque<Task> queue_;
+  TaskQueue queue_;
   bool up_ = true;
   bool serving_ = false;
   des::EventId service_event_;

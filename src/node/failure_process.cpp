@@ -9,13 +9,29 @@ FailureProcess::FailureProcess(des::Simulator& sim, ComputeElement& ce,
                                stoch::DistributionPtr time_to_failure,
                                stoch::DistributionPtr time_to_recovery,
                                stoch::RngStream& rng)
-    : sim_(sim),
-      ce_(ce),
-      ttf_(std::move(time_to_failure)),
-      ttr_(std::move(time_to_recovery)),
-      rng_(rng) {
-  LBSIM_REQUIRE(ttf_ == nullptr || ttr_ != nullptr,
+    : ce_(ce),
+      owned_ttf_(std::move(time_to_failure)),
+      owned_ttr_(std::move(time_to_recovery)) {
+  reset(sim, owned_ttf_.get(), owned_ttr_.get(), rng);
+}
+
+FailureProcess::FailureProcess(ComputeElement& ce) : ce_(ce) {}
+
+void FailureProcess::reset(des::Simulator& sim, const stoch::Distribution* time_to_failure,
+                           const stoch::Distribution* time_to_recovery,
+                           stoch::RngStream& rng) {
+  LBSIM_REQUIRE(time_to_failure == nullptr || time_to_recovery != nullptr,
                 "a node that can fail needs a recovery law");
+  sim_ = &sim;
+  ttf_ = time_to_failure;
+  ttr_ = time_to_recovery;
+  rng_ = &rng;
+  pending_ = des::EventId{};
+  running_ = false;
+  hazard_mult_ = 1.0;
+  failure_armed_ = false;
+  on_failure_ = nullptr;
+  on_recovery_ = nullptr;
 }
 
 void FailureProcess::start(bool initially_down) {
@@ -35,7 +51,7 @@ void FailureProcess::stop() {
   if (!running_) return;
   running_ = false;
   failure_armed_ = false;
-  sim_.cancel(pending_);
+  sim_->cancel(pending_);
 }
 
 void FailureProcess::set_hazard_multiplier(double mult) {
@@ -45,7 +61,7 @@ void FailureProcess::set_hazard_multiplier(double mult) {
     // Refresh the pending draw at the new hazard. Exact for exponential TTF
     // (memorylessness); for other laws this is the standard regenerative
     // approximation of a modulated hazard.
-    sim_.cancel(pending_);
+    sim_->cancel(pending_);
     failure_armed_ = false;
     arm_failure();
   }
@@ -53,12 +69,12 @@ void FailureProcess::set_hazard_multiplier(double mult) {
 
 void FailureProcess::arm_failure() {
   if (ttf_ == nullptr) return;  // perfectly reliable node
-  pending_ = sim_.schedule_in(ttf_->sample(rng_) / hazard_mult_, [this] { fire_failure(); });
+  pending_ = sim_->schedule_in(ttf_->sample(*rng_) / hazard_mult_, [this] { fire_failure(); });
   failure_armed_ = true;
 }
 
 void FailureProcess::arm_recovery() {
-  pending_ = sim_.schedule_in(ttr_->sample(rng_), [this] { fire_recovery(); });
+  pending_ = sim_->schedule_in(ttr_->sample(*rng_), [this] { fire_recovery(); });
 }
 
 void FailureProcess::fire_failure() {

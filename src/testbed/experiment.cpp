@@ -169,6 +169,15 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
     views.emplace_back(static_cast<int>(i), config.params, ces, board);
   }
 
+  // Runs one policy hook, timing it into policy_s when profiled.
+  const auto decide = [profile](const auto& hook) {
+    if (profile == nullptr) return hook();
+    const ProfileClock::time_point begin = ProfileClock::now();
+    std::vector<core::TransferDirective> directives = hook();
+    profile->policy_s += std::chrono::duration<double>(ProfileClock::now() - begin).count();
+    return directives;
+  };
+
   // Staleness accounting: the age of every peer entry a decision consults.
   const auto sample_staleness = [&](int acting_node) {
     for (std::size_t peer = 0; peer < n; ++peer) {
@@ -197,7 +206,8 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<core::TransferDirective> mine;
       sample_staleness(static_cast<int>(i));
-      for (const core::TransferDirective& d : policy.on_start(views[i])) {
+      for (const core::TransferDirective& d :
+           decide([&] { return policy.on_start(views[i]); })) {
         if (d.from == static_cast<int>(i)) mine.push_back(d);
       }
       if (trace != nullptr) {
@@ -215,7 +225,7 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
       // The backup agent of the failing node reacts with its local view.
       sample_staleness(node_id);
       const std::vector<core::TransferDirective> directives =
-          policy.on_failure(node_id, views[i]);
+          decide([&] { return policy.on_failure(node_id, views[i]); });
       if (trace != nullptr) {
         trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, node_id, -1,
                            static_cast<std::uint32_t>(directives.size()));
@@ -227,7 +237,7 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
       if (trace != nullptr) trace->events.emit(sim.now(), obs::Kind::kRecover, node_id);
       sample_staleness(node_id);
       const std::vector<core::TransferDirective> directives =
-          policy.on_recovery(node_id, views[i]);
+          decide([&] { return policy.on_recovery(node_id, views[i]); });
       if (trace != nullptr) {
         trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, node_id, -1,
                            static_cast<std::uint32_t>(directives.size()));

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <iterator>
+#include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,7 @@
 #include "core/baseline.hpp"
 #include "core/lbp1.hpp"
 #include "core/lbp2.hpp"
+#include "core/policy.hpp"
 #include "markov/two_node_mean.hpp"
 #include "mc/engine.hpp"
 #include "mc/scenario.hpp"
@@ -52,6 +57,65 @@ TEST(ScenarioTest, DeterministicGivenSeedAndReplication) {
   EXPECT_EQ(a.failures, b.failures);
 }
 
+ScenarioConfig family_config(const std::string& family, const std::string& overrides = "") {
+  const cli::ScenarioSpec& spec = cli::find_scenario(family);
+  cli::RawConfig raw;
+  std::istringstream words(overrides);
+  for (std::string word; words >> word;) cli::apply_override(raw, word);
+  return spec.build(spec.schema.resolve(raw));
+}
+
+/// Bitwise equality (EXPECT_DOUBLE_EQ would allow 4 ULPs).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_stats(const stoch::RunningStats& a, const stoch::RunningStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_TRUE(same_bits(a.mean(), b.mean())) << what << " mean";
+  EXPECT_TRUE(same_bits(a.variance(), b.variance())) << what << " variance";
+  EXPECT_TRUE(same_bits(a.min(), b.min())) << what << " min";
+  EXPECT_TRUE(same_bits(a.max(), b.max())) << what << " max";
+}
+
+// A new RunResult field must be added to expect_bit_identical below.
+static_assert(sizeof(RunResult) == 9 * 8 + 2 * sizeof(stoch::RunningStats));
+
+/// Every RunResult field, bit for bit.
+void expect_bit_identical(const RunResult& a, const RunResult& b, const std::string& where) {
+  EXPECT_TRUE(same_bits(a.completion_time, b.completion_time)) << where;
+  EXPECT_EQ(a.failures, b.failures) << where;
+  EXPECT_EQ(a.recoveries, b.recoveries) << where;
+  EXPECT_EQ(a.bundles_sent, b.bundles_sent) << where;
+  EXPECT_EQ(a.tasks_moved, b.tasks_moved) << where;
+  EXPECT_EQ(a.tasks_completed, b.tasks_completed) << where;
+  EXPECT_EQ(a.tasks_arrived, b.tasks_arrived) << where;
+  EXPECT_EQ(a.env_transitions, b.env_transitions) << where;
+  EXPECT_EQ(a.state_packets_lost, b.state_packets_lost) << where;
+  expect_same_stats(a.sojourn, b.sojourn, where + " sojourn");
+  expect_same_stats(a.state_age, b.state_age, where + " state_age");
+}
+
+/// Both traces, record for record and bit for bit: the event log and the
+/// per-node queue-length series.
+void expect_same_trace(const RunTrace& a, const RunTrace& b, const std::string& where) {
+  const std::vector<obs::Record> ra = a.events.to_vector();
+  const std::vector<obs::Record> rb = b.events.to_vector();
+  ASSERT_EQ(ra.size(), rb.size()) << where;
+  EXPECT_EQ(std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(obs::Record)), 0) << where;
+  ASSERT_EQ(a.queue_lengths.size(), b.queue_lengths.size()) << where;
+  for (std::size_t i = 0; i < a.queue_lengths.size(); ++i) {
+    const auto& pa = a.queue_lengths[i].points();
+    const auto& pb = b.queue_lengths[i].points();
+    ASSERT_EQ(pa.size(), pb.size()) << where << " node " << i;
+    for (std::size_t k = 0; k < pa.size(); ++k) {
+      EXPECT_TRUE(same_bits(pa[k].time, pb[k].time) && same_bits(pa[k].value, pb[k].value))
+          << where << " node " << i << " point " << k;
+    }
+  }
+}
+
 TEST(ScenarioTest, ReusedSimulatorBitIdenticalToFreshOne) {
   // The engine recycles one simulator (and its pooled event slab) across a
   // worker's replication loop; recycling must not change a single bit.
@@ -60,9 +124,119 @@ TEST(ScenarioTest, ReusedSimulatorBitIdenticalToFreshOne) {
   for (std::uint64_t rep = 0; rep < 5; ++rep) {
     const RunResult fresh = run_scenario(config, 7, rep);
     const RunResult recycled = run_scenario(config, 7, rep, nullptr, reused);
-    EXPECT_DOUBLE_EQ(fresh.completion_time, recycled.completion_time) << "rep " << rep;
-    EXPECT_EQ(fresh.failures, recycled.failures) << "rep " << rep;
-    EXPECT_EQ(fresh.tasks_moved, recycled.tasks_moved) << "rep " << rep;
+    expect_bit_identical(fresh, recycled, "rep " + std::to_string(rep));
+  }
+}
+
+/// Delegates to another policy and throws from its second failure hook of a
+/// replication, so the replication dies mid-run with work queued everywhere.
+class ThrowsAtSecondFailure final : public core::LoadBalancingPolicy {
+ public:
+  explicit ThrowsAtSecondFailure(core::PolicyPtr inner) : inner_(std::move(inner)) {}
+  [[nodiscard]] std::string name() const override { return "throws"; }
+  [[nodiscard]] std::vector<core::TransferDirective> on_start(
+      const core::SystemView& view) override {
+    failures_ = 0;
+    return inner_->on_start(view);
+  }
+  [[nodiscard]] std::vector<core::TransferDirective> on_failure(
+      int node, const core::SystemView& view) override {
+    if (++failures_ == 2) throw std::runtime_error("policy failed mid-run");
+    return inner_->on_failure(node, view);
+  }
+  [[nodiscard]] core::PolicyPtr clone() const override {
+    return std::make_unique<ThrowsAtSecondFailure>(inner_->clone());
+  }
+
+ private:
+  core::PolicyPtr inner_;
+  int failures_ = 0;
+};
+
+TEST(ScenarioTest, ReusedWorkspaceIsInvisibleInAnyOrder) {
+  // One simulator and one workspace serve a scrambled sequence of very
+  // different replications; each must match the same replication run on a
+  // fresh workspace, trace included. The sequence covers a larger n before a
+  // smaller one, 1,008 t = 0 bundles, edge churn, periodic and scheduled
+  // churn, a steady window that stops with a bundle in flight, a VR target
+  // and its churn-free surrogate, and a replication that throws mid-run.
+  constexpr std::uint64_t kSeed = 0x5eed2006;
+  const ScenarioConfig many = family_config("many-node-churn", "nodes=64");
+  const ScenarioConfig two = family_config("paper-two-node");
+  const ScenarioConfig graph =
+      family_config("graph-rr", "topology.churn.drop=0.5 env.storm.mult=4");
+  const ScenarioConfig periodic = family_config("periodic-rebalance");
+  const ScenarioConfig scheduled = family_config("scheduled-churn");
+  const ScenarioConfig open = family_config("open-steady");
+  ScenarioConfig surrogate = two.clone();  // as the control-variate plan builds it
+  surrogate.churn_enabled = false;
+  surrogate.initially_down = 0;
+  surrogate.schedule = env::Schedule{};
+  ScenarioConfig throwing = many.clone();
+  throwing.policy = std::make_unique<ThrowsAtSecondFailure>(many.policy->clone());
+
+  struct Job {
+    std::string label;
+    const ScenarioConfig* config;
+    std::uint64_t replication;
+    std::size_t target_completions = 0;  // > 0: a steady window
+    bool antithetic = false;
+    /// Run right after on the same workspace (the VR surrogate after its target).
+    const ScenarioConfig* then = nullptr;
+  };
+  std::vector<Job> jobs;
+  for (std::uint64_t rep = 0; rep < 2; ++rep) {
+    const std::string r = " rep " + std::to_string(rep);
+    jobs.push_back({"many-node-churn nodes=64" + r, &many, rep});
+    jobs.push_back({"paper-two-node" + r, &two, rep});
+    jobs.push_back({"graph-rr edge churn" + r, &graph, rep});
+    jobs.push_back({"periodic-rebalance" + r, &periodic, rep});
+    jobs.push_back({"scheduled-churn" + r, &scheduled, rep});
+    // The antithetic VR pair (2k, 2k+1): one stream id, the odd member mirrored.
+    jobs.push_back({"vr pair" + r, &two, 3, 0, rep == 1, &surrogate});
+  }
+  jobs.push_back({"open-steady window", &open, 0, 590});
+  jobs.push_back({"throwing policy", &throwing, 0});
+  std::mt19937 shuffle_rng(20061);
+  std::shuffle(jobs.begin(), jobs.end(), shuffle_rng);
+
+  des::Simulator sim;
+  ReplicationWorkspace workspace;
+  const auto check = [&](const Job& job, const ScenarioConfig& config) {
+    RunControls controls;
+    controls.antithetic = job.antithetic;
+    RunTrace fresh_trace;
+    RunTrace reused_trace;
+    std::vector<double> fresh_log;
+    std::vector<double> reused_log;
+    des::Simulator fresh_sim;
+    const RunResult fresh =
+        run_scenario(config, kSeed, job.replication, &fresh_trace, fresh_sim,
+                     SteadyProbe{job.target_completions, &fresh_log}, controls);
+    controls.workspace = &workspace;
+    const RunResult reused =
+        run_scenario(config, kSeed, job.replication, &reused_trace, sim,
+                     SteadyProbe{job.target_completions, &reused_log}, controls);
+    expect_bit_identical(fresh, reused, job.label);
+    expect_same_trace(fresh_trace, reused_trace, job.label);
+    EXPECT_EQ(fresh_log, reused_log) << job.label;
+    if (job.target_completions > 0) {
+      // The window really did stop with a bundle still in flight.
+      EXPECT_GT(fresh_trace.events.count(obs::Kind::kTransferSend),
+                fresh_trace.events.count(obs::Kind::kTransferDeliver));
+    }
+  };
+  for (const Job& job : jobs) {
+    if (job.config == &throwing) {
+      RunControls controls;
+      controls.workspace = &workspace;
+      EXPECT_THROW(
+          (void)run_scenario(throwing, kSeed, 0, nullptr, sim, SteadyProbe{}, controls),
+          std::runtime_error);
+      continue;
+    }
+    check(job, *job.config);
+    if (job.then != nullptr) check(job, *job.then);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -369,17 +370,20 @@ TEST(ObsProfile, MergeSumsAndEngineFillsPhases) {
   a.streams_s = 0.25;
   a.loop_s = 2.0;
   a.fold_s = 0.5;
+  a.policy_s = 0.125;
   a.reps = 3;
   a.events = 100;
   obs::PhaseProfile b;
   b.streams_s = 0.5;
   b.loop_s = 4.0;
+  b.policy_s = 0.25;
   b.reps = 2;
   b.events = 23;
   a.merge(b);
   EXPECT_DOUBLE_EQ(a.streams_s, 0.75);
   EXPECT_DOUBLE_EQ(a.loop_s, 6.0);
-  EXPECT_DOUBLE_EQ(a.total_s(), 7.5);  // streams_s lies inside setup_s
+  EXPECT_DOUBLE_EQ(a.policy_s, 0.375);
+  EXPECT_DOUBLE_EQ(a.total_s(), 7.5);  // streams_s and policy_s lie inside the phases
   EXPECT_EQ(a.reps, 5u);
   EXPECT_EQ(a.events, 123u);
 
@@ -393,29 +397,51 @@ TEST(ObsProfile, MergeSumsAndEngineFillsPhases) {
   mc.threads = 1;
   mc.obs.profile = &profile;
   mc.obs.metrics = &metrics;
-  (void)mc::run_monte_carlo(config, mc);
+  const mc::McResult profiled = mc::run_monte_carlo(config, mc);
   EXPECT_EQ(profile.reps, 4u);
   EXPECT_GT(profile.loop_s, 0.0);
   EXPECT_GT(profile.streams_s, 0.0);
   EXPECT_LE(profile.streams_s, profile.setup_s);
   EXPECT_GE(profile.total_s(), profile.loop_s);
+  // The policy hooks (LBP-1's t = 0 split among them) run inside setup and loop.
+  EXPECT_GT(profile.policy_s, 0.0);
+  EXPECT_LE(profile.policy_s, profile.setup_s + profile.loop_s);
   // Every event of the run fires inside the loop the profile brackets.
   EXPECT_GT(profile.events, 0u);
   EXPECT_EQ(profile.events, metrics.counter("des.events.popped").value());
+  // Profiling reads the clock only: the statistics do not move a bit.
+  mc::McConfig unprofiled = mc;
+  unprofiled.obs = {};
+  const mc::McResult plain = mc::run_monte_carlo(config, unprofiled);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.mean()),
+            std::bit_cast<std::uint64_t>(profiled.mean()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.completion.variance()),
+            std::bit_cast<std::uint64_t>(profiled.completion.variance()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.sojourn.mean()),
+            std::bit_cast<std::uint64_t>(profiled.sojourn.mean()));
 
   obs::PhaseProfile bed_profile;
   obs::Registry bed_metrics;
   mc::ObsSinks sinks;
   sinks.profile = &bed_profile;
   sinks.metrics = &bed_metrics;
-  (void)testbed::run_experiment(
-      testbed::paper_testbed(40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35)), 4,
-      test::kFixedSeed, 1, sinks);
+  const testbed::TestbedConfig bed =
+      testbed::paper_testbed(40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35));
+  const testbed::ExperimentSummary bed_profiled =
+      testbed::run_experiment(bed, 4, test::kFixedSeed, 1, sinks);
   EXPECT_EQ(bed_profile.reps, 4u);
   EXPECT_GT(bed_profile.streams_s, 0.0);
   EXPECT_LE(bed_profile.streams_s, bed_profile.setup_s);
+  EXPECT_GT(bed_profile.policy_s, 0.0);
+  EXPECT_LE(bed_profile.policy_s, bed_profile.setup_s + bed_profile.loop_s);
   EXPECT_GT(bed_profile.events, 0u);
   EXPECT_EQ(bed_profile.events, bed_metrics.counter("des.events.popped").value());
+  const testbed::ExperimentSummary bed_plain =
+      testbed::run_experiment(bed, 4, test::kFixedSeed, 1);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(bed_plain.mean()),
+            std::bit_cast<std::uint64_t>(bed_profiled.mean()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(bed_plain.state_age.mean()),
+            std::bit_cast<std::uint64_t>(bed_profiled.state_age.mean()));
 }
 
 // ---------- bit identity: the invariant the whole layer hangs on ----------
