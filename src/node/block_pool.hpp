@@ -64,8 +64,8 @@ class BlockPool {
   };
 
   void grow() {
-    chunks_ = ::new (::operator new(sizeof(Chunk) + kChunkBlocks * kBlockBytes))
-        Chunk{chunks_};
+    void* raw = ::operator new(sizeof(Chunk) + kChunkBlocks * kBlockBytes);
+    chunks_ = ::new (raw) Chunk{chunks_};
     std::byte* first = reinterpret_cast<std::byte*>(chunks_ + 1);
     for (std::size_t b = kChunkBlocks; b-- > 0;) deallocate(first + b * kBlockBytes);
   }

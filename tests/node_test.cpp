@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "node/block_pool.hpp"
 #include "node/compute_element.hpp"
 #include "node/failure_process.hpp"
 #include "node/task.hpp"
@@ -172,7 +174,90 @@ TEST(ComputeElementTest, StochasticServiceUsesProvidedStream) {
   EXPECT_DOUBLE_EQ(t_a, sim2.now());  // same stream, same trajectory
 }
 
+// ---------- workspace form: pooled queues and bundles, reset ----------
+
+TEST(ComputeElementTest, PooledBundleKeepsExtractionOrderAcrossBlocks) {
+  // 40 tasks span three pool blocks of a bundle; they must leave and arrive in
+  // exactly the order of the heap-allocated TaskBatch path (back of the queue
+  // first).
+  Fixture f;
+  BlockPool pool;
+  ComputeElement pooled(pool);
+  pooled.reset(f.sim, 0, unit_service(), f.rng);
+  ComputeElement plain(f.sim, 1, unit_service(), f.rng);
+  pooled.enqueue_units(50, 1);
+  plain.enqueue_units(50, 1);
+  TaskChain bundle(pool);
+  EXPECT_EQ(pooled.extract_tasks(40, bundle), 40u);
+  const TaskBatch batch = plain.extract_tasks(40);
+  ASSERT_EQ(bundle.size(), batch.size());
+  std::vector<std::uint64_t> expected;
+  for (const Task& task : batch) expected.push_back(task.id);
+  ComputeElement receiver(pool);
+  receiver.reset(f.sim, 2, unit_service(), f.rng);
+  std::vector<std::uint64_t> completed;
+  receiver.set_completion_handler([&](const Task& t) { completed.push_back(t.id); });
+  receiver.enqueue_batch(bundle);
+  EXPECT_TRUE(bundle.empty());
+  EXPECT_EQ(receiver.stats().tasks_received, 40u);
+  f.sim.run();
+  EXPECT_EQ(completed, expected);
+  EXPECT_EQ(pooled.stats().tasks_completed, 10u);
+}
+
+TEST(ComputeElementTest, ResetReturnsAWorkspaceCeToItsFreshState) {
+  Fixture f;
+  BlockPool pool;
+  ComputeElement ce(pool);
+  ce.reset(f.sim, 3, unit_service(), f.rng);
+  ce.enqueue_units(5, 1);
+  f.sim.schedule_at(0.5, [&] { ce.fail(); });  // freezes task 1 half done
+  f.sim.run_until(1.0);
+  ASSERT_FALSE(ce.is_up());
+  // The next replication resets the kernel first, then the CE.
+  f.sim.reset();
+  ce.reset(f.sim, 4, unit_service(), f.rng);
+  EXPECT_EQ(ce.id(), 4);
+  EXPECT_TRUE(ce.is_up());
+  EXPECT_EQ(ce.queue_length(), 0u);
+  EXPECT_EQ(ce.stats().failures, 0u);
+  EXPECT_EQ(ce.stats().tasks_received, 0u);
+  // No frozen work carries over: the first task takes its full second.
+  ce.enqueue_units(1, 1);
+  f.sim.run();
+  EXPECT_DOUBLE_EQ(f.sim.now(), 1.0);
+  EXPECT_EQ(ce.stats().tasks_completed, 1u);
+}
+
 // ---------- failure process ----------
+
+TEST(FailureProcessTest, ResetRestoresTheNotStartedState) {
+  des::Simulator sim;
+  stoch::RngStream svc_rng(1), churn_rng(2);
+  BlockPool pool;
+  ComputeElement ce(pool);
+  ce.reset(sim, 0, unit_service(), svc_rng);
+  const stoch::Deterministic ttf(2.0);
+  const stoch::Deterministic ttr(1.0);
+  FailureProcess churn(ce);
+  churn.reset(sim, &ttf, &ttr, churn_rng);
+  churn.set_hazard_multiplier(4.0);
+  int failures = 0;
+  churn.set_failure_handler([&](int) { ++failures; });
+  churn.start();
+  sim.run_until(1.0);  // failed at 2 / 4 = 0.5
+  EXPECT_EQ(failures, 1);
+  sim.reset();
+  ce.reset(sim, 0, unit_service(), svc_rng);
+  churn.reset(sim, &ttf, &ttr, churn_rng);
+  EXPECT_DOUBLE_EQ(churn.hazard_multiplier(), 1.0);
+  churn.start();  // not running any more, so it may start again
+  sim.run_until(1.5);
+  EXPECT_TRUE(ce.is_up());  // the first failure now comes at t = 2
+  sim.run_until(2.5);
+  EXPECT_FALSE(ce.is_up());
+  EXPECT_EQ(failures, 1);  // the old handler is gone
+}
 
 TEST(FailureProcessTest, AlternatesUpDown) {
   des::Simulator sim;
