@@ -2,24 +2,23 @@
 """Paired A/B timing of two lbsim trees on one perfbench workload.
 
 Usage:
-    ab.py PARENT_TREE CHANGE_TREE --workload W [--pairs 10] [--seconds 15]
-          [--seed0 S] [--metric reps_per_s]
+    ab.py PARENT_TREE CHANGE_TREE --workload W [--pairs 10] [--seconds 15] [--seed0 S]
 
-Builds each tree's perfbench into its own CARGO_TARGET_DIR (the tree's
-.bench_build), then runs the workload once per side per pair, alternating
-which side goes first, with seed S + i for pair i. Prints every pair, each
-side's median of every metric the runs report, and for --metric the number
-of pairs the change wins, each side's median and quartiles, the parent's
-interquartile range (IQR) and the gain-rule verdict: the change wins
-at least nine pairs in ten, and its median beats the parent's by more than
-the parent's IQR. Exit status: 0 when the rule holds, 1 when it does not, 2
-when a build or a run fails (including a run with failed operations).
+Runs each tree's perfbench/run.py with CARGO_TARGET_DIR set to the tree's own
+.bench_build (the first run of each tree builds it), once per side per pair,
+alternating which side goes first, with seed S + i for pair i. Prints every
+pair's reps_per_s, each side's median of every metric the runs report, then
+for reps_per_s the number of pairs the change wins, each side's median and
+quartiles, the parent's interquartile range (IQR) and the gain-rule verdict:
+the change wins at least nine pairs in ten, and its median beats the parent's
+by more than the parent's IQR. Exit status: 0 when the rule holds, 1 when it
+does not, 2 when a build or a run fails (including a run with failed
+operations).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import math
 import os
@@ -28,6 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+METRIC = "reps_per_s"  # the gain rule's metric; higher is better
 WIN_SHARE = 0.9  # at least nine pairs in ten
 
 
@@ -39,14 +39,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def verdict(pairs: list[tuple[float, float]], higher_is_better: bool = True) -> dict:
+def verdict(pairs: list[tuple[float, float]]) -> dict:
     """The gain rule over (parent, change) pairs."""
-    sign = 1.0 if higher_is_better else -1.0
-    wins = sum(1 for parent, change in pairs if sign * (change - parent) > 0.0)
+    wins = sum(1 for parent, change in pairs if change > parent)
     parent_q = quartiles([p for p, _ in pairs])
     change_q = quartiles([c for _, c in pairs])
     parent_iqr = parent_q[2] - parent_q[0]
-    gap = sign * (change_q[1] - parent_q[1])
+    gap = change_q[1] - parent_q[1]
     needed = math.ceil(WIN_SHARE * len(pairs))
     return {
         "wins": wins,
@@ -60,35 +59,20 @@ def verdict(pairs: list[tuple[float, float]], higher_is_better: bool = True) -> 
     }
 
 
-def load_runner(tree: Path):
-    """The tree's own perfbench/run.py, imported under a private name."""
-    path = tree / "perfbench" / "run.py"
-    spec = importlib.util.spec_from_file_location(f"run_{abs(hash(str(tree)))}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def build(tree: Path, target_dir: Path) -> None:
-    os.environ["CARGO_TARGET_DIR"] = str(target_dir)
-    load_runner(tree).build()
-
-
 def fail(message: str):
     print(f"ab.py: {message}", file=sys.stderr)
     sys.exit(2)
 
 
-def run(tree: Path, target_dir: Path, args, seed: int) -> dict[str, float]:
+def run(tree: Path, args, seed: int) -> dict[str, float]:
     """One perfbench run of the tree; returns every metric it reports."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
            "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
-    env = dict(os.environ, CARGO_TARGET_DIR=str(target_dir))
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-                          env=env)
+    env = dict(os.environ, CARGO_TARGET_DIR=str(tree / ".bench_build"))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        fail(f"{tree} run failed (exit {proc.returncode})")
+        fail(f"{tree} run failed (exit {proc.returncode}):\n{proc.stderr}")
     result = json.loads(lines[-1])
     if not result.get("correct", False) or result.get("failed", 0) != 0:
         fail(f"{tree} run reported failures: {lines[-1]}")
@@ -103,24 +87,16 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--seed0", type=int, default=1000)
-    parser.add_argument("--metric", default="reps_per_s")
-    parser.add_argument("--lower-is-better", action="store_true",
-                        help="for metrics such as setup_s or peak_rss_mb")
     args = parser.parse_args()
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    targets = {name: tree / ".bench_build" for name, tree in sides.items()}
-    for name, tree in sides.items():
-        print(f"building {name}: {tree}", file=sys.stderr)
-        build(tree, targets[name])
-
     runs = []  # (parent metrics, change metrics) per pair
     for i in range(args.pairs):
         seed = args.seed0 + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        metrics = {name: run(sides[name], targets[name], args, seed) for name in order}
+        metrics = {name: run(sides[name], args, seed) for name in order}
         runs.append((metrics["parent"], metrics["change"]))
-        parent, change = metrics["parent"][args.metric], metrics["change"][args.metric]
+        parent, change = metrics["parent"][METRIC], metrics["change"][METRIC]
         print(f"pair {i + 1:2d}  seed {seed}  first={order[0]:6s}  "
               f"parent={parent:.6g}  change={change:.6g}  ratio={change / parent:.4f}",
               flush=True)
@@ -130,9 +106,9 @@ def main() -> int:
         change = statistics.median(c[name] for _, c in runs)
         print(f"median {name}: parent {parent:.6g}  change {change:.6g}  "
               f"ratio {change / parent if parent else float('nan'):.4f}")
-    pairs = [(p[args.metric], c[args.metric]) for p, c in runs]
-    v = verdict(pairs, higher_is_better=not args.lower_is_better)
-    print(f"{args.workload} {args.metric}: change wins {v['wins']} of {len(pairs)} "
+    pairs = [(p[METRIC], c[METRIC]) for p, c in runs]
+    v = verdict(pairs)
+    print(f"{args.workload} {METRIC}: change wins {v['wins']} of {len(pairs)} "
           f"(needs {v['needed']}); median ratio {v['ratio']:.4f}")
     for name in ("parent", "change"):
         q1, median, q3 = v[name]

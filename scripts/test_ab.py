@@ -50,13 +50,6 @@ class VerdictTest(unittest.TestCase):
         self.assertAlmostEqual(v["gap"], 0.5)
         self.assertFalse(v["holds"])
 
-    def test_lower_is_better(self):
-        v = ab.verdict([(p, 0.8 * p) for p in PARENT], higher_is_better=False)
-        self.assertEqual(v["wins"], 10)
-        self.assertGreater(v["gap"], 0.0)
-        self.assertTrue(v["holds"])
-        self.assertFalse(ab.verdict([(p, 0.8 * p) for p in PARENT])["holds"])
-
 
 if __name__ == "__main__":
     unittest.main()
