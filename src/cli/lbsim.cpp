@@ -845,9 +845,9 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
       mc::RunControls controls;
       controls.workspace = &workspace;
       for (std::size_t r = 0; r < reps; ++r) {
-        total += mc::run_scenario(scenario, 0x5eed2006, r, nullptr, sim, mc::SteadyProbe{},
-                                  controls)
-                     .completion_time;
+        total +=
+            mc::run_scenario(scenario, 0x5eed2006, r, nullptr, sim, mc::SteadyProbe{}, controls)
+                .completion_time;
       }
     });
     table.add_row({"perf_des", util::format_double(ms, 2),

@@ -434,7 +434,6 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   return run_scenario(config, seed, replication, trace, sim, probe, RunControls{});
 }
 
-
 RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                        std::uint64_t replication, RunTrace* trace, des::Simulator& sim,
                        const SteadyProbe& probe, const RunControls& controls) {

@@ -69,8 +69,7 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
   return counted_aligned_alloc(size, align);
 }
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t&) noexcept {
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
   return counted_aligned_alloc(size, align);
 }
 void operator delete(void* p) noexcept { release(p); }
@@ -83,9 +82,7 @@ void operator delete(void* p, std::align_val_t) noexcept { release(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { release(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { release(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  release(p);
-}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { release(p); }
 void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
   release(p);
 }
