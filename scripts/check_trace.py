@@ -2,7 +2,7 @@
 """CI smoke validator for lbsim observability artifacts.
 
 Usage:
-    check_trace.py TRACE.jsonl [--metrics METRICS.json]
+    check_trace.py [TRACE.jsonl] [--metrics METRICS.json]
                    [--expect-kind KIND=COUNT ...]
 
 Validates a `lbsim run --trace=FILE` JSONL export structurally:
@@ -18,7 +18,12 @@ Validates a `lbsim run --trace=FILE` JSONL export structurally:
 
 With --metrics it also checks a `--metrics=FILE` dump: a top-level object
 with a "metadata" stamp (seed + git revision keys present) and a "metrics"
-object holding the counters/gauges/histograms sections.
+object holding the counters/gauges/histograms sections. Given both files of
+one `lbsim run`, it cross-checks them: the `policy.decisions` counter must
+equal the trace's `policy_decision` record count, and
+`policy.decisions.empty` the number of those records with count 0. Given
+--metrics alone (a `lbsim sweep` dump, which has no trace), it checks the
+metrics structurally.
 
 Exits 1 with a per-violation report on the first malformed artifact; prints
 a one-line summary (record count, replication count, kinds seen) on success.
@@ -75,10 +80,12 @@ def check_record(obj: dict, line_no: int, errors: list[str]) -> None:
             errors.append(f"line {line_no}: {key}={value!r} outside {key} range")
 
 
-def check_trace(path: str, errors: list[str]) -> tuple[int, int, dict[str, int]]:
-    """(record count, replication count, per-kind counts)."""
+def check_trace(path: str, errors: list[str]) -> tuple[int, int, dict[str, int], int]:
+    """(record count, replication count, per-kind counts, policy_decision
+    records with count 0)."""
     records = 0
     reps = 0
+    empty_decisions = 0
     last_rep_index = -1
     last_time = 0.0
     kinds: dict[str, int] = {}
@@ -103,6 +110,8 @@ def check_trace(path: str, errors: list[str]) -> tuple[int, int, dict[str, int]]
                 continue
             records += 1
             kinds[obj["kind"]] = kinds.get(obj["kind"], 0) + 1
+            if obj["kind"] == "policy_decision" and obj["count"] == 0:
+                empty_decisions += 1
             if obj["kind"] == "rep_begin":
                 reps += 1
                 if obj["payload"] <= last_rep_index:
@@ -121,16 +130,17 @@ def check_trace(path: str, errors: list[str]) -> tuple[int, int, dict[str, int]]
         errors.append(f"{path}: no trace records")
     elif reps == 0:
         errors.append(f"{path}: no rep_begin markers")
-    return records, reps, kinds
+    return records, reps, kinds, empty_decisions
 
 
-def check_metrics(path: str, errors: list[str]) -> None:
+def check_metrics(path: str, errors: list[str]) -> dict:
+    """Checks the dump's structure; returns its counters ({} if unusable)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         errors.append(f"{path}: unreadable metrics JSON ({err})")
-        return
+        return {}
     metadata = doc.get("metadata")
     if not isinstance(metadata, dict):
         errors.append(f"{path}: missing 'metadata' object")
@@ -141,15 +151,30 @@ def check_metrics(path: str, errors: list[str]) -> None:
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         errors.append(f"{path}: missing 'metrics' object")
-    else:
-        for section in ("counters", "gauges", "histograms"):
-            if section not in metrics:
-                errors.append(f"{path}: metrics missing {section!r} section")
+        return {}
+    for section in ("counters", "gauges", "histograms"):
+        if section not in metrics:
+            errors.append(f"{path}: metrics missing {section!r} section")
+    counters = metrics.get("counters")
+    return counters if isinstance(counters, dict) else {}
+
+
+def cross_check(counters: dict, decisions: int, empty_decisions: int, errors: list[str]) -> None:
+    """The policy counters of a run against the policy_decision records of its
+    trace: all of them, and those with count 0."""
+    for counter, records, what in (
+        ("policy.decisions", decisions, "policy_decision records"),
+        ("policy.decisions.empty", empty_decisions, "policy_decision records of count 0"),
+    ):
+        if counter not in counters:
+            errors.append(f"metrics missing counter {counter!r}")
+        elif counters[counter] != records:
+            errors.append(f"{counter}={counters[counter]} but the trace has {records} {what}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("trace", help="JSONL trace from lbsim run --trace=FILE")
+    parser.add_argument("trace", nargs="?", help="JSONL trace from lbsim run --trace=FILE")
     parser.add_argument("--metrics", help="JSON dump from lbsim run --metrics=FILE")
     parser.add_argument(
         "--expect-kind",
@@ -159,9 +184,13 @@ def main(argv: list[str] | None = None) -> int:
         help="require exactly COUNT records of KIND (repeatable)",
     )
     args = parser.parse_args(argv)
+    if args.trace is None and args.metrics is None:
+        parser.error("give a trace, --metrics, or both")
 
     errors: list[str] = []
-    records, reps, kinds = check_trace(args.trace, errors)
+    records, reps, kinds, empty_decisions = 0, 0, {}, 0
+    if args.trace is not None:
+        records, reps, kinds, empty_decisions = check_trace(args.trace, errors)
     for spec in args.expect_kind:
         kind, _, want = spec.partition("=")
         if kind not in KNOWN_KINDS or not want.isdigit():
@@ -171,13 +200,18 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.trace}: expected {want} {kind!r} records, found {kinds.get(kind, 0)}"
             )
     if args.metrics:
-        check_metrics(args.metrics, errors)
+        counters = check_metrics(args.metrics, errors)
+        if args.trace is not None and not errors:
+            cross_check(counters, kinds.get("policy_decision", 0), empty_decisions, errors)
 
     if errors:
         print(f"trace check FAILED ({len(errors)}):", file=sys.stderr)
         for error in errors:
             print(f"  - {error}", file=sys.stderr)
         return 1
+    if args.trace is None:
+        print(f"metrics check passed: {args.metrics}")
+        return 0
     seen = ", ".join(f"{kind}={count}" for kind, count in sorted(kinds.items()))
     print(f"trace check passed: {records} records over {reps} replications ({seen})")
     return 0

@@ -13,7 +13,7 @@ PolicyPtr NoBalancingPolicy::clone() const {
 }
 
 std::vector<TransferDirective> ProportionalOncePolicy::on_start(const SystemView& view) {
-  return excess_balance(view, 1.0);
+  return excess_balance(view, 1.0, scratch_);
 }
 
 PolicyPtr ProportionalOncePolicy::clone() const {

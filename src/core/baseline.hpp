@@ -6,6 +6,7 @@
 /// (i.e. the excess-load split with K = 1, the "conventional" policy the
 /// authors' earlier work shows is delay-fragile).
 
+#include "core/excess.hpp"
 #include "core/policy.hpp"
 
 namespace lbsim::core {
@@ -26,6 +27,9 @@ class ProportionalOncePolicy final : public LoadBalancingPolicy {
   [[nodiscard]] std::vector<TransferDirective> on_start(const SystemView& view) override;
   [[nodiscard]] bool start_only() const noexcept override { return true; }
   [[nodiscard]] PolicyPtr clone() const override;
+
+ private:
+  BalanceScratch scratch_;
 };
 
 }  // namespace lbsim::core

@@ -72,31 +72,41 @@ std::size_t lbp2_failure_transfer(const std::vector<markov::NodeParams>& nodes,
 }
 
 std::vector<TransferDirective> excess_balance(const SystemView& view, double gain,
-                                              bool up_senders_only) {
+                                              BalanceScratch& scratch, bool up_senders_only) {
   const std::span<const markov::NodeParams> nodes = view.params();
+  const RateTable& rates = view.rates();
   const std::size_t n = nodes.size();
-  LBSIM_REQUIRE(n >= 2 && n == view.node_count(),
+  LBSIM_REQUIRE(n >= 2 && n == view.node_count() && rates.weight.size() == n,
                 n << " parameter sets for " << view.node_count() << " nodes");
   LBSIM_REQUIRE(gain >= 0.0 && gain <= 1.0 + 1e-9, "gain=" << gain);
   // Every sum below accumulates in index order, as excess_load and
   // partition_fraction do; a sum is never derived as total - x_j.
-  std::vector<std::size_t> loads(n);
-  std::vector<double> drain(n);  // m_l / lambda_dl
-  double rate_sum = 0.0;
+  std::vector<std::size_t>& loads = scratch.loads;
+  loads.resize(n);
   double load_sum = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    LBSIM_REQUIRE(nodes[k].lambda_d > 0.0, "lambda_d=" << nodes[k].lambda_d);
     loads[k] = view.queue_length(static_cast<int>(k));
-    rate_sum += nodes[k].lambda_d;
     load_sum += static_cast<double>(loads[k]);
-    drain[k] = static_cast<double>(loads[k]) / nodes[k].lambda_d;
   }
-  std::vector<TransferDirective> out;
+  // The largest p_ij a receiver can get: (1 - x) / (n - 2) with x >= 0, or
+  // 1 / (n - 1) when every receiver is empty, or 1 when n = 2.
+  const double top_gain = gain * (n == 2 ? 1.0 : 1.0 / static_cast<double>(n - 2));
+  std::vector<double>& drain = scratch.drain;  // filled by the first pricing sender
+  drain.clear();
+  std::vector<TransferDirective>& staged = scratch.staged;
+  staged.clear();
   for (std::size_t j = 0; j < n; ++j) {
     const double excess =
-        static_cast<double>(loads[j]) - (nodes[j].lambda_d / rate_sum) * load_sum;
+        static_cast<double>(loads[j]) - (nodes[j].lambda_d / rates.rate_sum) * load_sum;
     if (excess <= 0.0) continue;
+    if (top_gain * excess < 0.5) continue;  // no round(K * p_ij * excess_j) reaches 1
     if (up_senders_only && !view.is_up(static_cast<int>(j))) continue;
+    if (drain.empty()) {
+      drain.resize(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        drain[k] = static_cast<double>(loads[k]) / nodes[k].lambda_d;
+      }
+    }
     double drain_sum = 0.0;  // sum over l != j of m_l / lambda_dl
     for (std::size_t l = 0; l < n; ++l) {
       if (l != j) drain_sum += drain[l];
@@ -113,17 +123,19 @@ std::vector<TransferDirective> excess_balance(const SystemView& view, double gai
       if (count == 0) continue;
       const std::size_t sendable = std::min(count, remaining);
       remaining -= sendable;
-      out.push_back(TransferDirective{static_cast<int>(j), static_cast<int>(i), sendable});
+      staged.push_back(TransferDirective{static_cast<int>(j), static_cast<int>(i), sendable});
     }
   }
-  return out;
+  return std::vector<TransferDirective>(staged.begin(), staged.end());
 }
 
 std::vector<TransferDirective> failure_compensation(const SystemView& view, int node,
                                                     bool up_peers_only) {
   const std::span<const markov::NodeParams> nodes = view.params();
+  const RateTable& rates = view.rates();
   const std::size_t n = nodes.size();
-  LBSIM_REQUIRE(n == view.node_count() && node >= 0 && static_cast<std::size_t>(node) < n,
+  LBSIM_REQUIRE(n == view.node_count() && rates.weight.size() == n && node >= 0 &&
+                    static_cast<std::size_t>(node) < n,
                 "node " << node << " of " << n << " parameter sets for " << view.node_count()
                         << " nodes");
   const auto j = static_cast<std::size_t>(node);
@@ -134,21 +146,19 @@ std::vector<TransferDirective> failure_compensation(const SystemView& view, int 
   std::size_t available = view.queue_length(node);
   // lbp2_failure_transfer checks the recovery law only once it prices a
   // receiver: an empty queue, or no eligible receiver, never throws.
+  if (available == 0) return directives;
   std::size_t i = 0;
   while (i < n && !receives(i)) ++i;
-  if (available == 0 || i == n) return directives;
+  if (i == n) return directives;
   const markov::NodeParams& failed = nodes[j];
   LBSIM_REQUIRE(failed.lambda_r > 0.0,
                 "node " << j << " has no recovery law; LF is undefined");
-  double rate_sum = 0.0;
-  for (const markov::NodeParams& peer : nodes) rate_sum += peer.lambda_d;
   const double expected_backlog = failed.lambda_d / failed.lambda_r;
+  // weight[i] <= max_weight, so no receiver's floor(weight[i] * B) reaches 1.
+  if (rates.max_weight * expected_backlog < 1.0) return directives;
   for (; i < n && available > 0; ++i) {
     if (!receives(i)) continue;
-    const double receiver_share = nodes[i].lambda_d / rate_sum;
-    const double amount =
-        markov::availability(nodes[i]) * receiver_share * expected_backlog;
-    const auto lf = static_cast<std::size_t>(std::floor(amount));
+    const auto lf = static_cast<std::size_t>(std::floor(rates.weight[i] * expected_backlog));
     if (lf == 0) continue;
     const std::size_t count = std::min(lf, available);
     available -= count;

@@ -36,22 +36,41 @@ namespace lbsim::core {
 [[nodiscard]] std::size_t lbp2_failure_transfer(const std::vector<markov::NodeParams>& nodes,
                                                 std::size_t i, std::size_t j);
 
+/// Scratch that excess_balance reuses between calls: the calling policy keeps
+/// one, so its capacity carries over from decision to decision.
+struct BalanceScratch {
+  std::vector<std::size_t> loads;
+  std::vector<double> drain;  // m_l / lambda_dl
+  std::vector<TransferDirective> staged;
+};
+
 /// The excess-load balance with gain K over the view's queues (paper eq. (7)):
 /// every node j above its fair share sends round(K * p_ij * excess_j) tasks to
 /// each peer i in ascending order, until its queue is spent. Zero-task entries
 /// are omitted. With `up_senders_only`, nodes the view reports down send
-/// nothing; the other senders' directives do not change. Costs O(n * J) for
-/// J nodes above their fair share, and equals the per-pair references bit for
-/// bit.
-[[nodiscard]] std::vector<TransferDirective> excess_balance(const SystemView& view,
-                                                            double gain,
+/// nothing; the other senders' directives do not change. Equals the per-pair
+/// references bit for bit.
+///
+/// Costs O(n + n * J') for J' senders that price their receivers. Since
+/// p_ij <= fl(1/(n-2)) (1 when n = 2) and IEEE rounding is monotone, no
+/// receiver of sender j reaches one task when
+/// fl(fl(K * fl(1/(n-2))) * excess_j) < 0.5; such a sender costs O(1). The
+/// returned vector is allocated once, at its exact size (not at all when
+/// empty).
+[[nodiscard]] std::vector<TransferDirective> excess_balance(const SystemView& view, double gain,
+                                                            BalanceScratch& scratch,
                                                             bool up_senders_only = false);
 
 /// LBP-2's compensation when `node` fails: LF_i,node tasks (eq. (8)) to each
 /// peer i in ascending order, capped by the failed node's queue. With
-/// `up_peers_only`, peers the view reports down receive nothing. Costs O(n)
-/// and equals lbp2_failure_transfer bit for bit; it throws where that would,
-/// i.e. only when a non-empty queue has an eligible receiver.
+/// `up_peers_only`, peers the view reports down receive nothing. Equals
+/// lbp2_failure_transfer bit for bit; it throws where that would, i.e. only
+/// when a non-empty queue has an eligible receiver.
+///
+/// Each receiver is priced as floor(fl(w_i * B)) from the view's RateTable,
+/// with B = lambda_d,node / lambda_r,node. Rounding is monotone, so when
+/// fl(w_max * B) < 1 no LF reaches one task and the decision costs O(1);
+/// otherwise it costs O(n).
 [[nodiscard]] std::vector<TransferDirective> failure_compensation(const SystemView& view,
                                                                   int node,
                                                                   bool up_peers_only = false);

@@ -39,7 +39,7 @@ std::vector<TransferDirective> Lbp1Policy::on_start(const SystemView& view) {
   }
 
   // Multi-node extension: one preemptive excess-load balance.
-  return excess_balance(view, gain_);
+  return excess_balance(view, gain_, scratch_);
 }
 
 PolicyPtr Lbp1Policy::clone() const { return std::make_unique<Lbp1Policy>(*this); }

@@ -11,6 +11,7 @@
 
 #include <optional>
 
+#include "core/excess.hpp"
 #include "core/policy.hpp"
 
 namespace lbsim::core {
@@ -34,6 +35,7 @@ class Lbp1Policy final : public LoadBalancingPolicy {
  private:
   std::optional<int> sender_;
   double gain_;
+  BalanceScratch scratch_;  // the multi-node form's
 };
 
 }  // namespace lbsim::core

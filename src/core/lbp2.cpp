@@ -21,7 +21,7 @@ std::string Lbp2Policy::name() const {
 }
 
 std::vector<TransferDirective> Lbp2Policy::on_start(const SystemView& view) {
-  return excess_balance(view, gain_);
+  return excess_balance(view, gain_, scratch_);
 }
 
 std::vector<TransferDirective> Lbp2Policy::on_failure(int node, const SystemView& view) {

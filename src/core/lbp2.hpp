@@ -6,6 +6,7 @@
 /// every failure instant: the failing node's backup ships LF_ij tasks (eq. (8))
 /// to each peer i.
 
+#include "core/excess.hpp"
 #include "core/policy.hpp"
 
 namespace lbsim::core {
@@ -38,6 +39,7 @@ class Lbp2Policy final : public LoadBalancingPolicy {
  private:
   double gain_;
   bool state_aware_;
+  BalanceScratch scratch_;
 };
 
 }  // namespace lbsim::core

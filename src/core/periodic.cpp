@@ -24,11 +24,11 @@ std::string PeriodicRebalancePolicy::name() const {
 // Down senders are skipped: do not strip a down node of its queue mid-outage;
 // its backup acts only at failure instants (LBP-2 semantics), not on a tick.
 std::vector<TransferDirective> PeriodicRebalancePolicy::on_start(const SystemView& view) {
-  return excess_balance(view, gain_, /*up_senders_only=*/true);
+  return excess_balance(view, gain_, scratch_, /*up_senders_only=*/true);
 }
 
 std::vector<TransferDirective> PeriodicRebalancePolicy::on_periodic(const SystemView& view) {
-  return excess_balance(view, gain_, /*up_senders_only=*/true);
+  return excess_balance(view, gain_, scratch_, /*up_senders_only=*/true);
 }
 
 std::vector<TransferDirective> PeriodicRebalancePolicy::on_failure(int node,

@@ -6,6 +6,7 @@
 /// on-failure compensation on top. Engines drive the timer via on_periodic()
 /// (see ScenarioConfig::rebalance_period).
 
+#include "core/excess.hpp"
 #include "core/policy.hpp"
 
 namespace lbsim::core {
@@ -29,6 +30,7 @@ class PeriodicRebalancePolicy final : public LoadBalancingPolicy {
   double period_;
   double gain_;
   bool compensate_failures_;
+  BalanceScratch scratch_;
 };
 
 }  // namespace lbsim::core

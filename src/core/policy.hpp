@@ -27,6 +27,23 @@ struct TransferDirective {
   std::size_t count = 0;
 };
 
+/// The constants LBP-2 prices its decisions from (eqs. (7)-(8)). They depend
+/// on the node parameters alone, so a view's owner assigns the table when it
+/// builds the view, and every decision reads it instead of re-deriving it.
+struct RateTable {
+  /// sum_k lambda_dk, summed in index order.
+  double rate_sum = 0.0;
+  /// Receiver i's eq. (8) weight availability_i * (lambda_di / rate_sum):
+  /// LF_ij = floor(weight[i] * lambda_dj / lambda_rj).
+  std::vector<double> weight;
+  /// The largest weight.
+  double max_weight = 0.0;
+
+  /// Re-derives the table for `nodes` (each validated), keeping the weight
+  /// vector's capacity.
+  void assign(std::span<const markov::NodeParams> nodes);
+};
+
 /// Read-only system snapshot offered to policies. Implemented by the engines.
 class SystemView {
  public:
@@ -46,6 +63,8 @@ class SystemView {
     return nodes[static_cast<std::size_t>(node)];
   }
   [[nodiscard]] virtual double per_task_delay_mean() const = 0;
+  /// The RateTable of params(), assigned by whoever built the view.
+  [[nodiscard]] virtual const RateTable& rates() const = 0;
 
   /// Neighbourhood restriction. The default is the complete exchange graph
   /// (every other node is a neighbour), which is what every pre-topology

@@ -61,6 +61,8 @@ void fold_run_metrics(obs::Registry& metrics, const RunResult& run) {
   metrics.counter("env.transitions").add(run.env_transitions);
   metrics.counter("net.tasks_moved").add(run.tasks_moved);
   metrics.counter("net.bundles_sent").add(run.bundles_sent);
+  metrics.counter("policy.decisions").add(run.policy_decisions);
+  metrics.counter("policy.decisions.empty").add(run.policy_decisions_empty);
   metrics.histogram("mc.completion_time").observe(run.completion_time);
 }
 

@@ -17,15 +17,16 @@ namespace {
 /// SystemView over the live CEs' structure-of-arrays hot state: queue lengths
 /// and up flags are read from two packed arrays the CEs mirror on every
 /// transition, so a policy scan over n nodes walks contiguous memory instead
-/// of chasing one heap allocation per node. When a (non-complete) topology is
-/// active the view restricts each node's visible peers to its current
+/// of chasing one heap allocation per node. The rate table is the
+/// workspace's, re-assigned every replication. When a (non-complete) topology
+/// is active the view restricts each node's visible peers to its current
 /// adjacency; the pointer is swapped on environment transitions under edge
 /// churn.
 class LiveView final : public core::SystemView {
  public:
-  LiveView(const markov::MultiNodeParams& params,
+  LiveView(const markov::MultiNodeParams& params, const core::RateTable& rates,
            const std::vector<std::uint32_t>& queue_len, const std::vector<std::uint8_t>& up)
-      : params_(params), queue_len_(queue_len), up_(up) {}
+      : params_(params), rates_(rates), queue_len_(queue_len), up_(up) {}
 
   [[nodiscard]] std::size_t node_count() const override { return queue_len_.size(); }
   [[nodiscard]] std::size_t queue_length(int n) const override {
@@ -40,6 +41,7 @@ class LiveView final : public core::SystemView {
   [[nodiscard]] double per_task_delay_mean() const override {
     return params_.per_task_delay_mean;
   }
+  [[nodiscard]] const core::RateTable& rates() const override { return rates_; }
   [[nodiscard]] std::size_t neighbor_count(int n) const override {
     if (topology_ == nullptr) return core::SystemView::neighbor_count(n);
     return topology_->degree(static_cast<std::size_t>(n));
@@ -54,6 +56,7 @@ class LiveView final : public core::SystemView {
 
  private:
   const markov::MultiNodeParams& params_;
+  const core::RateTable& rates_;
   const std::vector<std::uint32_t>& queue_len_;
   const std::vector<std::uint8_t>& up_;
   const net::Topology* topology_ = nullptr;  // null = complete (historical path)
@@ -167,6 +170,7 @@ struct ReplicationWorkspace::State {
   std::vector<stoch::RngStream> rngs;
   std::vector<std::uint32_t> hot_queue_len;
   std::vector<std::uint8_t> hot_up;
+  core::RateTable rates;
 
   void reset(std::size_t n) {
     while (nodes.size() < n) nodes.emplace_back(pool);
@@ -222,7 +226,7 @@ struct Replication {
         policy(*config.policy),
         delay(delay),
         net_rng(net_rng),
-        view(config.params, ws.hot_queue_len, ws.hot_up) {}
+        view(config.params, ws.rates, ws.hot_queue_len, ws.hot_up) {}
 
   const ScenarioConfig& config;
   ReplicationWorkspace::State& ws;
@@ -243,14 +247,16 @@ struct Replication {
 
   [[nodiscard]] node::ComputeElement& ce(std::size_t i) { return ws.nodes[i].ce; }
 
-  /// Runs one policy hook (timed into policy_s when profiled), records the
-  /// decision when traced, and carries it out.
+  /// Runs one policy hook (timed into policy_s when profiled), counts and,
+  /// when traced, records the decision, and carries it out.
   template <typename Hook>
   void decide(int node_id, Hook&& hook) {
     ProfileClock::time_point begin{};
     if (profile != nullptr) begin = ProfileClock::now();
     const std::vector<core::TransferDirective> directives = hook();
     if (profile != nullptr) profile->policy_s += seconds_since(begin);
+    ++result.policy_decisions;
+    if (directives.empty()) ++result.policy_decisions_empty;
     if (trace != nullptr) {
       trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, node_id, -1,
                          static_cast<std::uint32_t>(directives.size()));
@@ -526,6 +532,7 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   for (std::size_t i = 0; i < n; ++i) {
     rep.ce(i).bind_hot_cells(&ws.hot_queue_len[i], &ws.hot_up[i]);
   }
+  ws.rates.assign(config.params.nodes);  // the view's pricing constants
 
   if (trace != nullptr) {
     if (trace->record_queues) {

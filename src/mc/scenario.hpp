@@ -118,6 +118,10 @@ struct RunResult {
   std::uint64_t tasks_arrived = 0;     ///< externally injected tasks (open arrivals)
   std::uint64_t env_transitions = 0;   ///< environment CTMC jumps during the run
   std::uint64_t state_packets_lost = 0;  ///< state-plane drops (testbed engine)
+  /// Policy hook calls, one per kPolicyDecision trace record.
+  std::uint64_t policy_decisions = 0;
+  /// Policy hook calls that returned no directive (trace records of count 0).
+  std::uint64_t policy_decisions_empty = 0;
   stoch::RunningStats sojourn;         ///< per-task time in system (all completed tasks)
   /// Age (now - peer packet timestamp) of every peer entry consulted at every
   /// policy decision instant — the staleness the state plane imposes on

@@ -101,6 +101,8 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
         metrics->counter("steady.warmup_discarded").add(out.warmup);
         metrics->counter("net.tasks_moved").add(out.run.tasks_moved);
         metrics->counter("net.bundles_sent").add(out.run.bundles_sent);
+        metrics->counter("policy.decisions").add(out.run.policy_decisions);
+        metrics->counter("policy.decisions.empty").add(out.run.policy_decisions_empty);
         obs::Histogram& sojourn = metrics->histogram("steady.sojourn");
         for (std::size_t i = out.warmup; i < log.size(); ++i) sojourn.observe(log[i]);
       }

@@ -13,7 +13,9 @@ namespace {
 /// at its on_start call, so the replayed directives are identical.
 class InitialView final : public core::SystemView {
  public:
-  explicit InitialView(const ScenarioConfig& config) : config_(config) {}
+  explicit InitialView(const ScenarioConfig& config) : config_(config) {
+    rates_.assign(config.params.nodes);
+  }
 
   [[nodiscard]] std::size_t node_count() const override {
     return config_.workloads.size();
@@ -30,9 +32,11 @@ class InitialView final : public core::SystemView {
   [[nodiscard]] double per_task_delay_mean() const override {
     return config_.params.per_task_delay_mean;
   }
+  [[nodiscard]] const core::RateTable& rates() const override { return rates_; }
 
  private:
   const ScenarioConfig& config_;
+  core::RateTable rates_;
 };
 
 }  // namespace

@@ -163,10 +163,12 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
   // t = 0: each node runs the policy against its local view and executes only
   // its own outgoing transfers — the distributed decision of Section 3 where
   // every node computes the same schedule from synced state.
+  core::RateTable rates;  // one per realization, shared by the n views
+  rates.assign(config.params.nodes);
   std::vector<NodeLocalView> views;
   views.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    views.emplace_back(static_cast<int>(i), config.params, ces, board);
+    views.emplace_back(static_cast<int>(i), config.params, rates, ces, board);
   }
 
   // Runs one policy hook, timing it into policy_s when profiled.
@@ -176,6 +178,12 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
     std::vector<core::TransferDirective> directives = hook();
     profile->policy_s += std::chrono::duration<double>(ProfileClock::now() - begin).count();
     return directives;
+  };
+
+  // Counts a decision where its kPolicyDecision record is written.
+  const auto count_decision = [&result](const std::vector<core::TransferDirective>& mine) {
+    ++result.policy_decisions;
+    if (mine.empty()) ++result.policy_decisions_empty;
   };
 
   // Staleness accounting: the age of every peer entry a decision consults.
@@ -210,6 +218,7 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
            decide([&] { return policy.on_start(views[i]); })) {
         if (d.from == static_cast<int>(i)) mine.push_back(d);
       }
+      count_decision(mine);
       if (trace != nullptr) {
         trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, static_cast<int>(i), -1,
                            static_cast<std::uint32_t>(mine.size()));
@@ -226,6 +235,7 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
       sample_staleness(node_id);
       const std::vector<core::TransferDirective> directives =
           decide([&] { return policy.on_failure(node_id, views[i]); });
+      count_decision(directives);
       if (trace != nullptr) {
         trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, node_id, -1,
                            static_cast<std::uint32_t>(directives.size()));
@@ -238,6 +248,7 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
       sample_staleness(node_id);
       const std::vector<core::TransferDirective> directives =
           decide([&] { return policy.on_recovery(node_id, views[i]); });
+      count_decision(directives);
       if (trace != nullptr) {
         trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, node_id, -1,
                            static_cast<std::uint32_t>(directives.size()));
@@ -367,6 +378,8 @@ ExperimentSummary run_experiment(const TestbedConfig& config, std::size_t realiz
         metrics->counter("net.tasks_moved").add(run.tasks_moved);
         metrics->counter("net.bundles_sent").add(run.bundles_sent);
         metrics->counter("net.state_packets_lost").add(run.state_packets_lost);
+        metrics->counter("policy.decisions").add(run.policy_decisions);
+        metrics->counter("policy.decisions.empty").add(run.policy_decisions_empty);
         metrics->histogram("testbed.completion_time").observe(run.completion_time);
       }
       if (profile != nullptr) {

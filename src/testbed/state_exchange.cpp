@@ -26,9 +26,10 @@ const net::StateInfoPacket& StateBoard::last_heard(int observer, int peer) const
 }
 
 NodeLocalView::NodeLocalView(int self, const markov::MultiNodeParams& params,
+                             const core::RateTable& rates,
                              const std::vector<std::unique_ptr<node::ComputeElement>>& ces,
                              const StateBoard& board)
-    : self_(self), params_(params), ces_(ces), board_(board) {}
+    : self_(self), params_(params), rates_(rates), ces_(ces), board_(board) {}
 
 std::size_t NodeLocalView::node_count() const { return ces_.size(); }
 

@@ -36,10 +36,11 @@ class StateBoard {
 };
 
 /// SystemView as seen from one node: own queue read live from the CE, peers
-/// read from the state board.
+/// read from the state board. The rate table is the realization's, shared by
+/// every node's view.
 class NodeLocalView final : public core::SystemView {
  public:
-  NodeLocalView(int self, const markov::MultiNodeParams& params,
+  NodeLocalView(int self, const markov::MultiNodeParams& params, const core::RateTable& rates,
                 const std::vector<std::unique_ptr<node::ComputeElement>>& ces,
                 const StateBoard& board);
 
@@ -48,10 +49,12 @@ class NodeLocalView final : public core::SystemView {
   [[nodiscard]] bool is_up(int node) const override;
   [[nodiscard]] std::span<const markov::NodeParams> params() const override;
   [[nodiscard]] double per_task_delay_mean() const override;
+  [[nodiscard]] const core::RateTable& rates() const override { return rates_; }
 
  private:
   int self_;
   const markov::MultiNodeParams& params_;
+  const core::RateTable& rates_;
   const std::vector<std::unique_ptr<node::ComputeElement>>& ces_;
   const StateBoard& board_;
 };

@@ -211,13 +211,13 @@ TEST(AllocGate, GraphRr) {
 }
 
 TEST(AllocGate, ManyNodeChurn) {
-  // LBP-2's t = 0 split (1,008 one-task bundles) is all of it: two scratch
-  // vectors in core::excess_balance and a directive vector that doubles its
-  // way to 1,008 entries, 13 per replication. Its failure decisions move no
-  // work at this n and allocate nothing.
+  // LBP-2's t = 0 split (1,008 one-task bundles) is all of it: the directive
+  // vector, allocated once at its exact size (the policy keeps
+  // core::excess_balance's scratch). Its failure decisions move no work at
+  // this n and allocate nothing.
   const Allocations a = finite_run(family("many-node-churn", "nodes=64"));
   EXPECT_EQ(a.engine, 0u);
-  EXPECT_EQ(a.policy, 13 * kReps);
+  EXPECT_EQ(a.policy, 1 * kReps);
 }
 
 TEST(AllocGate, OpenSteady) {
@@ -232,9 +232,10 @@ TEST(AllocGate, OpenSteady) {
     (void)run_steady(config, sc);
   });
   // Five per replication: MSER-5's three scratch vectors, the batch means
-  // and the kept post-warm-up window. LBP-2's decisions add 36.12.
+  // and the kept post-warm-up window. LBP-2's decisions add 34.12: the
+  // directive vectors they return.
   EXPECT_EQ(a.engine, 5 * kReps);
-  EXPECT_EQ(a.policy, 1806u);
+  EXPECT_EQ(a.policy, 1706u);
 }
 
 }  // namespace

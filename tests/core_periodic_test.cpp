@@ -15,7 +15,9 @@ namespace {
 class FakeView final : public SystemView {
  public:
   FakeView(std::vector<markov::NodeParams> nodes, std::vector<std::size_t> queues)
-      : nodes_(std::move(nodes)), queues_(std::move(queues)), up_(nodes_.size(), true) {}
+      : nodes_(std::move(nodes)), queues_(std::move(queues)), up_(nodes_.size(), true) {
+    rates_.assign(nodes_);
+  }
   [[nodiscard]] std::size_t node_count() const override { return nodes_.size(); }
   [[nodiscard]] std::size_t queue_length(int n) const override {
     return queues_.at(static_cast<std::size_t>(n));
@@ -27,6 +29,7 @@ class FakeView final : public SystemView {
     return nodes_;
   }
   [[nodiscard]] double per_task_delay_mean() const override { return 0.02; }
+  [[nodiscard]] const RateTable& rates() const override { return rates_; }
   void set_down(int n) { up_.at(static_cast<std::size_t>(n)) = false; }
   void set_queue(int n, std::size_t q) { queues_.at(static_cast<std::size_t>(n)) = q; }
 
@@ -34,6 +37,7 @@ class FakeView final : public SystemView {
   std::vector<markov::NodeParams> nodes_;
   std::vector<std::size_t> queues_;
   std::vector<bool> up_;
+  RateTable rates_;
 };
 
 std::vector<markov::NodeParams> paper_nodes() {

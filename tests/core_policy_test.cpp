@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 
@@ -10,6 +12,7 @@
 #include "core/excess.hpp"
 #include "core/lbp1.hpp"
 #include "core/lbp2.hpp"
+#include "core/periodic.hpp"
 #include "policy_oracle.hpp"
 #include "test_support.hpp"
 
@@ -35,6 +38,11 @@ class FakeView final : public SystemView {
     return nodes_;
   }
   [[nodiscard]] double per_task_delay_mean() const override { return d_; }
+  /// Assigned on first use, so invalid parameters throw from the decision.
+  [[nodiscard]] const RateTable& rates() const override {
+    if (rates_.weight.empty()) rates_.assign(nodes_);
+    return rates_;
+  }
 
   void set_down(int n) { up_.at(static_cast<std::size_t>(n)) = false; }
 
@@ -43,6 +51,7 @@ class FakeView final : public SystemView {
   std::vector<std::size_t> queues_;
   double d_;
   std::vector<bool> up_;
+  mutable RateTable rates_;
 };
 
 std::vector<markov::NodeParams> paper_nodes() {
@@ -116,17 +125,20 @@ TEST(ExcessTest, LfRequiresRecoveryLaw) {
 
 TEST(ExcessTest, InitialBalanceTransfersMatchHandComputation) {
   // (100, 200), rates (1.08, 1.86), K = 0.8: node 1 sends round(0.8 * 10.2) = 8.
-  const auto transfers = excess_balance(rated_view({1.08, 1.86}, {100, 200}), 0.8);
+  BalanceScratch scratch;
+  const auto transfers = excess_balance(rated_view({1.08, 1.86}, {100, 200}), 0.8, scratch);
   ASSERT_EQ(transfers.size(), 1u);
   EXPECT_EQ(transfers[0], (TransferDirective{1, 0, 8}));
 }
 
 TEST(ExcessTest, InitialBalanceZeroGainMovesNothing) {
-  EXPECT_TRUE(excess_balance(rated_view({1.08, 1.86}, {100, 200}), 0.0).empty());
+  BalanceScratch scratch;
+  EXPECT_TRUE(excess_balance(rated_view({1.08, 1.86}, {100, 200}), 0.0, scratch).empty());
 }
 
 TEST(ExcessTest, InitialBalanceThreeNodes) {
-  const auto transfers = excess_balance(rated_view({1.0, 1.0, 1.0}, {90, 0, 0}), 1.0);
+  BalanceScratch scratch;
+  const auto transfers = excess_balance(rated_view({1.0, 1.0, 1.0}, {90, 0, 0}), 1.0, scratch);
   ASSERT_EQ(transfers.size(), 2u);
   std::size_t total = 0;
   for (const auto& t : transfers) {
@@ -137,9 +149,10 @@ TEST(ExcessTest, InitialBalanceThreeNodes) {
 }
 
 TEST(ExcessTest, DecisionHelpersRejectInvalidInputs) {
-  EXPECT_THROW((void)excess_balance(rated_view({1.0, 0.0}, {5, 5}), 1.0),
+  BalanceScratch scratch;
+  EXPECT_THROW((void)excess_balance(rated_view({1.0, 0.0}, {5, 5}), 1.0, scratch),
                std::invalid_argument);
-  EXPECT_THROW((void)excess_balance(rated_view({1.0, 1.0}, {5, 5}), 1.5),
+  EXPECT_THROW((void)excess_balance(rated_view({1.0, 1.0}, {5, 5}), 1.5, scratch),
                std::invalid_argument);
   EXPECT_THROW((void)failure_compensation(rated_view({1.0, 1.0}, {5, 5}), 2),
                std::invalid_argument);
@@ -417,6 +430,231 @@ TEST(PolicyEquivalenceTest, LfUndefinedThrowsWhereThePerPairLoopThrew) {
     EXPECT_EQ(parent, c.expected) << "queue=" << c.queue << " aware=" << c.aware;
     EXPECT_EQ(now, parent) << "queue=" << c.queue << " aware=" << c.aware;
   }
+}
+
+// ---------- the exact exits of excess_balance and failure_compensation ----------
+
+/// many-node-churn's default system at n nodes: service rates cycled from
+/// (1.08, 1.86, 1.5, 1.2), lambda_f = 0.05, lambda_r = 0.25 and workloads
+/// cycled from (120, 20, 60, 40). From n = 256 on, every eq. (7) and eq. (8)
+/// share rounds to zero.
+oracle::RandomSystem many_node_churn(std::size_t n) {
+  const double rates[] = {1.08, 1.86, 1.5, 1.2};
+  const std::size_t loads[] = {120, 20, 60, 40};
+  oracle::RandomSystem system;
+  for (std::size_t i = 0; i < n; ++i) {
+    system.nodes.push_back(markov::NodeParams{rates[i % 4], 0.05, 0.25});
+    system.queues.push_back(loads[i % 4]);
+    system.up.push_back(true);
+  }
+  return system;
+}
+
+/// Whether failure_compensation prices no receiver of node j's failure:
+/// fl(w_max * lambda_dj / lambda_rj) < 1.
+bool failure_exits(const SystemView& view, std::size_t j) {
+  const markov::NodeParams& failed = view.params()[j];
+  return view.rates().max_weight * (failed.lambda_d / failed.lambda_r) < 1.0;
+}
+
+/// Whether excess_balance prices no receiver of sender j:
+/// fl(fl(K * fl(1/(n-2))) * excess_j) < 0.5, with 1 in place of 1/(n-2) at n = 2.
+bool start_exits(const oracle::RandomSystem& system, double gain, std::size_t j) {
+  std::vector<double> rates;
+  for (const auto& node : system.nodes) rates.push_back(node.lambda_d);
+  const std::size_t n = rates.size();
+  const double top = n == 2 ? 1.0 : 1.0 / static_cast<double>(n - 2);
+  return gain * top * excess_load(rates, system.queues, j) < 0.5;
+}
+
+TEST(PolicyEquivalenceTest, DecisionsMatchThePerPairLoopOnBothSidesOfTheExits) {
+  // The slow-recovery random systems mostly price their receivers;
+  // many-node-churn's defaults at n = 256 and 1,024 round every share to
+  // zero, so every decision there takes an exit.
+  stoch::RngStream rng(test::kFixedSeed, 5);
+  std::vector<oracle::RandomSystem> systems;
+  for (const std::size_t n : {64, 256}) systems.push_back(oracle::random_system(rng, n));
+  systems.push_back(many_node_churn(256));
+  systems.push_back(many_node_churn(1024));
+  std::size_t start_exit = 0;
+  std::size_t start_walk = 0;
+  std::size_t failure_exit = 0;
+  std::size_t failure_walk = 0;
+  for (const oracle::RandomSystem& system : systems) {
+    const std::size_t n = system.nodes.size();
+    const FakeView view = oracle::make_view<FakeView>(system);
+    const bool churn_defaults = n >= 256 && system.queues[0] == 120 && system.queues[1] == 20;
+    std::vector<double> rates;
+    for (const auto& node : system.nodes) rates.push_back(node.lambda_d);
+    for (const double gain : {0.35, 1.0}) {
+      if (n > 256 && gain != 1.0) continue;  // the per-pair loop is O(n^3)
+      const auto expected = oracle::balance(view, gain);
+      EXPECT_EQ(Lbp2Policy(gain).on_start(view), expected) << "n=" << n << " K=" << gain;
+      if (churn_defaults) {
+        EXPECT_TRUE(expected.empty()) << "n=" << n << " K=" << gain;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        if (excess_load(rates, system.queues, j) <= 0.0) continue;
+        ++(start_exits(system, gain, j) ? start_exit : start_walk);
+      }
+    }
+    for (std::size_t j = 0; j < n; j += std::max<std::size_t>(1, n / 16)) {
+      const int node = static_cast<int>(j);
+      const auto blind = oracle::failure(node, view, false);
+      EXPECT_EQ(Lbp2Policy(1.0).on_failure(node, view), blind) << "n=" << n << " j=" << j;
+      EXPECT_EQ(Lbp2Policy(1.0, true).on_failure(node, view), oracle::failure(node, view, true))
+          << "n=" << n << " j=" << j;
+      if (churn_defaults) {
+        EXPECT_TRUE(blind.empty()) << "n=" << n << " j=" << j;
+      }
+      if (system.queues[j] > 0) ++(failure_exits(view, j) ? failure_exit : failure_walk);
+    }
+  }
+  EXPECT_GT(start_exit, 0u);
+  EXPECT_GT(start_walk, 0u);
+  EXPECT_GT(failure_exit, 0u);
+  EXPECT_GT(failure_walk, 0u);
+}
+
+TEST(PolicyEquivalenceTest, FailureExitHoldsAtItsRoundingBoundary) {
+  // Tune lambda_rj so that the receiver with the largest weight sits exactly
+  // on LF = 1: there fl(w_max * B_j) == 1 and the exit must not fire; one ULP
+  // faster recovery puts it below 1, the exit fires, and nobody is priced.
+  stoch::RngStream rng(test::kFixedSeed, 6);
+  std::size_t on_one = 0;
+  std::size_t below = 0;
+  for (const std::size_t n : kSizes) {
+    for (int trial = 0; trial < 12; ++trial) {
+      oracle::RandomSystem system = oracle::random_system(rng, n);
+      const FakeView original = oracle::make_view<FakeView>(system);
+      const std::vector<double>& weight = original.rates().weight;
+      const auto heaviest = static_cast<std::size_t>(
+          std::max_element(weight.begin(), weight.end()) - weight.begin());
+      const std::size_t j = (heaviest + 1 + rng.uniform_index(n - 1)) % n;
+      const double rate = oracle::boundary_recovery_rate(system.nodes, heaviest, j, 1);
+      system.queues[j] = 100000;  // no cap
+      for (const double lambda_r : {rate, std::nextafter(rate, 1e300)}) {
+        system.nodes[j].lambda_r = lambda_r;
+        const FakeView view = oracle::make_view<FakeView>(system);
+        const RateTable& rates = view.rates();
+        const double bound = rates.max_weight * (system.nodes[j].lambda_d / lambda_r);
+        const int node = static_cast<int>(j);
+        EXPECT_EQ(Lbp2Policy(1.0).on_failure(node, view), oracle::failure(node, view))
+            << "n=" << n << " j=" << j << " lambda_r=" << lambda_r;
+        EXPECT_EQ(Lbp2Policy(1.0, true).on_failure(node, view),
+                  oracle::failure(node, view, true))
+            << "n=" << n << " j=" << j << " lambda_r=" << lambda_r;
+        if (rates.weight[heaviest] != rates.max_weight) continue;
+        if (bound == 1.0) ++on_one;
+        if (bound < 1.0) ++below;
+      }
+    }
+  }
+  EXPECT_GT(on_one, 20u);
+  EXPECT_GT(below, 20u);
+}
+
+TEST(PolicyEquivalenceTest, StartExitHoldsAtItsRoundingBoundary) {
+  // Sender j holds just enough excess that K * fl(1/(n-2)) * excess_j can
+  // reach half a task; an empty receiver i gets p_ij = fl(1/(n-2)) exactly,
+  // so tuning K to its first task puts the exit's bound exactly on 0.5.
+  stoch::RngStream rng(test::kFixedSeed, 7);
+  std::size_t on_half = 0;
+  for (const std::size_t n : {3, 5, 64, 256}) {
+    const double top = 1.0 / static_cast<double>(n - 2);
+    for (int trial = 0; trial < 12; ++trial) {
+      oracle::RandomSystem system = oracle::random_system(rng, n);
+      std::vector<double> rates;
+      for (const auto& node : system.nodes) rates.push_back(node.lambda_d);
+      const std::size_t j = rng.uniform_index(n);
+      const std::size_t k = (j + 1) % n;  // the one other loaded node
+      const std::size_t i = (j + 2) % n;  // an empty receiver
+      std::fill(system.queues.begin(), system.queues.end(), 0);
+      system.queues[k] = 1 + rng.uniform_index(4);
+      while (top * excess_load(rates, system.queues, j) < 0.5) ++system.queues[j];
+      ASSERT_EQ(partition_fraction(rates, system.queues, i, j), top) << "n=" << n;
+      const double gain = oracle::boundary_gain(rates, system.queues, i, j);
+      ASSERT_GT(gain, 0.0) << "n=" << n;
+      for (const double k_gain : {gain, std::nextafter(gain, 0.0)}) {
+        const FakeView view = oracle::make_view<FakeView>(system);
+        EXPECT_EQ(Lbp2Policy(k_gain).on_start(view), oracle::balance(view, k_gain))
+            << "n=" << n << " sender " << j << " K=" << k_gain;
+      }
+      if (gain * top * excess_load(rates, system.queues, j) == 0.5) ++on_half;
+    }
+  }
+  EXPECT_GT(on_half, 20u);
+}
+
+/// A FakeView that counts the per-node reads a decision makes, so a test can
+/// pin a decision's cost without a clock.
+class CountingView final : public SystemView {
+ public:
+  explicit CountingView(const FakeView& inner) : inner_(inner) {}
+  [[nodiscard]] std::size_t node_count() const override { return inner_.node_count(); }
+  [[nodiscard]] std::size_t queue_length(int n) const override {
+    ++queue_reads;
+    return inner_.queue_length(n);
+  }
+  [[nodiscard]] bool is_up(int n) const override {
+    ++up_reads;
+    return inner_.is_up(n);
+  }
+  [[nodiscard]] std::span<const markov::NodeParams> params() const override {
+    return inner_.params();
+  }
+  [[nodiscard]] double per_task_delay_mean() const override {
+    return inner_.per_task_delay_mean();
+  }
+  [[nodiscard]] const RateTable& rates() const override { return inner_.rates(); }
+
+  void reset() { queue_reads = up_reads = 0; }
+
+  mutable std::size_t queue_reads = 0;
+  mutable std::size_t up_reads = 0;
+
+ private:
+  const FakeView& inner_;
+};
+
+TEST(PolicyCostTest, DecisionsThatRoundEveryShareToZeroReadNoReceiver) {
+  constexpr std::size_t n = 1024;
+  oracle::RandomSystem system = many_node_churn(n);
+  const FakeView fake = oracle::make_view<FakeView>(system);
+  CountingView view(fake);
+  // A failure whose eq. (8) shares all round to zero reads the failed node's
+  // queue, plus the first up peer in the state-aware mode.
+  EXPECT_TRUE(Lbp2Policy(1.0).on_failure(0, view).empty());
+  EXPECT_EQ(view.queue_reads, 1u);
+  EXPECT_EQ(view.up_reads, 0u);
+  view.reset();
+  EXPECT_TRUE(Lbp2Policy(1.0, true).on_failure(0, view).empty());
+  EXPECT_EQ(view.queue_reads, 1u);
+  EXPECT_EQ(view.up_reads, 1u);
+  // A t = 0 split with every sender below half a task is one pass over the
+  // queues; the periodic form asks no sender whether it is up.
+  view.reset();
+  EXPECT_TRUE(Lbp2Policy(1.0).on_start(view).empty());
+  EXPECT_EQ(view.queue_reads, n);
+  EXPECT_EQ(view.up_reads, 0u);
+  view.reset();
+  EXPECT_TRUE(PeriodicRebalancePolicy(5.0, 1.0).on_periodic(view).empty());
+  EXPECT_EQ(view.queue_reads, n);
+  EXPECT_EQ(view.up_reads, 0u);
+
+  // The counts see O(n) work where it remains: when node 0 recovers slowly
+  // and holds enough work, the state-aware failure decision asks every peer,
+  // and a sender that can reach a task is asked whether it is up.
+  system.nodes[0].lambda_r = 1e-4;
+  system.queues[0] = 100000;
+  const FakeView slow = oracle::make_view<FakeView>(system);
+  CountingView walked(slow);
+  EXPECT_FALSE(Lbp2Policy(1.0, true).on_failure(0, walked).empty());
+  EXPECT_GE(walked.up_reads, n - 1);
+  walked.reset();
+  EXPECT_FALSE(PeriodicRebalancePolicy(5.0, 1.0).on_periodic(walked).empty());
+  EXPECT_EQ(walked.queue_reads, n);
+  EXPECT_EQ(walked.up_reads, 1u);
 }
 
 // ---------- baselines ----------

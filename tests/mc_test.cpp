@@ -80,7 +80,7 @@ void expect_same_stats(const stoch::RunningStats& a, const stoch::RunningStats& 
 }
 
 // A new RunResult field must be added to expect_bit_identical below.
-static_assert(sizeof(RunResult) == 9 * 8 + 2 * sizeof(stoch::RunningStats));
+static_assert(sizeof(RunResult) == 11 * 8 + 2 * sizeof(stoch::RunningStats));
 
 /// Every RunResult field, bit for bit.
 void expect_bit_identical(const RunResult& a, const RunResult& b, const std::string& where) {
@@ -93,6 +93,8 @@ void expect_bit_identical(const RunResult& a, const RunResult& b, const std::str
   EXPECT_EQ(a.tasks_arrived, b.tasks_arrived) << where;
   EXPECT_EQ(a.env_transitions, b.env_transitions) << where;
   EXPECT_EQ(a.state_packets_lost, b.state_packets_lost) << where;
+  EXPECT_EQ(a.policy_decisions, b.policy_decisions) << where;
+  EXPECT_EQ(a.policy_decisions_empty, b.policy_decisions_empty) << where;
   expect_same_stats(a.sojourn, b.sojourn, where + " sojourn");
   expect_same_stats(a.state_age, b.state_age, where + " state_age");
 }

@@ -13,10 +13,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cli/registry.hpp"
 #include "core/lbp1.hpp"
+#include "core/lbp2.hpp"
 #include "markov/params.hpp"
 #include "mc/engine.hpp"
 #include "mc/scenario.hpp"
@@ -362,6 +364,75 @@ TEST(ObsEngine, MetricsCountersMatchDriverStatistics) {
   EXPECT_GT(metrics.gauge("des.queue.max_depth").value(), 0.0);
   EXPECT_EQ(metrics.histogram("mc.completion_time").count(), 6u);
   EXPECT_GT(metrics.gauge("mc.reps_per_s").value(), 0.0);
+}
+
+/// The trace's kPolicyDecision records, and those of them with count 0.
+std::pair<std::uint64_t, std::uint64_t> decision_records(const obs::TraceBuffer& trace) {
+  std::uint64_t all = 0;
+  std::uint64_t empty = 0;
+  for (const obs::Record& r : trace.to_vector()) {
+    if (r.kind_enum() != obs::Kind::kPolicyDecision) continue;
+    ++all;
+    if (r.count == 0) ++empty;
+  }
+  return {all, empty};
+}
+
+TEST(ObsEngine, PolicyDecisionCountersAgreeWithTheTrace) {
+  // At n = 256 every LBP-2 share rounds to zero, so every decision is empty.
+  const mc::ScenarioConfig churn = family_scenario("many-node-churn", {{"nodes", "256"}});
+  obs::TraceBuffer trace;
+  obs::Registry metrics;
+  mc::McConfig mc;
+  mc.replications = 3;
+  mc.seed = test::kFixedSeed;
+  mc.threads = 2;
+  mc.obs.trace = &trace;
+  mc.obs.metrics = &metrics;
+  const mc::McResult observed = mc::run_monte_carlo(churn, mc);
+  const std::uint64_t decisions = metrics.counter("policy.decisions").value();
+  const std::uint64_t empty = metrics.counter("policy.decisions.empty").value();
+  EXPECT_GT(decisions, 3u);
+  EXPECT_EQ(empty, decisions);
+  EXPECT_EQ(decision_records(trace), std::make_pair(decisions, empty));
+  // Counting reads no RNG: the statistics do not move a bit without the sinks.
+  mc::McConfig plain = mc;
+  plain.obs = {};
+  const mc::McResult unobserved = mc::run_monte_carlo(churn, plain);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(unobserved.mean()),
+            std::bit_cast<std::uint64_t>(observed.mean()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(unobserved.completion.variance()),
+            std::bit_cast<std::uint64_t>(observed.completion.variance()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(unobserved.sojourn.mean()),
+            std::bit_cast<std::uint64_t>(observed.sojourn.mean()));
+
+  // LBP-1's t = 0 transfer is a non-empty decision; its churn hooks are empty.
+  const mc::ScenarioConfig paper = family_scenario("paper-two-node", {});
+  obs::TraceBuffer paper_trace;
+  obs::Registry paper_metrics;
+  mc.obs.trace = &paper_trace;
+  mc.obs.metrics = &paper_metrics;
+  (void)mc::run_monte_carlo(paper, mc);
+  const std::uint64_t paper_decisions = paper_metrics.counter("policy.decisions").value();
+  const std::uint64_t paper_empty = paper_metrics.counter("policy.decisions.empty").value();
+  EXPECT_LT(paper_empty, paper_decisions);
+  EXPECT_EQ(decision_records(paper_trace), std::make_pair(paper_decisions, paper_empty));
+
+  // The testbed counts where it writes its records too: one t = 0 decision
+  // per node, then one per churn event.
+  obs::TraceBuffer bed_trace;
+  obs::Registry bed_metrics;
+  mc::ObsSinks sinks;
+  sinks.trace = &bed_trace;
+  sinks.metrics = &bed_metrics;
+  const testbed::TestbedConfig bed =
+      testbed::paper_testbed(40, 20, std::make_unique<core::Lbp2Policy>(0.5));
+  (void)testbed::run_experiment(bed, 4, test::kFixedSeed, 2, sinks);
+  const std::uint64_t bed_decisions = bed_metrics.counter("policy.decisions").value();
+  const std::uint64_t bed_empty = bed_metrics.counter("policy.decisions.empty").value();
+  EXPECT_GT(bed_decisions, 8u);
+  EXPECT_LT(bed_empty, bed_decisions);
+  EXPECT_EQ(decision_records(bed_trace), std::make_pair(bed_decisions, bed_empty));
 }
 
 TEST(ObsProfile, MergeSumsAndEngineFillsPhases) {
