@@ -459,12 +459,11 @@ bool failure_exits(const SystemView& view, std::size_t j) {
 
 /// Whether excess_balance prices no receiver of sender j:
 /// fl(fl(K * fl(1/(n-2))) * excess_j) < 0.5, with 1 in place of 1/(n-2) at n = 2.
-bool start_exits(const oracle::RandomSystem& system, double gain, std::size_t j) {
-  std::vector<double> rates;
-  for (const auto& node : system.nodes) rates.push_back(node.lambda_d);
+bool start_exits(const std::vector<double>& rates, const std::vector<std::size_t>& loads,
+                 double gain, std::size_t j) {
   const std::size_t n = rates.size();
   const double top = n == 2 ? 1.0 : 1.0 / static_cast<double>(n - 2);
-  return gain * top * excess_load(rates, system.queues, j) < 0.5;
+  return gain * top * excess_load(rates, loads, j) < 0.5;
 }
 
 TEST(PolicyEquivalenceTest, DecisionsMatchThePerPairLoopOnBothSidesOfTheExits) {
@@ -472,18 +471,21 @@ TEST(PolicyEquivalenceTest, DecisionsMatchThePerPairLoopOnBothSidesOfTheExits) {
   // many-node-churn's defaults at n = 256 and 1,024 round every share to
   // zero, so every decision there takes an exit.
   stoch::RngStream rng(test::kFixedSeed, 5);
-  std::vector<oracle::RandomSystem> systems;
-  for (const std::size_t n : {64, 256}) systems.push_back(oracle::random_system(rng, n));
-  systems.push_back(many_node_churn(256));
-  systems.push_back(many_node_churn(1024));
+  struct Case {
+    oracle::RandomSystem system;
+    bool churn_defaults;
+  };
+  const Case cases[] = {{oracle::random_system(rng, 64), false},
+                        {oracle::random_system(rng, 256), false},
+                        {many_node_churn(256), true},
+                        {many_node_churn(1024), true}};
   std::size_t start_exit = 0;
   std::size_t start_walk = 0;
   std::size_t failure_exit = 0;
   std::size_t failure_walk = 0;
-  for (const oracle::RandomSystem& system : systems) {
+  for (const auto& [system, churn_defaults] : cases) {
     const std::size_t n = system.nodes.size();
     const FakeView view = oracle::make_view<FakeView>(system);
-    const bool churn_defaults = n >= 256 && system.queues[0] == 120 && system.queues[1] == 20;
     std::vector<double> rates;
     for (const auto& node : system.nodes) rates.push_back(node.lambda_d);
     for (const double gain : {0.35, 1.0}) {
@@ -495,7 +497,7 @@ TEST(PolicyEquivalenceTest, DecisionsMatchThePerPairLoopOnBothSidesOfTheExits) {
       }
       for (std::size_t j = 0; j < n; ++j) {
         if (excess_load(rates, system.queues, j) <= 0.0) continue;
-        ++(start_exits(system, gain, j) ? start_exit : start_walk);
+        ++(start_exits(rates, system.queues, gain, j) ? start_exit : start_walk);
       }
     }
     for (std::size_t j = 0; j < n; j += std::max<std::size_t>(1, n / 16)) {
