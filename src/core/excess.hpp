@@ -51,7 +51,7 @@ struct BalanceScratch {
 /// nothing; the other senders' directives do not change. Equals the per-pair
 /// references bit for bit.
 ///
-/// Costs O(n + n * J') for J' senders that price their receivers. Since
+/// Costs O(n + n * J') for the J' senders that price their receivers. Since
 /// p_ij <= fl(1/(n-2)) (1 when n = 2) and IEEE rounding is monotone, no
 /// receiver of sender j reaches one task when
 /// fl(fl(K * fl(1/(n-2))) * excess_j) < 0.5; such a sender costs O(1). The

@@ -588,8 +588,8 @@ TEST(PolicyEquivalenceTest, StartExitHoldsAtItsRoundingBoundary) {
   EXPECT_GT(on_half, 20u);
 }
 
-/// A FakeView that counts the per-node reads a decision makes, so a test can
-/// pin a decision's cost without a clock.
+/// A view over a FakeView that counts the per-node reads a decision makes, so
+/// a test can pin a decision's cost without a clock.
 class CountingView final : public SystemView {
  public:
   explicit CountingView(const FakeView& inner) : inner_(inner) {}
