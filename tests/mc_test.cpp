@@ -515,19 +515,42 @@ constexpr Golden kFiniteGoldens[] = {
 };
 
 // Testbed engine, captured at realizations = 25, seed = 0x5eed2006,
-// threads = 2: the lossy-exchange defaults, plus paper-two-node mapped through
-// testbed::from_scenario (the `--engine=testbed` path). Both schedule every
-// event through the compute elements, the failure processes, net::Link and
-// the net::Network state plane. Quantiles are type-7 over the sorted samples.
+// threads = 2, each row mapped through testbed::from_scenario (the
+// `--engine=testbed` path). The rows pin the testbed's seams into the
+// replication core: the lossy-exchange defaults (bursty channel), the i.i.d.
+// state-plane fallback, the env-coupled channel floor under storms,
+// paper-two-node, cold-start (the testbed's t = 0 order for an initially-down
+// node) and multi-node (n = 4 node-local views). Both schedule every event
+// through the compute elements, the failure processes, the size-calibrated
+// service law, the Erlang bundle delays and the net::Network state plane.
+// Quantiles are type-7 over the sorted samples; state_age is pooled over
+// every decision of every realization.
 struct TestbedGolden {
   const char* family;
   double mean, p50, p90, p99, state_lost;
+  double failures, moved, age_mean, age_max;
+  /// Space-separated key=value overrides of the family defaults.
+  const char* overrides = "";
 };
 constexpr TestbedGolden kTestbedGoldens[] = {
     {"lossy-exchange", 107.65976303445396, 101.28501216129942, 161.4381855767939,
-     206.34947606645389, 39.479999999999997},
+     206.34947606645389, 39.479999999999997, 6.6399999999999997, 59.640000000000001,
+     0.8142225835463891, 8.5198114660562254},
+    {"lossy-exchange", 107.92061265811236, 101.28501216129942, 159.52619429197534,
+     206.34947606645389, 62.920000000000002, 6.6799999999999997, 60.479999999999997,
+     0.80742686978491096, 4.7209146612686368, "channel.states=0 exchange.loss=0.3"},
+    {"lossy-exchange", 151.30296681205076, 135.68279855901915, 215.00939172866831,
+     285.55797533723307, 91.799999999999997, 12.92, 71, 1.5758345087760124,
+     19.319879139052674, "channel.env=true"},
     {"paper-two-node", 115.41743491738112, 103.40865953887524, 183.96694883745772,
-     212.64492180115855, 0.0},
+     212.64492180115855, 0.0, 7.1600000000000001, 35, 0.45833424197088068,
+     0.99696608982023704},
+    {"cold-start", 132.03483191210233, 133.16390751905755, 180.76150990470529,
+     231.58216087811721, 0.0, 7.3600000000000003, 73, 0.42829244606558631,
+     0.99539387650750655},
+    {"multi-node", 110.38057704622521, 103.79775330331739, 136.85180573879379,
+     144.11052323736956, 0.0, 15.24, 117.68000000000001, 0.43647633453590035,
+     1.0006459100272593},
 };
 
 // Steady engine at the CI smoke's size (steady.tasks = 5000,
@@ -564,16 +587,20 @@ TEST(EngineTest, FiniteFamilyStatisticsBitIdenticalToPreRefactorGoldens) {
 
 TEST(EngineTest, TestbedFamilyStatisticsBitIdenticalToGoldens) {
   for (const TestbedGolden& g : kTestbedGoldens) {
-    const cli::ScenarioSpec& spec = cli::find_scenario(g.family);
     const testbed::TestbedConfig config =
-        testbed::from_scenario(spec.build(spec.schema.resolve({})));
+        testbed::from_scenario(family_config(g.family, g.overrides));
     const testbed::ExperimentSummary result =
         testbed::run_experiment(config, 25, 0x5eed2006, /*threads=*/2);
-    EXPECT_DOUBLE_EQ(result.mean(), g.mean) << g.family;
-    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.50), g.p50) << g.family;
-    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.90), g.p90) << g.family;
-    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.99), g.p99) << g.family;
-    EXPECT_DOUBLE_EQ(result.mean_state_lost, g.state_lost) << g.family;
+    const std::string row = std::string(g.family) + " " + g.overrides;
+    EXPECT_DOUBLE_EQ(result.mean(), g.mean) << row;
+    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.50), g.p50) << row;
+    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.90), g.p90) << row;
+    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.99), g.p99) << row;
+    EXPECT_DOUBLE_EQ(result.mean_state_lost, g.state_lost) << row;
+    EXPECT_DOUBLE_EQ(result.mean_failures, g.failures) << row;
+    EXPECT_DOUBLE_EQ(result.mean_tasks_moved, g.moved) << row;
+    EXPECT_DOUBLE_EQ(result.state_age.mean(), g.age_mean) << row;
+    EXPECT_DOUBLE_EQ(result.state_age.max(), g.age_max) << row;
   }
 }
 
@@ -594,6 +621,91 @@ TEST(EngineTest, SteadyFamilyStatisticsBitIdenticalToGoldens) {
     EXPECT_DOUBLE_EQ(result.p90, g.p90) << g.family;
     EXPECT_DOUBLE_EQ(result.p99, g.p99) << g.family;
   }
+}
+
+/// Delegates to another policy and logs every hook it runs, with node 0's up
+/// flag as that hook's view shows it.
+class HookSpy final : public core::LoadBalancingPolicy {
+ public:
+  struct Call {
+    char hook;  ///< 's' on_start, 'f' on_failure, 'r' on_recovery
+    int node;   ///< the hook's node argument (-1 for on_start)
+    bool node0_up;
+  };
+
+  HookSpy(core::PolicyPtr inner, std::vector<Call>& log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] std::vector<core::TransferDirective> on_start(
+      const core::SystemView& view) override {
+    log_.push_back({'s', -1, view.is_up(0)});
+    return inner_->on_start(view);
+  }
+  [[nodiscard]] std::vector<core::TransferDirective> on_failure(
+      int node, const core::SystemView& view) override {
+    log_.push_back({'f', node, view.is_up(0)});
+    return inner_->on_failure(node, view);
+  }
+  [[nodiscard]] std::vector<core::TransferDirective> on_recovery(
+      int node, const core::SystemView& view) override {
+    log_.push_back({'r', node, view.is_up(0)});
+    return inner_->on_recovery(node, view);
+  }
+  [[nodiscard]] core::PolicyPtr clone() const override {
+    return std::make_unique<HookSpy>(inner_->clone(), log_);
+  }
+
+ private:
+  core::PolicyPtr inner_;
+  std::vector<Call>& log_;
+};
+
+/// The nodes of the policy_decision records a replication wrote at t = 0.
+std::vector<int> decisions_at_zero(const RunTrace& trace) {
+  std::vector<int> nodes;
+  trace.events.for_each([&](const obs::Record& r) {
+    if (r.kind_enum() == obs::Kind::kPolicyDecision && r.time == 0.0) nodes.push_back(r.node);
+  });
+  return nodes;
+}
+
+TEST(EngineTest, EachEngineShowsAnInitiallyDownNodeAtTimeZeroItsOwnWay) {
+  // cold-start starts node 0 down. The MC engine fails it after the t = 0
+  // split: on_start sees it up, then on_failure(0) fires at t = 0. The
+  // testbed fails it before any decision, as an initial condition: every
+  // node's on_start sees it down, and no churn hook fires at t = 0.
+  ScenarioConfig mc_config = family_config("cold-start");
+  ASSERT_TRUE(mc_config.starts_down(0));
+  std::vector<HookSpy::Call> mc_log;
+  mc_config.policy = std::make_unique<HookSpy>(std::move(mc_config.policy), mc_log);
+  RunTrace mc_trace;
+  mc_trace.record_queues = false;
+  (void)run_scenario(mc_config, 0x5eed2006, 0, &mc_trace);
+  ASSERT_GE(mc_log.size(), 2u);
+  EXPECT_EQ(mc_log[0].hook, 's');
+  EXPECT_TRUE(mc_log[0].node0_up);
+  EXPECT_EQ(mc_log[1].hook, 'f');
+  EXPECT_EQ(mc_log[1].node, 0);
+  EXPECT_FALSE(mc_log[1].node0_up);
+  EXPECT_EQ(decisions_at_zero(mc_trace), (std::vector<int>{-1, 0}));
+
+  ScenarioConfig bed_scenario = family_config("cold-start");
+  std::vector<HookSpy::Call> bed_log;
+  bed_scenario.policy = std::make_unique<HookSpy>(std::move(bed_scenario.policy), bed_log);
+  const testbed::TestbedConfig bed = testbed::from_scenario(std::move(bed_scenario));
+  RunTrace bed_trace;
+  bed_trace.record_queues = false;
+  (void)testbed::run_realization(bed, 0x5eed2006, 0, &bed_trace);
+  ASSERT_GE(bed_log.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(bed_log[i].hook, 's') << "node " << i;
+    EXPECT_FALSE(bed_log[i].node0_up) << "node " << i;
+  }
+  EXPECT_EQ(decisions_at_zero(bed_trace), (std::vector<int>{0, 1}));
+  bed_trace.events.for_each([](const obs::Record& r) {
+    EXPECT_FALSE(r.kind_enum() == obs::Kind::kFail && r.time == 0.0);
+  });
 }
 
 TEST(EngineTest, EveryRegistryFamilyHasAGoldenRow) {
