@@ -510,28 +510,6 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
     warning = degeneration_warning(*scenario.policy, scenario.params, scenario.workloads,
                                    result.mean_tasks_moved);
   } else {
-    // The testbed emulates its own communication layer and start-up sequence;
-    // refuse scenario semantics it cannot honour rather than silently
-    // dropping them (mc is the engine for those keys).
-    std::string unsupported;
-    if (scenario.rebalance_period > 0.0) unsupported = "policy=periodic";
-    if (scenario.delay_model != nullptr) {
-      unsupported += std::string(unsupported.empty() ? "" : ", ") + "delay.model/delay.shift";
-    }
-    if (scenario.arrivals.active()) {
-      unsupported += std::string(unsupported.empty() ? "" : ", ") + "arrivals.*";
-    }
-    if (!scenario.schedule.empty()) {
-      unsupported += std::string(unsupported.empty() ? "" : ", ") + "schedule";
-    }
-    if (!scenario.topology.complete()) {
-      unsupported += std::string(unsupported.empty() ? "" : ", ") + "topology";
-    }
-    if (!unsupported.empty()) {
-      throw ConfigError(ConfigError::Kind::kOutOfRange, "engine",
-                        "the testbed engine does not emulate " + unsupported +
-                            " for this scenario; use the default mc engine");
-    }
     testbed::TestbedConfig tb = testbed::from_scenario(std::move(scenario));
     const std::size_t realizations = engine.replications != 0 ? engine.replications : 60;
     const std::uint64_t seed = engine.seed != 0 ? engine.seed : 0xbed2006;

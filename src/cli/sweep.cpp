@@ -219,7 +219,9 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
       for (const auto& [key, value] : assignment) {
         assign(key, value, raw, point_options);
       }
-      (void)scenario.build(scenario.schema.resolve(raw));
+      mc::ScenarioConfig built = scenario.build(scenario.schema.resolve(raw));
+      // The testbed mapping refuses the keys that engine cannot emulate.
+      if (scenario.testbed) (void)testbed::from_scenario(std::move(built));
     }
   }
 

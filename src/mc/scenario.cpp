@@ -1,10 +1,13 @@
 #include "mc/scenario.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <optional>
 
 #include "app/workload.hpp"
+#include "mc/state_plane.hpp"
+#include "net/network.hpp"
 #include "node/block_pool.hpp"
 #include "node/compute_element.hpp"
 #include "node/failure_process.hpp"
@@ -72,7 +75,6 @@ void validate_config(const ScenarioConfig& config, bool allow_unbounded) {
   LBSIM_REQUIRE(config.workloads.size() == n,
                 "workloads has " << config.workloads.size() << " entries for " << n
                                  << " nodes");
-  LBSIM_REQUIRE(config.policy != nullptr, "scenario needs a policy");
   LBSIM_REQUIRE(n >= 64 || config.initially_down < (std::uint64_t{1} << n),
                 "initially_down mask");
   env::validate(config.environment);
@@ -171,10 +173,14 @@ struct ReplicationWorkspace::State {
   std::vector<std::uint32_t> hot_queue_len;
   std::vector<std::uint8_t> hot_up;
   core::RateTable rates;
+  /// The testbed's decision plane: the state board and one view per node.
+  StateBoard board;
+  std::vector<NodeLocalView> views;
 
   void reset(std::size_t n) {
     while (nodes.size() < n) nodes.emplace_back(pool);
     for (std::size_t i = n; i < nodes.size(); ++i) nodes[i].ce.clear_queue();
+    views.clear();
     free_bundle = kNoSlot;
     for (std::size_t b = bundles.size(); b-- > 0;) {
       bundles[b].tasks.clear();
@@ -210,22 +216,26 @@ double seconds_since(ProfileClock::time_point begin) {
   return std::chrono::duration<double>(ProfileClock::now() - begin).count();
 }
 
-/// One replication's wiring. Every callback it hands out (the kernel's
-/// delivery and tick events, the CEs' completion handlers, the churn,
-/// schedule, environment and arrival hooks) captures a pointer to this, plus
-/// at most an index, so each stays in its small-object buffer.
+/// One replication's wiring, shared by both engines. Every callback it hands
+/// out (the kernel's delivery and tick events, the CEs' completion handlers,
+/// the churn, schedule, environment and arrival hooks) captures a pointer to
+/// this, plus at most an index, so each stays in its small-object buffer.
+/// `network` is the testbed's communication layer and switches in its seams;
+/// it is null on the abstract model.
 struct Replication {
-  Replication(const ScenarioConfig& config, ReplicationWorkspace::State& ws,
-              des::Simulator& sim, RunTrace* trace, obs::PhaseProfile* profile,
-              const net::TransferDelayModel& delay, stoch::RngStream& net_rng)
+  Replication(const ScenarioConfig& config, core::LoadBalancingPolicy& policy,
+              ReplicationWorkspace::State& ws, des::Simulator& sim, RunTrace* trace,
+              obs::PhaseProfile* profile, const net::TransferDelayModel& delay,
+              stoch::RngStream& net_rng, net::Network* network)
       : config(config),
         ws(ws),
         sim(sim),
         trace(trace),
         profile(profile),
-        policy(*config.policy),
+        policy(policy),
         delay(delay),
         net_rng(net_rng),
+        network(network),
         view(config.params, ws.rates, ws.hot_queue_len, ws.hot_up) {}
 
   const ScenarioConfig& config;
@@ -236,6 +246,7 @@ struct Replication {
   core::LoadBalancingPolicy& policy;
   const net::TransferDelayModel& delay;
   stoch::RngStream& net_rng;
+  net::Network* network;
   LiveView view;
   CompletionTracker tracker;
   RunResult result;
@@ -247,13 +258,23 @@ struct Replication {
 
   [[nodiscard]] node::ComputeElement& ce(std::size_t i) { return ws.nodes[i].ce; }
 
-  /// Runs one policy hook (timed into policy_s when profiled), counts and,
-  /// when traced, records the decision, and carries it out.
+  /// The view a decision by `node_id` sees: on the testbed that node's own
+  /// view of the state board, on the abstract model the live global view.
+  [[nodiscard]] const core::SystemView& view_of(int node_id) const {
+    if (network == nullptr) return view;
+    return ws.views[static_cast<std::size_t>(node_id)];
+  }
+
+  /// Runs one policy hook on `node_id`'s view (timed into policy_s when
+  /// profiled), counts and, when traced, records the decision, and carries it
+  /// out. On the testbed the decision first pools the age of every peer entry
+  /// its view consults.
   template <typename Hook>
   void decide(int node_id, Hook&& hook) {
+    if (network != nullptr) sample_state_age(node_id);
     ProfileClock::time_point begin{};
     if (profile != nullptr) begin = ProfileClock::now();
-    const std::vector<core::TransferDirective> directives = hook();
+    const std::vector<core::TransferDirective> directives = hook(view_of(node_id));
     if (profile != nullptr) profile->policy_s += seconds_since(begin);
     ++result.policy_decisions;
     if (directives.empty()) ++result.policy_decisions_empty;
@@ -261,12 +282,24 @@ struct Replication {
       trace->events.emit(sim.now(), obs::Kind::kPolicyDecision, node_id, -1,
                          static_cast<std::uint32_t>(directives.size()));
     }
-    execute(directives);
+    execute(directives, node_id);
   }
 
-  void execute(const std::vector<core::TransferDirective>& directives) {
+  void sample_state_age(int self) {
+    const std::size_t n = config.params.nodes.size();
+    for (std::size_t peer = 0; peer < n; ++peer) {
+      if (static_cast<int>(peer) == self) continue;
+      result.state_age.add(sim.now() -
+                           ws.board.last_heard(self, static_cast<int>(peer)).timestamp);
+    }
+  }
+
+  void execute(const std::vector<core::TransferDirective>& directives, int acting_node) {
     const std::size_t n = config.params.nodes.size();
     for (const core::TransferDirective& d : directives) {
+      // A node-local decision may only ship that node's own tasks.
+      LBSIM_REQUIRE(network == nullptr || d.from == acting_node,
+                    "node " << acting_node << " directed a transfer from " << d.from);
       LBSIM_REQUIRE(d.from >= 0 && static_cast<std::size_t>(d.from) < n, "from=" << d.from);
       LBSIM_REQUIRE(d.to >= 0 && static_cast<std::size_t>(d.to) < n && d.to != d.from,
                     "to=" << d.to);
@@ -288,7 +321,11 @@ struct Replication {
         trace->events.emit(sim.now(), obs::Kind::kTransferSend, d.from, d.to,
                            static_cast<std::uint32_t>(moved));
       }
-      sim.schedule_in(delay.sample(moved, net_rng), [rep = this, slot] { rep->deliver(slot); });
+      // The bundle-delay seam: the configured law on the network stream, or
+      // the testbed's Erlang law scaled by its state channel.
+      const double delay_s = network != nullptr ? network->sample_data_delay(moved)
+                                                : delay.sample(moved, net_rng);
+      sim.schedule_in(delay_s, [rep = this, slot] { rep->deliver(slot); });
     }
   }
 
@@ -302,16 +339,32 @@ struct Replication {
     ws.release_bundle(slot);
   }
 
+  /// The testbed's initial workload at node `i`: `count` tasks whose sizes
+  /// are drawn Exp(1) on the node's stream (app::WorkloadGenerator's law),
+  /// staged in a bundle slot and queued as one batch.
+  void inject_sized(std::size_t i, std::size_t count) {
+    const std::uint32_t slot = ws.acquire_bundle();
+    node::TaskChain& batch = ws.bundles[slot].tasks;
+    for (std::size_t k = 0; k < count; ++k) {
+      batch.push_back(
+          node::Task{next_id++, ws.rngs[i].exponential(1.0), static_cast<int>(i), sim.now()});
+    }
+    ce(i).enqueue_batch(batch);
+    ws.release_bundle(slot);
+  }
+
   void on_failure(int node_id) {
     ++result.failures;
     if (trace != nullptr) trace->events.emit(sim.now(), obs::Kind::kFail, node_id);
-    decide(node_id, [&] { return policy.on_failure(node_id, view); });
+    decide(node_id,
+           [&](const core::SystemView& v) { return policy.on_failure(node_id, v); });
   }
 
   void on_recovery(int node_id) {
     ++result.recoveries;
     if (trace != nullptr) trace->events.emit(sim.now(), obs::Kind::kRecover, node_id);
-    decide(node_id, [&] { return policy.on_recovery(node_id, view); });
+    decide(node_id,
+           [&](const core::SystemView& v) { return policy.on_recovery(node_id, v); });
   }
 
   void on_schedule(std::size_t i, bool down) {
@@ -328,7 +381,7 @@ struct Replication {
   /// The periodic round timer; it stops rescheduling once the run is done.
   void tick() {
     if (tracker.done) return;
-    decide(-1, [&] { return policy.on_periodic(view); });
+    decide(-1, [&](const core::SystemView& v) { return policy.on_periodic(v); });
     sim.schedule_in(config.rebalance_period, [rep = this] { rep->tick(); });
   }
 
@@ -344,7 +397,8 @@ struct Replication {
     if (config.arrivals.rebalance) {
       // Section 5's "LB episode at every external arrival": replay the
       // policy's initial balancing decision against the live queues.
-      decide(static_cast<int>(node_index), [&] { return policy.on_start(view); });
+      decide(static_cast<int>(node_index),
+             [&](const core::SystemView& v) { return policy.on_start(v); });
     }
     if (last) {
       tracker.injection_done = true;
@@ -359,12 +413,26 @@ struct Replication {
     for (std::size_t i = 0; i < n; ++i) ws.nodes[i].churn.set_hazard_multiplier(mult);
   }
 
-  /// Environment transition: re-arm every failure process at the new state's
-  /// hazard, re-draw the MMPP gap and, under edge churn, swap the graph. (The
-  /// kEnvTransition record is emitted by the Environment itself, before this
-  /// runs.)
+  /// What an environment state does to the system: it scales every failure
+  /// hazard, and on the testbed with an env-coupled channel it floors the
+  /// channel state (env state s of K clamps it to round(s/(K-1)·(k-1))), so
+  /// channel storms coincide with failure storms.
+  void apply_environment(std::size_t state) {
+    set_hazard_multiplier(config.environment.failure_mult[state]);
+    if (network == nullptr || !config.state_channel.env_coupled) return;
+    const std::size_t k_env = config.environment.states;
+    const std::size_t k_ch = config.state_channel.states;
+    const double frac =
+        k_env > 1 ? static_cast<double>(state) / static_cast<double>(k_env - 1) : 0.0;
+    network->set_channel_floor(
+        static_cast<std::size_t>(std::lround(frac * static_cast<double>(k_ch - 1))));
+  }
+
+  /// Environment transition: apply the new state, re-draw the MMPP gap and,
+  /// under edge churn, swap the graph. (The kEnvTransition record is emitted
+  /// by the Environment itself, before this runs.)
   void on_environment(std::size_t to) {
-    set_hazard_multiplier(environment->spec().failure_mult[to]);
+    apply_environment(to);
     if (arrivals != nullptr) arrivals->on_environment_transition();
     if (churned_topologies != nullptr) view.set_topology(&(*churned_topologies)[to]);
   }
@@ -440,9 +508,14 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   return run_scenario(config, seed, replication, trace, sim, probe, RunControls{});
 }
 
-RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
-                       std::uint64_t replication, RunTrace* trace, des::Simulator& sim,
-                       const SteadyProbe& probe, const RunControls& controls) {
+namespace {
+
+/// The replication core both engines run: run_scenario with `network` null,
+/// run_testbed_replication with the testbed's communication layer.
+RunResult run_replication(const ScenarioConfig& config, core::LoadBalancingPolicy& policy,
+                          std::uint64_t seed, std::uint64_t replication, RunTrace* trace,
+                          des::Simulator& sim, const SteadyProbe& probe,
+                          const RunControls& controls, net::Network* network) {
   // Phase profiling reads the monotonic clock only (never the RNG streams):
   // everything before the event loop is "setup" (its stream-construction part
   // is also "streams"), the loop itself is "loop", and the policy hooks inside
@@ -452,6 +525,16 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
 
   validate_config(config, /*allow_unbounded=*/probe.target_completions > 0);
   const std::size_t n = config.params.nodes.size();
+  const bool testbed = network != nullptr;
+  if (testbed) {
+    LBSIM_REQUIRE(network->node_count() == n, "network has " << network->node_count()
+                                                             << " nodes for " << n);
+    LBSIM_REQUIRE(config.rebalance_period == 0.0 && config.delay_model == nullptr &&
+                      !config.arrivals.active() && config.schedule.empty() &&
+                      config.topology.complete(),
+                  "the testbed emulates no periodic tick, delay model, arrivals, schedule "
+                  "or topology");
+  }
   sim.reset();  // recycles the pooled event slab when the caller reuses `sim`
   std::optional<ReplicationWorkspace> own_workspace;
   ReplicationWorkspace::State& ws =
@@ -460,15 +543,16 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
 
   // Disjoint, deterministic RNG streams per (replication, role, node):
   // results do not depend on thread scheduling. Stream ids keep the
-  // historical layout ([0, n) service, [n, 2n) churn, 2n network); the
-  // environment and arrival streams are appended only when configured, so
-  // scenarios without them stay bit-for-bit identical to earlier releases.
+  // historical layout ([0, n) service, [n, 2n) churn, 2n network, and on the
+  // testbed 2n + 1 its state plane); the environment, arrival and policy
+  // streams are appended only when configured, so scenarios without them stay
+  // bit-for-bit identical to earlier releases.
   const bool has_environment = config.environment.enabled();
   const bool has_arrivals = config.arrivals.active();
-  const bool has_policy_rng = config.policy->needs_rng();
-  const std::uint64_t streams_per_run = 2 * static_cast<std::uint64_t>(n) + 1 +
-                                        (has_environment ? 1 : 0) + (has_arrivals ? 1 : 0) +
-                                        (has_policy_rng ? 1 : 0);
+  const bool has_policy_rng = policy.needs_rng();
+  const std::uint64_t first_optional = 2 * static_cast<std::uint64_t>(n) + (testbed ? 2 : 1);
+  const std::uint64_t streams_per_run = first_optional + (has_environment ? 1 : 0) +
+                                        (has_arrivals ? 1 : 0) + (has_policy_rng ? 1 : 0);
   const std::uint64_t base = replication * streams_per_run;
   ProfileClock::time_point profile_streams{};
   if (controls.profile != nullptr) profile_streams = ProfileClock::now();
@@ -477,23 +561,25 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   rngs.reserve(2 * n);
   for (std::size_t i = 0; i < 2 * n; ++i) rngs.emplace_back(seed, base + i);
   stoch::RngStream net_rng(seed, base + 2 * n);
+  std::optional<stoch::RngStream> state_rng;
+  if (testbed) state_rng.emplace(seed, base + 2 * n + 1);
   // The env and arrival streams exist only when their process does, because
   // the stream layout is load-bearing: reserving their ids unconditionally
   // would move every replication's base and with it every historical result.
   std::optional<stoch::RngStream> env_rng;
-  if (has_environment) env_rng.emplace(seed, base + 2 * n + 1);
+  if (has_environment) env_rng.emplace(seed, base + first_optional);
   std::optional<stoch::RngStream> arrival_rng;
   if (has_arrivals) {
-    arrival_rng.emplace(seed, base + 2 * n + 1 + (has_environment ? 1 : 0));
+    arrival_rng.emplace(seed, base + first_optional + (has_environment ? 1 : 0));
   }
   // Randomised policies (RandomProbePolicy) draw from their own appended
   // stream, re-bound every replication; deterministic policies leave the
   // stream layout — and therefore every historical result — untouched.
   std::optional<stoch::RngStream> policy_rng;
   if (has_policy_rng) {
-    policy_rng.emplace(seed, base + 2 * n + 1 + (has_environment ? 1 : 0) +
+    policy_rng.emplace(seed, base + first_optional + (has_environment ? 1 : 0) +
                                  (has_arrivals ? 1 : 0));
-    config.policy->bind_rng(&*policy_rng);
+    policy.bind_rng(&*policy_rng);
   }
   if (controls.antithetic) {
     // The twin run: identical stream ids and draw counts, every
@@ -501,6 +587,7 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     // covers service, churn, network, environment and arrival randomness.
     for (stoch::RngStream& rng : rngs) rng.set_antithetic(true);
     net_rng.set_antithetic(true);
+    if (state_rng) state_rng->set_antithetic(true);
     if (env_rng) env_rng->set_antithetic(true);
     if (arrival_rng) arrival_rng->set_antithetic(true);
     if (policy_rng) policy_rng->set_antithetic(true);
@@ -510,29 +597,49 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   }
 
   // Bundle delays are drawn from the configured law in place (laws are
-  // immutable), on the network stream.
+  // immutable), on the network stream; the testbed's network owns its own.
   const net::ExponentialBundleDelay default_delay(config.params.per_task_delay_mean);
   const net::TransferDelayModel& delay =
       config.delay_model ? *config.delay_model
                          : static_cast<const net::TransferDelayModel&>(default_delay);
-  Replication rep(config, ws, sim, trace, controls.profile, delay, net_rng);
+  Replication rep(config, policy, ws, sim, trace, controls.profile, delay, net_rng, network);
 
-  // --- nodes, re-seated on this replication's kernel and streams ---
+  // --- nodes, re-seated on this replication's kernel and streams. The
+  //     service-law seam: the abstract model draws Exp(lambda_d) per task; the
+  //     testbed serves a task of random size s in s / lambda_d ---
   for (std::size_t i = 0; i < n; ++i) {
+    const double rate = config.params.nodes[i].lambda_d;
     rep.ce(i).reset(sim, static_cast<int>(i),
-                    app::exponential_service(config.params.nodes[i].lambda_d), rngs[i]);
+                    testbed ? app::calibrated_service(rate) : app::exponential_service(rate),
+                    rngs[i]);
   }
 
   // --- structure-of-arrays hot state: the per-node queue lengths and up
   //     flags every policy scan touches live in two packed arrays owned by
-  //     the workspace and mirrored by each CE on every transition (LiveView
-  //     reads these) ---
+  //     the workspace and mirrored by each CE on every transition (LiveView,
+  //     the testbed's node-local views and its broadcaster read these) ---
   ws.hot_queue_len.assign(n, 0);
   ws.hot_up.assign(n, 1);
   for (std::size_t i = 0; i < n; ++i) {
     rep.ce(i).bind_hot_cells(&ws.hot_queue_len[i], &ws.hot_up[i]);
   }
-  ws.rates.assign(config.params.nodes);  // the view's pricing constants
+  ws.rates.assign(config.params.nodes);  // the views' pricing constants
+
+  // --- the testbed's communication layer and decision plane: its network
+  //     re-seated on this replication's streams, an empty state board, one
+  //     view per node, and the broadcaster that feeds the board ---
+  std::optional<StateBroadcaster> broadcaster;
+  if (testbed) {
+    network->reset(sim, net_rng, *state_rng);
+    if (trace != nullptr) network->set_event_trace(&trace->events);
+    ws.board.reset(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ws.views.emplace_back(static_cast<int>(i), config.params, ws.rates, ws.hot_queue_len,
+                            ws.hot_up, ws.board);
+    }
+    broadcaster.emplace(sim, *network, ws.board, ws.hot_queue_len, ws.hot_up, config.params,
+                        config.exchange_period);
+  }
 
   if (trace != nullptr) {
     if (trace->record_queues) {
@@ -556,11 +663,16 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
         [tracker = &tracker](const node::Task& task) { tracker->on_complete(task); });
   }
 
-  // --- initial workloads (unit tasks; the abstract model draws service times
-  //     from Exp(lambda_d) regardless of size) ---
+  // --- initial workloads: unit tasks on the abstract model (it draws service
+  //     times from Exp(lambda_d) regardless of size), random sizes on the
+  //     testbed ---
   for (std::size_t i = 0; i < n; ++i) {
-    rep.ce(i).enqueue_units(config.workloads[i], rep.next_id);
-    rep.next_id += config.workloads[i];
+    if (testbed) {
+      rep.inject_sized(i, config.workloads[i]);
+    } else {
+      rep.ce(i).enqueue_units(config.workloads[i], rep.next_id);
+      rep.next_id += config.workloads[i];
+    }
   }
 
   // --- topology (non-complete graphs restrict every policy's neighbourhood;
@@ -585,7 +697,10 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   // --- churn: scheduled nodes swap the alternating-renewal driver for their
   //     deterministic timeline; both feed the same hooks, so policies see an
   //     identical event interface. (The schedule drivers are sized lazily:
-  //     unscheduled scenarios skip the allocation.) ---
+  //     unscheduled scenarios skip the allocation.) On the testbed an
+  //     initially-down node is already down here, before its hooks are bound:
+  //     starting down is an initial condition every t = 0 decision sees, not
+  //     a t = 0 failure event. ---
   std::vector<std::unique_ptr<env::ScheduleDriver>> schedules;
   if (!config.schedule.empty()) schedules.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -608,6 +723,7 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     }
     slot.churn.reset(sim, slot.ttf ? &*slot.ttf : nullptr, slot.ttr ? &*slot.ttr : nullptr,
                      rngs[n + i]);
+    if (testbed && config.starts_down(i)) slot.churn.start(/*initially_down=*/true);
     slot.churn.set_failure_handler([r = &rep](int node_id) { r->on_failure(node_id); });
     slot.churn.set_recovery_handler([r = &rep](int node_id) { r->on_recovery(node_id); });
   }
@@ -631,20 +747,52 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     rep.arrivals = &*arrivals;
   }
 
+  // --- t = 0: the policy's initial action. The decision-plane seam: the
+  //     abstract model decides once on the live global view; on the testbed
+  //     the board is seeded with the exact t = 0 state (queues and up flags,
+  //     so an initially-down peer never masquerades as up-and-empty), then
+  //     node i decides on its own view and ships only its own tasks, one
+  //     policy_decision record per node, in node order ---
+  if (testbed) {
+    for (std::size_t sender = 0; sender < n; ++sender) {
+      net::StateInfoPacket packet;
+      packet.sender = static_cast<int>(sender);
+      packet.timestamp = 0.0;
+      packet.queue_size = ws.hot_queue_len[sender];
+      packet.processing_rate = config.params.nodes[sender].lambda_d;
+      packet.node_up = ws.hot_up[sender] != 0;
+      for (std::size_t observer = 0; observer < n; ++observer) {
+        if (observer != sender) ws.board.store(static_cast<int>(observer), packet);
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const int self = static_cast<int>(i);
+      rep.decide(self, [&rep, self](const core::SystemView& v) {
+        std::vector<core::TransferDirective> directives = rep.policy.on_start(v);
+        std::erase_if(directives, [self](const core::TransferDirective& d) {
+          return d.from != self;
+        });
+        return directives;
+      });
+    }
+  } else {
+    rep.decide(-1, [&rep](const core::SystemView& v) { return rep.policy.on_start(v); });
+  }
+
   // Wire the environment's listener once its consumers exist; the initial
-  // state's multiplier applies to the very first TTF draws.
+  // state applies to the very first TTF draws and, on the testbed, to the
+  // channel after the t = 0 shipments.
   if (environment) {
     environment->set_transition_listener(
         [r = &rep](std::size_t /*from*/, std::size_t to) { r->on_environment(to); });
-    rep.set_hazard_multiplier(environment->failure_multiplier());
+    rep.apply_environment(environment->state());
   }
-
-  // --- t = 0: policy's initial action, then churn starts ---
-  rep.decide(-1, [&rep] { return rep.policy.on_start(rep.view); });
   if (config.rebalance_period > 0.0) {
     // Recurring timer for periodic policies; stops mattering once done.
     sim.schedule_in(config.rebalance_period, [r = &rep] { r->tick(); });
   }
+
+  // --- churn starts ---
   for (std::size_t i = 0; i < n; ++i) {
     if (!schedules.empty() && schedules[i] != nullptr) {
       schedules[i]->start();  // fires a down@0 synchronously, like initially_down
@@ -652,10 +800,12 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
     }
     const bool can_churn = config.churn_enabled && config.params.nodes[i].lambda_f > 0.0;
     const bool starts_down = config.starts_down(i);
+    if (testbed && starts_down) continue;  // started before the decisions
     if (can_churn || starts_down) ws.nodes[i].churn.start(starts_down);
   }
   if (environment) environment->start();
   if (arrivals) arrivals->start();
+  if (broadcaster) broadcaster->start();
 
   ProfileClock::time_point profile_loop{};
   if (controls.profile != nullptr) {
@@ -679,10 +829,30 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   RunResult& result = rep.result;
   result.completion_time = tracker.completion_time;
   if (environment) result.env_transitions = environment->transitions();
+  if (testbed) result.state_packets_lost = network->state_packets_lost();
   for (std::size_t i = 0; i < n; ++i) {
     result.tasks_completed += rep.ce(i).stats().tasks_completed;
   }
   return result;
+}
+
+}  // namespace
+
+RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
+                       std::uint64_t replication, RunTrace* trace, des::Simulator& sim,
+                       const SteadyProbe& probe, const RunControls& controls) {
+  LBSIM_REQUIRE(config.policy != nullptr, "scenario needs a policy");
+  return run_replication(config, *config.policy, seed, replication, trace, sim, probe,
+                         controls, nullptr);
+}
+
+RunResult run_testbed_replication(const ScenarioConfig& config,
+                                  core::LoadBalancingPolicy& policy, net::Network& network,
+                                  std::uint64_t seed, std::uint64_t replication,
+                                  RunTrace* trace, des::Simulator& sim,
+                                  const RunControls& controls) {
+  return run_replication(config, policy, seed, replication, trace, sim, SteadyProbe{},
+                         controls, &network);
 }
 
 }  // namespace lbsim::mc

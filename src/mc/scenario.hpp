@@ -4,6 +4,9 @@
 /// service per task, alternating exponential failure/recovery per node, and
 /// exponential load-dependent bundle delays — exactly the laws the
 /// regeneration analysis assumes, so MC means must converge to the solver's.
+/// The same replication core runs the emulated testbed of Section 3
+/// (run_testbed_replication), which differs from the model in three seams
+/// only: its service law, its bundle delays and its decision plane.
 
 #include <cstdint>
 #include <memory>
@@ -25,6 +28,10 @@
 
 namespace lbsim::des {
 class Simulator;
+}
+
+namespace lbsim::net {
+class Network;
 }
 
 namespace lbsim::mc {
@@ -264,5 +271,31 @@ struct RunControls {
                                      std::uint64_t replication, RunTrace* trace,
                                      des::Simulator& sim, const SteadyProbe& probe,
                                      const RunControls& controls);
+
+/// One replication of the emulated testbed (testbed::run_realization): the
+/// replication core run_scenario runs, with the testbed's three seams in
+/// place of the model's.
+/// - Service: each node's tasks get Exp(1) sizes at injection, drawn on the
+///   node's stream i, and a node serves a task in size / lambda_d.
+/// - Bundle delays: `network` samples them (its data law on its data stream,
+///   stream 2n, scaled by its state channel's data multiplier).
+/// - Decisions: node i decides on its own mc::NodeLocalView of a state board
+///   that `network`'s state plane (stream 2n + 1) refreshes every
+///   config.exchange_period seconds, and ships only its own tasks. An
+///   initially-down node is down before the t = 0 decisions and fires no
+///   hook, and every decision first pools its peer entries' ages into
+///   RunResult::state_age.
+/// The environment, when configured, draws on stream 2n + 2 and, with
+/// config.state_channel.env_coupled, floors the channel. `policy` runs in
+/// place (config.policy is not read); `network` is re-seated on `sim` and
+/// this replication's streams. The testbed emulates no periodic tick,
+/// delay model, arrivals, schedule or topology, and refuses a config that
+/// sets one.
+[[nodiscard]] RunResult run_testbed_replication(const ScenarioConfig& config,
+                                                core::LoadBalancingPolicy& policy,
+                                                net::Network& network, std::uint64_t seed,
+                                                std::uint64_t replication, RunTrace* trace,
+                                                des::Simulator& sim,
+                                                const RunControls& controls);
 
 }  // namespace lbsim::mc

@@ -1,11 +1,13 @@
-#include "testbed/state_exchange.hpp"
+#include "mc/state_plane.hpp"
 
 #include "util/error.hpp"
 
-namespace lbsim::testbed {
+namespace lbsim::mc {
 
-StateBoard::StateBoard(std::size_t node_count) : n_(node_count), board_(node_count * node_count) {
+void StateBoard::reset(std::size_t node_count) {
   LBSIM_REQUIRE(node_count >= 2, "state board needs >= 2 nodes");
+  n_ = node_count;
+  board_.assign(node_count * node_count, net::StateInfoPacket{});
 }
 
 void StateBoard::store(int observer, const net::StateInfoPacket& packet) {
@@ -25,53 +27,43 @@ const net::StateInfoPacket& StateBoard::last_heard(int observer, int peer) const
   return board_[static_cast<std::size_t>(observer) * n_ + static_cast<std::size_t>(peer)];
 }
 
-NodeLocalView::NodeLocalView(int self, const markov::MultiNodeParams& params,
-                             const core::RateTable& rates,
-                             const std::vector<std::unique_ptr<node::ComputeElement>>& ces,
-                             const StateBoard& board)
-    : self_(self), params_(params), rates_(rates), ces_(ces), board_(board) {}
-
-std::size_t NodeLocalView::node_count() const { return ces_.size(); }
-
 std::size_t NodeLocalView::queue_length(int node) const {
-  if (node == self_) return ces_.at(static_cast<std::size_t>(node))->queue_length();
+  if (node == self_) return queue_len_.at(static_cast<std::size_t>(node));
   return board_.last_heard(self_, node).queue_size;
 }
 
 bool NodeLocalView::is_up(int node) const {
-  if (node == self_) return ces_.at(static_cast<std::size_t>(node))->is_up();
+  if (node == self_) return up_.at(static_cast<std::size_t>(node)) != 0;
   return board_.last_heard(self_, node).node_up;
 }
 
-std::span<const markov::NodeParams> NodeLocalView::params() const { return params_.nodes; }
-
-double NodeLocalView::per_task_delay_mean() const { return params_.per_task_delay_mean; }
-
 StateBroadcaster::StateBroadcaster(des::Simulator& sim, net::Network& network,
                                    StateBoard& board,
-                                   const std::vector<std::unique_ptr<node::ComputeElement>>& ces,
+                                   const std::vector<std::uint32_t>& queue_len,
+                                   const std::vector<std::uint8_t>& up,
                                    const markov::MultiNodeParams& params, double period)
-    : sim_(sim), network_(network), board_(board), ces_(ces), params_(params),
+    : sim_(sim),
+      network_(network),
+      board_(board),
+      queue_len_(queue_len),
+      up_(up),
+      params_(params),
       period_(period) {
   LBSIM_REQUIRE(period > 0.0, "period=" << period);
 }
 
 void StateBroadcaster::start() {
-  LBSIM_REQUIRE(!running_, "broadcaster already running");
-  running_ = true;
   sim_.schedule_in(period_, [this] { broadcast_round(); });
 }
 
 void StateBroadcaster::broadcast_round() {
-  if (!running_) return;
-  ++rounds_;
-  for (std::size_t i = 0; i < ces_.size(); ++i) {
+  for (std::size_t i = 0; i < queue_len_.size(); ++i) {
     net::StateInfoPacket packet;
     packet.sender = static_cast<int>(i);
     packet.timestamp = sim_.now();
-    packet.queue_size = static_cast<std::uint32_t>(ces_[i]->queue_length());
+    packet.queue_size = queue_len_[i];
     packet.processing_rate = params_.nodes[i].lambda_d;
-    packet.node_up = ces_[i]->is_up();
+    packet.node_up = up_[i] != 0;
     network_.broadcast_state(packet, [this](int receiver, const net::StateInfoPacket& pkt) {
       board_.store(receiver, pkt);
     });
@@ -79,4 +71,4 @@ void StateBroadcaster::broadcast_round() {
   sim_.schedule_in(period_, [this] { broadcast_round(); });
 }
 
-}  // namespace lbsim::testbed
+}  // namespace lbsim::mc

@@ -9,8 +9,12 @@ namespace {
 
 /// SystemView over the scenario's initial condition (t = 0, nothing has run):
 /// queue lengths are the configured workloads and up/down follows the
-/// initially_down mask. This is exactly what the live engine shows a policy
-/// at its on_start call, so the replayed directives are identical.
+/// initially_down mask. The MC engine shows a policy the same queues at its
+/// on_start call, but not the same up flags: it fails an initially-down node
+/// only after on_start (the node reads as up there, then on_failure fires at
+/// t = 0), whereas this view, like the testbed's decision plane, shows it
+/// down. The replayed directives still match the engine's, because no
+/// start-only policy reads is_up in on_start.
 class InitialView final : public core::SystemView {
  public:
   explicit InitialView(const ScenarioConfig& config) : config_(config) {

@@ -59,6 +59,12 @@ class ChannelModel {
   /// single always-good state with loss `fallback_loss`.
   ChannelModel(const ChannelSpec& spec, double fallback_loss);
 
+  /// Returns the chain to the state the constructor leaves: state 0, no floor.
+  void reset() noexcept {
+    state_ = 0;
+    floor_ = 0;
+  }
+
   /// Advances the state machine by one packet and samples its fate.
   ChannelHop step(stoch::RngStream& rng);
 

@@ -1,13 +1,11 @@
 #pragma once
 /// \file
 /// Wire messages of the emulated communication layer (Section 3 of the paper):
-/// small UDP state-information packets and TCP data transfers whose size depends
-/// on the tasks carried.
+/// the small UDP state-information packets. (Task bundles travel through the
+/// replication workspace's pooled bundle slots, not as messages.)
 
 #include <cstddef>
 #include <cstdint>
-
-#include "node/task.hpp"
 
 namespace lbsim::net {
 
@@ -29,26 +27,6 @@ struct StateInfoPacket {
     std::size_t bytes = 20;              // sender, timestamp, queue, rate
     bytes += 2;                          // node_up + version tag
     if (has_policy_payload) bytes += 12; // payload + descriptor
-    return bytes;
-  }
-};
-
-/// A bundle of tasks in flight between two nodes (TCP transfer).
-struct DataTransfer {
-  int from = 0;
-  int to = 0;
-  double sent_at = 0.0;
-  node::TaskBatch tasks;
-
-  /// Emulated wire size: 16-byte header + per-task records whose length scales
-  /// with the (random) task size, mirroring "the size of the data packets
-  /// depends on the number of tasks ... and the particular realization of each
-  /// randomly generated task".
-  [[nodiscard]] std::size_t wire_bytes() const noexcept {
-    std::size_t bytes = 16;
-    for (const auto& task : tasks) {
-      bytes += 12 + static_cast<std::size_t>(task.size * 8.0);
-    }
     return bytes;
   }
 };

@@ -9,11 +9,13 @@ namespace lbsim::net {
 
 Network::Network(des::Simulator& sim, std::size_t node_count, Config config,
                  stoch::RngStream& rng, stoch::RngStream& state_rng)
-    : sim_(sim),
-      node_count_(node_count),
+    : Network(node_count, std::move(config)) {
+  reset(sim, rng, state_rng);
+}
+
+Network::Network(std::size_t node_count, Config config)
+    : node_count_(node_count),
       config_(std::move(config)),
-      rng_(rng),
-      state_rng_(state_rng),
       channel_(config_.channel, config_.state_loss_probability) {
   LBSIM_REQUIRE(node_count >= 2, "network needs >= 2 nodes");
   LBSIM_REQUIRE(config_.data_delay != nullptr, "network needs a data delay model");
@@ -22,32 +24,20 @@ Network::Network(des::Simulator& sim, std::size_t node_count, Config config,
   // topology layer's churn.drop=1; only p > 1 is a configuration error.
   LBSIM_REQUIRE(config_.state_loss_probability >= 0.0 && config_.state_loss_probability <= 1.0,
                 "state_loss_probability=" << config_.state_loss_probability);
-  links_.resize(node_count_ * node_count_);
-  for (std::size_t from = 0; from < node_count_; ++from) {
-    for (std::size_t to = 0; to < node_count_; ++to) {
-      if (from == to) continue;
-      links_[from * node_count_ + to] =
-          std::make_unique<Link>(sim_, static_cast<int>(from), static_cast<int>(to),
-                                 config_.data_delay->clone(), rng_);
-    }
-  }
 }
 
-std::size_t Network::index(int from, int to) const {
-  LBSIM_REQUIRE(from >= 0 && static_cast<std::size_t>(from) < node_count_, "from=" << from);
-  LBSIM_REQUIRE(to >= 0 && static_cast<std::size_t>(to) < node_count_, "to=" << to);
-  LBSIM_REQUIRE(from != to, "no self link");
-  return static_cast<std::size_t>(from) * node_count_ + static_cast<std::size_t>(to);
+void Network::reset(des::Simulator& sim, stoch::RngStream& rng, stoch::RngStream& state_rng) {
+  sim_ = &sim;
+  rng_ = &rng;
+  state_rng_ = &state_rng;
+  channel_.reset();
+  state_lost_ = 0;
+  state_bytes_ = 0;
+  event_trace_ = nullptr;
 }
 
-Link& Network::link(int from, int to) { return *links_[index(from, to)]; }
-
-const Link& Network::link(int from, int to) const { return *links_[index(from, to)]; }
-
-double Network::transfer(int from, int to, node::TaskBatch tasks,
-                         DeliveryHandler on_delivery) {
-  return link(from, to).send(std::move(tasks), std::move(on_delivery),
-                             channel_.data_multiplier());
+double Network::sample_data_delay(std::size_t tasks) {
+  return config_.data_delay->sample(tasks, *rng_) * channel_.data_multiplier();
 }
 
 std::size_t Network::broadcast_state(const StateInfoPacket& packet, StateHandler on_state) {
@@ -69,34 +59,26 @@ std::size_t Network::broadcast_state(const StateInfoPacket& packet, StateHandler
     // Unconditionally-per-packet channel step: stream consumption is the same
     // whatever the loss/channel configuration, so CRN pairing survives sweeps.
     const std::size_t state_before = channel_.effective_state();
-    const ChannelHop hop = channel_.step(state_rng_);
+    const ChannelHop hop = channel_.step(*state_rng_);
     if (event_trace_ != nullptr && channel_.effective_state() != state_before) {
-      event_trace_->emit(sim_.now(), obs::Kind::kChannelState, packet.sender,
+      event_trace_->emit(sim_->now(), obs::Kind::kChannelState, packet.sender,
                          static_cast<std::int32_t>(to),
                          static_cast<std::uint32_t>(channel_.effective_state()));
     }
     if (hop.lost) {
       ++state_lost_;
       if (event_trace_ != nullptr) {
-        event_trace_->emit(sim_.now(), obs::Kind::kStatePacketLost, packet.sender,
+        event_trace_->emit(sim_->now(), obs::Kind::kStatePacketLost, packet.sender,
                            static_cast<std::int32_t>(to));
       }
       continue;
     }
     ++delivered;
-    sim_.schedule_in(config_.state_latency * hop.latency_mult, [delivery, to] {
+    sim_->schedule_in(config_.state_latency * hop.latency_mult, [delivery, to] {
       delivery->handler(static_cast<int>(to), delivery->packet);
     });
   }
   return delivered;
-}
-
-std::size_t Network::tasks_in_flight() const noexcept {
-  std::size_t total = 0;
-  for (const auto& link : links_) {
-    if (link) total += link->tasks_in_flight();
-  }
-  return total;
 }
 
 }  // namespace lbsim::net

@@ -1,23 +1,26 @@
 #pragma once
 /// \file
-/// Full-mesh network between n nodes: one Link per ordered pair plus a UDP-like
-/// state-information channel with fixed small latency and optional loss.
+/// The testbed's emulated communication layer between n nodes: the delay law
+/// every data bundle samples, scaled by the state channel's current data
+/// multiplier, and a UDP-like state-information plane with fixed small latency
+/// and optional loss. The bundles themselves travel through the replication
+/// workspace's pooled bundle slots (mc::run_testbed_replication).
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "net/channel.hpp"
-#include "net/link.hpp"
+#include "net/delay_model.hpp"
 #include "net/message.hpp"
 #include "obs/trace.hpp"
+#include "sim/simulator.hpp"
 
 namespace lbsim::net {
 
 class Network {
  public:
   struct Config {
-    /// Delay law shared by all data links (cloned per link).
+    /// Delay law of every data bundle.
     TransferDelayModelPtr data_delay;
     /// One-way latency of a state packet, seconds (UDP datagrams are small).
     double state_latency = 1e-3;
@@ -30,27 +33,34 @@ class Network {
     ChannelSpec channel;
   };
 
-  using DeliveryHandler = std::function<void(DataTransfer&&)>;
   using StateHandler = std::function<void(int receiver, const StateInfoPacket&)>;
 
-  /// Builds links for every ordered pair of `node_count` >= 2 nodes. Data
-  /// delays draw from `rng`; every state-plane decision (channel stepping and
-  /// loss) draws from the dedicated `state_rng` so sweeping channel or loss
-  /// axes never perturbs data-plane stream consumption (CRN-safe).
+  /// A network of `node_count` >= 2 nodes, ready to use. Data delays draw
+  /// from `rng`; every state-plane decision (channel stepping and loss) draws
+  /// from the dedicated `state_rng` so sweeping channel or loss axes never
+  /// perturbs data-plane stream consumption (CRN-safe). The kernel and both
+  /// streams must outlive the network.
   Network(des::Simulator& sim, std::size_t node_count, Config config, stoch::RngStream& rng,
           stoch::RngStream& state_rng);
+
+  /// A workspace network: it validates and keeps `config`, and is unusable
+  /// until reset() seats it.
+  Network(std::size_t node_count, Config config);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
+  /// Returns the network to the state the ready-to-use constructor leaves,
+  /// re-seated on `sim`, `rng` and `state_rng`: channel in its initial state
+  /// with no floor, zero counters and no trace. Anything it had scheduled must
+  /// already be gone (des::Simulator::reset).
+  void reset(des::Simulator& sim, stoch::RngStream& rng, stoch::RngStream& state_rng);
+
   [[nodiscard]] std::size_t node_count() const noexcept { return node_count_; }
 
-  /// The directional link from -> to.
-  [[nodiscard]] Link& link(int from, int to);
-  [[nodiscard]] const Link& link(int from, int to) const;
-
-  /// Ships tasks from -> to; returns the sampled delay.
-  double transfer(int from, int to, node::TaskBatch tasks, DeliveryHandler on_delivery);
+  /// Samples one bundle's delay: the data law for `tasks` tasks on the data
+  /// stream, scaled by the channel's current data multiplier.
+  [[nodiscard]] double sample_data_delay(std::size_t tasks);
 
   /// Sends `packet` to every other node. Each copy steps the channel once and
   /// suffers that state's loss probability; survivors arrive after
@@ -64,9 +74,6 @@ class Network {
   /// The shared state-plane channel (read-mostly; tests inspect its state).
   [[nodiscard]] const ChannelModel& channel() const noexcept { return channel_; }
 
-  /// Total tasks currently in flight over all links.
-  [[nodiscard]] std::size_t tasks_in_flight() const noexcept;
-
   /// Count of state packets dropped by the loss process.
   [[nodiscard]] std::uint64_t state_packets_lost() const noexcept { return state_lost_; }
   [[nodiscard]] std::uint64_t state_bytes_sent() const noexcept { return state_bytes_; }
@@ -79,15 +86,12 @@ class Network {
   void set_event_trace(obs::TraceBuffer* trace) noexcept { event_trace_ = trace; }
 
  private:
-  [[nodiscard]] std::size_t index(int from, int to) const;
-
-  des::Simulator& sim_;
+  des::Simulator* sim_ = nullptr;
   std::size_t node_count_;
   Config config_;
-  stoch::RngStream& rng_;
-  stoch::RngStream& state_rng_;
+  stoch::RngStream* rng_ = nullptr;
+  stoch::RngStream* state_rng_ = nullptr;
   ChannelModel channel_;
-  std::vector<std::unique_ptr<Link>> links_;  // row-major [from][to], diagonal empty
   std::uint64_t state_lost_ = 0;
   std::uint64_t state_bytes_ = 0;
   obs::TraceBuffer* event_trace_ = nullptr;

@@ -4,12 +4,6 @@
 
 namespace lbsim::node {
 
-ComputeElement::ComputeElement(des::Simulator& sim, int id, ServiceTimeFn service_time,
-                               stoch::RngStream& rng)
-    : sim_(&sim), id_(id), service_time_(std::move(service_time)), rng_(&rng) {
-  LBSIM_REQUIRE(service_time_ != nullptr, "CE " << id << " needs a service-time function");
-}
-
 ComputeElement::ComputeElement(BlockPool& pool) : queue_(BlockAllocator<Task>(&pool)) {}
 
 void ComputeElement::reset(des::Simulator& sim, int id, ServiceTimeFn service_time,
@@ -58,19 +52,7 @@ void ComputeElement::bind_hot_cells(std::uint32_t* queue_len, std::uint8_t* up) 
   if (hot_up_ != nullptr) *hot_up_ = up_ ? 1 : 0;
 }
 
-void ComputeElement::enqueue(Task task) {
-  task.arrival_time = sim_->now();
-  queue_.push_back(task);
-  ++stats_.tasks_received;
-  if (event_trace_ != nullptr) {
-    event_trace_->emit(sim_->now(), obs::Kind::kTaskArrive, id_, -1, 1, task.id);
-  }
-  record_queue();
-  maybe_start_service();
-}
-
-template <typename Batch>
-void ComputeElement::append(Batch& batch) {
+void ComputeElement::enqueue_batch(TaskChain& batch) {
   if (batch.empty()) return;
   for (const Task& task : batch) {
     queue_.push_back(task);
@@ -82,12 +64,6 @@ void ComputeElement::append(Batch& batch) {
   }
   record_queue();
   maybe_start_service();
-}
-
-void ComputeElement::enqueue_batch(TaskBatch batch) { append(batch); }
-
-void ComputeElement::enqueue_batch(TaskChain& batch) {
-  append(batch);
   batch.clear();
 }
 
@@ -105,8 +81,7 @@ void ComputeElement::enqueue_units(std::size_t count, std::uint64_t first_id) {
   maybe_start_service();
 }
 
-template <typename Out>
-std::size_t ComputeElement::extract_into(std::size_t count, Out& out) {
+std::size_t ComputeElement::extract_tasks(std::size_t count, TaskChain& out) {
   const std::size_t take = std::min(count, queue_.size());
   if (take == 0) return 0;
   // Abort the running/frozen service only when the head task itself leaves.
@@ -124,17 +99,6 @@ std::size_t ComputeElement::extract_into(std::size_t count, Out& out) {
   stats_.tasks_extracted += take;
   record_queue();
   return take;
-}
-
-TaskBatch ComputeElement::extract_tasks(std::size_t count) {
-  TaskBatch out;
-  out.reserve(std::min(count, queue_.size()));
-  extract_into(count, out);
-  return out;
-}
-
-std::size_t ComputeElement::extract_tasks(std::size_t count, TaskChain& out) {
-  return extract_into(count, out);
 }
 
 void ComputeElement::maybe_start_service() {

@@ -42,23 +42,18 @@ class ComputeElement {
   using CompletionHandler = std::function<void(const Task&)>;
   using Handle = std::function<void(int node_id)>;
 
-  /// A standalone CE, ready to use: it references the kernel and its private
-  /// RNG stream (both must outlive it), and its queue draws from the global
-  /// heap.
-  ComputeElement(des::Simulator& sim, int id, ServiceTimeFn service_time,
-                 stoch::RngStream& rng);
-
-  /// A workspace CE: its queue draws blocks from `pool` (which must outlive
-  /// it), and it is unusable until reset() seats it.
+  /// A CE whose queue draws blocks from `pool` (which must outlive it); it is
+  /// unusable until reset() seats it.
   explicit ComputeElement(BlockPool& pool);
 
   ComputeElement(const ComputeElement&) = delete;
   ComputeElement& operator=(const ComputeElement&) = delete;
 
-  /// Returns the CE to the state the standalone constructor leaves, re-seated
-  /// on `sim`, `id`, `service_time` and `rng`: an empty queue (its capacity
-  /// is kept), up, idle, zero stats, and no handler, trace or hot cells bound.
-  /// Anything the CE had scheduled must already be gone (des::Simulator::reset).
+  /// Seats the CE on `sim`, `id`, `service_time` and `rng` (the kernel and the
+  /// stream must outlive its use) in its initial state: an empty queue (its
+  /// capacity is kept), up, idle, zero stats, and no handler, trace or hot
+  /// cells bound. Anything the CE had scheduled must already be gone
+  /// (des::Simulator::reset).
   void reset(des::Simulator& sim, int id, ServiceTimeFn service_time, stoch::RngStream& rng);
 
   /// Drops every queued task (their blocks go back to the queue's pool).
@@ -70,23 +65,19 @@ class ComputeElement {
   /// Tasks pending, including the one in service.
   [[nodiscard]] std::size_t queue_length() const noexcept { return queue_.size(); }
 
-  /// Appends tasks and starts service if possible. Works while down (tasks wait).
-  void enqueue(Task task);
-  void enqueue_batch(TaskBatch batch);
-  /// Appends every task of `batch`, in order, and leaves `batch` empty.
+  /// Appends every task of `batch`, in order, leaves `batch` empty, and starts
+  /// service if possible. Works while down (tasks wait).
   void enqueue_batch(TaskChain& batch);
 
   /// Appends `count` unit-size tasks with ids `first_id`, `first_id`+1, ...
-  /// originating here — equivalent to enqueue_batch(make_unit_tasks(...))
-  /// without materialising the temporary batch.
+  /// originating here, stamped with the current time — a batch of
+  /// make_unit_tasks(...) without materialising it.
   void enqueue_units(std::size_t count, std::uint64_t first_id);
 
   /// Removes up to `count` tasks from the *back* of the queue (most recently
   /// queued work leaves first; the in-service task is only taken if the request
-  /// drains the whole queue, in which case the service is aborted).
-  [[nodiscard]] TaskBatch extract_tasks(std::size_t count);
-  /// The same extraction, appended to `out` in extraction order; returns the
-  /// number of tasks taken.
+  /// drains the whole queue, in which case the service is aborted), appends
+  /// them to `out` in extraction order, and returns the number taken.
   std::size_t extract_tasks(std::size_t count, TaskChain& out);
 
   /// Transitions to the down state, freezing any in-service task. No-op if down.
@@ -117,10 +108,6 @@ class ComputeElement {
   [[nodiscard]] const CeStats& stats() const noexcept { return stats_; }
 
  private:
-  template <typename Batch>
-  void append(Batch& batch);
-  template <typename Out>
-  std::size_t extract_into(std::size_t count, Out& out);
   void maybe_start_service();
   void finish_current_task();
   void record_queue() const;

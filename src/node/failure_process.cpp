@@ -5,13 +5,6 @@
 
 namespace lbsim::node {
 
-FailureProcess::FailureProcess(des::Simulator& sim, ComputeElement& ce,
-                               stoch::DistributionPtr time_to_failure,
-                               stoch::DistributionPtr time_to_recovery, stoch::RngStream& rng)
-    : ce_(ce), owned_ttf_(std::move(time_to_failure)), owned_ttr_(std::move(time_to_recovery)) {
-  reset(sim, owned_ttf_.get(), owned_ttr_.get(), rng);
-}
-
 FailureProcess::FailureProcess(ComputeElement& ce) : ce_(ce) {}
 
 void FailureProcess::reset(des::Simulator& sim, const stoch::Distribution* time_to_failure,

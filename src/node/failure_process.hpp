@@ -24,23 +24,17 @@ class FailureProcess {
   /// by LBP-2 to trigger the backup transfer.
   using ChurnHandler = std::function<void(int node_id)>;
 
-  /// A standalone process that owns its laws. Distributions may be null,
-  /// meaning "never": a null time-to-failure makes the node perfectly reliable
-  /// (the paper's no-failure case).
-  FailureProcess(des::Simulator& sim, ComputeElement& ce,
-                 stoch::DistributionPtr time_to_failure,
-                 stoch::DistributionPtr time_to_recovery, stoch::RngStream& rng);
-
-  /// A workspace process driving `ce` (which must outlive it); unusable until
-  /// reset() seats it.
+  /// A process driving `ce` (which must outlive it); unusable until reset()
+  /// seats it.
   explicit FailureProcess(ComputeElement& ce);
 
   FailureProcess(const FailureProcess&) = delete;
   FailureProcess& operator=(const FailureProcess&) = delete;
 
-  /// Returns the process to the not-started state the constructor leaves,
-  /// re-seated on `sim` and `rng` with borrowed laws (null = never; both must
-  /// outlive the run): hazard multiplier 1, no handlers. Anything it had
+  /// Seats the process, not started, on `sim` and `rng` with borrowed laws
+  /// (both must outlive the run): hazard multiplier 1, no handlers. A law may
+  /// be null, meaning "never": a null time-to-failure makes the node
+  /// perfectly reliable (the paper's no-failure case). Anything it had
   /// scheduled must already be gone (des::Simulator::reset).
   void reset(des::Simulator& sim, const stoch::Distribution* time_to_failure,
              const stoch::Distribution* time_to_recovery, stoch::RngStream& rng);
@@ -76,8 +70,6 @@ class FailureProcess {
   ComputeElement& ce_;
   const stoch::Distribution* ttf_ = nullptr;
   const stoch::Distribution* ttr_ = nullptr;
-  stoch::DistributionPtr owned_ttf_;  // standalone form only
-  stoch::DistributionPtr owned_ttr_;
   stoch::RngStream* rng_ = nullptr;
   des::EventId pending_;
   bool running_ = false;

@@ -1,5 +1,7 @@
 #include "testbed/config.hpp"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "mc/scenario.hpp"
@@ -62,6 +64,23 @@ void validate(const TestbedConfig& config) {
 }
 
 TestbedConfig from_scenario(mc::ScenarioConfig&& scenario) {
+  // The testbed emulates its own communication layer and start-up sequence;
+  // refuse scenario semantics it cannot honour rather than silently dropping
+  // them (mc is the engine for those keys).
+  std::string unsupported;
+  const auto refuse = [&unsupported](const char* what) {
+    if (!unsupported.empty()) unsupported += ", ";
+    unsupported += what;
+  };
+  if (scenario.rebalance_period > 0.0) refuse("policy=periodic");
+  if (scenario.delay_model != nullptr) refuse("delay.model/delay.shift");
+  if (scenario.arrivals.active()) refuse("arrivals.*");
+  if (!scenario.schedule.empty()) refuse("schedule");
+  if (!scenario.topology.complete()) refuse("topology");
+  if (!unsupported.empty()) {
+    throw std::invalid_argument("the testbed engine does not emulate " + unsupported +
+                                " for this scenario; use the default mc engine");
+  }
   TestbedConfig config;
   config.params = scenario.params;
   config.workloads = scenario.workloads;

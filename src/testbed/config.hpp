@@ -67,6 +67,9 @@ namespace lbsim::testbed {
 /// Converts a registry-built mc::ScenarioConfig into a testbed config — the
 /// single mapping shared by `lbsim run --engine=testbed`, the sweep driver,
 /// and the validation harness. Consumes the scenario (moves its policy).
+/// Throws std::invalid_argument, naming every offending key, for scenario
+/// semantics the testbed does not emulate: a periodic policy, a delay model,
+/// arrivals, a schedule or a topology.
 [[nodiscard]] TestbedConfig from_scenario(mc::ScenarioConfig&& scenario);
 
 }  // namespace lbsim::testbed

@@ -4,8 +4,10 @@
 /// matrix-row tasks, size-proportional execution), communication layer
 /// (Erlang per-task bundle delays with setup shift; periodic lossy UDP state
 /// exchange), and LB/failure layer (policy + failure injector + backup agent).
-/// This produces the "Experimental Result" columns of Tables 1-2 and the
-/// queue realisations of Fig. 4.
+/// Each realisation runs through the Monte-Carlo replication core
+/// (mc::run_testbed_replication), which switches these layers in as its three
+/// testbed seams. This produces the "Experimental Result" columns of Tables
+/// 1-2 and the queue realisations of Fig. 4.
 
 #include <cstdint>
 
@@ -15,11 +17,12 @@
 
 namespace lbsim::testbed {
 
-/// One emulated realisation; same result/trace types as the abstract MC so
-/// that benches can tabulate them side by side. `profile` (optional)
+/// One emulated realisation on a simulator and workspace of its own; same
+/// result/trace types as the abstract MC so that benches can tabulate them
+/// side by side. The config's policy runs in place. `profile` (optional)
 /// accumulates the setup / event-loop wall-time split; `metrics` (optional)
-/// receives the realisation's DES-core and net-layer instrument updates.
-/// Neither consumes RNG draws or changes any simulated quantity.
+/// receives the realisation's DES-core instrument updates. Neither consumes
+/// RNG draws or changes any simulated quantity.
 [[nodiscard]] mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
                                             std::uint64_t replication,
                                             mc::RunTrace* trace = nullptr,
@@ -43,6 +46,8 @@ struct ExperimentSummary {
 
 /// Runs `realizations` independent emulated experiments (the paper uses
 /// 20-60 per configuration) on `threads` threads (0 = hardware concurrency).
+/// Each worker clones the config once and reuses one simulator and one
+/// mc::ReplicationWorkspace for every realization it runs.
 /// `sinks` optionally attaches the observability layer: a merged structured
 /// trace (replication order), a merged metrics registry (worker-id order plus
 /// driver-level gauges), and the aggregated phase profile.

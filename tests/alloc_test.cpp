@@ -1,8 +1,9 @@
 // Allocation gate for the replication loop. A worker's replication workspace
 // is reset, not rebuilt, so once it has warmed up a replication allocates only
-// what its policy returns (directive vectors) and what the steady engine's
-// fold keeps. This executable replaces the global operator new with a
-// counting one, so each test measures the allocations a run makes.
+// what its policy returns (directive vectors), what the steady engine's fold
+// keeps and, on the testbed, what its state plane's broadcast rounds make.
+// This executable replaces the global operator new with a counting one, so
+// each test measures the allocations a run makes.
 //
 // Each test runs N and 2N replications (threads = 1, so there is one worker
 // and one workspace) and pins allocs(2N) - allocs(N): the allocations of
@@ -26,6 +27,8 @@
 #include "mc/engine.hpp"
 #include "mc/scenario.hpp"
 #include "mc/steady.hpp"
+#include "testbed/config.hpp"
+#include "testbed/experiment.hpp"
 
 namespace {
 
@@ -180,6 +183,15 @@ Allocations finite_run(const ScenarioConfig& config, VrMode vr = VrMode::kNone) 
   });
 }
 
+/// The testbed engine's allocations: `scenario` mapped as `--engine=testbed`
+/// maps it, run through testbed::run_experiment on one worker.
+Allocations testbed_run(const ScenarioConfig& scenario) {
+  const testbed::TestbedConfig config = testbed::from_scenario(scenario.clone());
+  return past_warmup([&](std::size_t reps) {
+    (void)testbed::run_experiment(config, reps, 0xbed2006, /*threads=*/1);
+  });
+}
+
 TEST(AllocGate, CountingAllocatorSeesTheHeap) {
   const std::uint64_t before = g_allocations.load();
   ::operator delete(::operator new(16));
@@ -236,6 +248,34 @@ TEST(AllocGate, OpenSteady) {
   // directive vectors they return.
   EXPECT_EQ(a.engine, 5 * kReps);
   EXPECT_EQ(a.policy, 1706u);
+}
+
+TEST(AllocGate, TestbedQuietStatePlane) {
+  // No broadcast round (period 1,000 s) and no churn: each node's t = 0
+  // decision returns one directive vector, and the engine's 1 is the driver's
+  // sample vector growing once more for 2N realizations than for N. Before
+  // the testbed ran through the replication core: 67.02 per realization.
+  const Allocations a =
+      testbed_run(family("lossy-exchange", "exchange.period=1000 churn=false"));
+  EXPECT_EQ(a.engine, 1u);
+  EXPECT_EQ(a.policy, 2 * kReps);
+}
+
+TEST(AllocGate, TestbedLossyExchange) {
+  // The engine's share is the state plane's: net::Network::broadcast_state
+  // makes one shared delivery record per node per 1 s round (215.16 per
+  // realization). Before the fold: 303.70 per realization in all.
+  const Allocations a = testbed_run(family("lossy-exchange"));
+  EXPECT_EQ(a.engine, 10758u);
+  EXPECT_EQ(a.policy, 277u);
+}
+
+TEST(AllocGate, TestbedMultiNode) {
+  // Four nodes broadcast each round (424.66 per realization). Before the
+  // fold: 715.06 per realization in all.
+  const Allocations a = testbed_run(family("multi-node"));
+  EXPECT_EQ(a.engine, 21233u);
+  EXPECT_EQ(a.policy, 1908u);
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "cli/lbsim.hpp"
 #include "cli/sweep.hpp"
 #include "test_support.hpp"
 
@@ -127,6 +130,36 @@ TEST(CliSweep, GridIsFullyValidatedBeforeAnyPointRuns) {
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.kind(), ConfigError::Kind::kBadValue);
     EXPECT_EQ(e.key(), "schedule");
+  }
+}
+
+/// `lbsim args...` driven in-process: its exit code and its stderr.
+std::pair<int, std::string> lbsim(std::vector<std::string> args) {
+  args.insert(args.begin(), "lbsim");
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  std::ostringstream out, err;
+  const int code = run_lbsim(static_cast<int>(argv.size()), argv.data(), out, err);
+  return {code, err.str()};
+}
+
+TEST(CliSweep, TestbedFamiliesRefuseWhatTheTestbedCannotEmulate) {
+  // The refusal lives in testbed::from_scenario, the one mapping run and
+  // sweep share, so a sweep over a testbed family refuses a key exactly as
+  // `lbsim run` does, before any point runs, even when only one point sets it.
+  const std::pair<std::string, std::string> cases[] = {
+      {"policy=periodic", "policy=periodic,lbp2"},
+      {"delay.shift=5", "delay.shift=0,5"},
+  };
+  for (const auto& [run_key, sweep_axis] : cases) {
+    const auto [run_code, run_err] = lbsim({"run", "lossy-exchange", run_key, "--reps=2"});
+    EXPECT_EQ(run_code, 2) << run_key;
+    EXPECT_NE(run_err.find("the testbed engine does not emulate"), std::string::npos)
+        << run_err;
+    const auto [sweep_code, sweep_err] =
+        lbsim({"sweep", "lossy-exchange", sweep_axis, "--reps=2"});
+    EXPECT_EQ(sweep_code, 2) << sweep_axis;
+    EXPECT_EQ(sweep_err, run_err) << sweep_axis;
   }
 }
 

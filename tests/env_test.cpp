@@ -18,6 +18,7 @@
 #include "env/schedule.hpp"
 #include "mc/engine.hpp"
 #include "mc/scenario.hpp"
+#include "node/block_pool.hpp"
 #include "node/compute_element.hpp"
 #include "node/failure_process.hpp"
 #include "sim/simulator.hpp"
@@ -156,10 +157,13 @@ TEST(FailureProcessModulation, MultiplierScalesDeterministicTtfExactly) {
   // scaling is time scaling.
   des::Simulator sim;
   stoch::RngStream service_rng(1), churn_rng(2);
-  node::ComputeElement ce(sim, 0, [](const node::Task&, stoch::RngStream&) { return 1.0; },
-                          service_rng);
-  node::FailureProcess process(sim, ce, std::make_unique<stoch::Deterministic>(8.0),
-                               std::make_unique<stoch::Deterministic>(100.0), churn_rng);
+  node::BlockPool pool;
+  node::ComputeElement ce(pool);
+  ce.reset(sim, 0, [](const node::Task&, stoch::RngStream&) { return 1.0; }, service_rng);
+  const stoch::Deterministic ttf(8.0);
+  const stoch::Deterministic ttr(100.0);
+  node::FailureProcess process(ce);
+  process.reset(sim, &ttf, &ttr, churn_rng);
   double failed_at = -1.0;
   process.set_failure_handler([&](int) { failed_at = sim.now(); });
   process.set_hazard_multiplier(4.0);
@@ -171,10 +175,13 @@ TEST(FailureProcessModulation, MultiplierScalesDeterministicTtfExactly) {
 TEST(FailureProcessModulation, MultiplierChangeReArmsThePendingDraw) {
   des::Simulator sim;
   stoch::RngStream service_rng(1), churn_rng(2);
-  node::ComputeElement ce(sim, 0, [](const node::Task&, stoch::RngStream&) { return 1.0; },
-                          service_rng);
-  node::FailureProcess process(sim, ce, std::make_unique<stoch::Deterministic>(8.0),
-                               std::make_unique<stoch::Deterministic>(100.0), churn_rng);
+  node::BlockPool pool;
+  node::ComputeElement ce(pool);
+  ce.reset(sim, 0, [](const node::Task&, stoch::RngStream&) { return 1.0; }, service_rng);
+  const stoch::Deterministic ttf(8.0);
+  const stoch::Deterministic ttr(100.0);
+  node::FailureProcess process(ce);
+  process.reset(sim, &ttf, &ttr, churn_rng);
   double failed_at = -1.0;
   process.set_failure_handler([&](int) { failed_at = sim.now(); });
   process.start();  // failure armed for t = 8

@@ -1,11 +1,10 @@
-// Unit tests for the network substrate: delay models, links, state plane.
+// Unit tests for the network substrate: delay models, bundle delays, state plane.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "net/delay_model.hpp"
-#include "net/link.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -83,68 +82,6 @@ TEST(MessageTest, StatePacketWireSizeInPaperRange) {
   EXPECT_GT(with_payload.wire_bytes(), minimal.wire_bytes());
 }
 
-TEST(MessageTest, DataTransferBytesGrowWithTasksAndSize) {
-  DataTransfer small;
-  small.tasks = node::make_unit_tasks(2, 0, 1);
-  DataTransfer big;
-  big.tasks = node::make_unit_tasks(10, 0, 1);
-  EXPECT_GT(big.wire_bytes(), small.wire_bytes());
-  DataTransfer heavy = small;
-  heavy.tasks[0].size = 100.0;
-  EXPECT_GT(heavy.wire_bytes(), small.wire_bytes());
-}
-
-// ---------- link ----------
-
-TEST(LinkTest, DeliversBatchAfterDelay) {
-  des::Simulator sim;
-  stoch::RngStream rng(10);
-  Link link(sim, 0, 1, std::make_unique<DeterministicLinearDelay>(0.1), rng);
-  bool delivered = false;
-  const double delay = link.send(node::make_unit_tasks(5, 0, 1), [&](DataTransfer&& xfer) {
-    delivered = true;
-    EXPECT_EQ(xfer.tasks.size(), 5u);
-    EXPECT_EQ(xfer.from, 0);
-    EXPECT_EQ(xfer.to, 1);
-    EXPECT_DOUBLE_EQ(sim.now(), 0.5);
-  });
-  EXPECT_DOUBLE_EQ(delay, 0.5);
-  EXPECT_EQ(link.tasks_in_flight(), 5u);
-  EXPECT_EQ(link.bundles_in_flight(), 1u);
-  sim.run();
-  EXPECT_TRUE(delivered);
-  EXPECT_EQ(link.tasks_in_flight(), 0u);
-  EXPECT_EQ(link.tasks_delivered(), 5u);
-  EXPECT_GT(link.bytes_sent(), 0u);
-}
-
-TEST(LinkTest, RejectsEmptyBatchAndSelfLink) {
-  des::Simulator sim;
-  stoch::RngStream rng(11);
-  Link link(sim, 0, 1, std::make_unique<DeterministicLinearDelay>(0.1), rng);
-  EXPECT_THROW(link.send({}, [](DataTransfer&&) {}), std::invalid_argument);
-  EXPECT_THROW(Link(sim, 2, 2, std::make_unique<DeterministicLinearDelay>(0.1), rng),
-               std::invalid_argument);
-}
-
-TEST(LinkTest, MultipleBundlesIndependent) {
-  des::Simulator sim;
-  stoch::RngStream rng(12);
-  Link link(sim, 0, 1, std::make_unique<DeterministicLinearDelay>(0.1), rng);
-  std::vector<double> arrivals;
-  link.send(node::make_unit_tasks(1, 0, 1), [&](DataTransfer&&) {
-    arrivals.push_back(sim.now());
-  });
-  link.send(node::make_unit_tasks(3, 0, 10), [&](DataTransfer&&) {
-    arrivals.push_back(sim.now());
-  });
-  sim.run();
-  ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_DOUBLE_EQ(arrivals[0], 0.1);
-  EXPECT_DOUBLE_EQ(arrivals[1], 0.3);
-  EXPECT_EQ(link.bundles_delivered(), 2u);
-}
-
 // ---------- network ----------
 
 net::Network::Config deterministic_config(double per_task = 0.1) {
@@ -153,20 +90,21 @@ net::Network::Config deterministic_config(double per_task = 0.1) {
   return config;
 }
 
-TEST(NetworkTest, FullMeshTransfers) {
+TEST(NetworkTest, DataDelayIsTheLawScaledByTheChannel) {
   des::Simulator sim;
   stoch::RngStream rng(13);
   stoch::RngStream state_rng(113);
-  Network network(sim, 3, deterministic_config(), rng, state_rng);
-  int delivered_to = -1;
-  network.transfer(2, 0, node::make_unit_tasks(4, 2, 1),
-                   [&](DataTransfer&& xfer) { delivered_to = xfer.to; });
-  EXPECT_EQ(network.tasks_in_flight(), 4u);
-  sim.run();
-  EXPECT_EQ(delivered_to, 0);
-  EXPECT_EQ(network.tasks_in_flight(), 0u);
-  EXPECT_THROW((void)network.link(1, 1), std::invalid_argument);
-  EXPECT_THROW((void)network.link(0, 5), std::invalid_argument);
+  auto config = deterministic_config(0.1);
+  config.channel.states = 2;
+  config.channel.data_mult = {1.0, 3.0};
+  Network network(sim, 3, std::move(config), rng, state_rng);
+  EXPECT_DOUBLE_EQ(network.sample_data_delay(4), 0.4);
+  network.set_channel_floor(1);  // a storm forces the bad state
+  EXPECT_DOUBLE_EQ(network.sample_data_delay(4), 1.2);
+  // A reset returns the channel to its good state and lifts the floor.
+  network.reset(sim, rng, state_rng);
+  EXPECT_EQ(network.channel().effective_state(), 0u);
+  EXPECT_DOUBLE_EQ(network.sample_data_delay(4), 0.4);
 }
 
 TEST(NetworkTest, BroadcastReachesAllPeers) {

@@ -22,10 +22,22 @@ ComputeElement::ServiceTimeFn unit_service() {
   return [](const Task&, stoch::RngStream&) { return 1.0; };
 }
 
+/// One CE, seated on the fixture's kernel and stream with unit service, its
+/// queue drawing from the fixture's pool.
 struct Fixture {
+  Fixture() { ce.reset(sim, 0, unit_service(), rng); }
+
   des::Simulator sim;
   stoch::RngStream rng{42};
+  BlockPool pool;
+  ComputeElement ce{pool};
 };
+
+std::vector<std::uint64_t> ids(const TaskChain& tasks) {
+  std::vector<std::uint64_t> out;
+  for (const Task& task : tasks) out.push_back(task.id);
+  return out;
+}
 
 TEST(TaskTest, MakeUnitTasks) {
   const TaskBatch batch = make_unit_tasks(3, 7, 100);
@@ -38,10 +50,10 @@ TEST(TaskTest, MakeUnitTasks) {
 
 TEST(ComputeElementTest, ProcessesQueueInOrder) {
   Fixture f;
-  ComputeElement ce(f.sim, 0, unit_service(), f.rng);
+  ComputeElement& ce = f.ce;
   std::vector<std::uint64_t> completed;
   ce.set_completion_handler([&](const Task& t) { completed.push_back(t.id); });
-  ce.enqueue_batch(make_unit_tasks(3, 0, 1));
+  ce.enqueue_units(3, 1);
   f.sim.run();
   EXPECT_EQ(completed, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(f.sim.now(), 3.0);
@@ -51,10 +63,10 @@ TEST(ComputeElementTest, ProcessesQueueInOrder) {
 
 TEST(ComputeElementTest, FailureFreezesService) {
   Fixture f;
-  ComputeElement ce(f.sim, 0, unit_service(), f.rng);
+  ComputeElement& ce = f.ce;
   int completed = 0;
   ce.set_completion_handler([&](const Task&) { ++completed; });
-  ce.enqueue_batch(make_unit_tasks(2, 0, 1));
+  ce.enqueue_units(2, 1);
   // Fail at t = 0.4 (task 1 is 40% done), recover at t = 10.4.
   f.sim.schedule_at(0.4, [&] { ce.fail(); });
   f.sim.schedule_at(10.4, [&] { ce.recover(); });
@@ -69,11 +81,11 @@ TEST(ComputeElementTest, FailureFreezesService) {
 
 TEST(ComputeElementTest, TasksArrivingWhileDownWaitForRecovery) {
   Fixture f;
-  ComputeElement ce(f.sim, 0, unit_service(), f.rng);
+  ComputeElement& ce = f.ce;
   int completed = 0;
   ce.set_completion_handler([&](const Task&) { ++completed; });
   ce.fail();
-  ce.enqueue_batch(make_unit_tasks(2, 0, 1));
+  ce.enqueue_units(2, 1);
   f.sim.schedule_at(5.0, [&] { ce.recover(); });
   f.sim.run();
   EXPECT_EQ(completed, 2);
@@ -82,7 +94,7 @@ TEST(ComputeElementTest, TasksArrivingWhileDownWaitForRecovery) {
 
 TEST(ComputeElementTest, FailRecoverIdempotent) {
   Fixture f;
-  ComputeElement ce(f.sim, 0, unit_service(), f.rng);
+  ComputeElement& ce = f.ce;
   ce.fail();
   ce.fail();  // no-op
   EXPECT_EQ(ce.stats().failures, 1u);
@@ -94,12 +106,12 @@ TEST(ComputeElementTest, FailRecoverIdempotent) {
 
 TEST(ComputeElementTest, ExtractTakesFromBack) {
   Fixture f;
-  ComputeElement ce(f.sim, 0, unit_service(), f.rng);
-  ce.enqueue_batch(make_unit_tasks(5, 0, 1));  // ids 1..5, 1 in service
-  const TaskBatch out = ce.extract_tasks(2);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].id, 5u);  // most recently queued leaves first
-  EXPECT_EQ(out[1].id, 4u);
+  ComputeElement& ce = f.ce;
+  ce.enqueue_units(5, 1);  // ids 1..5, 1 in service
+  TaskChain out(f.pool);
+  ASSERT_EQ(ce.extract_tasks(2, out), 2u);
+  // Most recently queued leaves first.
+  EXPECT_EQ(ids(out), (std::vector<std::uint64_t>{5, 4}));
   EXPECT_EQ(ce.queue_length(), 3u);
   // Head task was untouched: completions still happen at 1.0, 2.0, 3.0.
   int completed = 0;
@@ -111,10 +123,10 @@ TEST(ComputeElementTest, ExtractTakesFromBack) {
 
 TEST(ComputeElementTest, ExtractMoreThanQueueTakesAllAndAbortsService) {
   Fixture f;
-  ComputeElement ce(f.sim, 0, unit_service(), f.rng);
-  ce.enqueue_batch(make_unit_tasks(3, 0, 1));
-  const TaskBatch out = ce.extract_tasks(10);
-  EXPECT_EQ(out.size(), 3u);
+  ComputeElement& ce = f.ce;
+  ce.enqueue_units(3, 1);
+  TaskChain out(f.pool);
+  EXPECT_EQ(ce.extract_tasks(10, out), 3u);
   EXPECT_EQ(ce.queue_length(), 0u);
   f.sim.run();
   EXPECT_EQ(ce.stats().tasks_completed, 0u);
@@ -122,12 +134,12 @@ TEST(ComputeElementTest, ExtractMoreThanQueueTakesAllAndAbortsService) {
 
 TEST(ComputeElementTest, ExtractFromDownNodePreservesFrozenWork) {
   Fixture f;
-  ComputeElement ce(f.sim, 0, unit_service(), f.rng);
-  ce.enqueue_batch(make_unit_tasks(4, 0, 1));
+  ComputeElement& ce = f.ce;
+  ce.enqueue_units(4, 1);
   f.sim.schedule_at(0.5, [&] {
     ce.fail();
-    const TaskBatch out = ce.extract_tasks(2);  // LBP-2 backup action
-    EXPECT_EQ(out.size(), 2u);
+    TaskChain out(f.pool);
+    EXPECT_EQ(ce.extract_tasks(2, out), 2u);  // LBP-2 backup action
   });
   f.sim.schedule_at(1.5, [&] { ce.recover(); });
   int completed = 0;
@@ -140,18 +152,20 @@ TEST(ComputeElementTest, ExtractFromDownNodePreservesFrozenWork) {
 
 TEST(ComputeElementTest, ExtractZeroOrEmptyIsEmpty) {
   Fixture f;
-  ComputeElement ce(f.sim, 0, unit_service(), f.rng);
-  EXPECT_TRUE(ce.extract_tasks(5).empty());
-  ce.enqueue_batch(make_unit_tasks(2, 0, 1));
-  EXPECT_TRUE(ce.extract_tasks(0).empty());
+  ComputeElement& ce = f.ce;
+  TaskChain out(f.pool);
+  EXPECT_EQ(ce.extract_tasks(5, out), 0u);
+  ce.enqueue_units(2, 1);
+  EXPECT_EQ(ce.extract_tasks(0, out), 0u);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(ComputeElementTest, QueueTraceRecordsChanges) {
   Fixture f;
-  ComputeElement ce(f.sim, 0, unit_service(), f.rng);
+  ComputeElement& ce = f.ce;
   des::TimeSeries trace;
   ce.set_queue_trace(&trace);
-  ce.enqueue_batch(make_unit_tasks(2, 0, 1));
+  ce.enqueue_units(2, 1);
   f.sim.run();
   EXPECT_DOUBLE_EQ(trace.value_at(0.0), 2.0);
   EXPECT_DOUBLE_EQ(trace.value_at(1.0), 1.0);
@@ -159,17 +173,21 @@ TEST(ComputeElementTest, QueueTraceRecordsChanges) {
 }
 
 TEST(ComputeElementTest, StochasticServiceUsesProvidedStream) {
+  const ComputeElement::ServiceTimeFn exp2 = [](const Task&, stoch::RngStream& r) {
+    return r.exponential(2.0);
+  };
+  BlockPool pool;
   des::Simulator sim;
   stoch::RngStream rng_a(7), rng_b(7);
-  ComputeElement a(sim, 0, [](const Task&, stoch::RngStream& r) { return r.exponential(2.0); },
-                   rng_a);
-  a.enqueue_batch(make_unit_tasks(50, 0, 1));
+  ComputeElement a(pool);
+  a.reset(sim, 0, exp2, rng_a);
+  a.enqueue_units(50, 1);
   sim.run();
   const double t_a = sim.now();
   des::Simulator sim2;
-  ComputeElement b(sim2, 0, [](const Task&, stoch::RngStream& r) { return r.exponential(2.0); },
-                   rng_b);
-  b.enqueue_batch(make_unit_tasks(50, 0, 1));
+  ComputeElement b(pool);
+  b.reset(sim2, 0, exp2, rng_b);
+  b.enqueue_units(50, 1);
   sim2.run();
   EXPECT_DOUBLE_EQ(t_a, sim2.now());  // same stream, same trajectory
 }
@@ -177,23 +195,16 @@ TEST(ComputeElementTest, StochasticServiceUsesProvidedStream) {
 // ---------- workspace form: pooled queues and bundles, reset ----------
 
 TEST(ComputeElementTest, PooledBundleKeepsExtractionOrderAcrossBlocks) {
-  // 40 tasks span three pool blocks of a bundle; they must leave and arrive in
-  // exactly the order of the heap-allocated TaskBatch path (back of the queue
-  // first).
+  // 40 tasks span three pool blocks of a bundle; they must leave in
+  // extraction order (back of the queue first) and arrive in that order.
   Fixture f;
-  BlockPool pool;
-  ComputeElement pooled(pool);
-  pooled.reset(f.sim, 0, unit_service(), f.rng);
-  ComputeElement plain(f.sim, 1, unit_service(), f.rng);
-  pooled.enqueue_units(50, 1);
-  plain.enqueue_units(50, 1);
-  TaskChain bundle(pool);
-  EXPECT_EQ(pooled.extract_tasks(40, bundle), 40u);
-  const TaskBatch batch = plain.extract_tasks(40);
-  ASSERT_EQ(bundle.size(), batch.size());
+  f.ce.enqueue_units(50, 1);
+  TaskChain bundle(f.pool);
+  EXPECT_EQ(f.ce.extract_tasks(40, bundle), 40u);
   std::vector<std::uint64_t> expected;
-  for (const Task& task : batch) expected.push_back(task.id);
-  ComputeElement receiver(pool);
+  for (std::uint64_t id = 50; id > 10; --id) expected.push_back(id);
+  EXPECT_EQ(ids(bundle), expected);
+  ComputeElement receiver(f.pool);
   receiver.reset(f.sim, 2, unit_service(), f.rng);
   std::vector<std::uint64_t> completed;
   receiver.set_completion_handler([&](const Task& t) { completed.push_back(t.id); });
@@ -202,7 +213,7 @@ TEST(ComputeElementTest, PooledBundleKeepsExtractionOrderAcrossBlocks) {
   EXPECT_EQ(receiver.stats().tasks_received, 40u);
   f.sim.run();
   EXPECT_EQ(completed, expected);
-  EXPECT_EQ(pooled.stats().tasks_completed, 10u);
+  EXPECT_EQ(f.ce.stats().tasks_completed, 10u);
 }
 
 TEST(ComputeElementTest, ResetReturnsAWorkspaceCeToItsFreshState) {
@@ -260,80 +271,82 @@ TEST(FailureProcessTest, ResetRestoresTheNotStartedState) {
 }
 
 TEST(FailureProcessTest, AlternatesUpDown) {
-  des::Simulator sim;
-  stoch::RngStream svc_rng(1), churn_rng(2);
-  ComputeElement ce(sim, 0, unit_service(), svc_rng);
-  FailureProcess churn(sim, ce, std::make_unique<stoch::Deterministic>(2.0),
-                       std::make_unique<stoch::Deterministic>(1.0), churn_rng);
+  Fixture f;
+  stoch::RngStream churn_rng(2);
+  const stoch::Deterministic ttf(2.0);
+  const stoch::Deterministic ttr(1.0);
+  FailureProcess churn(f.ce);
+  churn.reset(f.sim, &ttf, &ttr, churn_rng);
   int failures = 0, recoveries = 0;
   churn.set_failure_handler([&](int) { ++failures; });
   churn.set_recovery_handler([&](int) { ++recoveries; });
   churn.start();
-  sim.run_until(10.5);  // fail at 2,5,8; recover at 3,6,9
+  f.sim.run_until(10.5);  // fail at 2,5,8; recover at 3,6,9
   EXPECT_EQ(failures, 3);
   EXPECT_EQ(recoveries, 3);
   churn.stop();
 }
 
 TEST(FailureProcessTest, InitiallyDownFailsImmediately) {
-  des::Simulator sim;
-  stoch::RngStream svc_rng(1), churn_rng(2);
-  ComputeElement ce(sim, 0, unit_service(), svc_rng);
-  FailureProcess churn(sim, ce, nullptr, std::make_unique<stoch::Deterministic>(3.0),
-                       churn_rng);
+  Fixture f;
+  stoch::RngStream churn_rng(2);
+  const stoch::Deterministic ttr(3.0);
+  FailureProcess churn(f.ce);
+  churn.reset(f.sim, nullptr, &ttr, churn_rng);
   churn.start(/*initially_down=*/true);
-  EXPECT_FALSE(ce.is_up());
-  sim.run_until(3.5);
-  EXPECT_TRUE(ce.is_up());  // recovered at t = 3, and (no failure law) stays up
-  sim.run_until(100.0);
-  EXPECT_TRUE(ce.is_up());
+  EXPECT_FALSE(f.ce.is_up());
+  f.sim.run_until(3.5);
+  EXPECT_TRUE(f.ce.is_up());  // recovered at t = 3, and (no failure law) stays up
+  f.sim.run_until(100.0);
+  EXPECT_TRUE(f.ce.is_up());
 }
 
 TEST(FailureProcessTest, NullFailureLawMeansReliable) {
-  des::Simulator sim;
-  stoch::RngStream svc_rng(1), churn_rng(2);
-  ComputeElement ce(sim, 0, unit_service(), svc_rng);
-  FailureProcess churn(sim, ce, nullptr, nullptr, churn_rng);
+  Fixture f;
+  stoch::RngStream churn_rng(2);
+  FailureProcess churn(f.ce);
+  churn.reset(f.sim, nullptr, nullptr, churn_rng);
   churn.start();
-  ce.enqueue_batch(make_unit_tasks(5, 0, 1));
-  sim.run();
-  EXPECT_EQ(ce.stats().failures, 0u);
-  EXPECT_EQ(ce.stats().tasks_completed, 5u);
+  f.ce.enqueue_units(5, 1);
+  f.sim.run();
+  EXPECT_EQ(f.ce.stats().failures, 0u);
+  EXPECT_EQ(f.ce.stats().tasks_completed, 5u);
 }
 
 TEST(FailureProcessTest, FailureLawWithoutRecoveryRejected) {
-  des::Simulator sim;
-  stoch::RngStream svc_rng(1), churn_rng(2);
-  ComputeElement ce(sim, 0, unit_service(), svc_rng);
-  EXPECT_THROW(FailureProcess(sim, ce, std::make_unique<stoch::Exponential>(0.05), nullptr,
-                              churn_rng),
-               std::invalid_argument);
+  Fixture f;
+  stoch::RngStream churn_rng(2);
+  const stoch::Exponential ttf(0.05);
+  FailureProcess churn(f.ce);
+  EXPECT_THROW(churn.reset(f.sim, &ttf, nullptr, churn_rng), std::invalid_argument);
 }
 
 TEST(FailureProcessTest, StopCancelsPendingChurn) {
-  des::Simulator sim;
-  stoch::RngStream svc_rng(1), churn_rng(2);
-  ComputeElement ce(sim, 0, unit_service(), svc_rng);
-  FailureProcess churn(sim, ce, std::make_unique<stoch::Deterministic>(2.0),
-                       std::make_unique<stoch::Deterministic>(1.0), churn_rng);
+  Fixture f;
+  stoch::RngStream churn_rng(2);
+  const stoch::Deterministic ttf(2.0);
+  const stoch::Deterministic ttr(1.0);
+  FailureProcess churn(f.ce);
+  churn.reset(f.sim, &ttf, &ttr, churn_rng);
   churn.start();
   churn.stop();
-  sim.run_until(10.0);
-  EXPECT_EQ(ce.stats().failures, 0u);
+  f.sim.run_until(10.0);
+  EXPECT_EQ(f.ce.stats().failures, 0u);
 }
 
 TEST(FailureProcessTest, EmpiricalAvailabilityMatchesTheory) {
   // Long-run fraction of up time ~ lambda_r / (lambda_f + lambda_r) = 2/3 for
   // mean up 20 s / mean down 10 s (node 1 of the paper).
-  des::Simulator sim;
-  stoch::RngStream svc_rng(1), churn_rng(99);
-  ComputeElement ce(sim, 0, unit_service(), svc_rng);
-  FailureProcess churn(sim, ce, std::make_unique<stoch::Exponential>(1.0 / 20.0),
-                       std::make_unique<stoch::Exponential>(1.0 / 10.0), churn_rng);
+  Fixture f;
+  stoch::RngStream churn_rng(99);
+  const stoch::Exponential ttf(1.0 / 20.0);
+  const stoch::Exponential ttr(1.0 / 10.0);
+  FailureProcess churn(f.ce);
+  churn.reset(f.sim, &ttf, &ttr, churn_rng);
   churn.start();
   const double horizon = 200000.0;
-  sim.run_until(horizon);
-  const double up_fraction = 1.0 - ce.stats().down_time / horizon;
+  f.sim.run_until(horizon);
+  const double up_fraction = 1.0 - f.ce.stats().down_time / horizon;
   EXPECT_NEAR(up_fraction, 2.0 / 3.0, 0.02);
 }
 

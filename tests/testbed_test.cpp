@@ -9,15 +9,15 @@
 #include "core/lbp1.hpp"
 #include "core/lbp2.hpp"
 #include "markov/two_node_mean.hpp"
+#include "mc/state_plane.hpp"
 #include "testbed/config.hpp"
 #include "testbed/experiment.hpp"
-#include "testbed/state_exchange.hpp"
 
 namespace lbsim::testbed {
 namespace {
 
 TEST(StateBoardTest, StoreAndRecall) {
-  StateBoard board(3);
+  mc::StateBoard board(3);
   net::StateInfoPacket packet;
   packet.sender = 1;
   packet.queue_size = 17;
