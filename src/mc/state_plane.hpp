@@ -22,11 +22,8 @@ namespace lbsim::mc {
 /// Last-heard state per (observer, peer) pair.
 class StateBoard {
  public:
-  StateBoard() = default;
-  explicit StateBoard(std::size_t node_count) { reset(node_count); }
-
-  /// Forgets every entry of a board of `node_count` >= 2 nodes, keeping its
-  /// capacity.
+  /// Sizes the board for `node_count` >= 2 nodes with every entry forgotten,
+  /// keeping its capacity. A board is empty until reset.
   void reset(std::size_t node_count);
 
   void store(int observer, const net::StateInfoPacket& packet);

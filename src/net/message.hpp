@@ -1,8 +1,7 @@
 #pragma once
 /// \file
 /// Wire messages of the emulated communication layer (Section 3 of the paper):
-/// the small UDP state-information packets. (Task bundles travel through the
-/// replication workspace's pooled bundle slots, not as messages.)
+/// the small UDP state-information packets.
 
 #include <cstddef>
 #include <cstdint>

@@ -12,9 +12,9 @@
 namespace lbsim::testbed {
 namespace {
 
-/// The config in the replication core's terms. Its policy stays with the
-/// testbed config (the core runs it in place), and its bundle-delay law lives
-/// in the network (network_config).
+/// The part of the config the replication core reads. Its policy stays with
+/// the testbed config (the core runs it in place), and its communication layer
+/// is the network's (network_config).
 mc::ScenarioConfig as_scenario(const TestbedConfig& config) {
   mc::ScenarioConfig scenario;
   scenario.params = config.params;
@@ -23,8 +23,6 @@ mc::ScenarioConfig as_scenario(const TestbedConfig& config) {
   scenario.initially_down = config.initially_down;
   scenario.environment = config.environment;
   scenario.exchange_period = config.state_broadcast_period;
-  scenario.exchange_latency = config.state_latency;
-  scenario.exchange_loss = config.state_loss_probability;
   scenario.state_channel = config.channel;
   return scenario;
 }

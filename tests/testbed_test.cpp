@@ -17,7 +17,8 @@ namespace lbsim::testbed {
 namespace {
 
 TEST(StateBoardTest, StoreAndRecall) {
-  mc::StateBoard board(3);
+  mc::StateBoard board;
+  board.reset(3);
   net::StateInfoPacket packet;
   packet.sender = 1;
   packet.queue_size = 17;
@@ -26,6 +27,9 @@ TEST(StateBoardTest, StoreAndRecall) {
   // Unheard peers read as the default packet.
   EXPECT_EQ(board.last_heard(2, 1).queue_size, 0u);
   EXPECT_THROW((void)board.last_heard(1, 1), std::invalid_argument);
+  // A reset, as every replication does, forgets what was heard.
+  board.reset(3);
+  EXPECT_EQ(board.last_heard(0, 1).queue_size, 0u);
 }
 
 TEST(TestbedConfigTest, PaperPresetAndValidation) {
