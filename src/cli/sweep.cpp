@@ -207,22 +207,20 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
   }
   const auto grid = expand_grid(axes);
 
-  // Validate-and-build the whole grid before a single replication runs: a
-  // bad point (out-of-range value, malformed schedule — e.g. a comma-split
-  // timeline whose tail value is not a clause) must fail here with its
-  // precise ConfigError, not abort a half-finished sweep. Builds are
-  // microseconds next to an MC point, and the dry-run path builds anyway.
-  if (!options.dry_run) {
-    for (const auto& assignment : grid) {
-      RawConfig raw = base;
-      SweepOptions point_options = options;
-      for (const auto& [key, value] : assignment) {
-        assign(key, value, raw, point_options);
-      }
-      mc::ScenarioConfig built = scenario.build(scenario.schema.resolve(raw));
-      // The testbed mapping refuses the keys that engine cannot emulate.
-      if (scenario.testbed) (void)testbed::from_scenario(std::move(built));
+  // Validate-and-build the whole grid before a single replication runs (or,
+  // on a dry run, a single row prints): a bad point (out-of-range value,
+  // malformed schedule — e.g. a comma-split timeline whose tail value is not
+  // a clause, a key the testbed cannot emulate) must fail here with its
+  // precise error, not abort a half-finished sweep. Builds are microseconds
+  // next to an MC point.
+  for (const auto& assignment : grid) {
+    RawConfig raw = base;
+    SweepOptions point_options = options;
+    for (const auto& [key, value] : assignment) {
+      assign(key, value, raw, point_options);
     }
+    mc::ScenarioConfig built = scenario.build(scenario.schema.resolve(raw));
+    if (scenario.testbed) (void)testbed::from_scenario(std::move(built));
   }
 
   std::vector<std::string> header;
@@ -312,7 +310,6 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
       row.push_back(value);
     }
     if (options.dry_run) {
-      // Build (but do not run) the scenario so every point is validated.
       const mc::ScenarioConfig built = scenario.build(config);
       row.push_back(built.policy->name());
       std::size_t shown = point_options.replications;

@@ -146,7 +146,8 @@ std::pair<int, std::string> lbsim(std::vector<std::string> args) {
 TEST(CliSweep, TestbedFamiliesRefuseWhatTheTestbedCannotEmulate) {
   // The refusal lives in testbed::from_scenario, the one mapping run and
   // sweep share, so a sweep over a testbed family refuses a key exactly as
-  // `lbsim run` does, before any point runs, even when only one point sets it.
+  // `lbsim run` does, dry or not, before any point runs, even when only one
+  // point sets it.
   const std::pair<std::string, std::string> cases[] = {
       {"policy=periodic", "policy=periodic,lbp2"},
       {"delay.shift=5", "delay.shift=0,5"},
@@ -156,10 +157,11 @@ TEST(CliSweep, TestbedFamiliesRefuseWhatTheTestbedCannotEmulate) {
     EXPECT_EQ(run_code, 2) << run_key;
     EXPECT_NE(run_err.find("the testbed engine does not emulate"), std::string::npos)
         << run_err;
-    const auto [sweep_code, sweep_err] =
-        lbsim({"sweep", "lossy-exchange", sweep_axis, "--reps=2"});
-    EXPECT_EQ(sweep_code, 2) << sweep_axis;
-    EXPECT_EQ(sweep_err, run_err) << sweep_axis;
+    for (const char* mode : {"--reps=2", "--dry-run"}) {
+      const auto [sweep_code, sweep_err] = lbsim({"sweep", "lossy-exchange", sweep_axis, mode});
+      EXPECT_EQ(sweep_code, 2) << sweep_axis << " " << mode;
+      EXPECT_EQ(sweep_err, run_err) << sweep_axis << " " << mode;
+    }
   }
 }
 
