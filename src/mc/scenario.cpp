@@ -323,8 +323,8 @@ struct Replication {
       }
       // The bundle-delay seam: the configured law on the network stream, or
       // the testbed's Erlang law scaled by its state channel.
-      const double delay_s = network != nullptr ? network->sample_data_delay(moved)
-                                                : delay.sample(moved, net_rng);
+      const double delay_s =
+          network != nullptr ? network->sample_data_delay(moved) : delay.sample(moved, net_rng);
       sim.schedule_in(delay_s, [rep = this, slot] { rep->deliver(slot); });
     }
   }
@@ -356,15 +356,13 @@ struct Replication {
   void on_failure(int node_id) {
     ++result.failures;
     if (trace != nullptr) trace->events.emit(sim.now(), obs::Kind::kFail, node_id);
-    decide(node_id,
-           [&](const core::SystemView& v) { return policy.on_failure(node_id, v); });
+    decide(node_id, [&](const core::SystemView& v) { return policy.on_failure(node_id, v); });
   }
 
   void on_recovery(int node_id) {
     ++result.recoveries;
     if (trace != nullptr) trace->events.emit(sim.now(), obs::Kind::kRecover, node_id);
-    decide(node_id,
-           [&](const core::SystemView& v) { return policy.on_recovery(node_id, v); });
+    decide(node_id, [&](const core::SystemView& v) { return policy.on_recovery(node_id, v); });
   }
 
   void on_schedule(std::size_t i, bool down) {
@@ -527,8 +525,8 @@ RunResult run_replication(const ScenarioConfig& config, core::LoadBalancingPolic
   const std::size_t n = config.params.nodes.size();
   const bool testbed = network != nullptr;
   if (testbed) {
-    LBSIM_REQUIRE(network->node_count() == n, "network has " << network->node_count()
-                                                             << " nodes for " << n);
+    LBSIM_REQUIRE(network->node_count() == n,
+                  "network has " << network->node_count() << " nodes for " << n);
     LBSIM_REQUIRE(config.rebalance_period == 0.0 && config.delay_model == nullptr &&
                       !config.arrivals.active() && config.schedule.empty() &&
                       config.topology.complete(),
@@ -577,8 +575,8 @@ RunResult run_replication(const ScenarioConfig& config, core::LoadBalancingPolic
   // stream layout — and therefore every historical result — untouched.
   std::optional<stoch::RngStream> policy_rng;
   if (has_policy_rng) {
-    policy_rng.emplace(seed, base + first_optional + (has_environment ? 1 : 0) +
-                                 (has_arrivals ? 1 : 0));
+    policy_rng.emplace(
+        seed, base + first_optional + (has_environment ? 1 : 0) + (has_arrivals ? 1 : 0));
     policy.bind_rng(&*policy_rng);
   }
   if (controls.antithetic) {
@@ -769,9 +767,8 @@ RunResult run_replication(const ScenarioConfig& config, core::LoadBalancingPolic
       const int self = static_cast<int>(i);
       rep.decide(self, [&rep, self](const core::SystemView& v) {
         std::vector<core::TransferDirective> directives = rep.policy.on_start(v);
-        std::erase_if(directives, [self](const core::TransferDirective& d) {
-          return d.from != self;
-        });
+        std::erase_if(directives,
+                      [self](const core::TransferDirective& d) { return d.from != self; });
         return directives;
       });
     }
@@ -842,8 +839,8 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                        std::uint64_t replication, RunTrace* trace, des::Simulator& sim,
                        const SteadyProbe& probe, const RunControls& controls) {
   LBSIM_REQUIRE(config.policy != nullptr, "scenario needs a policy");
-  return run_replication(config, *config.policy, seed, replication, trace, sim, probe,
-                         controls, nullptr);
+  return run_replication(config, *config.policy, seed, replication, trace, sim, probe, controls,
+                         nullptr);
 }
 
 RunResult run_testbed_replication(const ScenarioConfig& config,
@@ -851,8 +848,8 @@ RunResult run_testbed_replication(const ScenarioConfig& config,
                                   std::uint64_t seed, std::uint64_t replication,
                                   RunTrace* trace, des::Simulator& sim,
                                   const RunControls& controls) {
-  return run_replication(config, policy, seed, replication, trace, sim, SteadyProbe{},
-                         controls, &network);
+  return run_replication(config, policy, seed, replication, trace, sim, SteadyProbe{}, controls,
+                         &network);
 }
 
 }  // namespace lbsim::mc

@@ -159,7 +159,8 @@ TEST(FailureProcessModulation, MultiplierScalesDeterministicTtfExactly) {
   stoch::RngStream service_rng(1), churn_rng(2);
   node::BlockPool pool;
   node::ComputeElement ce(pool);
-  ce.reset(sim, 0, [](const node::Task&, stoch::RngStream&) { return 1.0; }, service_rng);
+  ce.reset(
+      sim, 0, [](const node::Task&, stoch::RngStream&) { return 1.0; }, service_rng);
   const stoch::Deterministic ttf(8.0);
   const stoch::Deterministic ttr(100.0);
   node::FailureProcess process(ce);
@@ -177,7 +178,8 @@ TEST(FailureProcessModulation, MultiplierChangeReArmsThePendingDraw) {
   stoch::RngStream service_rng(1), churn_rng(2);
   node::BlockPool pool;
   node::ComputeElement ce(pool);
-  ce.reset(sim, 0, [](const node::Task&, stoch::RngStream&) { return 1.0; }, service_rng);
+  ce.reset(
+      sim, 0, [](const node::Task&, stoch::RngStream&) { return 1.0; }, service_rng);
   const stoch::Deterministic ttf(8.0);
   const stoch::Deterministic ttr(100.0);
   node::FailureProcess process(ce);

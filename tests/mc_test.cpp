@@ -540,14 +540,12 @@ constexpr TestbedGolden kTestbedGoldens[] = {
      206.34947606645389, 62.920000000000002, 6.6799999999999997, 60.479999999999997,
      0.80742686978491096, 4.7209146612686368, "channel.states=0 exchange.loss=0.3"},
     {"lossy-exchange", 151.30296681205076, 135.68279855901915, 215.00939172866831,
-     285.55797533723307, 91.799999999999997, 12.92, 71, 1.5758345087760124,
-     19.319879139052674, "channel.env=true"},
+     285.55797533723307, 91.799999999999997, 12.92, 71, 1.5758345087760124, 19.319879139052674,
+     "channel.env=true"},
     {"paper-two-node", 115.41743491738112, 103.40865953887524, 183.96694883745772,
-     212.64492180115855, 0.0, 7.1600000000000001, 35, 0.45833424197088068,
-     0.99696608982023704},
+     212.64492180115855, 0.0, 7.1600000000000001, 35, 0.45833424197088068, 0.99696608982023704},
     {"cold-start", 132.03483191210233, 133.16390751905755, 180.76150990470529,
-     231.58216087811721, 0.0, 7.3600000000000003, 73, 0.42829244606558631,
-     0.99539387650750655},
+     231.58216087811721, 0.0, 7.3600000000000003, 73, 0.42829244606558631, 0.99539387650750655},
     {"multi-node", 110.38057704622521, 103.79775330331739, 136.85180573879379,
      144.11052323736956, 0.0, 15.24, 117.68000000000001, 0.43647633453590035,
      1.0006459100272593},
