@@ -252,9 +252,9 @@ TEST(AllocGate, OpenSteady) {
 
 TEST(AllocGate, TestbedQuietStatePlane) {
   // No broadcast round (period 1,000 s) and no churn: each node's t = 0
-  // decision returns one directive vector, and the engine's 1 is the driver's
-  // sample vector growing once more for 2N realizations than for N. Before
-  // the testbed ran through the replication core: 67.02 per realization.
+  // decision returns one directive vector, and the engine's 1 is
+  // run_experiment's sample vector growing once more for 2N realizations
+  // than for N.
   const Allocations a =
       testbed_run(family("lossy-exchange", "exchange.period=1000 churn=false"));
   EXPECT_EQ(a.engine, 1u);
@@ -264,15 +264,14 @@ TEST(AllocGate, TestbedQuietStatePlane) {
 TEST(AllocGate, TestbedLossyExchange) {
   // The engine's share is the state plane's: net::Network::broadcast_state
   // makes one shared delivery record per node per 1 s round (215.16 per
-  // realization). Before the fold: 303.70 per realization in all.
+  // realization).
   const Allocations a = testbed_run(family("lossy-exchange"));
   EXPECT_EQ(a.engine, 10758u);
   EXPECT_EQ(a.policy, 277u);
 }
 
 TEST(AllocGate, TestbedMultiNode) {
-  // Four nodes broadcast each round (424.66 per realization). Before the
-  // fold: 715.06 per realization in all.
+  // Four nodes broadcast each round (424.66 per realization).
   const Allocations a = testbed_run(family("multi-node"));
   EXPECT_EQ(a.engine, 21233u);
   EXPECT_EQ(a.policy, 1908u);
