@@ -207,8 +207,8 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
   }
   const auto grid = expand_grid(axes);
 
-  // Validate-and-build the whole grid before a single replication runs (or,
-  // on a dry run, a single row prints): a bad point (out-of-range value,
+  // Validate-and-build the whole grid before a single replication runs (on a
+  // dry run, before a single row is made): a bad point (out-of-range value,
   // malformed schedule — e.g. a comma-split timeline whose tail value is not
   // a clause, a key the testbed cannot emulate) must fail here with its
   // precise error, not abort a half-finished sweep. Builds are microseconds
