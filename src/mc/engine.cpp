@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
+#include <memory>
 #include <utility>
 
 #include "markov/theory_oracle.hpp"
+#include "mc/driver.hpp"
 #include "mc/theory.hpp"
-#include "sim/simulator.hpp"
 #include "stochastic/estimate.hpp"
 #include "stochastic/quantile_sketch.hpp"
 #include "util/error.hpp"
@@ -50,8 +50,7 @@ namespace {
 
 using ProfileClock = std::chrono::steady_clock;
 
-/// Folds one replication's result counters into a worker-local registry.
-/// Called from worker threads on their own registry — no synchronisation.
+/// Folds one replication's result counters into the run's registry.
 void fold_run_metrics(obs::Registry& metrics, const RunResult& run) {
   metrics.counter("mc.replications").add(1);
   metrics.counter("mc.failures").add(run.failures);
@@ -66,26 +65,47 @@ void fold_run_metrics(obs::Registry& metrics, const RunResult& run) {
   metrics.histogram("mc.completion_time").observe(run.completion_time);
 }
 
-/// Folds the worker simulator's cumulative DES-core stats (the simulator is
-/// reused across the worker's whole replication loop).
-void fold_queue_metrics(obs::Registry& metrics, const des::Simulator& sim) {
-  const des::EventQueue::Stats& qs = sim.queue_stats();
-  metrics.counter("des.events.scheduled").add(qs.scheduled);
-  metrics.counter("des.events.popped").add(qs.popped);
-  metrics.counter("des.events.cancelled").add(qs.cancelled);
-  metrics.counter("des.slab.compactions").add(qs.compactions);
-  metrics.gauge("des.queue.max_depth").max_of(static_cast<double>(qs.max_depth));
-}
+/// What both estimators fold from every replication, in replication order:
+/// the completion and sojourn statistics, the per-run averages' sums and the
+/// mc.* metrics. The metrics go to a registry of the run's own, merged into
+/// the sink once, so the sink sees them as one block whatever it held before.
+struct PlainFold {
+  explicit PlainFold(const McConfig& mc) : metered(mc.obs.metrics != nullptr) {}
 
-/// Stitches per-replication trace buffers into the sink in replication order,
-/// each behind a kRepBegin marker — the merged trace is thread-count-
-/// independent because workers wrote disjoint buffers.
-void fold_traces(obs::TraceBuffer& sink, std::vector<RunTrace>& rep_traces) {
-  for (std::size_t rep = 0; rep < rep_traces.size(); ++rep) {
-    sink.emit(0.0, obs::Kind::kRepBegin, -1, -1, 0, rep);
-    sink.absorb(std::move(rep_traces[rep].events));
+  void add(const RunResult& run) {
+    completion.add(run.completion_time);
+    sojourn.merge(run.sojourn);
+    failures += static_cast<double>(run.failures);
+    tasks_moved += static_cast<double>(run.tasks_moved);
+    bundles += static_cast<double>(run.bundles_sent);
+    if (metered) fold_run_metrics(metrics, run);
   }
-}
+
+  /// Moves the statistics into `result` and the metrics into the sink.
+  void finish(const McConfig& mc, ProfileClock::time_point wall_begin, McResult& result) {
+    result.completion = completion;
+    result.sojourn = sojourn;
+    const double n = static_cast<double>(mc.replications);
+    result.mean_failures = failures / n;
+    result.mean_tasks_moved = tasks_moved / n;
+    result.mean_bundles = bundles / n;
+    if (!metered) return;
+    mc.obs.metrics->merge(metrics);
+    const double wall_s =
+        std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
+    if (wall_s > 0.0) {
+      mc.obs.metrics->gauge("mc.reps_per_s").set(static_cast<double>(mc.replications) / wall_s);
+    }
+  }
+
+  bool metered;
+  stoch::RunningStats completion;
+  stoch::RunningStats sojourn;
+  double failures = 0.0;
+  double tasks_moved = 0.0;
+  double bundles = 0.0;
+  obs::Registry metrics;
+};
 
 /// The control-variate plan: the control Y is the completion time of the
 /// scenario's *churn-free surrogate* (same workloads, policy, delay law;
@@ -139,10 +159,23 @@ ControlPlan plan_control(const ScenarioConfig& config) {
   return plan;
 }
 
-/// The VR replication loop. Kept apart from the plain loop so the historical
-/// (vr = none) path stays byte-for-byte identical; this path always stores
-/// the per-replication values (they are what the adjustment consumes), so its
-/// quantile summary is exact at any replication count.
+/// A VR worker: the abstract-model worker plus its clone of the control's
+/// surrogate scenario (empty without a control).
+struct VrWorker : ScenarioWorker {
+  using ScenarioWorker::ScenarioWorker;
+  ScenarioConfig surrogate;
+};
+
+/// One VR replication: the target run and, under a control, the surrogate's
+/// completion time.
+struct VrRun {
+  RunResult run;
+  double control = 0.0;
+};
+
+/// The VR estimator. Its fold adds to the plain one the per-replication
+/// target and control values, which the adjustment consumes, so its quantile
+/// summary is exact at any replication count.
 McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc,
                               const std::vector<net::Topology>& topology_states) {
   const bool antithetic = mc.vr == VrMode::kAntithetic || mc.vr == VrMode::kBoth;
@@ -168,123 +201,58 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc,
   const bool use_control = want_control && plan.ok;
 
   const std::size_t reps = mc.replications;
-  unsigned threads = mc.threads == 0 ? std::thread::hardware_concurrency() : mc.threads;
-  threads = std::max(1u, std::min<unsigned>(threads, static_cast<unsigned>(reps)));
+  // Per-replication values in replication order: what the control-variate
+  // regression, the pair means and the exact quantiles consume.
+  std::vector<double> target;
+  std::vector<double> control;
+  target.reserve(reps);
+  if (use_control) control.reserve(reps);
+  PlainFold fold(mc);
 
-  // Per-replication values, indexed by replication id: workers write disjoint
-  // entries, so the arrays need no synchronisation and every statistic below
-  // is independent of the thread count.
-  std::vector<double> target(reps, 0.0);
-  std::vector<double> control(use_control ? reps : 0, 0.0);
+  run_replications(
+      reps, mc.threads, mc.obs,
+      [&] {
+        auto worker =
+            std::make_unique<VrWorker>(config, topology_states, mc.obs.profile != nullptr);
+        if (use_control) worker->surrogate = plan.surrogate.clone();
+        return worker;
+      },
+      [&](VrWorker& worker, std::size_t rep, RunTrace* trace) {
+        // Only the target run is profiled and traced; the surrogate's cost
+        // shows up in measured reps/s and the mc.vr.surrogate_runs counter
+        // instead, so profile.reps keeps meaning "replications".
+        RunControls controls = worker.controls;
+        std::uint64_t stream_rep = rep;
+        if (antithetic) {
+          // Pair (2k, 2k+1): one stream id used twice, the odd member mirrored.
+          controls.antithetic = rep % 2 == 1;
+          stream_rep = rep / 2;
+        }
+        VrRun out;
+        out.run = run_scenario(worker.config, mc.seed, stream_rep, trace, worker.sim,
+                               SteadyProbe{}, controls);
+        if (use_control) {
+          // Common random numbers: stripping churn leaves the stream layout
+          // unchanged, so the surrogate replays the same draws and Y stays
+          // tightly coupled to T. It keeps the target's topology and
+          // environment, so it shares the target's graphs too.
+          controls.profile = nullptr;
+          out.control = run_scenario(worker.surrogate, mc.seed, stream_rep, nullptr, worker.sim,
+                                     SteadyProbe{}, controls)
+                            .completion_time;
+        }
+        return out;
+      },
+      [&](std::size_t, const VrRun& out) {
+        target.push_back(out.run.completion_time);
+        fold.add(out.run);
+        if (use_control) {
+          control.push_back(out.control);
+          if (fold.metered) fold.metrics.counter("mc.vr.surrogate_runs").add(1);
+        }
+      });
 
-  // Per-replication trace buffers, also indexed by replication id (the
-  // control surrogate runs are never traced — they are estimator internals,
-  // not model events).
-  std::vector<RunTrace> rep_traces;
-  if (mc.obs.trace != nullptr) {
-    rep_traces.resize(reps);
-    for (RunTrace& t : rep_traces) t.record_queues = false;
-  }
-
-  struct Partial {
-    stoch::RunningStats sojourn;
-    double failures = 0.0;
-    double tasks_moved = 0.0;
-    double bundles = 0.0;
-    obs::Registry metrics;
-    obs::PhaseProfile profile;
-  };
-  std::vector<Partial> partials(threads);
-
-  const auto worker = [&](unsigned tid) {
-    const ScenarioConfig local = config.clone();
-    ScenarioConfig local_surrogate;
-    if (use_control) local_surrogate = plan.surrogate.clone();
-    des::Simulator sim;
-    ReplicationWorkspace workspace;  // serves the target and the surrogate in turn
-    Partial& out = partials[tid];
-    obs::Registry* metrics = mc.obs.metrics != nullptr ? &out.metrics : nullptr;
-    for (std::size_t rep = tid; rep < reps; rep += threads) {
-      RunControls controls;
-      controls.topology_states = &topology_states;
-      controls.workspace = &workspace;
-      // Only the target run is profiled; the surrogate's cost shows up in
-      // measured reps/s and the mc.vr.surrogate_runs counter instead, so
-      // profile.reps keeps meaning "replications".
-      if (mc.obs.profile != nullptr) controls.profile = &out.profile;
-      std::uint64_t stream_rep = rep;
-      if (antithetic) {
-        // Pair (2k, 2k+1): one stream id used twice, the odd member mirrored.
-        controls.antithetic = rep % 2 == 1;
-        stream_rep = rep / 2;
-      }
-      RunTrace* trace = mc.obs.trace != nullptr ? &rep_traces[rep] : nullptr;
-      const RunResult run =
-          run_scenario(local, mc.seed, stream_rep, trace, sim, SteadyProbe{}, controls);
-      ProfileClock::time_point fold_begin{};
-      if (controls.profile != nullptr) fold_begin = ProfileClock::now();
-      target[rep] = run.completion_time;
-      out.sojourn.merge(run.sojourn);
-      out.failures += static_cast<double>(run.failures);
-      out.tasks_moved += static_cast<double>(run.tasks_moved);
-      out.bundles += static_cast<double>(run.bundles_sent);
-      if (metrics != nullptr) fold_run_metrics(*metrics, run);
-      if (controls.profile != nullptr) {
-        controls.profile->fold_s +=
-            std::chrono::duration<double>(ProfileClock::now() - fold_begin).count();
-      }
-      if (use_control) {
-        // Common random numbers: stripping churn leaves the stream layout
-        // unchanged, so the surrogate replays the same draws and Y stays
-        // tightly coupled to T. It keeps the target's topology and
-        // environment, so it shares the target's graphs too.
-        RunControls ctrl_controls;
-        ctrl_controls.antithetic = controls.antithetic;
-        ctrl_controls.topology_states = &topology_states;
-        ctrl_controls.workspace = &workspace;
-        const RunResult ctrl = run_scenario(local_surrogate, mc.seed, stream_rep, nullptr,
-                                            sim, SteadyProbe{}, ctrl_controls);
-        control[rep] = ctrl.completion_time;
-        if (metrics != nullptr) metrics->counter("mc.vr.surrogate_runs").add(1);
-      }
-    }
-    if (metrics != nullptr) fold_queue_metrics(*metrics, sim);
-  };
-
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (auto& th : pool) th.join();
-  }
-
-  // Raw (plain-estimator) statistics, accumulated in replication order.
-  for (const double t : target) result.completion.add(t);
-  double failures = 0.0;
-  double moved = 0.0;
-  double bundles = 0.0;
-  for (Partial& p : partials) {
-    result.sojourn.merge(p.sojourn);
-    failures += p.failures;
-    moved += p.tasks_moved;
-    bundles += p.bundles;
-    if (mc.obs.metrics != nullptr) mc.obs.metrics->merge(p.metrics);
-    if (mc.obs.profile != nullptr) mc.obs.profile->merge(p.profile);
-  }
-  if (mc.obs.trace != nullptr) fold_traces(*mc.obs.trace, rep_traces);
-  if (mc.obs.metrics != nullptr) {
-    const double wall_s =
-        std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
-    if (wall_s > 0.0) {
-      mc.obs.metrics->gauge("mc.reps_per_s").set(static_cast<double>(reps) / wall_s);
-    }
-  }
-  const double n = static_cast<double>(reps);
-  result.mean_failures = failures / n;
-  result.mean_tasks_moved = moved / n;
-  result.mean_bundles = bundles / n;
+  fold.finish(mc, wall_begin, result);
   std::vector<double> sorted = target;
   std::sort(sorted.begin(), sorted.end());
   result.p50 = stoch::quantile_sorted(sorted, 0.5);
@@ -373,6 +341,13 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc,
   return result;
 }
 
+/// Count-weighted P² estimate of one sketch: the form a merge of several
+/// sketches takes (stoch::combine_estimates), which is what past-cap runs
+/// have always reported.
+double streaming_quantile(const stoch::P2Quantile& sketch) {
+  return stoch::combine_estimates({{sketch.count(), sketch.estimate()}});
+}
+
 }  // namespace
 
 McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
@@ -381,120 +356,46 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
   // them read-only with every replication on every worker.
   const std::vector<net::Topology> topology_states = build_topology_states(config);
   if (mc.vr != VrMode::kNone) return run_variance_reduced(config, mc, topology_states);
-  unsigned threads = mc.threads == 0 ? std::thread::hardware_concurrency() : mc.threads;
-  threads = std::max(1u, std::min<unsigned>(threads, static_cast<unsigned>(mc.replications)));
 
   const ProfileClock::time_point wall_begin = ProfileClock::now();
 
-  // Per-replication trace buffers, indexed by replication id: workers write
-  // disjoint entries, and the post-join fold stitches them in replication
-  // order, so the merged trace is thread-count-independent.
-  std::vector<RunTrace> rep_traces;
-  if (mc.obs.trace != nullptr) {
-    rep_traces.resize(mc.replications);
-    for (RunTrace& t : rep_traces) t.record_queues = false;
-  }
-
-  struct Partial {
-    stoch::RunningStats completion;
-    stoch::RunningStats sojourn;
-    double failures = 0.0;
-    double tasks_moved = 0.0;
-    double bundles = 0.0;
-    std::vector<double> samples;
-    // Streaming quantile sketches (used when raw samples are not kept).
-    stoch::P2Quantile p50{0.5};
-    stoch::P2Quantile p90{0.9};
-    stoch::P2Quantile p99{0.99};
-    obs::Registry metrics;      // folded into the sink in worker-id order
-    obs::PhaseProfile profile;  // folded by summation
-  };
-  std::vector<Partial> partials(threads);
-
-  // Exact (thread-count-independent) quantiles are kept whenever the sample
-  // buffer stays bounded: always under collect_samples, and transiently up to
-  // kExactQuantileCap replications. Only past the cap does the per-worker P²
-  // streaming path take over.
+  // Exact quantiles are kept whenever the sample buffer stays bounded: always
+  // under collect_samples, and transiently up to kExactQuantileCap
+  // replications. Only past the cap does the P² streaming path take over.
   const bool keep_samples = mc.collect_samples || mc.replications <= kExactQuantileCap;
-
-  const auto worker = [&](unsigned tid) {
-    // Each worker clones the scenario once, and RNG streams are keyed by
-    // replication index. One simulator and one replication workspace per
-    // worker: the event slab, the nodes and the task blocks are reset, not
-    // rebuilt, across the whole replication loop.
-    const ScenarioConfig local = config.clone();
-    des::Simulator sim;
-    ReplicationWorkspace workspace;
-    Partial& out = partials[tid];
-    obs::Registry* metrics = mc.obs.metrics != nullptr ? &out.metrics : nullptr;
-    RunControls controls;
-    controls.topology_states = &topology_states;
-    controls.workspace = &workspace;
-    if (mc.obs.profile != nullptr) controls.profile = &out.profile;
-    if (keep_samples) out.samples.reserve(mc.replications / threads + 1);
-    for (std::size_t rep = tid; rep < mc.replications; rep += threads) {
-      RunTrace* trace = mc.obs.trace != nullptr ? &rep_traces[rep] : nullptr;
-      const RunResult run =
-          run_scenario(local, mc.seed, rep, trace, sim, SteadyProbe{}, controls);
-      ProfileClock::time_point fold_begin{};
-      if (controls.profile != nullptr) fold_begin = ProfileClock::now();
-      out.completion.add(run.completion_time);
-      out.sojourn.merge(run.sojourn);
-      out.failures += static_cast<double>(run.failures);
-      out.tasks_moved += static_cast<double>(run.tasks_moved);
-      out.bundles += static_cast<double>(run.bundles_sent);
-      if (keep_samples) {
-        out.samples.push_back(run.completion_time);
-      } else {
-        out.p50.add(run.completion_time);
-        out.p90.add(run.completion_time);
-        out.p99.add(run.completion_time);
-      }
-      if (metrics != nullptr) fold_run_metrics(*metrics, run);
-      if (controls.profile != nullptr) {
-        controls.profile->fold_s +=
-            std::chrono::duration<double>(ProfileClock::now() - fold_begin).count();
-      }
-    }
-    if (metrics != nullptr) fold_queue_metrics(*metrics, sim);
-  };
-
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (auto& th : pool) th.join();
-  }
-
   McResult result;
-  double failures = 0.0;
-  double moved = 0.0;
-  double bundles = 0.0;
-  for (Partial& p : partials) {
-    result.completion.merge(p.completion);
-    result.sojourn.merge(p.sojourn);
-    failures += p.failures;
-    moved += p.tasks_moved;
-    bundles += p.bundles;
-    result.samples.insert(result.samples.end(), p.samples.begin(), p.samples.end());
-    if (mc.obs.metrics != nullptr) mc.obs.metrics->merge(p.metrics);
-    if (mc.obs.profile != nullptr) mc.obs.profile->merge(p.profile);
-  }
-  if (mc.obs.trace != nullptr) fold_traces(*mc.obs.trace, rep_traces);
-  if (mc.obs.metrics != nullptr) {
-    const double wall_s =
-        std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
-    if (wall_s > 0.0) {
-      mc.obs.metrics->gauge("mc.reps_per_s")
-          .set(static_cast<double>(mc.replications) / wall_s);
-    }
-  }
-  const double n = static_cast<double>(mc.replications);
-  result.mean_failures = failures / n;
-  result.mean_tasks_moved = moved / n;
-  result.mean_bundles = bundles / n;
+  if (keep_samples) result.samples.reserve(mc.replications);
+  stoch::P2Quantile p50{0.5};
+  stoch::P2Quantile p90{0.9};
+  stoch::P2Quantile p99{0.99};
+  PlainFold fold(mc);
+
+  // Each worker clones the scenario once, and RNG streams are keyed by
+  // replication index. One simulator and one replication workspace per
+  // worker: the event slab, the nodes and the task blocks are reset, not
+  // rebuilt, across the whole replication loop.
+  run_replications(
+      mc.replications, mc.threads, mc.obs,
+      [&] {
+        return std::make_unique<ScenarioWorker>(config, topology_states,
+                                                mc.obs.profile != nullptr);
+      },
+      [&](ScenarioWorker& worker, std::size_t rep, RunTrace* trace) {
+        return run_scenario(worker.config, mc.seed, rep, trace, worker.sim, SteadyProbe{},
+                            worker.controls);
+      },
+      [&](std::size_t, const RunResult& run) {
+        fold.add(run);
+        if (keep_samples) {
+          result.samples.push_back(run.completion_time);
+        } else {
+          p50.add(run.completion_time);
+          p90.add(run.completion_time);
+          p99.add(run.completion_time);
+        }
+      });
+
+  fold.finish(mc, wall_begin, result);
   if (keep_samples) {
     std::sort(result.samples.begin(), result.samples.end());
     result.p50 = stoch::quantile_sorted(result.samples, 0.5);
@@ -507,19 +408,9 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
       result.samples.shrink_to_fit();
     }
   } else {
-    const auto combine = [&partials](stoch::P2Quantile Partial::* sketch) {
-      std::vector<std::pair<std::size_t, double>> parts;
-      parts.reserve(partials.size());
-      for (const Partial& p : partials) {
-        if ((p.*sketch).count() > 0) {
-          parts.emplace_back((p.*sketch).count(), (p.*sketch).estimate());
-        }
-      }
-      return stoch::combine_estimates(parts);
-    };
-    result.p50 = combine(&Partial::p50);
-    result.p90 = combine(&Partial::p90);
-    result.p99 = combine(&Partial::p99);
+    result.p50 = streaming_quantile(p50);
+    result.p90 = streaming_quantile(p90);
+    result.p99 = streaming_quantile(p99);
   }
   return result;
 }

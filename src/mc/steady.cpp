@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <thread>
+#include <memory>
+#include <utility>
 
+#include "mc/driver.hpp"
 #include "mc/engine.hpp"
-#include "sim/simulator.hpp"
 #include "stochastic/quantile_sketch.hpp"
 #include "util/error.hpp"
 
@@ -27,13 +28,11 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
   LBSIM_REQUIRE(spec.warmup_cap >= 0.0 && spec.warmup_cap <= 0.9,
                 "steady warm-up cap " << spec.warmup_cap << " outside [0, 0.9]");
 
-  unsigned threads = sc.threads == 0 ? std::thread::hardware_concurrency() : sc.threads;
-  threads = std::max(1u, std::min<unsigned>(threads, static_cast<unsigned>(sc.replications)));
-
   // Post-warm-up pool size is bounded by replications * window, so the exact
   // quantile buffer is kept under the same cap as the finite engine.
   const bool keep_samples =
       sc.collect_samples || sc.replications * spec.tasks <= kExactQuantileCap;
+  const bool metered = sc.obs.metrics != nullptr;
 
   using ProfileClock = std::chrono::steady_clock;
   const ProfileClock::time_point wall_begin = ProfileClock::now();
@@ -41,131 +40,117 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
   // Replication-invariant exchange graphs, shared read-only by every worker.
   const std::vector<net::Topology> topology_states = build_topology_states(config);
 
-  // Indexed by replication (not worker), so every fold below runs in
-  // replication order and the result is independent of the thread count.
-  struct Per {
+  /// A steady worker keeps its sojourn log between replications.
+  struct SteadyWorker : ScenarioWorker {
+    using ScenarioWorker::ScenarioWorker;
+    std::vector<double> log;
+  };
+  /// One observation window, analysed on its worker: MSER-5's warm-up cut,
+  /// the batch means, and either the post-warm-up sojourns (kept for the
+  /// exact quantiles or the sojourn histogram) or their P² sketches.
+  struct Window {
     stoch::BatchMeans bm;
     RunResult run;
     std::size_t warmup = 0;
-    std::vector<double> post;  // post-warm-up sojourns (keep_samples only)
+    std::vector<double> post;
     stoch::P2Quantile p50{0.5};
     stoch::P2Quantile p90{0.9};
     stoch::P2Quantile p99{0.99};
-    RunTrace trace;  // events only; used when sc.obs.trace is attached
-  };
-  std::vector<Per> per(sc.replications);
-  for (Per& p : per) p.trace.record_queues = false;
-
-  // Per-worker observability state, folded in worker-id order after the join
-  // (all merges commute, so the dump is thread-count-independent).
-  std::vector<obs::Registry> worker_metrics(threads);
-  std::vector<obs::PhaseProfile> worker_profiles(threads);
-
-  const auto worker = [&](unsigned tid) {
-    const ScenarioConfig local = config.clone();
-    des::Simulator sim;
-    ReplicationWorkspace workspace;
-    std::vector<double> log;
-    obs::Registry* metrics = sc.obs.metrics != nullptr ? &worker_metrics[tid] : nullptr;
-    RunControls controls;
-    controls.topology_states = &topology_states;
-    controls.workspace = &workspace;
-    if (sc.obs.profile != nullptr) controls.profile = &worker_profiles[tid];
-    for (std::size_t rep = tid; rep < sc.replications; rep += threads) {
-      log.clear();
-      log.reserve(spec.tasks);
-      SteadyProbe probe;
-      probe.target_completions = spec.tasks;
-      probe.sojourn_log = &log;
-      Per& out = per[rep];
-      RunTrace* trace = sc.obs.trace != nullptr ? &out.trace : nullptr;
-      out.run = run_scenario(local, sc.seed, rep, trace, sim, probe, controls);
-      ProfileClock::time_point fold_begin{};
-      if (controls.profile != nullptr) fold_begin = ProfileClock::now();
-      out.warmup = stoch::mser5_truncation(log, spec.warmup_cap);
-      out.bm = stoch::batch_means(log, out.warmup, spec.batches);
-      if (keep_samples) {
-        out.post.assign(log.begin() + static_cast<std::ptrdiff_t>(out.warmup), log.end());
-      } else {
-        for (std::size_t i = out.warmup; i < log.size(); ++i) {
-          out.p50.add(log[i]);
-          out.p90.add(log[i]);
-          out.p99.add(log[i]);
-        }
-      }
-      if (metrics != nullptr) {
-        metrics->counter("steady.replications").add(1);
-        metrics->counter("steady.failures").add(out.run.failures);
-        metrics->counter("steady.recoveries").add(out.run.recoveries);
-        metrics->counter("steady.tasks_completed").add(out.run.tasks_completed);
-        metrics->counter("steady.warmup_discarded").add(out.warmup);
-        metrics->counter("net.tasks_moved").add(out.run.tasks_moved);
-        metrics->counter("net.bundles_sent").add(out.run.bundles_sent);
-        metrics->counter("policy.decisions").add(out.run.policy_decisions);
-        metrics->counter("policy.decisions.empty").add(out.run.policy_decisions_empty);
-        obs::Histogram& sojourn = metrics->histogram("steady.sojourn");
-        for (std::size_t i = out.warmup; i < log.size(); ++i) sojourn.observe(log[i]);
-      }
-      if (controls.profile != nullptr) {
-        controls.profile->fold_s +=
-            std::chrono::duration<double>(ProfileClock::now() - fold_begin).count();
-      }
-    }
-    if (metrics != nullptr) {
-      const des::EventQueue::Stats& qs = sim.queue_stats();
-      metrics->counter("des.events.scheduled").add(qs.scheduled);
-      metrics->counter("des.events.popped").add(qs.popped);
-      metrics->counter("des.events.cancelled").add(qs.cancelled);
-      metrics->counter("des.slab.compactions").add(qs.compactions);
-      metrics->gauge("des.queue.max_depth").max_of(static_cast<double>(qs.max_depth));
-    }
   };
 
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (auto& th : pool) th.join();
-  }
-
+  // Folded in replication order.
   SteadyResult result;
-  // Pool the batch means across replications (replication order).
   std::vector<double> pooled;
   pooled.reserve(sc.replications * spec.batches);
   std::size_t observations = 0;
+  std::size_t batch_size = 0;
   double task_seconds = 0.0;
   double failures = 0.0;
   double moved = 0.0;
-  for (const Per& p : per) {
-    pooled.insert(pooled.end(), p.bm.means.begin(), p.bm.means.end());
-    observations += p.bm.observations;
-    result.warmup += p.warmup;
-    result.horizon_time += p.run.completion_time;
-    task_seconds += static_cast<double>(p.run.sojourn.count()) * p.run.sojourn.mean();
-    failures += static_cast<double>(p.run.failures);
-    moved += static_cast<double>(p.run.tasks_moved);
-  }
-  result.batch = stoch::summarize_batch_means(std::move(pooled), per[0].bm.batch_size);
+  std::vector<double> all;  // post-warm-up sojourns (keep_samples only)
+  if (keep_samples) all.reserve(sc.replications * spec.tasks);
+  std::vector<std::pair<std::size_t, double>> p50_parts;
+  std::vector<std::pair<std::size_t, double>> p90_parts;
+  std::vector<std::pair<std::size_t, double>> p99_parts;
+  obs::Registry metrics;
+
+  run_replications(
+      sc.replications, sc.threads, sc.obs,
+      [&] {
+        return std::make_unique<SteadyWorker>(config, topology_states,
+                                              sc.obs.profile != nullptr);
+      },
+      [&](SteadyWorker& worker, std::size_t rep, RunTrace* trace) {
+        worker.log.clear();
+        worker.log.reserve(spec.tasks);
+        SteadyProbe probe;
+        probe.target_completions = spec.tasks;
+        probe.sojourn_log = &worker.log;
+        Window out;
+        out.run = run_scenario(worker.config, sc.seed, rep, trace, worker.sim, probe,
+                               worker.controls);
+        ProfileClock::time_point fold_begin{};
+        if (worker.controls.profile != nullptr) fold_begin = ProfileClock::now();
+        const std::vector<double>& log = worker.log;
+        out.warmup = stoch::mser5_truncation(log, spec.warmup_cap);
+        out.bm = stoch::batch_means(log, out.warmup, spec.batches);
+        if (keep_samples || metered) {
+          out.post.assign(log.begin() + static_cast<std::ptrdiff_t>(out.warmup), log.end());
+        }
+        if (!keep_samples) {
+          for (std::size_t i = out.warmup; i < log.size(); ++i) {
+            out.p50.add(log[i]);
+            out.p90.add(log[i]);
+            out.p99.add(log[i]);
+          }
+        }
+        if (worker.controls.profile != nullptr) {
+          worker.profile.fold_s +=
+              std::chrono::duration<double>(ProfileClock::now() - fold_begin).count();
+        }
+        return out;
+      },
+      [&](std::size_t rep, const Window& w) {
+        pooled.insert(pooled.end(), w.bm.means.begin(), w.bm.means.end());
+        if (rep == 0) batch_size = w.bm.batch_size;
+        observations += w.bm.observations;
+        result.warmup += w.warmup;
+        result.horizon_time += w.run.completion_time;
+        task_seconds += static_cast<double>(w.run.sojourn.count()) * w.run.sojourn.mean();
+        failures += static_cast<double>(w.run.failures);
+        moved += static_cast<double>(w.run.tasks_moved);
+        if (keep_samples) {
+          all.insert(all.end(), w.post.begin(), w.post.end());
+        } else {
+          if (w.p50.count() > 0) p50_parts.emplace_back(w.p50.count(), w.p50.estimate());
+          if (w.p90.count() > 0) p90_parts.emplace_back(w.p90.count(), w.p90.estimate());
+          if (w.p99.count() > 0) p99_parts.emplace_back(w.p99.count(), w.p99.estimate());
+        }
+        if (metered) {
+          metrics.counter("steady.replications").add(1);
+          metrics.counter("steady.failures").add(w.run.failures);
+          metrics.counter("steady.recoveries").add(w.run.recoveries);
+          metrics.counter("steady.tasks_completed").add(w.run.tasks_completed);
+          metrics.counter("steady.warmup_discarded").add(w.warmup);
+          metrics.counter("net.tasks_moved").add(w.run.tasks_moved);
+          metrics.counter("net.bundles_sent").add(w.run.bundles_sent);
+          metrics.counter("policy.decisions").add(w.run.policy_decisions);
+          metrics.counter("policy.decisions.empty").add(w.run.policy_decisions_empty);
+          obs::Histogram& sojourn = metrics.histogram("steady.sojourn");
+          for (const double x : w.post) sojourn.observe(x);
+        }
+      });
+
+  result.batch = stoch::summarize_batch_means(std::move(pooled), batch_size);
   result.batch.observations = observations;  // per-rep batch sizes may differ by 1
-  if (sc.obs.trace != nullptr) {
-    for (std::size_t rep = 0; rep < sc.replications; ++rep) {
-      sc.obs.trace->emit(0.0, obs::Kind::kRepBegin, -1, -1, 0, rep);
-      sc.obs.trace->absorb(std::move(per[rep].trace.events));
-    }
-  }
-  if (sc.obs.metrics != nullptr) {
-    for (const obs::Registry& r : worker_metrics) sc.obs.metrics->merge(r);
+  if (metered) {
+    sc.obs.metrics->merge(metrics);
     const double wall_s =
         std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
     if (wall_s > 0.0) {
       sc.obs.metrics->gauge("steady.reps_per_s")
           .set(static_cast<double>(sc.replications) / wall_s);
     }
-  }
-  if (sc.obs.profile != nullptr) {
-    for (const obs::PhaseProfile& p : worker_profiles) sc.obs.profile->merge(p);
   }
   result.mean_queue_length =
       result.horizon_time > 0.0 ? task_seconds / result.horizon_time : 0.0;
@@ -174,9 +159,6 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
   result.mean_tasks_moved = moved / reps;
 
   if (keep_samples) {
-    std::vector<double> all;
-    all.reserve(observations);
-    for (Per& p : per) all.insert(all.end(), p.post.begin(), p.post.end());
     if (sc.collect_samples) result.series = all;  // completion order, pre-sort
     std::sort(all.begin(), all.end());
     result.p50 = stoch::quantile_sorted(all, 0.5);
@@ -184,19 +166,9 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
     result.p99 = stoch::quantile_sorted(all, 0.99);
     if (sc.collect_samples) result.samples = std::move(all);
   } else {
-    const auto combine = [&per](stoch::P2Quantile Per::* sketch) {
-      std::vector<std::pair<std::size_t, double>> parts;
-      parts.reserve(per.size());
-      for (const Per& p : per) {
-        if ((p.*sketch).count() > 0) {
-          parts.emplace_back((p.*sketch).count(), (p.*sketch).estimate());
-        }
-      }
-      return stoch::combine_estimates(parts);
-    };
-    result.p50 = combine(&Per::p50);
-    result.p90 = combine(&Per::p90);
-    result.p99 = combine(&Per::p99);
+    result.p50 = stoch::combine_estimates(p50_parts);
+    result.p90 = stoch::combine_estimates(p90_parts);
+    result.p99 = stoch::combine_estimates(p99_parts);
   }
   return result;
 }

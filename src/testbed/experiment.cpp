@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <thread>
 
+#include "mc/driver.hpp"
 #include "net/network.hpp"
-#include "sim/simulator.hpp"
 #include "util/error.hpp"
 
 namespace lbsim::testbed {
@@ -40,38 +39,35 @@ net::Network::Config network_config(const TestbedConfig& config) {
 }
 
 /// What a testbed worker builds once and reuses for every realization: the
-/// converted config, its network, and the simulator and workspace that
-/// mc::run_testbed_replication resets and re-seats each time.
-struct Emulation {
+/// converted config, its network, and (from mc::WorkerState) the simulator,
+/// plus the workspace that mc::run_testbed_replication resets and re-seats
+/// each time.
+struct Emulation : mc::WorkerState {
   explicit Emulation(const TestbedConfig& config)
       : scenario(as_scenario(config)),
         network(config.params.nodes.size(), network_config(config)) {}
 
   mc::RunResult run(core::LoadBalancingPolicy& policy, std::uint64_t seed,
                     std::uint64_t replication, mc::RunTrace* trace,
-                    obs::PhaseProfile* profile) {
+                    obs::PhaseProfile* run_profile) {
     mc::RunControls controls;
-    controls.profile = profile;
+    controls.profile = run_profile;
     controls.workspace = &workspace;
     return mc::run_testbed_replication(scenario, policy, network, seed, replication, trace, sim,
                                        controls);
   }
 
-  /// Folds the simulator's DES-core stats, cumulative over every realization
-  /// it ran, into `metrics`.
-  void fold_queue_metrics(obs::Registry& metrics) const {
-    const des::EventQueue::Stats& qs = sim.queue_stats();
-    metrics.counter("des.events.scheduled").add(qs.scheduled);
-    metrics.counter("des.events.popped").add(qs.popped);
-    metrics.counter("des.events.cancelled").add(qs.cancelled);
-    metrics.counter("des.slab.compactions").add(qs.compactions);
-    metrics.gauge("des.queue.max_depth").max_of(static_cast<double>(qs.max_depth));
-  }
-
   mc::ScenarioConfig scenario;
   net::Network network;
-  des::Simulator sim;
   mc::ReplicationWorkspace workspace;
+};
+
+/// A run_experiment worker: an emulation and the policy clone its
+/// realizations run.
+struct Realizer : Emulation {
+  explicit Realizer(const TestbedConfig& config)
+      : Emulation(config), policy(config.policy->clone()) {}
+  core::PolicyPtr policy;
 };
 
 }  // namespace
@@ -82,7 +78,7 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
   validate(config);
   Emulation emulation(config);
   const mc::RunResult result = emulation.run(*config.policy, seed, replication, trace, profile);
-  if (metrics != nullptr) emulation.fold_queue_metrics(*metrics);
+  if (metrics != nullptr) mc::fold_queue_metrics(*metrics, emulation.sim);
   return result;
 }
 
@@ -90,104 +86,51 @@ ExperimentSummary run_experiment(const TestbedConfig& config, std::size_t realiz
                                  std::uint64_t seed, unsigned threads,
                                  const mc::ObsSinks& sinks) {
   LBSIM_REQUIRE(realizations >= 1, "realizations=" << realizations);
-  validate(config);  // here, not in a worker thread, where a throw would terminate
-  unsigned workers = threads == 0 ? std::thread::hardware_concurrency() : threads;
-  workers = std::max(1u, std::min<unsigned>(workers, static_cast<unsigned>(realizations)));
+  validate(config);
 
   using ProfileClock = std::chrono::steady_clock;
   const ProfileClock::time_point wall_begin = ProfileClock::now();
 
-  // Each realization traces into its own buffer; the fold below stitches them
-  // in replication order, so the merged trace is thread-count-independent.
-  std::vector<mc::RunTrace> rep_traces;
-  if (sinks.trace != nullptr) {
-    rep_traces.resize(realizations);
-    for (mc::RunTrace& t : rep_traces) t.record_queues = false;
-  }
-
-  struct Partial {
-    stoch::RunningStats completion;
-    stoch::RunningStats state_age;
-    double failures = 0.0;
-    double moved = 0.0;
-    double state_lost = 0.0;
-    std::vector<double> samples;
-    obs::Registry metrics;      // folded in worker-id order (commutative merges)
-    obs::PhaseProfile profile;  // folded by summation
-  };
-  std::vector<Partial> partials(workers);
-
-  const auto worker = [&](unsigned tid) {
-    const TestbedConfig local = config.clone();
-    Emulation emulation(local);
-    Partial& out = partials[tid];
-    obs::Registry* metrics = sinks.metrics != nullptr ? &out.metrics : nullptr;
-    obs::PhaseProfile* profile = sinks.profile != nullptr ? &out.profile : nullptr;
-    for (std::size_t rep = tid; rep < realizations; rep += workers) {
-      mc::RunTrace* trace = sinks.trace != nullptr ? &rep_traces[rep] : nullptr;
-      const mc::RunResult run = emulation.run(*local.policy, seed, rep, trace, profile);
-      ProfileClock::time_point fold_begin{};
-      if (profile != nullptr) fold_begin = ProfileClock::now();
-      out.completion.add(run.completion_time);
-      out.state_age.merge(run.state_age);
-      out.failures += static_cast<double>(run.failures);
-      out.moved += static_cast<double>(run.tasks_moved);
-      out.state_lost += static_cast<double>(run.state_packets_lost);
-      out.samples.push_back(run.completion_time);
-      if (metrics != nullptr) {
-        metrics->counter("testbed.realizations").add(1);
-        metrics->counter("testbed.failures").add(run.failures);
-        metrics->counter("testbed.recoveries").add(run.recoveries);
-        metrics->counter("testbed.tasks_completed").add(run.tasks_completed);
-        metrics->counter("net.tasks_moved").add(run.tasks_moved);
-        metrics->counter("net.bundles_sent").add(run.bundles_sent);
-        metrics->counter("net.state_packets_lost").add(run.state_packets_lost);
-        metrics->counter("policy.decisions").add(run.policy_decisions);
-        metrics->counter("policy.decisions.empty").add(run.policy_decisions_empty);
-        metrics->histogram("testbed.completion_time").observe(run.completion_time);
-      }
-      if (profile != nullptr) {
-        profile->fold_s +=
-            std::chrono::duration<double>(ProfileClock::now() - fold_begin).count();
-      }
-    }
-    if (metrics != nullptr) emulation.fold_queue_metrics(*metrics);
-  };
-
-  if (workers == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker, t);
-    for (auto& th : pool) th.join();
-  }
-
+  // Folded in replication order; the metrics go to a registry of the run's
+  // own, merged into the sink once.
   ExperimentSummary summary;
   double failures = 0.0;
   double moved = 0.0;
   double state_lost = 0.0;
-  for (Partial& p : partials) {
-    summary.completion.merge(p.completion);
-    summary.state_age.merge(p.state_age);
-    failures += p.failures;
-    moved += p.moved;
-    state_lost += p.state_lost;
-    summary.samples.insert(summary.samples.end(), p.samples.begin(), p.samples.end());
-    if (sinks.metrics != nullptr) sinks.metrics->merge(p.metrics);
-    if (sinks.profile != nullptr) sinks.profile->merge(p.profile);
-  }
+  obs::Registry metrics;
+
+  mc::run_replications(
+      realizations, threads, sinks, [&] { return std::make_unique<Realizer>(config); },
+      [&](Realizer& worker, std::size_t rep, mc::RunTrace* trace) {
+        return worker.run(*worker.policy, seed, rep, trace,
+                          sinks.profile != nullptr ? &worker.profile : nullptr);
+      },
+      [&](std::size_t, const mc::RunResult& run) {
+        summary.completion.add(run.completion_time);
+        summary.state_age.merge(run.state_age);
+        failures += static_cast<double>(run.failures);
+        moved += static_cast<double>(run.tasks_moved);
+        state_lost += static_cast<double>(run.state_packets_lost);
+        summary.samples.push_back(run.completion_time);
+        if (sinks.metrics == nullptr) return;
+        metrics.counter("testbed.realizations").add(1);
+        metrics.counter("testbed.failures").add(run.failures);
+        metrics.counter("testbed.recoveries").add(run.recoveries);
+        metrics.counter("testbed.tasks_completed").add(run.tasks_completed);
+        metrics.counter("net.tasks_moved").add(run.tasks_moved);
+        metrics.counter("net.bundles_sent").add(run.bundles_sent);
+        metrics.counter("net.state_packets_lost").add(run.state_packets_lost);
+        metrics.counter("policy.decisions").add(run.policy_decisions);
+        metrics.counter("policy.decisions.empty").add(run.policy_decisions_empty);
+        metrics.histogram("testbed.completion_time").observe(run.completion_time);
+      });
+
   summary.mean_failures = failures / static_cast<double>(realizations);
   summary.mean_tasks_moved = moved / static_cast<double>(realizations);
   summary.mean_state_lost = state_lost / static_cast<double>(realizations);
   std::sort(summary.samples.begin(), summary.samples.end());
-
-  if (sinks.trace != nullptr) {
-    for (std::size_t rep = 0; rep < realizations; ++rep) {
-      sinks.trace->emit(0.0, obs::Kind::kRepBegin, -1, -1, 0, rep);
-      sinks.trace->absorb(std::move(rep_traces[rep].events));
-    }
-  }
   if (sinks.metrics != nullptr) {
+    sinks.metrics->merge(metrics);
     const double wall_s =
         std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
     if (wall_s > 0.0) {
