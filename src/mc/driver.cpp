@@ -24,13 +24,12 @@ ScenarioWorker::ScenarioWorker(const ScenarioConfig& scenario,
   if (profiled) controls.profile = &profile;
 }
 
-void fold_queue_metrics(obs::Registry& metrics, const des::Simulator& sim) {
-  const des::EventQueue::Stats& qs = sim.queue_stats();
-  metrics.counter("des.events.scheduled").add(qs.scheduled);
-  metrics.counter("des.events.popped").add(qs.popped);
-  metrics.counter("des.events.cancelled").add(qs.cancelled);
-  metrics.counter("des.slab.compactions").add(qs.compactions);
-  metrics.gauge("des.queue.max_depth").max_of(static_cast<double>(qs.max_depth));
+void fold_queue_metrics(obs::Registry& metrics, const des::EventQueue::Stats& stats) {
+  metrics.counter("des.events.scheduled").add(stats.scheduled);
+  metrics.counter("des.events.popped").add(stats.popped);
+  metrics.counter("des.events.cancelled").add(stats.cancelled);
+  metrics.counter("des.slab.compactions").add(stats.compactions);
+  metrics.gauge("des.queue.max_depth").max_of(static_cast<double>(stats.max_depth));
 }
 
 OrderedCommit::OrderedCommit(std::size_t reps, unsigned threads)

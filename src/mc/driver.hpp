@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <type_traits>
 #include <utility>
@@ -42,9 +41,9 @@ struct DriverShape {
 [[nodiscard]] DriverShape driver_shape(std::size_t reps, unsigned threads);
 
 /// What every engine's per-worker state carries: the simulator its
-/// replications reuse and the phase profile they accumulate into. After the
-/// join the driver folds the simulator's DES-core stats into the metrics sink
-/// and the profile into the profile sink.
+/// replications reuse and the phase profile they accumulate into. The driver
+/// folds the simulator's DES-core stats into the metrics sink and the profile
+/// into the profile sink.
 struct WorkerState {
   des::Simulator sim;
   obs::PhaseProfile profile;
@@ -64,7 +63,7 @@ struct ScenarioWorker : WorkerState {
 
 /// Folds a simulator's cumulative DES-core stats (every replication it ran)
 /// into `metrics`.
-void fold_queue_metrics(obs::Registry& metrics, const des::Simulator& sim);
+void fold_queue_metrics(obs::Registry& metrics, const des::EventQueue::Stats& stats);
 
 /// The engine-independent half of run_replications: the worker pool, block
 /// claiming and the in-order commit.
@@ -127,8 +126,8 @@ class OrderedCommit {
 
 /// Runs replications [0, reps) on driver_shape(reps, threads).workers
 /// workers and hands each result to `fold` in replication order.
-/// - `make()` returns a std::unique_ptr to a WorkerState-derived worker,
-///   built once per call on the worker's own thread.
+/// - `make()` returns a WorkerState-derived worker by value. Each worker
+///   builds one, once per call, on its own thread and its own stack.
 /// - `run(worker, rep, trace)` runs replication `rep` and returns its result.
 ///   `trace` is the replication's own buffer, null unless sinks.trace is set.
 /// - `fold(rep, result)` sees every replication once, in order, never
@@ -141,25 +140,29 @@ class OrderedCommit {
 template <typename Make, typename Run, typename Fold>
 void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks, Make&& make,
                       Run&& run, Fold&& fold) {
-  using Worker = typename std::invoke_result_t<Make&>::element_type;
+  using Worker = std::invoke_result_t<Make&>;
   using Result = std::invoke_result_t<Run&, Worker&, std::size_t, RunTrace*>;
   static_assert(std::is_base_of_v<WorkerState, Worker>);
   struct Slot {
     Result result{};
     RunTrace trace;
   };
+  /// What a worker leaves for the after-join fold when its state goes.
+  struct Totals {
+    des::EventQueue::Stats queue;
+    obs::PhaseProfile profile;
+  };
   using Clock = std::chrono::steady_clock;
 
   OrderedCommit order(reps, threads);
-  // The reorder buffer and the worker table are allocated here, on the
+  // The reorder buffer and the per-worker totals are allocated here, on the
   // calling thread, before any worker starts.
   std::vector<Slot> slots(order.slots());
   for (Slot& slot : slots) slot.trace.record_queues = false;
-  std::vector<std::unique_ptr<Worker>> workers(order.workers());
+  std::vector<Totals> totals(order.workers());
 
   order.run([&](unsigned tid) {
-    workers[tid] = make();
-    Worker& worker = *workers[tid];
+    Worker worker = make();
     std::size_t first = 0;
     std::size_t last = 0;
     while (order.claim(first, last)) {
@@ -182,11 +185,12 @@ void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks,
             std::chrono::duration<double>(Clock::now() - commit_begin).count();
       }
     }
+    totals[tid] = {worker.sim.queue_stats(), worker.profile};
   });
 
-  for (const std::unique_ptr<Worker>& worker : workers) {
-    if (sinks.metrics != nullptr) fold_queue_metrics(*sinks.metrics, worker->sim);
-    if (sinks.profile != nullptr) sinks.profile->merge(worker->profile);
+  for (const Totals& t : totals) {
+    if (sinks.metrics != nullptr) fold_queue_metrics(*sinks.metrics, t.queue);
+    if (sinks.profile != nullptr) sinks.profile->merge(t.profile);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <utility>
 
 #include "markov/theory_oracle.hpp"
@@ -162,7 +161,11 @@ ControlPlan plan_control(const ScenarioConfig& config) {
 /// A VR worker: the abstract-model worker plus its clone of the control's
 /// surrogate scenario (empty without a control).
 struct VrWorker : ScenarioWorker {
-  using ScenarioWorker::ScenarioWorker;
+  VrWorker(const ScenarioConfig& config, const std::vector<net::Topology>& topology_states,
+           bool profiled, const ControlPlan& plan)
+      : ScenarioWorker(config, topology_states, profiled) {
+    if (plan.ok) surrogate = plan.surrogate.clone();
+  }
   ScenarioConfig surrogate;
 };
 
@@ -211,12 +214,7 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc,
 
   run_replications(
       reps, mc.threads, mc.obs,
-      [&] {
-        auto worker =
-            std::make_unique<VrWorker>(config, topology_states, mc.obs.profile != nullptr);
-        if (use_control) worker->surrogate = plan.surrogate.clone();
-        return worker;
-      },
+      [&] { return VrWorker(config, topology_states, mc.obs.profile != nullptr, plan); },
       [&](VrWorker& worker, std::size_t rep, RunTrace* trace) {
         // Only the target run is profiled and traced; the surrogate's cost
         // shows up in measured reps/s and the mc.vr.surrogate_runs counter
@@ -376,10 +374,7 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
   // rebuilt, across the whole replication loop.
   run_replications(
       mc.replications, mc.threads, mc.obs,
-      [&] {
-        return std::make_unique<ScenarioWorker>(config, topology_states,
-                                                mc.obs.profile != nullptr);
-      },
+      [&] { return ScenarioWorker(config, topology_states, mc.obs.profile != nullptr); },
       [&](ScenarioWorker& worker, std::size_t rep, RunTrace* trace) {
         return run_scenario(worker.config, mc.seed, rep, trace, worker.sim, SteadyProbe{},
                             worker.controls);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <utility>
 
 #include "mc/driver.hpp"
@@ -76,10 +75,7 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
 
   run_replications(
       sc.replications, sc.threads, sc.obs,
-      [&] {
-        return std::make_unique<SteadyWorker>(config, topology_states,
-                                              sc.obs.profile != nullptr);
-      },
+      [&] { return SteadyWorker(config, topology_states, sc.obs.profile != nullptr); },
       [&](SteadyWorker& worker, std::size_t rep, RunTrace* trace) {
         worker.log.clear();
         worker.log.reserve(spec.tasks);

@@ -78,7 +78,7 @@ mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
   validate(config);
   Emulation emulation(config);
   const mc::RunResult result = emulation.run(*config.policy, seed, replication, trace, profile);
-  if (metrics != nullptr) mc::fold_queue_metrics(*metrics, emulation.sim);
+  if (metrics != nullptr) mc::fold_queue_metrics(*metrics, emulation.sim.queue_stats());
   return result;
 }
 
@@ -100,7 +100,7 @@ ExperimentSummary run_experiment(const TestbedConfig& config, std::size_t realiz
   obs::Registry metrics;
 
   mc::run_replications(
-      realizations, threads, sinks, [&] { return std::make_unique<Realizer>(config); },
+      realizations, threads, sinks, [&] { return Realizer(config); },
       [&](Realizer& worker, std::size_t rep, mc::RunTrace* trace) {
         return worker.run(*worker.policy, seed, rep, trace,
                           sinks.profile != nullptr ? &worker.profile : nullptr);
