@@ -6,24 +6,6 @@
 
 namespace lbsim::mc {
 
-DriverShape driver_shape(std::size_t reps, unsigned threads) {
-  DriverShape shape;
-  const std::size_t wanted = threads == 0 ? std::thread::hardware_concurrency() : threads;
-  shape.workers =
-      static_cast<unsigned>(std::clamp<std::size_t>(wanted, 1, std::max<std::size_t>(reps, 1)));
-  shape.block = std::clamp<std::size_t>(reps / (4 * std::size_t{shape.workers}), 1, 32);
-  shape.window = 4 * std::size_t{shape.workers};
-  return shape;
-}
-
-ScenarioWorker::ScenarioWorker(const ScenarioConfig& scenario,
-                               const std::vector<net::Topology>& topology_states, bool profiled)
-    : config(scenario.clone()) {
-  controls.topology_states = &topology_states;
-  controls.workspace = &workspace;
-  if (profiled) controls.profile = &profile;
-}
-
 void fold_queue_metrics(obs::Registry& metrics, const des::EventQueue::Stats& stats) {
   metrics.counter("des.events.scheduled").add(stats.scheduled);
   metrics.counter("des.events.popped").add(stats.popped);
@@ -32,13 +14,25 @@ void fold_queue_metrics(obs::Registry& metrics, const des::EventQueue::Stats& st
   metrics.gauge("des.queue.max_depth").max_of(static_cast<double>(stats.max_depth));
 }
 
-OrderedCommit::OrderedCommit(std::size_t reps, unsigned threads)
-    : shape_(driver_shape(reps, threads)),
-      reps_(reps),
-      blocks_((reps + shape_.block - 1) / shape_.block),
-      slots_(std::min(reps, shape_.window * shape_.block)),
-      finished_(shape_.window, 0) {
+void fold_run_counters(obs::Registry& metrics, const std::string& engine, const RunResult& run) {
+  metrics.counter(engine + ".failures").add(run.failures);
+  metrics.counter(engine + ".recoveries").add(run.recoveries);
+  metrics.counter(engine + ".tasks_completed").add(run.tasks_completed);
+  metrics.counter("net.tasks_moved").add(run.tasks_moved);
+  metrics.counter("net.bundles_sent").add(run.bundles_sent);
+  metrics.counter("policy.decisions").add(run.policy_decisions);
+  metrics.counter("policy.decisions.empty").add(run.policy_decisions_empty);
+}
+
+OrderedCommit::OrderedCommit(std::size_t reps, unsigned threads) : reps_(reps) {
   LBSIM_REQUIRE(reps >= 1, "replications=" << reps);
+  const std::size_t wanted = threads == 0 ? std::thread::hardware_concurrency() : threads;
+  workers_ = static_cast<unsigned>(std::clamp<std::size_t>(wanted, 1, reps));
+  block_ = std::clamp<std::size_t>(reps / (4 * std::size_t{workers_}), 1, 32);
+  window_ = 4 * std::size_t{workers_};
+  blocks_ = (reps + block_ - 1) / block_;
+  slots_ = std::min(reps, window_ * block_);
+  finished_.assign(window_, 0);
 }
 
 void OrderedCommit::run(const std::function<void(unsigned)>& body) {
@@ -50,9 +44,9 @@ void OrderedCommit::run(const std::function<void(unsigned)>& body) {
     }
   };
   std::vector<std::thread> pool;
-  pool.reserve(shape_.workers - 1);
+  pool.reserve(workers_ - 1);
   try {
-    for (unsigned tid = 1; tid < shape_.workers; ++tid) pool.emplace_back(guarded, tid);
+    for (unsigned tid = 1; tid < workers_; ++tid) pool.emplace_back(guarded, tid);
   } catch (...) {
     fail(std::current_exception());  // the threads already started still join below
   }
@@ -65,16 +59,16 @@ bool OrderedCommit::claim(std::size_t& first, std::size_t& last) {
   if (failed_.load(std::memory_order_relaxed)) return false;
   const std::size_t block = next_block_.fetch_add(1, std::memory_order_relaxed);
   if (block >= blocks_) return false;
-  if (block >= committed_.load(std::memory_order_acquire) + shape_.window) {
+  if (block >= committed_.load(std::memory_order_acquire) + window_) {
     std::unique_lock<std::mutex> lock(mutex_);
     ahead_.wait(lock, [&] {
       return failed_.load(std::memory_order_relaxed) ||
-             block < committed_.load(std::memory_order_relaxed) + shape_.window;
+             block < committed_.load(std::memory_order_relaxed) + window_;
     });
     if (failed_.load(std::memory_order_relaxed)) return false;
   }
-  first = block * shape_.block;
-  last = std::min(reps_, first + shape_.block);
+  first = block * block_;
+  last = std::min(reps_, first + block_);
   return true;
 }
 

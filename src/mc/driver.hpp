@@ -1,7 +1,7 @@
 #pragma once
 /// \file
-/// The replication driver every engine runs on: plain and variance-reduced
-/// run_monte_carlo, run_steady and testbed::run_experiment. Workers claim
+/// The replication driver every engine runs on: run_monte_carlo (plain and
+/// variance-reduced), run_steady and testbed::run_experiment. Workers claim
 /// blocks of replications from a shared counter and run them on state of
 /// their own; the driver hands every replication's result to the engine's
 /// fold strictly in replication order. An engine therefore folds, at any
@@ -16,6 +16,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -25,25 +26,8 @@
 
 namespace lbsim::mc {
 
-/// How the driver splits `reps` replications over its workers.
-struct DriverShape {
-  /// `threads` (0 = std::thread::hardware_concurrency()), clamped to
-  /// [1, reps]. Worker 0 is the calling thread.
-  unsigned workers = 1;
-  /// Replications per claim: reps / (4 workers), clamped to [1, 32], so that
-  /// even a short run gives every worker several blocks.
-  std::size_t block = 1;
-  /// Blocks a worker may run ahead of the oldest uncommitted one (4 per
-  /// worker); past it the worker waits for the commit point to move.
-  std::size_t window = 1;
-};
-
-[[nodiscard]] DriverShape driver_shape(std::size_t reps, unsigned threads);
-
 /// What every engine's per-worker state carries: the simulator its
-/// replications reuse and the phase profile they accumulate into. The driver
-/// folds the simulator's DES-core stats into the metrics sink and the profile
-/// into the profile sink.
+/// replications reuse and the phase profile they accumulate into.
 struct WorkerState {
   des::Simulator sim;
   obs::PhaseProfile profile;
@@ -51,31 +35,46 @@ struct WorkerState {
 
 /// A worker of the abstract-model engines (plain and variance-reduced MC,
 /// steady state): its clone of the scenario, plus the workspace and the run
-/// controls every replication it runs reuses.
+/// controls (shared graphs, workspace, profile when attached) that every
+/// replication it runs reuses.
 struct ScenarioWorker : WorkerState {
   ScenarioWorker(const ScenarioConfig& scenario,
-                 const std::vector<net::Topology>& topology_states, bool profiled);
+                 const std::vector<net::Topology>& topology_states, bool profiled)
+      : config(scenario.clone()) {
+    controls.topology_states = &topology_states;
+    controls.workspace = &workspace;
+    if (profiled) controls.profile = &profile;
+  }
 
   ScenarioConfig config;
   ReplicationWorkspace workspace;
-  RunControls controls;  ///< shared graphs, the workspace, and the profile when attached
+  RunControls controls;
 };
 
 /// Folds a simulator's cumulative DES-core stats (every replication it ran)
 /// into `metrics`.
 void fold_queue_metrics(obs::Registry& metrics, const des::EventQueue::Stats& stats);
 
+/// Folds the counters every engine keeps for one replication into `metrics`:
+/// `engine`.failures, .recoveries and .tasks_completed, and the net.* and
+/// policy.* counts.
+void fold_run_counters(obs::Registry& metrics, const std::string& engine, const RunResult& run);
+
 /// The engine-independent half of run_replications: the worker pool, block
-/// claiming and the in-order commit.
+/// claiming and the in-order commit. `threads` workers (0 =
+/// std::thread::hardware_concurrency()), clamped to [1, reps]; blocks of
+/// reps / (4 workers) replications, clamped to [1, 32], so that a short run
+/// still gives every worker several blocks; and a window of 4 blocks per
+/// worker, which bounds how far a worker may run ahead of the commit point.
 class OrderedCommit {
  public:
   OrderedCommit(std::size_t reps, unsigned threads);
 
-  [[nodiscard]] unsigned workers() const noexcept { return shape_.workers; }
+  [[nodiscard]] unsigned workers() const noexcept { return workers_; }
   /// Size of the reorder buffer, in replications.
   [[nodiscard]] std::size_t slots() const noexcept { return slots_; }
   /// Reorder-buffer slot of replication `rep`. Block k reuses the slots of
-  /// block k - window, which has been committed before block k is claimed.
+  /// block k - window, which is committed before block k can be claimed.
   [[nodiscard]] std::size_t slot(std::size_t rep) const noexcept { return rep % slots_; }
 
   /// Runs body(tid) for every worker tid, 0 on the calling thread and the
@@ -83,9 +82,9 @@ class OrderedCommit {
   /// worker throws stops further claims and is rethrown here after the join.
   void run(const std::function<void(unsigned)>& body);
 
-  /// Claims the next block, replications [first, last). Waits while that
-  /// block is a window ahead of the commit point. False once every block is
-  /// claimed or a worker has failed.
+  /// Claims the next block, replications [first, last), waiting while it is
+  /// a window ahead of the oldest uncommitted block. False once every block
+  /// is claimed or a worker has failed.
   [[nodiscard]] bool claim(std::size_t& first, std::size_t& last);
 
   /// Marks the block that starts at `first` finished. If it is the oldest
@@ -94,15 +93,15 @@ class OrderedCommit {
   /// the commit mutex (so never concurrently).
   template <typename Commit>
   void finish(std::size_t first, Commit&& commit) {
-    const std::size_t block = first / shape_.block;
+    const std::size_t block = first / block_;
     std::lock_guard<std::mutex> lock(mutex_);
-    finished_[block % shape_.window] = 1;
+    finished_[block % window_] = 1;
     std::size_t next = committed_.load(std::memory_order_relaxed);
     if (block != next) return;  // an older block's worker commits this one
-    for (; next < blocks_ && finished_[next % shape_.window] != 0; ++next) {
-      finished_[next % shape_.window] = 0;
-      const std::size_t end = std::min(reps_, (next + 1) * shape_.block);
-      for (std::size_t rep = next * shape_.block; rep < end; ++rep) commit(rep);
+    for (; next < blocks_ && finished_[next % window_] != 0; ++next) {
+      finished_[next % window_] = 0;
+      const std::size_t end = std::min(reps_, (next + 1) * block_);
+      for (std::size_t rep = next * block_; rep < end; ++rep) commit(rep);
     }
     committed_.store(next, std::memory_order_release);
     ahead_.notify_all();
@@ -111,8 +110,10 @@ class OrderedCommit {
  private:
   void fail(std::exception_ptr error);
 
-  DriverShape shape_;
   std::size_t reps_;
+  unsigned workers_;
+  std::size_t block_;
+  std::size_t window_;
   std::size_t blocks_;
   std::size_t slots_;
   std::atomic<std::size_t> next_block_{0};
@@ -124,22 +125,26 @@ class OrderedCommit {
   std::condition_variable ahead_;
 };
 
-/// Runs replications [0, reps) on driver_shape(reps, threads).workers
-/// workers and hands each result to `fold` in replication order.
+/// Runs replications [0, reps) and hands each result to `fold` in
+/// replication order.
 /// - `make()` returns a WorkerState-derived worker by value. Each worker
-///   builds one, once per call, on its own thread and its own stack.
+///   builds one, once per call, on its own thread's stack.
 /// - `run(worker, rep, trace)` runs replication `rep` and returns its result.
 ///   `trace` is the replication's own buffer, null unless sinks.trace is set.
-/// - `fold(rep, result)` sees every replication once, in order, never
-///   concurrently. The replication's trace joins sinks.trace just before it,
-///   behind a kRepBegin marker (payload = rep).
+/// - `fold(rep, result, metrics)` sees every replication once, in order,
+///   never concurrently. The replication's trace joins sinks.trace just
+///   before it, behind a kRepBegin marker (payload = rep). `metrics` is the
+///   run's own registry, null unless sinks.metrics is set; it is merged into
+///   the sink once, after the join, so the sink sees one block of updates
+///   whatever it held before.
 /// Under sinks.profile the commits are timed into the committing worker's
 /// fold_s. After the join every worker's DES-core stats fold into
-/// sinks.metrics and its profile into sinks.profile. A replication that
-/// throws stops the run; its exception reaches the caller after the join.
+/// sinks.metrics, with an `engine`.reps_per_s gauge, and its profile into
+/// sinks.profile. A replication that throws stops the run; its exception
+/// reaches the caller after the join.
 template <typename Make, typename Run, typename Fold>
-void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks, Make&& make,
-                      Run&& run, Fold&& fold) {
+void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks,
+                      const std::string& engine, Make&& make, Run&& run, Fold&& fold) {
   using Worker = std::invoke_result_t<Make&>;
   using Result = std::invoke_result_t<Run&, Worker&, std::size_t, RunTrace*>;
   static_assert(std::is_base_of_v<WorkerState, Worker>);
@@ -153,6 +158,7 @@ void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks,
     obs::PhaseProfile profile;
   };
   using Clock = std::chrono::steady_clock;
+  const Clock::time_point begin = Clock::now();
 
   OrderedCommit order(reps, threads);
   // The reorder buffer and the per-worker totals are allocated here, on the
@@ -160,6 +166,8 @@ void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks,
   std::vector<Slot> slots(order.slots());
   for (Slot& slot : slots) slot.trace.record_queues = false;
   std::vector<Totals> totals(order.workers());
+  obs::Registry run_metrics;
+  obs::Registry* metrics = sinks.metrics != nullptr ? &run_metrics : nullptr;
 
   order.run([&](unsigned tid) {
     Worker worker = make();
@@ -178,7 +186,7 @@ void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks,
           sinks.trace->emit(0.0, obs::Kind::kRepBegin, -1, -1, 0, rep);
           sinks.trace->absorb(std::move(slot.trace.events));
         }
-        fold(rep, slot.result);
+        fold(rep, slot.result, metrics);
       });
       if (sinks.profile != nullptr) {
         worker.profile.fold_s +=
@@ -189,8 +197,14 @@ void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks,
   });
 
   for (const Totals& t : totals) {
-    if (sinks.metrics != nullptr) fold_queue_metrics(*sinks.metrics, t.queue);
+    if (metrics != nullptr) fold_queue_metrics(*sinks.metrics, t.queue);
     if (sinks.profile != nullptr) sinks.profile->merge(t.profile);
+  }
+  if (metrics == nullptr) return;
+  sinks.metrics->merge(run_metrics);
+  const double wall_s = std::chrono::duration<double>(Clock::now() - begin).count();
+  if (wall_s > 0.0) {
+    sinks.metrics->gauge(engine + ".reps_per_s").set(static_cast<double>(reps) / wall_s);
   }
 }
 

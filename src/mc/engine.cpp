@@ -1,7 +1,6 @@
 #include "mc/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "markov/theory_oracle.hpp"
@@ -46,65 +45,6 @@ double McResult::sample_quantile(double q) const {
 }
 
 namespace {
-
-using ProfileClock = std::chrono::steady_clock;
-
-/// Folds one replication's result counters into the run's registry.
-void fold_run_metrics(obs::Registry& metrics, const RunResult& run) {
-  metrics.counter("mc.replications").add(1);
-  metrics.counter("mc.failures").add(run.failures);
-  metrics.counter("mc.recoveries").add(run.recoveries);
-  metrics.counter("mc.tasks_completed").add(run.tasks_completed);
-  metrics.counter("mc.tasks_arrived").add(run.tasks_arrived);
-  metrics.counter("env.transitions").add(run.env_transitions);
-  metrics.counter("net.tasks_moved").add(run.tasks_moved);
-  metrics.counter("net.bundles_sent").add(run.bundles_sent);
-  metrics.counter("policy.decisions").add(run.policy_decisions);
-  metrics.counter("policy.decisions.empty").add(run.policy_decisions_empty);
-  metrics.histogram("mc.completion_time").observe(run.completion_time);
-}
-
-/// What both estimators fold from every replication, in replication order:
-/// the completion and sojourn statistics, the per-run averages' sums and the
-/// mc.* metrics. The metrics go to a registry of the run's own, merged into
-/// the sink once, so the sink sees them as one block whatever it held before.
-struct PlainFold {
-  explicit PlainFold(const McConfig& mc) : metered(mc.obs.metrics != nullptr) {}
-
-  void add(const RunResult& run) {
-    completion.add(run.completion_time);
-    sojourn.merge(run.sojourn);
-    failures += static_cast<double>(run.failures);
-    tasks_moved += static_cast<double>(run.tasks_moved);
-    bundles += static_cast<double>(run.bundles_sent);
-    if (metered) fold_run_metrics(metrics, run);
-  }
-
-  /// Moves the statistics into `result` and the metrics into the sink.
-  void finish(const McConfig& mc, ProfileClock::time_point wall_begin, McResult& result) {
-    result.completion = completion;
-    result.sojourn = sojourn;
-    const double n = static_cast<double>(mc.replications);
-    result.mean_failures = failures / n;
-    result.mean_tasks_moved = tasks_moved / n;
-    result.mean_bundles = bundles / n;
-    if (!metered) return;
-    mc.obs.metrics->merge(metrics);
-    const double wall_s =
-        std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
-    if (wall_s > 0.0) {
-      mc.obs.metrics->gauge("mc.reps_per_s").set(static_cast<double>(mc.replications) / wall_s);
-    }
-  }
-
-  bool metered;
-  stoch::RunningStats completion;
-  stoch::RunningStats sojourn;
-  double failures = 0.0;
-  double tasks_moved = 0.0;
-  double bundles = 0.0;
-  obs::Registry metrics;
-};
 
 /// The control-variate plan: the control Y is the completion time of the
 /// scenario's *churn-free surrogate* (same workloads, policy, delay law;
@@ -158,10 +98,10 @@ ControlPlan plan_control(const ScenarioConfig& config) {
   return plan;
 }
 
-/// A VR worker: the abstract-model worker plus its clone of the control's
-/// surrogate scenario (empty without a control).
-struct VrWorker : ScenarioWorker {
-  VrWorker(const ScenarioConfig& config, const std::vector<net::Topology>& topology_states,
+/// An MC worker: the abstract-model worker plus, under a control variate,
+/// its clone of the surrogate scenario.
+struct McWorker : ScenarioWorker {
+  McWorker(const ScenarioConfig& config, const std::vector<net::Topology>& topology_states,
            bool profiled, const ControlPlan& plan)
       : ScenarioWorker(config, topology_states, profiled) {
     if (plan.ok) surrogate = plan.surrogate.clone();
@@ -169,97 +109,22 @@ struct VrWorker : ScenarioWorker {
   ScenarioConfig surrogate;
 };
 
-/// One VR replication: the target run and, under a control, the surrogate's
-/// completion time.
-struct VrRun {
+/// One replication: the target run and, under a control variate, the
+/// surrogate's completion time.
+struct McRun {
   RunResult run;
   double control = 0.0;
 };
 
-/// The VR estimator. Its fold adds to the plain one the per-replication
-/// target and control values, which the adjustment consumes, so its quantile
-/// summary is exact at any replication count.
-McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc,
-                              const std::vector<net::Topology>& topology_states) {
-  const bool antithetic = mc.vr == VrMode::kAntithetic || mc.vr == VrMode::kBoth;
-  const bool want_control = mc.vr == VrMode::kControlVariate || mc.vr == VrMode::kBoth;
-  LBSIM_REQUIRE(!antithetic || mc.replications % 2 == 0,
-                "antithetic pairing needs an even replication count, got "
-                    << mc.replications);
-
-  McResult result;
-  result.vr.requested = mc.vr;
-  result.vr.antithetic = antithetic;
-
-  const ProfileClock::time_point wall_begin = ProfileClock::now();
-
-  ControlPlan plan;
-  if (want_control) {
-    plan = plan_control(config);
-    if (!plan.ok) {
-      result.vr.fallback = plan.reason;
-      if (mc.obs.metrics != nullptr) mc.obs.metrics->counter("mc.vr.fallbacks").add(1);
-    }
-  }
-  const bool use_control = want_control && plan.ok;
-
+/// The variance-reduced estimate (McResult.vr) from the per-replication
+/// target and control values, in replication order.
+void adjust(const McConfig& mc, const ControlPlan& plan, const std::vector<double>& target,
+            const std::vector<double>& control, McResult& result) {
+  const bool antithetic = result.vr.antithetic;
+  const bool use_control = !control.empty();
   const std::size_t reps = mc.replications;
-  // Per-replication values in replication order: what the control-variate
-  // regression, the pair means and the exact quantiles consume.
-  std::vector<double> target;
-  std::vector<double> control;
-  target.reserve(reps);
-  if (use_control) control.reserve(reps);
-  PlainFold fold(mc);
-
-  run_replications(
-      reps, mc.threads, mc.obs,
-      [&] { return VrWorker(config, topology_states, mc.obs.profile != nullptr, plan); },
-      [&](VrWorker& worker, std::size_t rep, RunTrace* trace) {
-        // Only the target run is profiled and traced; the surrogate's cost
-        // shows up in measured reps/s and the mc.vr.surrogate_runs counter
-        // instead, so profile.reps keeps meaning "replications".
-        RunControls controls = worker.controls;
-        std::uint64_t stream_rep = rep;
-        if (antithetic) {
-          // Pair (2k, 2k+1): one stream id used twice, the odd member mirrored.
-          controls.antithetic = rep % 2 == 1;
-          stream_rep = rep / 2;
-        }
-        VrRun out;
-        out.run = run_scenario(worker.config, mc.seed, stream_rep, trace, worker.sim,
-                               SteadyProbe{}, controls);
-        if (use_control) {
-          // Common random numbers: stripping churn leaves the stream layout
-          // unchanged, so the surrogate replays the same draws and Y stays
-          // tightly coupled to T. It keeps the target's topology and
-          // environment, so it shares the target's graphs too.
-          controls.profile = nullptr;
-          out.control = run_scenario(worker.surrogate, mc.seed, stream_rep, nullptr, worker.sim,
-                                     SteadyProbe{}, controls)
-                            .completion_time;
-        }
-        return out;
-      },
-      [&](std::size_t, const VrRun& out) {
-        target.push_back(out.run.completion_time);
-        fold.add(out.run);
-        if (use_control) {
-          control.push_back(out.control);
-          if (fold.metered) fold.metrics.counter("mc.vr.surrogate_runs").add(1);
-        }
-      });
-
-  fold.finish(mc, wall_begin, result);
-  std::vector<double> sorted = target;
-  std::sort(sorted.begin(), sorted.end());
-  result.p50 = stoch::quantile_sorted(sorted, 0.5);
-  result.p90 = stoch::quantile_sorted(sorted, 0.9);
-  result.p99 = stoch::quantile_sorted(sorted, 0.99);
-  if (mc.collect_samples) result.samples = std::move(sorted);
-
-  // Adjusted estimator: pair means under antithetic pairing, then an optional
-  // control-variate regression on what remains.
+  // Pair means under antithetic pairing, then an optional control-variate
+  // regression on what remains.
   std::vector<double> t_obs;
   std::vector<double> y_obs;
   if (antithetic) {
@@ -336,7 +201,6 @@ McResult run_variance_reduced(const ScenarioConfig& config, const McConfig& mc,
   const double per_rep_raw = result.completion.variance();
   result.vr.variance_ratio =
       per_rep_adjusted > 0.0 ? per_rep_raw / per_rep_adjusted : 1.0;
-  return result;
 }
 
 /// Count-weighted P² estimate of one sketch: the form a merge of several
@@ -349,64 +213,127 @@ double streaming_quantile(const stoch::P2Quantile& sketch) {
 }  // namespace
 
 McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
-  LBSIM_REQUIRE(mc.replications >= 1, "replications=" << mc.replications);
+  const std::size_t reps = mc.replications;
+  LBSIM_REQUIRE(reps >= 1, "replications=" << reps);
   // The exchange graphs are replication-invariant: build them once and share
   // them read-only with every replication on every worker.
   const std::vector<net::Topology> topology_states = build_topology_states(config);
-  if (mc.vr != VrMode::kNone) return run_variance_reduced(config, mc, topology_states);
+  const bool antithetic = mc.vr == VrMode::kAntithetic || mc.vr == VrMode::kBoth;
+  const bool want_control = mc.vr == VrMode::kControlVariate || mc.vr == VrMode::kBoth;
+  LBSIM_REQUIRE(!antithetic || reps % 2 == 0,
+                "antithetic pairing needs an even replication count, got " << reps);
 
-  const ProfileClock::time_point wall_begin = ProfileClock::now();
-
-  // Exact quantiles are kept whenever the sample buffer stays bounded: always
-  // under collect_samples, and transiently up to kExactQuantileCap
-  // replications. Only past the cap does the P² streaming path take over.
-  const bool keep_samples = mc.collect_samples || mc.replications <= kExactQuantileCap;
   McResult result;
-  if (keep_samples) result.samples.reserve(mc.replications);
+  result.vr.requested = mc.vr;
+  result.vr.antithetic = antithetic;
+
+  ControlPlan plan;
+  if (want_control) {
+    plan = plan_control(config);
+    if (!plan.ok) {
+      result.vr.fallback = plan.reason;
+      if (mc.obs.metrics != nullptr) mc.obs.metrics->counter("mc.vr.fallbacks").add(1);
+    }
+  }
+  const bool use_control = want_control && plan.ok;
+
+  // The fold keeps every completion time, in replication order, whenever the
+  // buffer stays bounded: always under collect_samples, transiently up to
+  // kExactQuantileCap replications, and always under variance reduction,
+  // whose adjustment consumes them (with the control values). The quantiles
+  // are then exact; past the cap the P² streaming path takes over.
+  const bool keep_samples =
+      mc.vr != VrMode::kNone || mc.collect_samples || reps <= kExactQuantileCap;
+  std::vector<double> target;
+  std::vector<double> control;
+  if (keep_samples) target.reserve(reps);
+  if (use_control) control.reserve(reps);
   stoch::P2Quantile p50{0.5};
   stoch::P2Quantile p90{0.9};
   stoch::P2Quantile p99{0.99};
-  PlainFold fold(mc);
+  double failures = 0.0;
+  double moved = 0.0;
+  double bundles = 0.0;
 
-  // Each worker clones the scenario once, and RNG streams are keyed by
-  // replication index. One simulator and one replication workspace per
-  // worker: the event slab, the nodes and the task blocks are reset, not
-  // rebuilt, across the whole replication loop.
   run_replications(
-      mc.replications, mc.threads, mc.obs,
-      [&] { return ScenarioWorker(config, topology_states, mc.obs.profile != nullptr); },
-      [&](ScenarioWorker& worker, std::size_t rep, RunTrace* trace) {
-        return run_scenario(worker.config, mc.seed, rep, trace, worker.sim, SteadyProbe{},
-                            worker.controls);
+      reps, mc.threads, mc.obs, "mc",
+      [&] { return McWorker(config, topology_states, mc.obs.profile != nullptr, plan); },
+      [&](McWorker& worker, std::size_t rep, RunTrace* trace) {
+        // Only the target run is profiled and traced; the surrogate's cost
+        // shows up in measured reps/s and the mc.vr.surrogate_runs counter
+        // instead, so profile.reps keeps meaning "replications".
+        RunControls controls = worker.controls;
+        std::uint64_t stream_rep = rep;
+        if (antithetic) {
+          // Pair (2k, 2k+1): one stream id used twice, the odd member mirrored.
+          controls.antithetic = rep % 2 == 1;
+          stream_rep = rep / 2;
+        }
+        McRun out;
+        out.run = run_scenario(worker.config, mc.seed, stream_rep, trace, worker.sim,
+                               SteadyProbe{}, controls);
+        if (use_control) {
+          // Common random numbers: stripping churn leaves the stream layout
+          // unchanged, so the surrogate replays the same draws and Y stays
+          // tightly coupled to T. It keeps the target's topology and
+          // environment, so it shares the target's graphs too.
+          controls.profile = nullptr;
+          out.control = run_scenario(worker.surrogate, mc.seed, stream_rep, nullptr, worker.sim,
+                                     SteadyProbe{}, controls)
+                            .completion_time;
+        }
+        return out;
       },
-      [&](std::size_t, const RunResult& run) {
-        fold.add(run);
+      [&](std::size_t, const McRun& out, obs::Registry* metrics) {
+        const RunResult& run = out.run;
+        result.completion.add(run.completion_time);
+        result.sojourn.merge(run.sojourn);
+        failures += static_cast<double>(run.failures);
+        moved += static_cast<double>(run.tasks_moved);
+        bundles += static_cast<double>(run.bundles_sent);
         if (keep_samples) {
-          result.samples.push_back(run.completion_time);
+          target.push_back(run.completion_time);
         } else {
           p50.add(run.completion_time);
           p90.add(run.completion_time);
           p99.add(run.completion_time);
         }
+        if (metrics != nullptr) {
+          metrics->counter("mc.replications").add(1);
+          fold_run_counters(*metrics, "mc", run);
+          metrics->counter("mc.tasks_arrived").add(run.tasks_arrived);
+          metrics->counter("env.transitions").add(run.env_transitions);
+          metrics->histogram("mc.completion_time").observe(run.completion_time);
+        }
+        if (use_control) {
+          control.push_back(out.control);
+          if (metrics != nullptr) metrics->counter("mc.vr.surrogate_runs").add(1);
+        }
       });
 
-  fold.finish(mc, wall_begin, result);
+  const double n = static_cast<double>(reps);
+  result.mean_failures = failures / n;
+  result.mean_tasks_moved = moved / n;
+  result.mean_bundles = bundles / n;
   if (keep_samples) {
-    std::sort(result.samples.begin(), result.samples.end());
-    result.p50 = stoch::quantile_sorted(result.samples, 0.5);
-    result.p90 = stoch::quantile_sorted(result.samples, 0.9);
-    result.p99 = stoch::quantile_sorted(result.samples, 0.99);
-    // The transient buffer was only for the exact quantiles; the caller did
-    // not ask for samples.
-    if (!mc.collect_samples) {
-      result.samples.clear();
-      result.samples.shrink_to_fit();
+    // The adjustment below needs the values in replication order.
+    std::vector<double> sorted;
+    if (mc.vr != VrMode::kNone) {
+      sorted = target;
+    } else {
+      sorted.swap(target);
     }
+    std::sort(sorted.begin(), sorted.end());
+    result.p50 = stoch::quantile_sorted(sorted, 0.5);
+    result.p90 = stoch::quantile_sorted(sorted, 0.9);
+    result.p99 = stoch::quantile_sorted(sorted, 0.99);
+    if (mc.collect_samples) result.samples = std::move(sorted);
   } else {
     result.p50 = streaming_quantile(p50);
     result.p90 = streaming_quantile(p90);
     result.p99 = streaming_quantile(p99);
   }
+  if (mc.vr != VrMode::kNone) adjust(mc, plan, target, control, result);
   return result;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 /// \file
-/// Parallel Monte-Carlo driver: runs N independent replications of a scenario
-/// (disjoint RNG streams, so the estimate is identical for any thread count)
-/// and aggregates completion-time statistics.
+/// Monte-Carlo engine: runs N independent replications of a scenario on the
+/// ordered replication driver (mc/driver.hpp), so every statistic is the same
+/// at any thread count, and aggregates completion-time statistics.
 
 #include <cstdint>
 #include <string>
@@ -51,8 +51,8 @@ struct McConfig {
 
 /// Largest replication count for which the engine computes its quantile
 /// summary exactly even without collect_samples (a transient, bounded sample
-/// buffer — ~512 KiB — merged across workers and discarded). Past this the
-/// streaming P² path takes over so unbounded sweeps stay O(1) memory.
+/// buffer of ~512 KiB). Past this the streaming P² path takes over so
+/// unbounded sweeps stay O(1) memory.
 inline constexpr std::size_t kExactQuantileCap = 65536;
 
 /// Report of the variance-reduced estimator (McResult.vr). `mean`/`std_error`
@@ -90,12 +90,9 @@ struct McResult {
   double mean_tasks_moved = 0.0;    ///< average migrated tasks per run
   double mean_bundles = 0.0;        ///< average transfers per run
   std::vector<double> samples;      ///< raw times, sorted (empty unless collect_samples)
-  /// Completion-time quantiles, always populated. Exact type-7 values (and
-  /// thread-count independent, like every other statistic) when
-  /// collect_samples is on or replications <= kExactQuantileCap; beyond the
-  /// cap they are count-weighted P² streaming estimates — O(1) memory, good
-  /// to roughly a percent at the cap's per-worker sample sizes, and the one
-  /// statistic that may vary slightly with the thread count.
+  /// Completion-time quantiles, always populated: exact type-7 values when
+  /// collect_samples is on or replications <= kExactQuantileCap, and beyond
+  /// the cap P² streaming estimates (O(1) memory, good to roughly a percent).
   double p50 = 0.0;
   double p90 = 0.0;
   double p99 = 0.0;
@@ -113,9 +110,7 @@ struct McResult {
   [[nodiscard]] double sample_quantile(double q) const;
 };
 
-/// Runs the experiment. Deterministic in (config, mc.seed, mc.replications) —
-/// except the p50/p90/p99 summary above kExactQuantileCap replications, which
-/// is a streaming estimate (see McResult).
+/// Runs the experiment. Deterministic in (config, mc.seed, mc.replications).
 [[nodiscard]] McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc);
 
 }  // namespace lbsim::mc

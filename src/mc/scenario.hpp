@@ -167,7 +167,7 @@ struct ObsSinks {
   /// buffer and fold them in replication order behind a kRepBegin marker
   /// (payload = replication index), so the file is thread-count-independent.
   obs::TraceBuffer* trace = nullptr;
-  /// Merged metrics: per-worker registries folded in worker-id order plus
+  /// Merged metrics: per-replication updates folded in replication order plus
   /// driver-level counters/gauges (see docs/ARCHITECTURE.md).
   obs::Registry* metrics = nullptr;
   /// Aggregated per-phase wall-time breakdown across all replications.

@@ -33,9 +33,6 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
       sc.collect_samples || sc.replications * spec.tasks <= kExactQuantileCap;
   const bool metered = sc.obs.metrics != nullptr;
 
-  using ProfileClock = std::chrono::steady_clock;
-  const ProfileClock::time_point wall_begin = ProfileClock::now();
-
   // Replication-invariant exchange graphs, shared read-only by every worker.
   const std::vector<net::Topology> topology_states = build_topology_states(config);
 
@@ -45,16 +42,17 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
     std::vector<double> log;
   };
   /// One observation window, analysed on its worker: MSER-5's warm-up cut,
-  /// the batch means, and either the post-warm-up sojourns (kept for the
-  /// exact quantiles or the sojourn histogram) or their P² sketches.
+  /// the batch means, the post-warm-up sojourns (kept for the exact
+  /// quantiles or the sojourn histogram) and, past the cap, the (count,
+  /// estimate) of a P² sketch per quantile level.
+  constexpr double kLevels[] = {0.5, 0.9, 0.99};
+  using Sketched = std::pair<std::size_t, double>;
   struct Window {
     stoch::BatchMeans bm;
     RunResult run;
     std::size_t warmup = 0;
     std::vector<double> post;
-    stoch::P2Quantile p50{0.5};
-    stoch::P2Quantile p90{0.9};
-    stoch::P2Quantile p99{0.99};
+    Sketched sketched[3] = {};
   };
 
   // Folded in replication order.
@@ -68,45 +66,40 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
   double moved = 0.0;
   std::vector<double> all;  // post-warm-up sojourns (keep_samples only)
   if (keep_samples) all.reserve(sc.replications * spec.tasks);
-  std::vector<std::pair<std::size_t, double>> p50_parts;
-  std::vector<std::pair<std::size_t, double>> p90_parts;
-  std::vector<std::pair<std::size_t, double>> p99_parts;
-  obs::Registry metrics;
+  std::vector<Sketched> sketches[3];
 
   run_replications(
-      sc.replications, sc.threads, sc.obs,
+      sc.replications, sc.threads, sc.obs, "steady",
       [&] { return SteadyWorker(config, topology_states, sc.obs.profile != nullptr); },
       [&](SteadyWorker& worker, std::size_t rep, RunTrace* trace) {
-        worker.log.clear();
-        worker.log.reserve(spec.tasks);
+        std::vector<double>& log = worker.log;
+        log.clear();
+        log.reserve(spec.tasks);
         SteadyProbe probe;
         probe.target_completions = spec.tasks;
-        probe.sojourn_log = &worker.log;
+        probe.sojourn_log = &log;
         Window out;
         out.run = run_scenario(worker.config, sc.seed, rep, trace, worker.sim, probe,
                                worker.controls);
-        ProfileClock::time_point fold_begin{};
-        if (worker.controls.profile != nullptr) fold_begin = ProfileClock::now();
-        const std::vector<double>& log = worker.log;
+        using Clock = std::chrono::steady_clock;
+        Clock::time_point fold_begin{};
+        if (worker.controls.profile != nullptr) fold_begin = Clock::now();
         out.warmup = stoch::mser5_truncation(log, spec.warmup_cap);
         out.bm = stoch::batch_means(log, out.warmup, spec.batches);
-        if (keep_samples || metered) {
-          out.post.assign(log.begin() + static_cast<std::ptrdiff_t>(out.warmup), log.end());
-        }
-        if (!keep_samples) {
-          for (std::size_t i = out.warmup; i < log.size(); ++i) {
-            out.p50.add(log[i]);
-            out.p90.add(log[i]);
-            out.p99.add(log[i]);
-          }
+        const auto post_begin = log.begin() + static_cast<std::ptrdiff_t>(out.warmup);
+        if (keep_samples || metered) out.post.assign(post_begin, log.end());
+        for (std::size_t k = 0; !keep_samples && k < 3; ++k) {
+          stoch::P2Quantile sketch(kLevels[k]);
+          for (auto x = post_begin; x != log.end(); ++x) sketch.add(*x);
+          out.sketched[k] = {sketch.count(), sketch.estimate()};
         }
         if (worker.controls.profile != nullptr) {
           worker.profile.fold_s +=
-              std::chrono::duration<double>(ProfileClock::now() - fold_begin).count();
+              std::chrono::duration<double>(Clock::now() - fold_begin).count();
         }
         return out;
       },
-      [&](std::size_t rep, const Window& w) {
+      [&](std::size_t rep, const Window& w, obs::Registry* metrics) {
         pooled.insert(pooled.end(), w.bm.means.begin(), w.bm.means.end());
         if (rep == 0) batch_size = w.bm.batch_size;
         observations += w.bm.observations;
@@ -115,39 +108,21 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
         task_seconds += static_cast<double>(w.run.sojourn.count()) * w.run.sojourn.mean();
         failures += static_cast<double>(w.run.failures);
         moved += static_cast<double>(w.run.tasks_moved);
-        if (keep_samples) {
-          all.insert(all.end(), w.post.begin(), w.post.end());
-        } else {
-          if (w.p50.count() > 0) p50_parts.emplace_back(w.p50.count(), w.p50.estimate());
-          if (w.p90.count() > 0) p90_parts.emplace_back(w.p90.count(), w.p90.estimate());
-          if (w.p99.count() > 0) p99_parts.emplace_back(w.p99.count(), w.p99.estimate());
+        if (keep_samples) all.insert(all.end(), w.post.begin(), w.post.end());
+        for (std::size_t k = 0; !keep_samples && k < 3; ++k) {
+          if (w.sketched[k].first > 0) sketches[k].push_back(w.sketched[k]);
         }
-        if (metered) {
-          metrics.counter("steady.replications").add(1);
-          metrics.counter("steady.failures").add(w.run.failures);
-          metrics.counter("steady.recoveries").add(w.run.recoveries);
-          metrics.counter("steady.tasks_completed").add(w.run.tasks_completed);
-          metrics.counter("steady.warmup_discarded").add(w.warmup);
-          metrics.counter("net.tasks_moved").add(w.run.tasks_moved);
-          metrics.counter("net.bundles_sent").add(w.run.bundles_sent);
-          metrics.counter("policy.decisions").add(w.run.policy_decisions);
-          metrics.counter("policy.decisions.empty").add(w.run.policy_decisions_empty);
-          obs::Histogram& sojourn = metrics.histogram("steady.sojourn");
+        if (metrics != nullptr) {
+          metrics->counter("steady.replications").add(1);
+          fold_run_counters(*metrics, "steady", w.run);
+          metrics->counter("steady.warmup_discarded").add(w.warmup);
+          obs::Histogram& sojourn = metrics->histogram("steady.sojourn");
           for (const double x : w.post) sojourn.observe(x);
         }
       });
 
   result.batch = stoch::summarize_batch_means(std::move(pooled), batch_size);
   result.batch.observations = observations;  // per-rep batch sizes may differ by 1
-  if (metered) {
-    sc.obs.metrics->merge(metrics);
-    const double wall_s =
-        std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
-    if (wall_s > 0.0) {
-      sc.obs.metrics->gauge("steady.reps_per_s")
-          .set(static_cast<double>(sc.replications) / wall_s);
-    }
-  }
   result.mean_queue_length =
       result.horizon_time > 0.0 ? task_seconds / result.horizon_time : 0.0;
   const double reps = static_cast<double>(sc.replications);
@@ -157,15 +132,13 @@ SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc) {
   if (keep_samples) {
     if (sc.collect_samples) result.series = all;  // completion order, pre-sort
     std::sort(all.begin(), all.end());
-    result.p50 = stoch::quantile_sorted(all, 0.5);
-    result.p90 = stoch::quantile_sorted(all, 0.9);
-    result.p99 = stoch::quantile_sorted(all, 0.99);
-    if (sc.collect_samples) result.samples = std::move(all);
-  } else {
-    result.p50 = stoch::combine_estimates(p50_parts);
-    result.p90 = stoch::combine_estimates(p90_parts);
-    result.p99 = stoch::combine_estimates(p99_parts);
   }
+  double* quantiles[] = {&result.p50, &result.p90, &result.p99};
+  for (std::size_t k = 0; k < 3; ++k) {
+    *quantiles[k] = keep_samples ? stoch::quantile_sorted(all, kLevels[k])
+                                 : stoch::combine_estimates(sketches[k]);
+  }
+  if (sc.collect_samples) result.samples = std::move(all);
   return result;
 }
 

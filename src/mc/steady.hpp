@@ -29,10 +29,10 @@ struct SteadyConfig {
   ObsSinks obs;
 };
 
-/// Everything the steady engine reports. Deterministic in (config, seed,
-/// replications) for every field including the quantiles whenever the
-/// post-warm-up pool fits the exact buffer (kExactQuantileCap, shared with
-/// the finite engine); past it the quantiles are count-weighted P² estimates.
+/// Everything the steady engine reports, deterministic in (config, seed,
+/// replications). The quantiles are exact while the post-warm-up pool fits
+/// the exact buffer (kExactQuantileCap, shared with the finite engine), and
+/// count-weighted P² estimates past it.
 struct SteadyResult {
   /// Pooled batch-means summary of the stationary sojourn time: grand mean,
   /// between-batch standard error, lag-1 autocorrelation diagnostic. Batch

@@ -1,11 +1,10 @@
 #pragma once
 /// \file
 /// Mergeable metrics registry: named counters, gauges, and fixed-bucket
-/// log-linear histograms. Instances are single-threaded; engines keep one
-/// registry per worker (or per replication) and fold them deterministically
-/// — counters in any order (sums commute), gauges/histograms by max /
-/// element-wise add — mirroring the fold-in-replication-order discipline of
-/// McResult so dumped metrics are thread-count-independent.
+/// log-linear histograms. Instances are single-threaded; an engine folds
+/// every replication's updates into a registry of its own in replication
+/// order and merges that into the sink once, so dumped metrics are
+/// thread-count-independent.
 
 #include <cstdint>
 #include <iosfwd>
@@ -47,8 +46,8 @@ class Gauge {
 /// bounded (~12.5%) across the whole range with a fixed memory footprint.
 /// Values at or below zero land in a dedicated bucket; values outside
 /// [2^kMinExp, 2^kMaxExp) clamp to the first/last octave. Merge is
-/// element-wise bucket addition plus sum/count/min/max combination, which
-/// commutes — per-worker histograms fold to the same result in any order.
+/// element-wise bucket addition plus sum/count/min/max combination; it
+/// commutes except in the rounding of the floating-point sum.
 class Histogram {
  public:
   static constexpr int kMinExp = -20;  ///< smallest octave: [2^-20, 2^-19)

@@ -1,7 +1,6 @@
 #include "testbed/experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 
 #include "mc/driver.hpp"
@@ -88,56 +87,36 @@ ExperimentSummary run_experiment(const TestbedConfig& config, std::size_t realiz
   LBSIM_REQUIRE(realizations >= 1, "realizations=" << realizations);
   validate(config);
 
-  using ProfileClock = std::chrono::steady_clock;
-  const ProfileClock::time_point wall_begin = ProfileClock::now();
-
-  // Folded in replication order; the metrics go to a registry of the run's
-  // own, merged into the sink once.
+  // Folded in replication order.
   ExperimentSummary summary;
   double failures = 0.0;
   double moved = 0.0;
   double state_lost = 0.0;
-  obs::Registry metrics;
 
   mc::run_replications(
-      realizations, threads, sinks, [&] { return Realizer(config); },
+      realizations, threads, sinks, "testbed", [&] { return Realizer(config); },
       [&](Realizer& worker, std::size_t rep, mc::RunTrace* trace) {
         return worker.run(*worker.policy, seed, rep, trace,
                           sinks.profile != nullptr ? &worker.profile : nullptr);
       },
-      [&](std::size_t, const mc::RunResult& run) {
+      [&](std::size_t, const mc::RunResult& run, obs::Registry* metrics) {
         summary.completion.add(run.completion_time);
         summary.state_age.merge(run.state_age);
         failures += static_cast<double>(run.failures);
         moved += static_cast<double>(run.tasks_moved);
         state_lost += static_cast<double>(run.state_packets_lost);
         summary.samples.push_back(run.completion_time);
-        if (sinks.metrics == nullptr) return;
-        metrics.counter("testbed.realizations").add(1);
-        metrics.counter("testbed.failures").add(run.failures);
-        metrics.counter("testbed.recoveries").add(run.recoveries);
-        metrics.counter("testbed.tasks_completed").add(run.tasks_completed);
-        metrics.counter("net.tasks_moved").add(run.tasks_moved);
-        metrics.counter("net.bundles_sent").add(run.bundles_sent);
-        metrics.counter("net.state_packets_lost").add(run.state_packets_lost);
-        metrics.counter("policy.decisions").add(run.policy_decisions);
-        metrics.counter("policy.decisions.empty").add(run.policy_decisions_empty);
-        metrics.histogram("testbed.completion_time").observe(run.completion_time);
+        if (metrics == nullptr) return;
+        metrics->counter("testbed.realizations").add(1);
+        mc::fold_run_counters(*metrics, "testbed", run);
+        metrics->counter("net.state_packets_lost").add(run.state_packets_lost);
+        metrics->histogram("testbed.completion_time").observe(run.completion_time);
       });
 
   summary.mean_failures = failures / static_cast<double>(realizations);
   summary.mean_tasks_moved = moved / static_cast<double>(realizations);
   summary.mean_state_lost = state_lost / static_cast<double>(realizations);
   std::sort(summary.samples.begin(), summary.samples.end());
-  if (sinks.metrics != nullptr) {
-    sinks.metrics->merge(metrics);
-    const double wall_s =
-        std::chrono::duration<double>(ProfileClock::now() - wall_begin).count();
-    if (wall_s > 0.0) {
-      sinks.metrics->gauge("testbed.reps_per_s")
-          .set(static_cast<double>(realizations) / wall_s);
-    }
-  }
   return summary;
 }
 

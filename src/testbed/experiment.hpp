@@ -45,12 +45,11 @@ struct ExperimentSummary {
 };
 
 /// Runs `realizations` independent emulated experiments (the paper uses
-/// 20-60 per configuration) on `threads` threads (0 = hardware concurrency).
-/// Each worker clones the config once and reuses one simulator and one
-/// mc::ReplicationWorkspace for every realization it runs.
-/// `sinks` optionally attaches the observability layer: a merged structured
-/// trace (replication order), a merged metrics registry (worker-id order plus
-/// driver-level gauges), and the aggregated phase profile.
+/// 20-60 per configuration) on the ordered replication driver (mc/driver.hpp)
+/// with `threads` workers (0 = hardware concurrency), deterministic in
+/// (config, realizations, seed). Each worker clones the policy once and
+/// reuses one simulator and one mc::ReplicationWorkspace for every
+/// realization it runs. `sinks` optionally attaches the observability layer.
 [[nodiscard]] ExperimentSummary run_experiment(const TestbedConfig& config,
                                                std::size_t realizations,
                                                std::uint64_t seed = 0xbed2006,
