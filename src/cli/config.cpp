@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -297,6 +298,21 @@ long long parse_int(const std::string& text, const std::string& key) {
                       "value '" + text + "' for key '" + key + "' is not an integer");
   }
   return value;
+}
+
+std::size_t parse_reps(const std::string& text, const std::string& key) {
+  const long long reps = parse_int(text, key);
+  if (reps < 1) throw ConfigError(ConfigError::Kind::kOutOfRange, key, key + " must be >= 1");
+  return static_cast<std::size_t>(reps);
+}
+
+unsigned parse_threads(const std::string& text, const std::string& key) {
+  const long long threads = parse_int(text, key);
+  if (threads < 0 || threads > std::numeric_limits<unsigned>::max()) {
+    throw ConfigError(ConfigError::Kind::kOutOfRange, key,
+                      key + " must be >= 0 (0 = one per hardware thread)");
+  }
+  return static_cast<unsigned>(threads);
 }
 
 double parse_double(const std::string& text, const std::string& key) {

@@ -158,4 +158,11 @@ class Config {
 [[nodiscard]] double parse_double(const std::string& text, const std::string& key);
 [[nodiscard]] std::vector<std::string> split_list(const std::string& text);
 
+/// The engine counts that run, sweep (flag, config key or axis) and validate
+/// read: a replication count is >= 1, and a thread count is >= 0, where 0
+/// means one per hardware thread. Each throws ConfigError naming `key` when
+/// `text` is not such a count.
+[[nodiscard]] std::size_t parse_reps(const std::string& text, const std::string& key);
+[[nodiscard]] unsigned parse_threads(const std::string& text, const std::string& key);
+
 }  // namespace lbsim::cli

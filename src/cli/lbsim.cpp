@@ -237,10 +237,10 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
   };
   if (const std::string v = take("engine"); !v.empty()) options.engine = v;
   if (const std::string v = take("mc.reps"); !v.empty()) {
-    options.replications = static_cast<std::size_t>(parse_int(v, "mc.reps"));
+    options.replications = parse_reps(v, "mc.reps");
   }
   if (const std::string v = take("mc.threads"); !v.empty()) {
-    options.threads = static_cast<unsigned>(parse_int(v, "mc.threads"));
+    options.threads = parse_threads(v, "mc.threads");
   }
   if (const std::string v = take("mc.seed"); !v.empty()) {
     options.seed = static_cast<std::uint64_t>(parse_int(v, "mc.seed"));
@@ -249,9 +249,12 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
   std::string cv_pilot_text = take("mc.cv-pilot");
   // Command-line flags win over config-file keys.
   options.engine = args.get_string("engine", options.engine);
-  options.replications =
-      static_cast<std::size_t>(args.get_int64("reps", static_cast<long long>(options.replications)));
-  options.threads = static_cast<unsigned>(args.get_int("threads", static_cast<int>(options.threads)));
+  if (args.has("reps")) {
+    options.replications = parse_reps(args.get_string("reps", ""), "--reps");
+  }
+  if (args.has("threads")) {
+    options.threads = parse_threads(args.get_string("threads", ""), "--threads");
+  }
   options.seed =
       static_cast<std::uint64_t>(args.get_int64("seed", static_cast<long long>(options.seed)));
   vr_text = args.get_string("vr", vr_text);
@@ -626,19 +629,15 @@ int cmd_validate(int argc, const char* const* argv, const util::CliArgs& args,
   }
   if (positional.size() == 2) options.family = positional[1];
   options.strict = args.has("strict") && args.get_bool("strict", true);
-  const long long reps = args.get_int64("reps", 0);
-  if (reps < 0) {
-    throw ConfigError(ConfigError::Kind::kOutOfRange, "reps", "--reps must be >= 1");
+  if (args.has("reps")) {
+    options.replications = parse_reps(args.get_string("reps", ""), "--reps");
   }
-  options.replications = static_cast<std::size_t>(reps);
   if (const long long seed = args.get_int64("seed", 0); seed != 0) {
     options.seed = static_cast<std::uint64_t>(seed);
   }
-  const int threads = args.get_int("threads", 0);
-  if (threads < 0) {
-    throw ConfigError(ConfigError::Kind::kOutOfRange, "threads", "--threads must be >= 0");
+  if (args.has("threads")) {
+    options.threads = parse_threads(args.get_string("threads", ""), "--threads");
   }
-  options.threads = static_cast<unsigned>(threads);
   options.sigma_gate = args.get_double("sigma", 0.0);
   if (options.sigma_gate < 0.0) {
     throw ConfigError(ConfigError::Kind::kOutOfRange, "sigma", "--sigma must be > 0");

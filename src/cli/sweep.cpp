@@ -30,18 +30,10 @@ std::string format_axis_value(double value) {
 void assign(const std::string& key, const std::string& value, RawConfig& raw,
             SweepOptions& options) {
   if (key == "mc.reps") {
-    const long long reps = parse_int(value, key);
-    if (reps < 1) {
-      throw ConfigError(ConfigError::Kind::kOutOfRange, key, "mc.reps must be >= 1");
-    }
-    options.replications = static_cast<std::size_t>(reps);
+    options.replications = parse_reps(value, key);
     options.replications_explicit = true;
   } else if (key == "mc.threads") {
-    const long long threads = parse_int(value, key);
-    if (threads < 0) {
-      throw ConfigError(ConfigError::Kind::kOutOfRange, key, "mc.threads must be >= 0");
-    }
-    options.threads = static_cast<unsigned>(threads);
+    options.threads = parse_threads(value, key);
   } else if (key == "mc.seed") {
     options.seed = static_cast<std::uint64_t>(parse_int(value, key));
   } else if (key == "mc.vr") {

@@ -170,6 +170,19 @@ TEST(CliRun, ReportsConfigErrorsWithExitCode2) {
   const CliResult badcmd = run({"frobnicate"});
   EXPECT_EQ(badcmd.exit_code, 2);
   EXPECT_NE(badcmd.err.find("unknown command"), std::string::npos);
+
+  // Negative engine counts, as flags and as config keys: run, sweep and
+  // validate share one check, which refuses them before anything runs.
+  const CliResult threads = run({"run", "paper-two-node", "--threads=-1", "--reps=2"});
+  EXPECT_EQ(threads.exit_code, 2);
+  EXPECT_NE(threads.err.find("--threads must be >= 0"), std::string::npos) << threads.err;
+  const CliResult reps =
+      run({"sweep", "paper-two-node", "gain=0.2,0.4", "--reps=-1", "--dry-run"});
+  EXPECT_EQ(reps.exit_code, 2);
+  EXPECT_NE(reps.err.find("--reps must be >= 1"), std::string::npos) << reps.err;
+  const CliResult key = run({"run", "paper-two-node", "mc.reps=-1"});
+  EXPECT_EQ(key.exit_code, 2);
+  EXPECT_NE(key.err.find("mc.reps must be >= 1"), std::string::npos) << key.err;
 }
 
 /// The `--flag` tokens of `command`'s section of the usage text: from its
