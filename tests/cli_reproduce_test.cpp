@@ -180,9 +180,9 @@ TEST(CliRun, ReportsConfigErrorsWithExitCode2) {
       run({"sweep", "paper-two-node", "gain=0.2,0.4", "--reps=-1", "--dry-run"});
   EXPECT_EQ(reps.exit_code, 2);
   EXPECT_NE(reps.err.find("--reps must be >= 1"), std::string::npos) << reps.err;
-  const CliResult key = run({"run", "paper-two-node", "mc.reps=-1"});
+  const CliResult key = run({"run", "paper-two-node", "mc.threads=-1", "--reps=2"});
   EXPECT_EQ(key.exit_code, 2);
-  EXPECT_NE(key.err.find("mc.reps must be >= 1"), std::string::npos) << key.err;
+  EXPECT_NE(key.err.find("mc.threads must be >= 0"), std::string::npos) << key.err;
 }
 
 /// The `--flag` tokens of `command`'s section of the usage text: from its

@@ -344,18 +344,63 @@ TEST(ScenarioTest, ValidatesConfig) {
 
 // ---------- engine ----------
 
+/// Every statistic of two MC results, bit for bit.
+void expect_same_result(const McResult& a, const McResult& b, const std::string& where) {
+  expect_same_stats(a.completion, b.completion, where + " completion");
+  expect_same_stats(a.sojourn, b.sojourn, where + " sojourn");
+  EXPECT_TRUE(same_bits(a.mean_failures, b.mean_failures)) << where;
+  EXPECT_TRUE(same_bits(a.mean_tasks_moved, b.mean_tasks_moved)) << where;
+  EXPECT_TRUE(same_bits(a.mean_bundles, b.mean_bundles)) << where;
+  EXPECT_TRUE(same_bits(a.p50, b.p50)) << where << " p50";
+  EXPECT_TRUE(same_bits(a.p90, b.p90)) << where << " p90";
+  EXPECT_TRUE(same_bits(a.p99, b.p99)) << where << " p99";
+  EXPECT_EQ(a.samples, b.samples) << where;
+}
+
+/// Runs `mc` at threads 2, 3, 4 and 8 and expects the threads = 1 bits.
+void expect_thread_count_independent(const ScenarioConfig& config, McConfig mc) {
+  mc.threads = 1;
+  const McResult serial = run_monte_carlo(config, mc);
+  for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+    mc.threads = threads;
+    expect_same_result(serial, run_monte_carlo(config, mc),
+                       "threads " + std::to_string(threads));
+  }
+}
+
 TEST(EngineTest, ThreadCountDoesNotChangeEstimate) {
-  const ScenarioConfig config = fig3_scenario(0.35);
-  McConfig serial;
-  serial.seed = test::kFixedSeed;
-  serial.replications = 60;
-  serial.threads = 1;
-  McConfig parallel = serial;
-  parallel.threads = 4;
-  const McResult a = run_monte_carlo(config, serial);
-  const McResult b = run_monte_carlo(config, parallel);
-  EXPECT_DOUBLE_EQ(a.mean(), b.mean());
-  EXPECT_DOUBLE_EQ(a.completion.variance(), b.completion.variance());
+  // The driver folds the replications in replication order at every thread
+  // count, so every statistic keeps the threads = 1 bits.
+  McConfig mc;
+  mc.seed = test::kFixedSeed;
+  mc.replications = 60;
+  expect_thread_count_independent(fig3_scenario(0.35), mc);
+}
+
+TEST(EngineTest, StreamingQuantilesPastTheCapAreThreadCountIndependent) {
+  // Past kExactQuantileCap the P² sketches see the completion times in
+  // replication order too. A tiny two-node scenario keeps the run short.
+  McConfig mc;
+  mc.seed = test::kFixedSeed;
+  mc.replications = kExactQuantileCap + 100;
+  expect_thread_count_independent(
+      make_two_node_scenario(markov::ipdps2006_params(), 1, 1,
+                             std::make_unique<core::NoBalancingPolicy>()),
+      mc);
+}
+
+TEST(EngineTest, ReplicationErrorsReachTheCallerAtAnyThreadCount) {
+  // validate_config runs inside every replication. Its exception stops the
+  // run and reaches the caller after the workers join, at any thread count.
+  ScenarioConfig config = fig3_scenario(0.35);
+  config.workloads = {100, 60, 10};
+  for (const unsigned threads : {1u, 4u}) {
+    McConfig mc;
+    mc.replications = 40;
+    mc.threads = threads;
+    EXPECT_THROW((void)run_monte_carlo(config, mc), std::invalid_argument)
+        << "threads " << threads;
+  }
 }
 
 TEST(EngineTest, CollectSamplesSortedAndSized) {

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "cli/registry.hpp"
 #include "core/lbp1.hpp"
@@ -171,22 +174,51 @@ TEST(McVrTest, ExplicitPilotIsHonoured) {
   EXPECT_EQ(result.vr.observations, 200u - 16u);
 }
 
+/// Bitwise equality (EXPECT_DOUBLE_EQ would allow 4 ULPs).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 TEST(McVrTest, VrRunsAreThreadCountInvariant) {
-  // Per-replication values land in arrays indexed by replication id, so the
-  // adjusted estimate (like every raw statistic) must not depend on how the
-  // reps were distributed over workers.
+  // The driver folds the per-replication values in replication order, so the
+  // adjusted estimate, like every raw statistic, keeps the threads = 1 bits.
   const ScenarioConfig config = storm_scenario();
   McConfig mc;
   mc.replications = 200;
   mc.vr = VrMode::kBoth;
   mc.threads = 1;
   const McResult one = run_monte_carlo(config, mc);
-  mc.threads = 4;
-  const McResult four = run_monte_carlo(config, mc);
-  EXPECT_DOUBLE_EQ(one.vr.mean, four.vr.mean);
-  EXPECT_DOUBLE_EQ(one.vr.std_error, four.vr.std_error);
-  EXPECT_DOUBLE_EQ(one.vr.beta, four.vr.beta);
-  EXPECT_DOUBLE_EQ(one.p99, four.p99);
+  for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+    mc.threads = threads;
+    const McResult other = run_monte_carlo(config, mc);
+    const std::string where = "threads " + std::to_string(threads);
+    EXPECT_TRUE(same_bits(one.vr.mean, other.vr.mean)) << where;
+    EXPECT_TRUE(same_bits(one.vr.std_error, other.vr.std_error)) << where;
+    EXPECT_TRUE(same_bits(one.vr.beta, other.vr.beta)) << where;
+    EXPECT_TRUE(same_bits(one.vr.variance_ratio, other.vr.variance_ratio)) << where;
+    EXPECT_TRUE(same_bits(one.mean(), other.mean())) << where;
+    EXPECT_TRUE(same_bits(one.completion.variance(), other.completion.variance())) << where;
+    EXPECT_TRUE(same_bits(one.sojourn.mean(), other.sojourn.mean())) << where;
+    EXPECT_TRUE(same_bits(one.sojourn.variance(), other.sojourn.variance())) << where;
+    EXPECT_TRUE(same_bits(one.mean_failures, other.mean_failures)) << where;
+    EXPECT_TRUE(same_bits(one.p50, other.p50)) << where;
+    EXPECT_TRUE(same_bits(one.p99, other.p99)) << where;
+  }
+}
+
+TEST(McVrTest, ReplicationErrorsReachTheCallerAtAnyThreadCount) {
+  // A replication that throws stops the run; its exception reaches the
+  // caller after the workers join, at any thread count.
+  ScenarioConfig config = paper_scenario();
+  config.workloads = {100, 60, 10};
+  for (const unsigned threads : {1u, 4u}) {
+    McConfig mc;
+    mc.replications = 40;
+    mc.threads = threads;
+    mc.vr = VrMode::kAntithetic;
+    EXPECT_THROW((void)run_monte_carlo(config, mc), std::invalid_argument)
+        << "threads " << threads;
+  }
 }
 
 }  // namespace

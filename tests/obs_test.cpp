@@ -325,23 +325,46 @@ TEST(ObsEngine, TraceCountsAgreeWithRunStatistics) {
             trace.count(obs::Kind::kTransferSend));
 }
 
+/// The registry's JSON (17 significant digits, so equal text is equal bits)
+/// without the wall-clock *.reps_per_s gauges.
+std::string metrics_without_rates(const obs::Registry& metrics) {
+  std::ostringstream json;
+  metrics.write_json(json);
+  std::istringstream lines(json.str());
+  std::string out;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("reps_per_s") == std::string::npos) out += line + "\n";
+  }
+  return out;
+}
+
 TEST(ObsEngine, TraceIsThreadCountIndependent) {
+  // The trace and every metric (the histogram sums included) are folded in
+  // replication order, so they keep the threads = 1 bits.
   const mc::ScenarioConfig config = mc::make_two_node_scenario(
       markov::ipdps2006_params(), 40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35));
   obs::TraceBuffer serial_trace;
-  obs::TraceBuffer parallel_trace;
+  obs::Registry serial_metrics;
   mc::McConfig serial;
-  serial.replications = 8;
+  serial.replications = 40;
   serial.seed = test::kFixedSeed;
   serial.threads = 1;
   serial.obs.trace = &serial_trace;
-  mc::McConfig parallel = serial;
-  parallel.threads = 4;
-  parallel.obs.trace = &parallel_trace;
+  serial.obs.metrics = &serial_metrics;
   (void)mc::run_monte_carlo(config, serial);
-  (void)mc::run_monte_carlo(config, parallel);
-  ASSERT_EQ(serial_trace.size(), parallel_trace.size());
-  EXPECT_EQ(serial_trace.to_vector(), parallel_trace.to_vector());
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    obs::TraceBuffer parallel_trace;
+    obs::Registry parallel_metrics;
+    mc::McConfig parallel = serial;
+    parallel.threads = threads;
+    parallel.obs.trace = &parallel_trace;
+    parallel.obs.metrics = &parallel_metrics;
+    (void)mc::run_monte_carlo(config, parallel);
+    ASSERT_EQ(serial_trace.size(), parallel_trace.size()) << "threads " << threads;
+    EXPECT_EQ(serial_trace.to_vector(), parallel_trace.to_vector()) << "threads " << threads;
+    EXPECT_EQ(metrics_without_rates(serial_metrics), metrics_without_rates(parallel_metrics))
+        << "threads " << threads;
+  }
 }
 
 TEST(ObsEngine, MetricsCountersMatchDriverStatistics) {

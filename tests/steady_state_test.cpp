@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "core/baseline.hpp"
 #include "markov/params.hpp"
@@ -101,21 +105,47 @@ TEST(SteadyEngineTest, Mser5FindsSyntheticBiasedStart) {
   EXPECT_GT(raw.mean, 2.0);
 }
 
+/// Bitwise equality (EXPECT_DOUBLE_EQ would allow 4 ULPs).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 TEST(SteadyEngineTest, DeterministicAcrossThreadCounts) {
+  // The driver pools the windows in replication order at every thread count.
   const ScenarioConfig config = open_mm1_scenario(0.5, 5000);
-  SteadyConfig serial;
-  serial.seed = test::kFixedSeed;
-  serial.replications = 4;
-  serial.threads = 1;
-  SteadyConfig parallel = serial;
-  parallel.threads = 4;
-  const SteadyResult a = run_steady(config, serial);
-  const SteadyResult b = run_steady(config, parallel);
-  EXPECT_DOUBLE_EQ(a.mean(), b.mean());
-  EXPECT_DOUBLE_EQ(a.std_error(), b.std_error());
-  EXPECT_DOUBLE_EQ(a.p50, b.p50);
-  EXPECT_DOUBLE_EQ(a.p99, b.p99);
-  EXPECT_EQ(a.warmup, b.warmup);
+  SteadyConfig sc;
+  sc.seed = test::kFixedSeed;
+  sc.replications = 4;
+  sc.threads = 1;
+  const SteadyResult a = run_steady(config, sc);
+  for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+    sc.threads = threads;
+    const SteadyResult b = run_steady(config, sc);
+    const std::string where = "threads " + std::to_string(threads);
+    EXPECT_TRUE(same_bits(a.mean(), b.mean())) << where;
+    EXPECT_TRUE(same_bits(a.std_error(), b.std_error())) << where;
+    EXPECT_TRUE(same_bits(a.batch.lag1, b.batch.lag1)) << where;
+    EXPECT_TRUE(same_bits(a.p50, b.p50)) << where;
+    EXPECT_TRUE(same_bits(a.p90, b.p90)) << where;
+    EXPECT_TRUE(same_bits(a.p99, b.p99)) << where;
+    EXPECT_TRUE(same_bits(a.horizon_time, b.horizon_time)) << where;
+    EXPECT_TRUE(same_bits(a.mean_queue_length, b.mean_queue_length)) << where;
+    EXPECT_EQ(a.warmup, b.warmup) << where;
+    EXPECT_EQ(a.batch.observations, b.batch.observations) << where;
+  }
+}
+
+TEST(SteadyEngineTest, ReplicationErrorsReachTheCallerAtAnyThreadCount) {
+  // run_scenario validates the config inside every replication; the
+  // exception reaches the caller after the workers join.
+  ScenarioConfig config = open_mm1_scenario(0.5, 1000);
+  config.workloads = {0, 0, 0};
+  for (const unsigned threads : {1u, 4u}) {
+    SteadyConfig sc;
+    sc.replications = 4;
+    sc.threads = threads;
+    EXPECT_THROW((void)run_steady(config, sc), std::invalid_argument) << "threads " << threads;
+  }
 }
 
 TEST(SteadyEngineTest, FiniteRunRefusesUnboundedArrivals) {

@@ -4,6 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/baseline.hpp"
 #include "core/lbp1.hpp"
@@ -117,6 +123,69 @@ TEST(TestbedTest, ThreadingInvariance) {
   const ExperimentSummary a = run_experiment(config, 16, 3, 1);
   const ExperimentSummary b = run_experiment(config, 16, 3, 4);
   EXPECT_DOUBLE_EQ(a.mean(), b.mean());
+}
+
+/// Bitwise equality (EXPECT_DOUBLE_EQ would allow 4 ULPs).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_stats(const stoch::RunningStats& a, const stoch::RunningStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_TRUE(same_bits(a.mean(), b.mean())) << what << " mean";
+  EXPECT_TRUE(same_bits(a.variance(), b.variance())) << what << " variance";
+  EXPECT_TRUE(same_bits(a.min(), b.min())) << what << " min";
+  EXPECT_TRUE(same_bits(a.max(), b.max())) << what << " max";
+}
+
+TEST(TestbedTest, ThreadCountDoesNotChangeCompletionOrStateAge) {
+  // The driver folds the realizations in replication order, so the
+  // completion statistics and the pooled state ages keep the threads = 1
+  // bits at every thread count.
+  TestbedConfig config = paper_testbed(40, 20, std::make_unique<core::Lbp2Policy>(1.0));
+  config.state_loss_probability = 0.3;
+  const ExperimentSummary serial = run_experiment(config, 40, 3, 1);
+  for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+    const ExperimentSummary other = run_experiment(config, 40, 3, threads);
+    const std::string where = "threads " + std::to_string(threads);
+    expect_same_stats(serial.completion, other.completion, where + " completion");
+    expect_same_stats(serial.state_age, other.state_age, where + " state_age");
+    EXPECT_EQ(serial.samples, other.samples) << where;
+    EXPECT_TRUE(same_bits(serial.mean_failures, other.mean_failures)) << where;
+    EXPECT_TRUE(same_bits(serial.mean_tasks_moved, other.mean_tasks_moved)) << where;
+    EXPECT_TRUE(same_bits(serial.mean_state_lost, other.mean_state_lost)) << where;
+  }
+}
+
+/// Ships a task to node 5, which a two-node system does not have.
+class StrayPolicy final : public core::LoadBalancingPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "stray"; }
+  [[nodiscard]] std::vector<core::TransferDirective> on_start(const core::SystemView&) override {
+    return {core::TransferDirective{0, 5, 1}};
+  }
+  [[nodiscard]] std::vector<core::TransferDirective> on_failure(
+      int, const core::SystemView&) override {
+    return {};
+  }
+  [[nodiscard]] std::vector<core::TransferDirective> on_recovery(
+      int, const core::SystemView&) override {
+    return {};
+  }
+  [[nodiscard]] core::PolicyPtr clone() const override {
+    return std::make_unique<StrayPolicy>();
+  }
+};
+
+TEST(TestbedTest, ReplicationErrorsReachTheCallerAtAnyThreadCount) {
+  // The core refuses the directive inside a realization; the exception stops
+  // the run and reaches the caller after the workers join.
+  const TestbedConfig config = paper_testbed(40, 20, std::make_unique<StrayPolicy>());
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_THROW((void)run_experiment(config, 16, 3, threads), std::invalid_argument)
+        << "threads " << threads;
+  }
 }
 
 TEST(TestbedTest, LossyStatePlaneStillCompletes) {
