@@ -14,7 +14,8 @@ void fold_queue_metrics(obs::Registry& metrics, const des::EventQueue::Stats& st
   metrics.gauge("des.queue.max_depth").max_of(static_cast<double>(stats.max_depth));
 }
 
-void fold_run_counters(obs::Registry& metrics, const std::string& engine, const RunResult& run) {
+void fold_run_counters(obs::Registry& metrics, const std::string& engine,
+                       const RunResult& run) {
   metrics.counter(engine + ".failures").add(run.failures);
   metrics.counter(engine + ".recoveries").add(run.recoveries);
   metrics.counter(engine + ".tasks_completed").add(run.tasks_completed);
@@ -56,16 +57,13 @@ void OrderedCommit::run(const std::function<void(unsigned)>& body) {
 }
 
 bool OrderedCommit::claim(std::size_t& first, std::size_t& last) {
-  if (failed_.load(std::memory_order_relaxed)) return false;
-  const std::size_t block = next_block_.fetch_add(1, std::memory_order_relaxed);
+  if (failed_.load()) return false;
+  const std::size_t block = next_block_.fetch_add(1);
   if (block >= blocks_) return false;
-  if (block >= committed_.load(std::memory_order_acquire) + window_) {
+  if (block >= committed_.load() + window_) {
     std::unique_lock<std::mutex> lock(mutex_);
-    ahead_.wait(lock, [&] {
-      return failed_.load(std::memory_order_relaxed) ||
-             block < committed_.load(std::memory_order_relaxed) + window_;
-    });
-    if (failed_.load(std::memory_order_relaxed)) return false;
+    ahead_.wait(lock, [&] { return failed_.load() || block < committed_.load() + window_; });
+    if (failed_.load()) return false;
   }
   first = block * block_;
   last = std::min(reps_, first + block_);
@@ -75,7 +73,7 @@ bool OrderedCommit::claim(std::size_t& first, std::size_t& last) {
 void OrderedCommit::fail(std::exception_ptr error) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!error_) error_ = std::move(error);
-  failed_.store(true, std::memory_order_relaxed);
+  failed_.store(true);
   ahead_.notify_all();
 }
 

@@ -69,6 +69,8 @@ void fold_run_counters(obs::Registry& metrics, const std::string& engine, const 
 class OrderedCommit {
  public:
   OrderedCommit(std::size_t reps, unsigned threads);
+  OrderedCommit(const OrderedCommit&) = delete;  // its workers hold its address
+  OrderedCommit& operator=(const OrderedCommit&) = delete;
 
   [[nodiscard]] unsigned workers() const noexcept { return workers_; }
   /// Size of the reorder buffer, in replications.
@@ -96,14 +98,14 @@ class OrderedCommit {
     const std::size_t block = first / block_;
     std::lock_guard<std::mutex> lock(mutex_);
     finished_[block % window_] = 1;
-    std::size_t next = committed_.load(std::memory_order_relaxed);
+    std::size_t next = committed_.load();
     if (block != next) return;  // an older block's worker commits this one
     for (; next < blocks_ && finished_[next % window_] != 0; ++next) {
       finished_[next % window_] = 0;
       const std::size_t end = std::min(reps_, (next + 1) * block_);
       for (std::size_t rep = next * block_; rep < end; ++rep) commit(rep);
     }
-    committed_.store(next, std::memory_order_release);
+    committed_.store(next);
     ahead_.notify_all();
   }
 

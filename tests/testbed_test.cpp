@@ -162,7 +162,8 @@ TEST(TestbedTest, ThreadCountDoesNotChangeCompletionOrStateAge) {
 class StrayPolicy final : public core::LoadBalancingPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "stray"; }
-  [[nodiscard]] std::vector<core::TransferDirective> on_start(const core::SystemView&) override {
+  [[nodiscard]] std::vector<core::TransferDirective> on_start(
+      const core::SystemView&) override {
     return {core::TransferDirective{0, 5, 1}};
   }
   [[nodiscard]] std::vector<core::TransferDirective> on_failure(
