@@ -33,7 +33,7 @@ enum class VrMode {
 struct McConfig {
   std::size_t replications = 500;  ///< the paper uses 500 for its MC columns
   std::uint64_t seed = 0x5eed2006;
-  unsigned threads = 0;            ///< 0 = std::thread::hardware_concurrency()
+  unsigned threads = 0;            ///< workers; 0 = one per hardware thread
   bool collect_samples = false;    ///< keep raw completion times (ECDF/quantiles)
   /// Variance reduction. Antithetic modes need an even replication count; the
   /// control variate needs a churn-affected scenario whose churn-free

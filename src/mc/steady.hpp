@@ -22,7 +22,7 @@ struct SteadyConfig {
   /// replications multiply the batch-means pool.
   std::size_t replications = 1;
   std::uint64_t seed = 0x5eed2006;
-  unsigned threads = 0;         ///< 0 = std::thread::hardware_concurrency()
+  unsigned threads = 0;         ///< workers; 0 = one per hardware thread
   bool collect_samples = false; ///< keep post-warm-up sojourns (ECDF/KS use)
   /// Observability sinks (trace / metrics / profile), all optional and
   /// bit-identity-neutral (zero RNG draws).
