@@ -150,10 +150,6 @@ void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks,
   using Worker = std::invoke_result_t<Make&>;
   using Result = std::invoke_result_t<Run&, Worker&, std::size_t, RunTrace*>;
   static_assert(std::is_base_of_v<WorkerState, Worker>);
-  struct Slot {
-    Result result{};
-    RunTrace trace;
-  };
   /// What a worker leaves for the after-join fold when its state goes.
   struct Totals {
     des::EventQueue::Stats queue;
@@ -165,8 +161,9 @@ void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks,
   OrderedCommit order(reps, threads);
   // The reorder buffer and the per-worker totals are allocated here, on the
   // calling thread, before any worker starts.
-  std::vector<Slot> slots(order.slots());
-  for (Slot& slot : slots) slot.trace.record_queues = false;
+  std::vector<Result> results(order.slots());
+  std::vector<RunTrace> traces(sinks.trace != nullptr ? order.slots() : 0);
+  for (RunTrace& trace : traces) trace.record_queues = false;
   std::vector<Totals> totals(order.workers());
   obs::Registry run_metrics;
   obs::Registry* metrics = sinks.metrics != nullptr ? &run_metrics : nullptr;
@@ -177,18 +174,18 @@ void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks,
     std::size_t last = 0;
     while (order.claim(first, last)) {
       for (std::size_t rep = first; rep < last; ++rep) {
-        Slot& slot = slots[order.slot(rep)];
-        slot.result = run(worker, rep, sinks.trace != nullptr ? &slot.trace : nullptr);
+        const std::size_t slot = order.slot(rep);
+        results[slot] = run(worker, rep, traces.empty() ? nullptr : &traces[slot]);
       }
       Clock::time_point commit_begin{};
       if (sinks.profile != nullptr) commit_begin = Clock::now();
       order.finish(first, [&](std::size_t rep) {
-        Slot& slot = slots[order.slot(rep)];
+        const std::size_t slot = order.slot(rep);
         if (sinks.trace != nullptr) {
           sinks.trace->emit(0.0, obs::Kind::kRepBegin, -1, -1, 0, rep);
-          sinks.trace->absorb(std::move(slot.trace.events));
+          sinks.trace->absorb(std::move(traces[slot].events));
         }
-        fold(rep, slot.result, metrics);
+        fold(rep, results[slot], metrics);
       });
       if (sinks.profile != nullptr) {
         worker.profile.fold_s +=
