@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iomanip>
 #include <iterator>
 #include <random>
 #include <sstream>
@@ -68,6 +69,13 @@ ScenarioConfig family_config(const std::string& family, const std::string& overr
 /// Bitwise equality (EXPECT_DOUBLE_EQ would allow 4 ULPs).
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// A golden pin: bit-exact, with both values at 17 significant digits on a
+/// mismatch so a re-pin can be read off the failure.
+void expect_golden(double actual, double golden, const std::string& what) {
+  EXPECT_TRUE(same_bits(actual, golden))
+      << what << ": got " << std::setprecision(17) << actual << ", golden " << golden;
 }
 
 void expect_same_stats(const stoch::RunningStats& a, const stoch::RunningStats& b,
@@ -609,9 +617,10 @@ constexpr Golden kSteadyGoldens[] = {
 };
 
 TEST(EngineTest, FiniteFamilyStatisticsBitIdenticalToPreRefactorGoldens) {
-  // EXPECT_DOUBLE_EQ on purpose: stamping arrival/first-service times must not
-  // move a single RNG draw or reorder a single event in the finite path, and
-  // any change to the stream layout shows up here as a 17-digit mismatch.
+  // Bit-exact on purpose: stamping arrival/first-service times must not move
+  // a single RNG draw or reorder a single event in the finite path, and any
+  // change to the stream layout or to the fold order shows up here as a
+  // 17-digit mismatch.
   for (const Golden& g : kFiniteGoldens) {
     const cli::ScenarioSpec& spec = cli::find_scenario(g.family);
     ASSERT_FALSE(spec.steady) << g.family;
@@ -625,10 +634,10 @@ TEST(EngineTest, FiniteFamilyStatisticsBitIdenticalToPreRefactorGoldens) {
     mc.threads = 2;
     const McResult result = run_monte_carlo(config, mc);
     const std::string row = std::string(g.family) + " " + g.overrides;
-    EXPECT_DOUBLE_EQ(result.mean(), g.mean) << row;
-    EXPECT_DOUBLE_EQ(result.p50, g.p50) << row;
-    EXPECT_DOUBLE_EQ(result.p90, g.p90) << row;
-    EXPECT_DOUBLE_EQ(result.p99, g.p99) << row;
+    expect_golden(result.mean(), g.mean, row + " mean");
+    expect_golden(result.p50, g.p50, row + " p50");
+    expect_golden(result.p90, g.p90, row + " p90");
+    expect_golden(result.p99, g.p99, row + " p99");
   }
 }
 
@@ -639,15 +648,15 @@ TEST(EngineTest, TestbedFamilyStatisticsBitIdenticalToGoldens) {
     const testbed::ExperimentSummary result =
         testbed::run_experiment(config, 25, 0x5eed2006, /*threads=*/2);
     const std::string row = std::string(g.family) + " " + g.overrides;
-    EXPECT_DOUBLE_EQ(result.mean(), g.mean) << row;
-    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.50), g.p50) << row;
-    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.90), g.p90) << row;
-    EXPECT_DOUBLE_EQ(stoch::quantile_sorted(result.samples, 0.99), g.p99) << row;
-    EXPECT_DOUBLE_EQ(result.mean_state_lost, g.state_lost) << row;
-    EXPECT_DOUBLE_EQ(result.mean_failures, g.failures) << row;
-    EXPECT_DOUBLE_EQ(result.mean_tasks_moved, g.moved) << row;
-    EXPECT_DOUBLE_EQ(result.state_age.mean(), g.age_mean) << row;
-    EXPECT_DOUBLE_EQ(result.state_age.max(), g.age_max) << row;
+    expect_golden(result.mean(), g.mean, row + " mean");
+    expect_golden(stoch::quantile_sorted(result.samples, 0.50), g.p50, row + " p50");
+    expect_golden(stoch::quantile_sorted(result.samples, 0.90), g.p90, row + " p90");
+    expect_golden(stoch::quantile_sorted(result.samples, 0.99), g.p99, row + " p99");
+    expect_golden(result.mean_state_lost, g.state_lost, row + " state_lost");
+    expect_golden(result.mean_failures, g.failures, row + " failures");
+    expect_golden(result.mean_tasks_moved, g.moved, row + " moved");
+    expect_golden(result.state_age.mean(), g.age_mean, row + " age_mean");
+    expect_golden(result.state_age.max(), g.age_max, row + " age_max");
   }
 }
 
@@ -663,10 +672,11 @@ TEST(EngineTest, SteadyFamilyStatisticsBitIdenticalToGoldens) {
     steady.replications = 2;
     steady.threads = 2;
     const SteadyResult result = run_steady(spec.build(spec.schema.resolve(raw)), steady);
-    EXPECT_DOUBLE_EQ(result.mean(), g.mean) << g.family;
-    EXPECT_DOUBLE_EQ(result.p50, g.p50) << g.family;
-    EXPECT_DOUBLE_EQ(result.p90, g.p90) << g.family;
-    EXPECT_DOUBLE_EQ(result.p99, g.p99) << g.family;
+    const std::string row = g.family;
+    expect_golden(result.mean(), g.mean, row + " mean");
+    expect_golden(result.p50, g.p50, row + " p50");
+    expect_golden(result.p90, g.p90, row + " p90");
+    expect_golden(result.p99, g.p99, row + " p99");
   }
 }
 
