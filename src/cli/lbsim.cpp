@@ -671,8 +671,10 @@ int cmd_reproduce(int argc, const char* const* argv, const util::CliArgs& args,
   ArtifactOptions options;
   options.quick = args.has("quick") && args.get_bool("quick", true);
   options.golden_only = args.has("golden-only") && args.get_bool("golden-only", true);
-  options.mc_reps = static_cast<std::size_t>(args.get_int64("reps", 0));
-  options.realizations = static_cast<std::size_t>(args.get_int64("realizations", 0));
+  if (args.has("reps")) options.mc_reps = parse_reps(args.get_string("reps", ""), "--reps");
+  if (args.has("realizations")) {
+    options.realizations = parse_reps(args.get_string("realizations", ""), "--realizations");
+  }
   options.seed = static_cast<std::uint64_t>(args.get_int64("seed", 0));
   options.format = args.get_string("format", "table");
   if (options.format != "table" && options.format != "csv" && options.format != "json") {

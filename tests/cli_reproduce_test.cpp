@@ -183,6 +183,15 @@ TEST(CliRun, ReportsConfigErrorsWithExitCode2) {
   const CliResult key = run({"run", "paper-two-node", "mc.threads=-1", "--reps=2"});
   EXPECT_EQ(key.exit_code, 2);
   EXPECT_NE(key.err.find("mc.threads must be >= 0"), std::string::npos) << key.err;
+  // reproduce reads both of its counts through the same check.
+  const CliResult realizations =
+      run({"reproduce", "table1", "--quick", "--realizations=-1"});
+  EXPECT_EQ(realizations.exit_code, 2);
+  EXPECT_NE(realizations.err.find("--realizations must be >= 1"), std::string::npos)
+      << realizations.err;
+  const CliResult mc_reps = run({"reproduce", "table2", "--quick", "--reps=-1"});
+  EXPECT_EQ(mc_reps.exit_code, 2);
+  EXPECT_NE(mc_reps.err.find("--reps must be >= 1"), std::string::npos) << mc_reps.err;
 }
 
 /// The `--flag` tokens of `command`'s section of the usage text: from its
