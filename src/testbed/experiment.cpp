@@ -87,8 +87,10 @@ ExperimentSummary run_experiment(const TestbedConfig& config, std::size_t realiz
   LBSIM_REQUIRE(realizations >= 1, "realizations=" << realizations);
   validate(config);
 
-  // Folded in replication order.
+  // Folded in replication order. The samples are reserved here, on the
+  // caller, so their growth does not land in a driver worker's malloc arena.
   ExperimentSummary summary;
+  summary.samples.reserve(realizations);
   double failures = 0.0;
   double moved = 0.0;
   double state_lost = 0.0;
