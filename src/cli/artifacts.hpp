@@ -1,13 +1,14 @@
 #pragma once
 /// \file
-/// Regeneration of the paper's artefacts (Tables 1-3, Figures 1-5) behind one
-/// entry point, `lbsim reproduce <name>`.
+/// Regeneration of the paper's artefacts (Tables 1-3, Figures 1-5) and of two
+/// ablations (the optimal gain against the failure rates, and LBP-1 tuned on
+/// estimated churn rates) behind one entry point, `lbsim reproduce <name>`.
 ///
 /// Each artefact runner prints a banner, its table and any shape checks, and
 /// returns its primary result table so the CLI can re-emit it as CSV/JSON with
 /// run metadata. The `reproduce.<name>` CTest entries run every artefact at
-/// its quick size and fail on a "VIOLATED" shape check (fig3, fig5) or on
-/// "No crossover observed" (table3). Table 1 and Table 2 additionally expose a
+/// its quick size and fail on a "VIOLATED" shape check (fig3, fig5 and both
+/// ablations) or on "No crossover observed" (table3). Table 1 and Table 2 additionally expose a
 /// cheap "golden block" — the exact-solver values at the pinned operating
 /// point (m0,m1) = (100,60), gain 0.35 of tests/markov_golden_test.cpp — used
 /// by the golden-output CTest entry.
@@ -26,7 +27,7 @@ namespace lbsim::cli {
 struct ArtifactOptions {
   bool quick = false;           ///< fewer replications, coarser grids
   bool golden_only = false;     ///< table1/table2: print only the golden block
-  std::size_t mc_reps = 0;      ///< 0 = artefact default (quick-aware)
+  std::size_t mc_reps = 0;      ///< replications (adaptive gain: trials); 0 = default
   std::size_t realizations = 0; ///< testbed realisations; 0 = default
   std::uint64_t seed = 0;       ///< 0 = artefact default
   std::string format = "table"; ///< table | csv | json

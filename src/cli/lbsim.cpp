@@ -74,9 +74,11 @@ Usage:
         the CI configuration (1500 reps, 4-sigma mean gate). Steady-state
         points check the stationary M/M/1 sojourn law instead of a
         completion-time solver
-  lbsim reproduce <table1|table2|table3|fig1..fig5>
+  lbsim reproduce <artefact>
         [--quick] [--golden-only] [--reps=N] [--realizations=N] [--seed=S]
         [--format=table|csv|json] [--out=FILE]
+        regenerates a paper table or figure, or an ablation; `lbsim list`
+        names every artefact
   lbsim perf [--quick] [--profile] [--out=FILE]
         timing baseline (perf_solver/perf_mc/perf_des, many-node
         perf_mc_n16/32/64 and policy n-scaling perf_mc_n256, variance-reduced
@@ -344,7 +346,7 @@ int cmd_list(const util::CliArgs& args, std::ostream& out) {
   }
   scenarios.print(out);
 
-  out << "\nPaper artefacts (lbsim reproduce <name>):\n\n";
+  out << "\nPaper artefacts and ablations (lbsim reproduce <name>):\n\n";
   util::TextTable artifacts({"artefact", "summary"});
   for (const std::string& name : artifact_names()) {
     artifacts.add_row({name, artifact_summary(name)});
@@ -666,7 +668,7 @@ int cmd_reproduce(int argc, const char* const* argv, const util::CliArgs& args,
   const auto& positional = args.positional();
   if (positional.size() < 2) {
     throw ConfigError(ConfigError::Kind::kSyntax, "artefact",
-                      "usage: lbsim reproduce <table1|table2|table3|fig1..fig5>");
+                      "usage: lbsim reproduce <artefact> (`lbsim list` names them)");
   }
   ArtifactOptions options;
   options.quick = args.has("quick") && args.get_bool("quick", true);
