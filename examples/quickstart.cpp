@@ -3,13 +3,11 @@
 // 1. Describe a two-node system (rates measured in the paper).
 // 2. Ask the regeneration solver for the optimal preemptive transfer (LBP-1).
 // 3. Validate the prediction with the Monte-Carlo engine.
-// 4. Run the application kernel for real (one matrix-row task).
 //
 // Build & run:  ./examples/quickstart
 
 #include <iostream>
 
-#include "app/matrix.hpp"
 #include "core/lbp1.hpp"
 #include "core/optimizer.hpp"
 #include "markov/two_node_mean.hpp"
@@ -58,13 +56,6 @@ int main() {
   std::cout << "Monte-Carlo (1000 runs): " << util::format_double(mc_result.mean(), 2)
             << " +- " << util::format_double(mc_result.ci95(), 2) << " s  ("
             << util::format_double(mc_result.mean_failures, 1)
-            << " churn events per run on average)\n\n";
-
-  // --- 4. what a "task" actually is ------------------------------------------
-  const app::Matrix fixed = app::Matrix::seeded(64, 64, /*seed=*/7);
-  std::vector<double> row(64, 1.0);
-  const std::vector<double> product = app::multiply_row(row, fixed);
-  std::cout << "One task = one row x static 64x64 matrix; first output element: "
-            << util::format_double(product[0], 4) << "\n";
+            << " churn events per run on average)\n";
   return 0;
 }
