@@ -627,8 +627,8 @@ std::vector<ScenarioSpec> build_registry() {
 
   {
     // Open system: Poisson / MMPP / batch task arrivals on the paper two-node
-    // system (Section 5's dynamic-workload future work, promoted from
-    // bench/ablation_dynamic_arrivals).
+    // system (Section 5's dynamic-workload future work; sweeping
+    // arrivals.rebalance=false,true is its ablation).
     Schema schema = two_node_schema("lbp2", 1.0);
     schema.merge(arrivals_schema()).merge(env_schema("1"));
     registry.push_back(

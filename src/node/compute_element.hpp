@@ -70,8 +70,8 @@ class ComputeElement {
   void enqueue_batch(TaskChain& batch);
 
   /// Appends `count` unit-size tasks with ids `first_id`, `first_id`+1, ...
-  /// originating here, stamped with the current time — a batch of
-  /// make_unit_tasks(...) without materialising it.
+  /// originating here, stamped with the current time, without materialising
+  /// them as a batch first.
   void enqueue_units(std::size_t count, std::uint64_t first_id);
 
   /// Removes up to `count` tasks from the *back* of the queue (most recently

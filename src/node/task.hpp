@@ -24,8 +24,4 @@ struct Task {
 
 using TaskBatch = std::vector<Task>;
 
-/// Builds `count` unit-size tasks originating at `origin`, ids starting at `first_id`.
-[[nodiscard]] TaskBatch make_unit_tasks(std::size_t count, int origin,
-                                        std::uint64_t first_id = 1);
-
 }  // namespace lbsim::node

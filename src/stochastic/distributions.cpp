@@ -1,6 +1,5 @@
 #include "stochastic/distributions.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -21,45 +20,6 @@ std::string Exponential::describe() const {
 
 DistributionPtr Exponential::clone() const { return std::make_unique<Exponential>(*this); }
 
-ShiftedExponential::ShiftedExponential(double shift, double rate) : shift_(shift), rate_(rate) {
-  LBSIM_REQUIRE(shift >= 0.0, "shift=" << shift);
-  LBSIM_REQUIRE(rate > 0.0, "rate=" << rate);
-}
-
-double ShiftedExponential::sample(RngStream& rng) const {
-  return shift_ + rng.exponential(rate_);
-}
-
-std::string ShiftedExponential::describe() const {
-  std::ostringstream os;
-  os << "ShiftedExponential(shift=" << shift_ << ", rate=" << rate_ << ")";
-  return os.str();
-}
-
-DistributionPtr ShiftedExponential::clone() const {
-  return std::make_unique<ShiftedExponential>(*this);
-}
-
-Erlang::Erlang(unsigned shape, double rate) : shape_(shape), rate_(rate) {
-  LBSIM_REQUIRE(shape >= 1, "Erlang shape=" << shape);
-  LBSIM_REQUIRE(rate > 0.0, "Erlang rate=" << rate);
-}
-
-double Erlang::sample(RngStream& rng) const {
-  // Product-of-uniforms form: one log instead of k logs.
-  double product = 1.0;
-  for (unsigned i = 0; i < shape_; ++i) product *= 1.0 - rng.uniform01();
-  return -std::log(product) / rate_;
-}
-
-std::string Erlang::describe() const {
-  std::ostringstream os;
-  os << "Erlang(shape=" << shape_ << ", rate=" << rate_ << ")";
-  return os.str();
-}
-
-DistributionPtr Erlang::clone() const { return std::make_unique<Erlang>(*this); }
-
 Deterministic::Deterministic(double value) : value_(value) {
   LBSIM_REQUIRE(value >= 0.0, "Deterministic value=" << value);
 }
@@ -73,45 +33,5 @@ std::string Deterministic::describe() const {
 }
 
 DistributionPtr Deterministic::clone() const { return std::make_unique<Deterministic>(*this); }
-
-UniformReal::UniformReal(double lo, double hi) : lo_(lo), hi_(hi) {
-  LBSIM_REQUIRE(lo >= 0.0 && hi > lo, "UniformReal [" << lo << ", " << hi << ")");
-}
-
-double UniformReal::sample(RngStream& rng) const { return rng.uniform(lo_, hi_); }
-
-std::string UniformReal::describe() const {
-  std::ostringstream os;
-  os << "UniformReal[" << lo_ << ", " << hi_ << ")";
-  return os.str();
-}
-
-DistributionPtr UniformReal::clone() const { return std::make_unique<UniformReal>(*this); }
-
-Weibull::Weibull(double shape, double scale) : shape_(shape), scale_(scale) {
-  LBSIM_REQUIRE(shape > 0.0, "Weibull shape=" << shape);
-  LBSIM_REQUIRE(scale > 0.0, "Weibull scale=" << scale);
-}
-
-double Weibull::sample(RngStream& rng) const {
-  // Inverse CDF: scale * (-ln(1-U))^(1/k).
-  return scale_ * std::pow(-std::log1p(-rng.uniform01()), 1.0 / shape_);
-}
-
-double Weibull::mean() const { return scale_ * std::tgamma(1.0 + 1.0 / shape_); }
-
-double Weibull::variance() const {
-  const double g1 = std::tgamma(1.0 + 1.0 / shape_);
-  const double g2 = std::tgamma(1.0 + 2.0 / shape_);
-  return scale_ * scale_ * (g2 - g1 * g1);
-}
-
-std::string Weibull::describe() const {
-  std::ostringstream os;
-  os << "Weibull(shape=" << shape_ << ", scale=" << scale_ << ")";
-  return os.str();
-}
-
-DistributionPtr Weibull::clone() const { return std::make_unique<Weibull>(*this); }
 
 }  // namespace lbsim::stoch

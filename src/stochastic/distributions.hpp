@@ -1,8 +1,8 @@
 #pragma once
 /// \file
-/// Positive-valued delay/service-time distributions behind a small polymorphic
-/// interface, so simulators can be configured with the paper's exponential laws
-/// or with the ablation alternatives (Erlang, deterministic, Weibull, ...).
+/// Positive-valued distributions behind a small polymorphic interface: the
+/// paper's exponential law (node churn, task sizes) and a deterministic law
+/// that tests substitute for it.
 
 #include <memory>
 #include <string>
@@ -48,45 +48,7 @@ class Exponential final : public Distribution {
   double rate_;
 };
 
-/// shift + Exponential(rate): the paper observes "a slight shift" in the empirical
-/// transfer-delay pdf (Fig. 2) before folding it into the exponential parameter.
-class ShiftedExponential final : public Distribution {
- public:
-  ShiftedExponential(double shift, double rate);
-  [[nodiscard]] double sample(RngStream& rng) const override;
-  [[nodiscard]] double mean() const override { return shift_ + 1.0 / rate_; }
-  [[nodiscard]] double variance() const override { return 1.0 / (rate_ * rate_); }
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-  [[nodiscard]] double shift() const noexcept { return shift_; }
-  [[nodiscard]] double rate() const noexcept { return rate_; }
-
- private:
-  double shift_;
-  double rate_;
-};
-
-/// Erlang(k, rate): sum of k iid exponentials; used by the testbed's per-task
-/// bundle-delay model and by the ablation on delay laws.
-class Erlang final : public Distribution {
- public:
-  Erlang(unsigned shape, double rate);
-  [[nodiscard]] double sample(RngStream& rng) const override;
-  [[nodiscard]] double mean() const override { return static_cast<double>(shape_) / rate_; }
-  [[nodiscard]] double variance() const override {
-    return static_cast<double>(shape_) / (rate_ * rate_);
-  }
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-  [[nodiscard]] unsigned shape() const noexcept { return shape_; }
-  [[nodiscard]] double rate() const noexcept { return rate_; }
-
- private:
-  unsigned shape_;
-  double rate_;
-};
-
-/// Always returns `value` (>= 0). Ablation baseline for "no randomness".
+/// Always returns `value` (>= 0): a law without randomness, for tests.
 class Deterministic final : public Distribution {
  public:
   explicit Deterministic(double value);
@@ -98,39 +60,6 @@ class Deterministic final : public Distribution {
 
  private:
   double value_;
-};
-
-/// Uniform on [lo, hi), 0 <= lo < hi.
-class UniformReal final : public Distribution {
- public:
-  UniformReal(double lo, double hi);
-  [[nodiscard]] double sample(RngStream& rng) const override;
-  [[nodiscard]] double mean() const override { return 0.5 * (lo_ + hi_); }
-  [[nodiscard]] double variance() const override {
-    const double w = hi_ - lo_;
-    return w * w / 12.0;
-  }
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-
- private:
-  double lo_;
-  double hi_;
-};
-
-/// Weibull(shape k, scale λ): heavy/light-tailed alternative for churn ablations.
-class Weibull final : public Distribution {
- public:
-  Weibull(double shape, double scale);
-  [[nodiscard]] double sample(RngStream& rng) const override;
-  [[nodiscard]] double mean() const override;
-  [[nodiscard]] double variance() const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-
- private:
-  double shape_;
-  double scale_;
 };
 
 }  // namespace lbsim::stoch

@@ -18,8 +18,8 @@
 namespace lbsim::testbed {
 
 /// One emulated realisation on a simulator and workspace of its own; same
-/// result/trace types as the abstract MC so that benches can tabulate them
-/// side by side. The config's policy runs in place. `profile` (optional)
+/// result/trace types as the abstract MC so that the artefacts can tabulate
+/// them side by side. The config's policy runs in place. `profile` (optional)
 /// accumulates the setup / event-loop wall-time split; `metrics` (optional)
 /// receives the realisation's DES-core instrument updates. Neither consumes
 /// RNG draws or changes any simulated quantity.

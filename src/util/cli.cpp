@@ -1,6 +1,5 @@
 #include "util/cli.hpp"
 
-#include <climits>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -66,12 +65,6 @@ double CliArgs::get_double(const std::string& key, double fallback) const {
   } catch (const std::invalid_argument&) {
     throw std::invalid_argument("flag --" + key + " expects a number, got '" + *v + "'");
   }
-}
-
-int CliArgs::get_int(const std::string& key, int fallback) const {
-  const long long wide = get_int64(key, fallback);
-  LBSIM_REQUIRE(wide >= INT_MIN && wide <= INT_MAX, "--" << key << " out of int range");
-  return static_cast<int>(wide);
 }
 
 long long CliArgs::get_int64(const std::string& key, long long fallback) const {

@@ -1,6 +1,7 @@
 #pragma once
 /// \file
-/// Tiny command-line flag parser used by benches and examples.
+/// Tiny command-line flag parser behind the `lbsim` runner, which rejects any
+/// flag a subcommand does not list (see flag_names()).
 ///
 /// Accepted forms: `--key=value`, `--key value`, and bare `--flag` (boolean true).
 /// Unknown positional arguments are collected in order.
@@ -27,7 +28,6 @@ class CliArgs {
   /// std::invalid_argument when present but unparsable or out of the value domain.
   [[nodiscard]] std::string get_string(const std::string& key, const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
-  [[nodiscard]] int get_int(const std::string& key, int fallback) const;
   [[nodiscard]] long long get_int64(const std::string& key, long long fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 

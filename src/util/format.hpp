@@ -1,6 +1,6 @@
 #pragma once
 /// \file
-/// Fixed-width text tables and CSV emission for bench/report output.
+/// Fixed-width text tables and CSV emission for report output.
 
 #include <iosfwd>
 #include <string>

@@ -1,6 +1,5 @@
 #include "util/math.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -39,28 +38,12 @@ void KahanSum::add(double x) noexcept {
   sum_ = t;
 }
 
-double relative_difference(double a, double b, double floor) noexcept {
-  const double scale = std::max({std::fabs(a), std::fabs(b), floor});
-  return std::fabs(a - b) / scale;
-}
-
 double trapezoid(const std::vector<double>& y, double dx) {
   LBSIM_REQUIRE(dx > 0.0, "dx=" << dx);
   if (y.size() < 2) return 0.0;
   KahanSum acc;
   for (std::size_t i = 0; i + 1 < y.size(); ++i) acc.add(0.5 * (y[i] + y[i + 1]) * dx);
   return acc.value();
-}
-
-double binomial_coefficient(unsigned n, unsigned k) noexcept {
-  if (k > n) return 0.0;
-  k = std::min(k, n - k);
-  double result = 1.0;
-  for (unsigned i = 1; i <= k; ++i) {
-    result *= static_cast<double>(n - k + i);
-    result /= static_cast<double>(i);
-  }
-  return result;
 }
 
 }  // namespace lbsim::util

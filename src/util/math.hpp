@@ -29,14 +29,7 @@ class KahanSum {
   double carry_ = 0.0;
 };
 
-/// Relative difference |a-b| / max(|a|,|b|,floor); 0 when both are ~0.
-[[nodiscard]] double relative_difference(double a, double b, double floor = 1e-12) noexcept;
-
 /// Trapezoidal integral of samples y on a uniform grid with spacing dx.
 [[nodiscard]] double trapezoid(const std::vector<double>& y, double dx);
-
-/// Binomial coefficient as double (exact for the small arguments used by the
-/// Erlang-race oracle; returns +inf on overflow of double).
-[[nodiscard]] double binomial_coefficient(unsigned n, unsigned k) noexcept;
 
 }  // namespace lbsim::util

@@ -1,58 +1,14 @@
-// Unit tests for the application substrate: matrix kernel and calibrated
-// workload generation (the Fig. 1 model).
+// Unit tests for the application substrate: calibrated workload generation
+// (the Fig. 1 model).
 
 #include <gtest/gtest.h>
 
-#include "app/matrix.hpp"
 #include "app/workload.hpp"
 #include "stochastic/fit.hpp"
 #include "stochastic/stats.hpp"
 
 namespace lbsim::app {
 namespace {
-
-TEST(MatrixTest, ConstructionAndIndexing) {
-  Matrix m(2, 3, 1.5);
-  EXPECT_EQ(m.rows(), 2u);
-  EXPECT_EQ(m.cols(), 3u);
-  EXPECT_DOUBLE_EQ(m.at(1, 2), 1.5);
-  m.at(0, 0) = 7.0;
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 7.0);
-  EXPECT_THROW((void)m.at(2, 0), std::invalid_argument);
-  EXPECT_THROW(Matrix(0, 3), std::invalid_argument);
-}
-
-TEST(MatrixTest, SeededIsDeterministic) {
-  const Matrix a = Matrix::seeded(4, 4, 99);
-  const Matrix b = Matrix::seeded(4, 4, 99);
-  EXPECT_EQ(a, b);
-  const Matrix c = Matrix::seeded(4, 4, 100);
-  EXPECT_FALSE(a == c);
-}
-
-TEST(MatrixTest, MultiplyRowIdentity) {
-  Matrix identity(3, 3, 0.0);
-  for (std::size_t i = 0; i < 3; ++i) identity.at(i, i) = 1.0;
-  const std::vector<double> row{1.0, 2.0, 3.0};
-  EXPECT_EQ(multiply_row(row, identity), row);
-}
-
-TEST(MatrixTest, MultiplyRowHandComputed) {
-  Matrix m(2, 2, 0.0);
-  m.at(0, 0) = 1.0;
-  m.at(0, 1) = 2.0;
-  m.at(1, 0) = 3.0;
-  m.at(1, 1) = 4.0;
-  const auto out = multiply_row({5.0, 6.0}, m);  // [5*1+6*3, 5*2+6*4]
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out[0], 23.0);
-  EXPECT_DOUBLE_EQ(out[1], 34.0);
-}
-
-TEST(MatrixTest, MultiplyRowRejectsShapeMismatch) {
-  const Matrix m(3, 2);
-  EXPECT_THROW((void)multiply_row({1.0, 2.0}, m), std::invalid_argument);
-}
 
 TEST(WorkloadTest, GeneratesRequestedCountWithUniqueIds) {
   WorkloadGenerator gen;

@@ -39,15 +39,6 @@ std::vector<std::uint64_t> ids(const TaskChain& tasks) {
   return out;
 }
 
-TEST(TaskTest, MakeUnitTasks) {
-  const TaskBatch batch = make_unit_tasks(3, 7, 100);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[0].id, 100u);
-  EXPECT_EQ(batch[2].id, 102u);
-  EXPECT_EQ(batch[1].origin, 7);
-  EXPECT_DOUBLE_EQ(batch[1].size, 1.0);
-}
-
 TEST(ComputeElementTest, ProcessesQueueInOrder) {
   Fixture f;
   ComputeElement& ce = f.ce;

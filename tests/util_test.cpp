@@ -55,7 +55,7 @@ TEST(CliTest, ParsesEqualsForm) {
   const char* argv[] = {"prog", "--gain=0.35", "--nodes=2"};
   const CliArgs args(3, argv);
   EXPECT_DOUBLE_EQ(args.get_double("gain", 0.0), 0.35);
-  EXPECT_EQ(args.get_int("nodes", 0), 2);
+  EXPECT_EQ(args.get_int64("nodes", 0), 2);
 }
 
 TEST(CliTest, ParsesSpaceForm) {
@@ -91,7 +91,7 @@ TEST(CliTest, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--gain=abc", "--n=1.5x"};
   const CliArgs args(3, argv);
   EXPECT_THROW((void)args.get_double("gain", 0.0), std::invalid_argument);
-  EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int64("n", 0), std::invalid_argument);
 }
 
 TEST(CliTest, BooleanSpellings) {
@@ -161,11 +161,6 @@ TEST(MathTest, KahanSumBeatsNaiveOnSmallAddends) {
   EXPECT_NEAR(sum.value(), 1.0 + 1e-9, 1e-12);
 }
 
-TEST(MathTest, RelativeDifference) {
-  EXPECT_DOUBLE_EQ(relative_difference(0.0, 0.0), 0.0);
-  EXPECT_NEAR(relative_difference(100.0, 101.0), 0.0099, 1e-4);
-}
-
 TEST(MathTest, TrapezoidIntegratesLine) {
   // integral of y = x over [0,1] with 11 samples = 0.5 exactly (trapezoid is
   // exact for linear functions).
@@ -187,13 +182,6 @@ TEST(MathTest, TryParseDoubleFullMatchFiniteOnly) {
   EXPECT_FALSE(util::try_parse_double("inf").has_value());
   EXPECT_FALSE(util::try_parse_double("nan").has_value());
   EXPECT_FALSE(util::try_parse_double("-inf").has_value());
-}
-
-TEST(MathTest, BinomialCoefficients) {
-  EXPECT_DOUBLE_EQ(binomial_coefficient(5, 2), 10.0);
-  EXPECT_DOUBLE_EQ(binomial_coefficient(10, 0), 1.0);
-  EXPECT_DOUBLE_EQ(binomial_coefficient(3, 5), 0.0);
-  EXPECT_DOUBLE_EQ(binomial_coefficient(52, 5), 2598960.0);
 }
 
 }  // namespace
