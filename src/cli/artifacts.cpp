@@ -557,8 +557,8 @@ util::TextTable run_ablation_failure_rates(ArtifactOptions& /*options*/, std::os
   const std::size_t m0 = 100, m1 = 60;
   print_banner(os, "Ablation: failure-rate sweep", "optimal LBP-1 gain vs churn intensity");
 
-  util::TextTable table({"failure multiplier", "mean time to failure (s)", "K* (exact)",
-                         "L*", "optimal mean (s)"});
+  util::TextTable table({"failure multiplier", "mean time to failure (s)", "K* (exact)", "L*",
+                         "optimal mean (s)"});
   std::size_t prev_transfer = SIZE_MAX;
   bool monotone = true;
   for (const double mult : {0.0, 0.25, 0.5, 1.0, 2.0, 4.0}) {

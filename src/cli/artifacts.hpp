@@ -25,12 +25,12 @@ namespace lbsim::cli {
 
 /// Options shared by every artefact runner.
 struct ArtifactOptions {
-  bool quick = false;           ///< fewer replications, coarser grids
-  bool golden_only = false;     ///< table1/table2: print only the golden block
-  std::size_t mc_reps = 0;      ///< replications (adaptive gain: trials); 0 = default
-  std::size_t realizations = 0; ///< testbed realisations; 0 = default
-  std::uint64_t seed = 0;       ///< 0 = artefact default
-  std::string format = "table"; ///< table | csv | json
+  bool quick = false;            ///< fewer replications, coarser grids
+  bool golden_only = false;      ///< table1/table2: print only the golden block
+  std::size_t mc_reps = 0;       ///< replications (adaptive gain: trials); 0 = default
+  std::size_t realizations = 0;  ///< testbed realisations; 0 = default
+  std::uint64_t seed = 0;        ///< 0 = artefact default
+  std::string format = "table";  ///< table | csv | json
 };
 
 /// Names accepted by `lbsim reproduce`, in presentation order.

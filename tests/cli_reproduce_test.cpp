@@ -184,8 +184,7 @@ TEST(CliRun, ReportsConfigErrorsWithExitCode2) {
   EXPECT_EQ(key.exit_code, 2);
   EXPECT_NE(key.err.find("mc.threads must be >= 0"), std::string::npos) << key.err;
   // reproduce reads both of its counts through the same check.
-  const CliResult realizations =
-      run({"reproduce", "table1", "--quick", "--realizations=-1"});
+  const CliResult realizations = run({"reproduce", "table1", "--quick", "--realizations=-1"});
   EXPECT_EQ(realizations.exit_code, 2);
   EXPECT_NE(realizations.err.find("--realizations must be >= 1"), std::string::npos)
       << realizations.err;
