@@ -540,6 +540,9 @@ constexpr Golden kFiniteGoldens[] = {
      193.13308647396823},
     {"many-node-churn", 101.33114750456271, 101.31374530663599, 116.17344501814591,
      122.42756594569006},
+    // The depth-512 event queue of perfbench's churn_n256 workload.
+    {"many-node-churn", 180.51955574181608, 180.55607145477813, 192.56112681386475,
+     206.38442112475821, "nodes=256"},
     {"churn-storm", 111.78423985018357, 111.88879213943629, 136.79691514282791,
      155.00134569499735},
     {"cold-start", 123.65141736552651, 119.10093513663399, 165.3986302898856,
