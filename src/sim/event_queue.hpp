@@ -10,6 +10,12 @@
 /// pop(), next_time() — is defined in this header so that it inlines into the
 /// simulator's loop: push() constructs the callable directly in its slot, and
 /// the heap orders records through a function object the compiler inlines.
+///
+/// Almost every event schedules its own successor, so the two halves of that
+/// hold are fused: pop() leaves the fired record at the heap root, and the
+/// callback's first push() overwrites it and sifts down once from the root,
+/// stopping as soon as neither child is earlier. A callback that schedules
+/// nothing costs one sift, as before: the next pop() drops the record.
 /// See docs/ARCHITECTURE.md, "Event memory model".
 
 #include <algorithm>
@@ -70,7 +76,9 @@ class EventQueue {
   /// (SmallCallback::emplace); a SmallCallback is moved in. An argument that
   /// can be empty (SmallCallback, std::function, a function pointer, nullptr)
   /// must not be: an empty one is rejected before anything is stored. If
-  /// constructing the callable throws, the queue is unchanged.
+  /// constructing the callable throws, the queue is unchanged. When the heap
+  /// root is dead (the record pop() left there, or a cancelled one), the new
+  /// record overwrites it and sifts down; otherwise it is appended and sifts up.
   template <typename F>
   EventId push(double time, F&& fn);
 
@@ -83,7 +91,9 @@ class EventQueue {
   /// Number of live events.
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
-  /// Heap records including dead (cancelled) ones — compaction diagnostics.
+  /// Heap records including dead ones — cancelled records, and the fired
+  /// record pop() leaves at the root until the next push() or pop() — for
+  /// compaction diagnostics.
   [[nodiscard]] std::size_t heap_records() const noexcept { return heap_.size(); }
 
   /// Lifetime counters (see Stats); survive clear().
@@ -97,14 +107,14 @@ class EventQueue {
   }
 
   /// Removes and returns the earliest live event; queue must not be empty.
-  /// The callback is moved out of its slot before the caller runs it, which is
-  /// what makes clear() safe from inside a callback.
+  /// The callback is moved out of its slot, and the slot released, before the
+  /// caller runs it, which is what makes clear() safe from inside a callback.
+  /// The fired record stays at the heap root as a corpse: the callback's first
+  /// push() overwrites it, and the next pop() drops it if none comes.
   Entry pop() {
     LBSIM_REQUIRE(!empty(), "pop on empty queue");
     drop_dead_top();
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const HeapItem item = heap_.back();
-    heap_.pop_back();
+    const HeapItem item = heap_.front();
     Entry out{item.time, item.serial, std::move(slots_[item.slot].callback)};
     release_slot(item.slot);
     --live_;
@@ -170,6 +180,36 @@ class EventQueue {
     }
   }
 
+  /// Writes `item` over the dead root and sifts it down, top-down, until
+  /// neither child is earlier. A successor that lands above the far-future
+  /// records stops early, where a bottom-up sift (Floyd's, as in
+  /// std::pop_heap) always walks to a leaf and climbs back. Which child is the
+  /// earlier one is a coin flip, so it is picked without a branch.
+  void sift_down_from_root(const HeapItem& item) noexcept {
+    HeapItem* const heap = heap_.data();
+    const std::size_t n = heap_.size();
+    std::size_t hole = 0;
+    std::size_t child = 1;
+    for (; child + 1 < n; child = 2 * hole + 1) {
+      const HeapItem& left = heap[child];
+      const HeapItem& right = heap[child + 1];
+      const bool right_first =
+          (left.time > right.time) | ((left.time == right.time) & (left.serial > right.serial));
+      child += static_cast<std::size_t>(right_first);
+      if (!Later{}(item, heap[child])) {
+        heap[hole] = item;
+        return;
+      }
+      heap[hole] = heap[child];
+      hole = child;
+    }
+    if (child < n && Later{}(item, heap[child])) {  // a last child without a sibling
+      heap[hole] = heap[child];
+      hole = child;
+    }
+    heap[hole] = item;
+  }
+
   /// Removes every dead record and re-heapifies (called when dead dominates).
   void compact() noexcept;
 
@@ -188,20 +228,26 @@ EventId EventQueue::push(double time, F&& fn) {
     LBSIM_REQUIRE(static_cast<bool>(fn), "null event callback");
   }
   const std::uint32_t slot = free_slot();
-  // The record goes in first, unordered: if the callable's construction
-  // throws, dropping it again leaves the queue as it was (the slot is still
-  // on the free list).
-  heap_.push_back(HeapItem{time, next_serial_, slot});
+  // A dead root (the record pop() left there, or a cancelled one) is
+  // overwritten in place. Otherwise the record is appended first, unordered:
+  // if the callable's construction throws, dropping it again leaves the queue
+  // as it was (the slot is still on the free list, the root untouched).
+  const bool replace_root = !heap_.empty() && is_dead(heap_.front());
+  if (!replace_root) heap_.push_back(HeapItem{time, next_serial_, slot});
   Slot& s = slots_[slot];
   try {
     s.callback.emplace(std::forward<F>(fn));
   } catch (...) {
-    heap_.pop_back();
+    if (!replace_root) heap_.pop_back();
     throw;
   }
   free_head_ = s.next_free;
   s.serial = next_serial_++;
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  if (replace_root) {
+    sift_down_from_root(HeapItem{time, s.serial, slot});
+  } else {
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
   ++live_;
   ++stats_.scheduled;
   if (live_ > stats_.max_depth) stats_.max_depth = live_;

@@ -221,6 +221,164 @@ TEST(EventQueueTest, RandomOperationsMatchReferenceOrder) {
   EXPECT_EQ(q.stats().popped, pops);
 }
 
+TEST(EventQueueTest, FiredRecordWaitsAtTheRootForTheNextPush) {
+  // pop() leaves the fired record at the heap root; the next push()
+  // overwrites it instead of appending, and the next pop() drops it if no
+  // push came. A compaction sweeps it away like any other corpse.
+  EventQueue q;
+  for (int i = 0; i < 100; ++i) q.push(static_cast<double>(i % 10), [] {});
+  const EventQueue::Entry first = q.pop();
+  EXPECT_EQ(first.time, 0.0);
+  EXPECT_EQ(q.size(), 99u);
+  EXPECT_EQ(q.heap_records(), q.size() + 1);
+  q.push(first.time + 4.5, [] {});
+  EXPECT_EQ(q.heap_records(), q.size());
+  (void)q.pop();
+  (void)q.pop();  // no push in between: the first corpse is dropped
+  EXPECT_EQ(q.heap_records(), q.size() + 1);
+
+  std::vector<EventId> ids;
+  for (int i = 0; i < 100; ++i) ids.push_back(q.push(20.0 + i, [] {}));
+  (void)q.pop();
+  const std::uint64_t compactions = q.stats().compactions;
+  for (const EventId id : ids) {
+    q.cancel(id);
+    if (q.stats().compactions > compactions) break;
+  }
+  ASSERT_GT(q.stats().compactions, compactions);
+  EXPECT_EQ(q.heap_records(), q.size());  // the corpse went with the sweep
+  q.push(4.75, [] {});
+  EXPECT_EQ(q.heap_records(), q.size());
+
+  const std::size_t live = q.size();
+  double last = 0.0;
+  std::size_t popped = 0;
+  while (!q.empty()) {
+    const EventQueue::Entry e = q.pop();
+    EXPECT_GE(e.time, last);
+    last = e.time;
+    ++popped;
+  }
+  EXPECT_EQ(popped, live);
+}
+
+TEST(EventQueueTest, CallbacksThatPushCancelAndClearMatchReferenceOrder) {
+  // The simulator-level twin of RandomOperationsMatchReferenceOrder: every
+  // callback checks that it fires in (time, push order), then pushes,
+  // cancels and resets at random both before and after scheduling its
+  // successors, so the fired record at the root meets every operation. Bursts
+  // of cancels compact the heap inside a callback, before its first push.
+  Simulator sim;
+  std::mt19937_64 rng(0xf05ed);
+  std::set<std::pair<double, std::size_t>> reference;  // (time, push index)
+  std::vector<EventId> ids;
+  std::vector<double> times;
+  std::size_t fired = 0, mismatches = 0, stale_cancels = 0, resets = 0;
+  std::size_t compacted_before_successor = 0, max_live = 0;
+
+  std::function<void(std::size_t)> fire;
+  const auto push = [&](double delay) {
+    const std::size_t k = ids.size();
+    times.push_back(sim.now() + delay);
+    reference.emplace(times.back(), k);
+    ids.push_back(sim.schedule_in(delay, [&fire, k] { fire(k); }));
+  };
+  const auto offset = [&] { return static_cast<double>(rng() % 8) * 0.5; };
+  const auto cancel_one = [&] {
+    const std::size_t window = std::min<std::size_t>(ids.size(), 128);
+    const std::size_t k = rng() % 2 == 0 ? ids.size() - 1 - rng() % window
+                                         : static_cast<std::size_t>(rng() % ids.size());
+    const bool live = reference.erase({times[k], k}) == 1;
+    if (!live) ++stale_cancels;
+    if (sim.cancel(ids[k]) != live) ++mismatches;
+  };
+  const auto reset = [&] {
+    sim.reset();
+    reference.clear();
+    ++resets;
+    for (int i = 0; i < 120; ++i) push(offset());
+  };
+  const auto random_ops = [&] {
+    const std::uint64_t dice = rng() % 1000;
+    if (dice < 2) {
+      reset();
+    } else if (dice < 12 && reference.size() >= 64) {
+      // Cancel three in four live events: enough to compact the heap.
+      const std::vector live(reference.begin(), reference.end());
+      for (const auto& [time, k] : live) {
+        if (rng() % 4 == 0) continue;
+        reference.erase({time, k});
+        if (!sim.cancel(ids[k])) ++mismatches;
+      }
+    } else if (dice < 200) {
+      cancel_one();
+    } else if (dice < 300) {
+      push(offset());
+    }
+  };
+  fire = [&](std::size_t k) {
+    ++fired;
+    if (reference.empty() || *reference.begin() != std::make_pair(sim.now(), k)) {
+      ++mismatches;
+      return;
+    }
+    reference.erase(reference.begin());
+    if (sim.cancel(ids[k])) ++mismatches;  // the fired event is not cancellable
+    const std::uint64_t compactions = sim.queue_stats().compactions;
+    random_ops();
+    if (sim.queue_stats().compactions > compactions) ++compacted_before_successor;
+    const std::uint64_t successors = reference.size() < 96 ? 2 : rng() % 10 == 0 ? 0 : 1;
+    for (std::uint64_t i = 0; i < successors; ++i) push(offset());
+    random_ops();
+    max_live = std::max(max_live, reference.size());
+  };
+
+  for (int i = 0; i < 120; ++i) push(offset());
+  sim.run_while_pending([&] { return fired >= 30000 || mismatches > 0; });
+  EXPECT_EQ(mismatches, 0u) << "after " << fired << " events";
+  EXPECT_EQ(sim.pending_events(), reference.size());
+  EXPECT_EQ(fired, 30000u);
+  EXPECT_GT(max_live, 64u);
+  EXPECT_GE(compacted_before_successor, 1u);
+  EXPECT_GT(stale_cancels, 100u);
+  EXPECT_GE(resets, 1u);
+}
+
+TEST(EventQueueTest, ThrowingCopyInsideACallbackLeavesTheQueueUnchanged) {
+  // Inside a callback the fired record still sits at the root, so a push
+  // there takes the overwriting path; a callable whose construction throws
+  // must leave that path, and the appending one, as if push() was not called.
+  struct CopyThrows {
+    CopyThrows() = default;
+    CopyThrows(const CopyThrows&) { throw std::runtime_error("copy"); }
+    CopyThrows(CopyThrows&&) noexcept = default;
+    void operator()() const {}
+  };
+  EventQueue q;
+  std::vector<int> fired;
+  for (int i = 1; i <= 3; ++i) {
+    q.push(static_cast<double>(i), [&fired, i] { fired.push_back(i); });
+  }
+  q.push(0.5, [&] {
+    const CopyThrows throws_on_copy;
+    ASSERT_EQ(q.heap_records(), q.size() + 1);  // the fired record
+    EXPECT_THROW(q.push(0.75, throws_on_copy), std::runtime_error);
+    EXPECT_EQ(q.size(), 3u);
+    EXPECT_EQ(q.heap_records(), 4u);
+    EXPECT_DOUBLE_EQ(q.next_time(), 1.0);  // drops the fired record
+    EXPECT_EQ(q.heap_records(), 3u);
+    EXPECT_THROW(q.push(0.75, throws_on_copy), std::runtime_error);
+    EXPECT_EQ(q.size(), 3u);
+    EXPECT_EQ(q.heap_records(), 3u);
+    EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+    q.push(1.5, [&] { fired.push_back(15); });
+  });
+  q.pop().callback();
+  EXPECT_EQ(q.stats().scheduled, 5u);
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(fired, (std::vector<int>{1, 15, 2, 3}));
+}
+
 TEST(EventQueueTest, LargeAndThrowingMoveCallablesRunFromTheHeapFallback) {
   // A capture beyond SmallCallback::kInlineSize, and a callable whose move
   // may throw, both live behind a heap pointer; they must fire, cancel and
