@@ -54,14 +54,16 @@ std::size_t pick(std::size_t requested, std::size_t quick_default, std::size_t f
 
 util::TextTable run_table1(ArtifactOptions& options, std::ostream& os) {
   print_banner(os, "Table 1", "LBP-1 at the theoretically optimal gain");
+  options.mc_reps = 0;  // testbed realizations only
   if (options.golden_only) {
+    options.realizations = 0;
     util::TextTable golden = table1_golden_block();
     os << "\nGolden operating point (tests/markov_golden_test.cpp pins):\n";
     golden.print(os);
     return golden;
   }
   const std::size_t realizations = pick(options.realizations, 10, 60, options.quick);
-  options.realizations = realizations;  // echoed into run metadata
+  options.realizations = realizations;
 
   const markov::TwoNodeParams params = markov::ipdps2006_params();
   struct PaperRow {
@@ -111,6 +113,7 @@ util::TextTable run_table1(ArtifactOptions& options, std::ostream& os) {
 util::TextTable run_table2(ArtifactOptions& options, std::ostream& os) {
   print_banner(os, "Table 2", "LBP-2 with the no-failure-optimal initial gain");
   if (options.golden_only) {
+    options.mc_reps = options.realizations = 0;
     util::TextTable golden = table2_golden_block();
     os << "\nGolden operating point (tests/markov_golden_test.cpp pins):\n";
     golden.print(os);
@@ -170,6 +173,7 @@ util::TextTable run_table2(ArtifactOptions& options, std::ostream& os) {
 util::TextTable run_table3(ArtifactOptions& options, std::ostream& os) {
   const std::size_t mc_reps = pick(options.mc_reps, 150, 800, options.quick);
   options.mc_reps = mc_reps;
+  options.realizations = 0;
   const std::size_t m0 = 100, m1 = 60;
 
   print_banner(os, "Table 3", "LBP-1 vs LBP-2 under different network delays");
@@ -261,6 +265,7 @@ util::TextTable run_fig1(ArtifactOptions& options, std::ostream& os) {
   const std::size_t samples = pick(options.mc_reps, 2000, 20000, options.quick);
   const std::uint64_t seed = options.seed != 0 ? options.seed : 1;
   options.mc_reps = samples;
+  options.realizations = 0;
   options.seed = seed;
 
   print_banner(os, "Figure 1", "per-task processing-time pdfs + exponential fits");
@@ -280,6 +285,7 @@ util::TextTable run_fig2(ArtifactOptions& options, std::ostream& os) {
   const int realizations =
       options.realizations != 0 ? static_cast<int>(options.realizations) : 30;
   const std::uint64_t seed = options.seed != 0 ? options.seed : 2;
+  options.mc_reps = 0;
   options.realizations = static_cast<std::size_t>(realizations);
   options.seed = seed;
 
@@ -474,6 +480,7 @@ void fig4_show_realization(std::ostream& os, util::TextTable& all, const std::st
 util::TextTable run_fig4(ArtifactOptions& options, std::ostream& os) {
   const std::uint64_t seed = options.seed != 0 ? options.seed : 2006;
   const std::size_t m0 = 100, m1 = 60;
+  options.mc_reps = options.realizations = 0;  // one realization per policy
   options.seed = seed;
 
   print_banner(os, "Figure 4", "one realisation of the queues under LBP-1 and LBP-2");
@@ -538,6 +545,7 @@ void fig5_show_workload(std::ostream& os, util::TextTable& all, std::size_t m0, 
 util::TextTable run_fig5(ArtifactOptions& options, std::ostream& os) {
   const double horizon = 250.0;
   const double dt = options.quick ? 0.1 : 0.05;
+  options.mc_reps = options.realizations = 0;  // solver curves only
 
   print_banner(os, "Figure 5", "completion-time CDF under LBP-1, failure vs no-failure");
   util::TextTable all({"workload", "t (s)", "P{T<=t} failure", "P{T<=t} no failure"});
@@ -553,8 +561,9 @@ util::TextTable run_fig5(ArtifactOptions& options, std::ostream& os) {
 // obtained by reducing the strength of balancing"). Scales both nodes'
 // failure rates of the paper's base system by a multiplier and reports the
 // exact optimum at workload (100, 60). One size: --quick changes nothing.
-util::TextTable run_ablation_failure_rates(ArtifactOptions& /*options*/, std::ostream& os) {
+util::TextTable run_ablation_failure_rates(ArtifactOptions& options, std::ostream& os) {
   const std::size_t m0 = 100, m1 = 60;
+  options.mc_reps = options.realizations = 0;  // exact optima only
   print_banner(os, "Ablation: failure-rate sweep", "optimal LBP-1 gain vs churn intensity");
 
   util::TextTable table({"failure multiplier", "mean time to failure (s)", "K* (exact)", "L*",
@@ -614,6 +623,7 @@ util::TextTable run_ablation_adaptive_gain(ArtifactOptions& options, std::ostrea
   const std::size_t trials = pick(options.mc_reps, 3, 100, options.quick);
   const std::uint64_t seed = options.seed != 0 ? options.seed : 0xada;
   options.mc_reps = trials;
+  options.realizations = 0;
   options.seed = seed;
   const std::vector<double> windows = options.quick
                                           ? std::vector<double>{200.0, 20000.0}
@@ -727,8 +737,10 @@ util::TextTable reproduce_artifact(const std::string& name, const ArtifactOption
     throw std::invalid_argument("--golden-only is only meaningful for table1 and table2");
   }
 
-  // Runners resolve their quick-aware defaults into this copy, so the
-  // metadata below records the values actually used, not the 0 sentinels.
+  // Runners resolve their quick-aware defaults into this copy and zero the
+  // counts they do not read, so the metadata below records the count actually
+  // used, not a 0 sentinel or a flag the artefact ignored (RunMetadata omits
+  // a 0).
   ArtifactOptions resolved = options;
   const auto start = std::chrono::steady_clock::now();
   if (options.format == "table") {

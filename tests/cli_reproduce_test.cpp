@@ -72,6 +72,17 @@ TEST(CliReproduce, Table2GoldenCsvMatchesThePinnedCdfQuantiles) {
   EXPECT_NEAR_REL(golden_value(result.out, "lbp1_cdf_p90"), kGoldenCdfP90, 1e-9);
 }
 
+TEST(CliReproduce, MetadataRecordsOnlyTheCountTheArtefactRan) {
+  // fig5 runs no replications, so the --reps it ignored is not echoed.
+  const CliResult fig5 = run({"reproduce", "fig5", "--quick", "--reps=7", "--format=csv"});
+  ASSERT_EQ(fig5.exit_code, 0) << fig5.err;
+  EXPECT_EQ(fig5.out.find("replications"), std::string::npos) << fig5.out;
+  // table1 runs 10 testbed realizations at --quick and no MC replications.
+  const CliResult table1 = run({"reproduce", "table1", "--quick", "--reps=7", "--format=csv"});
+  ASSERT_EQ(table1.exit_code, 0) << table1.err;
+  EXPECT_NE(table1.out.find("# replications=10\n"), std::string::npos) << table1.out;
+}
+
 TEST(CliReproduce, GoldenOnlyRejectedForOtherArtifacts) {
   const CliResult result = run({"reproduce", "fig1", "--golden-only"});
   EXPECT_EQ(result.exit_code, 2);
