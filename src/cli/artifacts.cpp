@@ -63,7 +63,7 @@ util::TextTable run_table1(ArtifactOptions& options, std::ostream& os) {
     return golden;
   }
   const std::size_t realizations = pick(options.realizations, 10, 60, options.quick);
-  options.realizations = realizations;
+  options.realizations = realizations;  // echoed into run metadata
 
   const markov::TwoNodeParams params = markov::ipdps2006_params();
   struct PaperRow {
