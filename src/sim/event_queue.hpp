@@ -172,7 +172,8 @@ class EventQueue {
     free_head_ = slot;
   }
 
-  /// Pops cancelled records off the heap top.
+  /// Pops dead records (cancelled ones, and the fired one pop() left) off the
+  /// heap top.
   void drop_dead_top() noexcept {
     while (!heap_.empty() && is_dead(heap_.front())) {
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
