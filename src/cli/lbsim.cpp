@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -640,11 +641,20 @@ int cmd_validate(int argc, const char* const* argv, const util::CliArgs& args,
   if (args.has("threads")) {
     options.threads = parse_threads(args.get_string("threads", ""), "--threads");
   }
-  options.sigma_gate = args.get_double("sigma", 0.0);
-  if (options.sigma_gate < 0.0) {
-    throw ConfigError(ConfigError::Kind::kOutOfRange, "sigma", "--sigma must be > 0");
+  // A NaN or infinite gate would pass every point, so both are refused; a
+  // finite negative slack tightens the KS gate.
+  if (args.has("sigma")) {
+    options.sigma_gate = args.get_double("sigma", 0.0);
+    if (!(std::isfinite(options.sigma_gate) && options.sigma_gate > 0.0)) {
+      throw ConfigError(ConfigError::Kind::kOutOfRange, "sigma",
+                        "--sigma must be a finite number > 0");
+    }
   }
   options.ks_slack = args.get_double("ks-slack", options.ks_slack);
+  if (!std::isfinite(options.ks_slack)) {
+    throw ConfigError(ConfigError::Kind::kOutOfRange, "ks-slack",
+                      "--ks-slack must be a finite number");
+  }
 
   ValidationReport report = run_validation(options);
   report.metadata.command = joined_command(argc, argv);

@@ -55,20 +55,13 @@ void Environment::start() {
   arm();
 }
 
-void Environment::stop() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel(pending_);
-}
-
 void Environment::arm() {
   const double exit = spec_.exit_rate(state_);
   if (exit <= 0.0) return;  // absorbing state
-  pending_ = sim_.schedule_in(rng_.exponential(exit), [this] { fire(); });
+  sim_.schedule_in(rng_.exponential(exit), [this] { fire(); });
 }
 
 void Environment::fire() {
-  if (!running_) return;
   const std::size_t from = state_;
   // Jump-chain draw: target j != from with probability rate(from, j) / exit.
   const double exit = spec_.exit_rate(from);

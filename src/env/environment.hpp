@@ -72,9 +72,6 @@ class Environment {
   /// Arms the first transition out of the initial state (no-op if absorbing).
   void start();
 
-  /// Stops scheduling further transitions (pending timer cancelled).
-  void stop();
-
   [[nodiscard]] std::size_t state() const noexcept { return state_; }
   [[nodiscard]] const EnvironmentSpec& spec() const noexcept { return spec_; }
   /// Failure-hazard multiplier of the current state.
@@ -100,7 +97,6 @@ class Environment {
   EnvironmentSpec spec_;
   stoch::RngStream& rng_;
   std::size_t state_;
-  des::EventId pending_;
   bool running_ = false;
   std::uint64_t transitions_ = 0;
   TransitionListener listener_;

@@ -5,7 +5,6 @@
 #include <deque>
 #include <optional>
 
-#include "app/workload.hpp"
 #include "mc/state_plane.hpp"
 #include "net/network.hpp"
 #include "node/block_pool.hpp"
@@ -141,15 +140,12 @@ struct CompletionTracker {
 /// queued or in-flight task's block to the pool and frees every bundle slot,
 /// and run_scenario re-seats the first n node slots.
 struct ReplicationWorkspace::State {
-  /// One node: its CE, its churn driver and the churn laws the driver
-  /// borrows. Never moved (the CE and the driver hold references into each
-  /// other and into the pool).
+  /// One node: its CE and its churn driver. Never moved (the CE and the
+  /// driver hold references into each other and into the pool).
   struct NodeSlot {
     explicit NodeSlot(node::BlockPool& pool) : ce(pool), churn(ce) {}
     node::ComputeElement ce;
     node::FailureProcess churn;
-    std::optional<stoch::Exponential> ttf;
-    std::optional<stoch::Exponential> ttr;
   };
 
   /// A bundle in flight; its delivery event captures the slot's index.
@@ -340,8 +336,8 @@ struct Replication {
   }
 
   /// The testbed's initial workload at node `i`: `count` tasks whose sizes
-  /// are drawn Exp(1) on the node's stream (app::WorkloadGenerator's law),
-  /// staged in a bundle slot and queued as one batch.
+  /// are drawn Exp(1) on the node's stream (the Fig. 1 law), staged in a
+  /// bundle slot and queued as one batch.
   void inject_sized(std::size_t i, std::size_t count) {
     const std::uint32_t slot = ws.acquire_bundle();
     node::TaskChain& batch = ws.bundles[slot].tasks;
@@ -495,17 +491,6 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   return run_scenario(config, seed, replication, trace, sim);
 }
 
-RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
-                       std::uint64_t replication, RunTrace* trace, des::Simulator& sim) {
-  return run_scenario(config, seed, replication, trace, sim, SteadyProbe{});
-}
-
-RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
-                       std::uint64_t replication, RunTrace* trace, des::Simulator& sim,
-                       const SteadyProbe& probe) {
-  return run_scenario(config, seed, replication, trace, sim, probe, RunControls{});
-}
-
 namespace {
 
 /// The replication core both engines run: run_scenario with `network` null,
@@ -606,10 +591,8 @@ RunResult run_replication(const ScenarioConfig& config, core::LoadBalancingPolic
   //     service-law seam: the abstract model draws Exp(lambda_d) per task; the
   //     testbed serves a task of random size s in s / lambda_d ---
   for (std::size_t i = 0; i < n; ++i) {
-    const double rate = config.params.nodes[i].lambda_d;
-    rep.ce(i).reset(sim, static_cast<int>(i),
-                    testbed ? app::calibrated_service(rate) : app::exponential_service(rate),
-                    rngs[i]);
+    rep.ce(i).reset(sim, static_cast<int>(i), config.params.nodes[i].lambda_d,
+                    /*size_based=*/testbed, rngs[i]);
   }
 
   // --- structure-of-arrays hot state: the per-node queue lengths and up
@@ -702,28 +685,25 @@ RunResult run_replication(const ScenarioConfig& config, core::LoadBalancingPolic
   std::vector<std::unique_ptr<env::ScheduleDriver>> schedules;
   if (!config.schedule.empty()) schedules.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    ReplicationWorkspace::State::NodeSlot& slot = ws.nodes[i];
-    slot.ttf.reset();
-    slot.ttr.reset();
+    node::FailureProcess& churn = ws.nodes[i].churn;
     if (config.schedule.scheduled(i)) {
       schedules[i] = std::make_unique<env::ScheduleDriver>(sim, config.schedule.per_node[i]);
       schedules[i]->set_handler([r = &rep, i](bool down) { r->on_schedule(i, down); });
-      slot.churn.reset(sim, nullptr, nullptr, rngs[n + i]);  // never started
+      churn.reset(sim, 0.0, 0.0, rngs[n + i]);  // never started
       continue;
     }
+    // A churning node fails at lambda_f and recovers at lambda_r; an
+    // initially-down node that cannot churn only recovers.
     const markov::NodeParams& np = config.params.nodes[i];
-    if (config.churn_enabled && np.lambda_f > 0.0) {
-      slot.ttf.emplace(np.lambda_f);
-      slot.ttr.emplace(np.lambda_r);
-    } else if (config.starts_down(i)) {
-      LBSIM_REQUIRE(np.lambda_r > 0.0, "initially-down node " << i << " cannot recover");
-      slot.ttr.emplace(np.lambda_r);
-    }
-    slot.churn.reset(sim, slot.ttf ? &*slot.ttf : nullptr, slot.ttr ? &*slot.ttr : nullptr,
-                     rngs[n + i]);
-    if (testbed && config.starts_down(i)) slot.churn.start(/*initially_down=*/true);
-    slot.churn.set_failure_handler([r = &rep](int node_id) { r->on_failure(node_id); });
-    slot.churn.set_recovery_handler([r = &rep](int node_id) { r->on_recovery(node_id); });
+    const bool can_churn = config.churn_enabled && np.lambda_f > 0.0;
+    const bool starts_down = config.starts_down(i);
+    LBSIM_REQUIRE(can_churn || !starts_down || np.lambda_r > 0.0,
+                  "initially-down node " << i << " cannot recover");
+    churn.reset(sim, can_churn ? np.lambda_f : 0.0,
+                can_churn || starts_down ? np.lambda_r : 0.0, rngs[n + i]);
+    if (testbed && starts_down) churn.start(/*initially_down=*/true);
+    churn.set_failure_handler([r = &rep](int node_id) { r->on_failure(node_id); });
+    churn.set_recovery_handler([r = &rep](int node_id) { r->on_recovery(node_id); });
   }
 
   // --- environment (common-shock CTMC modulating every failure hazard) ---

@@ -184,13 +184,6 @@ struct ObsSinks {
 [[nodiscard]] RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                                      std::uint64_t replication, RunTrace* trace = nullptr);
 
-/// Simulator-reusing form: `sim` is reset and driven in place, so its pooled
-/// event slab (and heap capacity) is recycled across a replication loop.
-/// Results are bit-identical to the fresh-simulator overload.
-[[nodiscard]] RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
-                                     std::uint64_t replication, RunTrace* trace,
-                                     des::Simulator& sim);
-
 /// Steady-state extension hooks threaded through the replication wiring
 /// (consumed by mc::run_steady; everything else leaves this defaulted). With
 /// target_completions > 0 the run is an infinite-horizon observation window:
@@ -204,13 +197,6 @@ struct SteadyProbe {
   /// batch-means estimator consume.
   std::vector<double>* sojourn_log = nullptr;
 };
-
-/// Probe-carrying form of run_scenario. With a default probe this is exactly
-/// the simulator-reusing overload; a probe with target_completions > 0 is the
-/// only path that accepts an unbounded arrival stream.
-[[nodiscard]] RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
-                                     std::uint64_t replication, RunTrace* trace,
-                                     des::Simulator& sim, const SteadyProbe& probe);
 
 /// A per-worker replication workspace: the nodes, churn drivers, RNG-stream
 /// and hot-state arrays, in-flight bundle slots and task-block pool that a
@@ -265,12 +251,16 @@ struct RunControls {
 /// every replication of a run.
 [[nodiscard]] std::vector<net::Topology> build_topology_states(const ScenarioConfig& config);
 
-/// Controls-carrying form of run_scenario; the most general overload, which
-/// every other form forwards to.
+/// Simulator-reusing form of run_scenario, which the fresh-simulator form
+/// forwards to: `sim` is reset and driven in place, so its pooled event slab
+/// (and heap capacity) is recycled across a replication loop, with results
+/// bit-identical to the fresh-simulator form. A probe with
+/// target_completions > 0 is the only path that accepts an unbounded arrival
+/// stream.
 [[nodiscard]] RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
                                      std::uint64_t replication, RunTrace* trace,
-                                     des::Simulator& sim, const SteadyProbe& probe,
-                                     const RunControls& controls);
+                                     des::Simulator& sim, const SteadyProbe& probe = {},
+                                     const RunControls& controls = {});
 
 /// One replication of the emulated testbed (testbed::run_realization): the
 /// replication core run_scenario runs, with the testbed's three seams in

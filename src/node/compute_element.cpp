@@ -6,12 +6,14 @@ namespace lbsim::node {
 
 ComputeElement::ComputeElement(BlockPool& pool) : queue_(BlockAllocator<Task>(&pool)) {}
 
-void ComputeElement::reset(des::Simulator& sim, int id, ServiceTimeFn service_time,
+void ComputeElement::reset(des::Simulator& sim, int id, double service_rate, bool size_based,
                            stoch::RngStream& rng) {
-  LBSIM_REQUIRE(service_time != nullptr, "CE " << id << " needs a service-time function");
+  LBSIM_REQUIRE(service_rate > 0.0,
+                "CE " << id << " service rate " << service_rate << " must be > 0");
   sim_ = &sim;
   id_ = id;
-  service_time_ = std::move(service_time);
+  service_rate_ = service_rate;
+  size_based_ = size_based;
   rng_ = &rng;
   queue_.clear();
   up_ = true;
@@ -96,7 +98,6 @@ std::size_t ComputeElement::extract_tasks(std::size_t count, TaskChain& out) {
     out.push_back(queue_.back());
     queue_.pop_back();
   }
-  stats_.tasks_extracted += take;
   record_queue();
   return take;
 }
@@ -107,7 +108,8 @@ void ComputeElement::maybe_start_service() {
     current_service_duration_ = *frozen_remaining_;
     frozen_remaining_.reset();
   } else {
-    current_service_duration_ = service_time_(queue_.front(), *rng_);
+    current_service_duration_ =
+        size_based_ ? queue_.front().size / service_rate_ : rng_->exponential(service_rate_);
     LBSIM_CHECK(current_service_duration_ >= 0.0, "negative service time");
   }
   serving_ = true;
@@ -126,7 +128,6 @@ void ComputeElement::finish_current_task() {
   const Task done = queue_.front();
   queue_.pop_front();
   ++stats_.tasks_completed;
-  stats_.service_time_done += current_service_duration_;
   if (event_trace_ != nullptr) {
     event_trace_->emit(sim_->now(), obs::Kind::kTaskComplete, id_, -1, 1, done.id);
   }

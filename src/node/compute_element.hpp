@@ -28,19 +28,12 @@ struct CeStats {
   std::uint64_t failures = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t tasks_received = 0;
-  std::uint64_t tasks_extracted = 0;
-  double down_time = 0.0;       ///< total time spent in the down state
-  double service_time_done = 0.0;  ///< sum of service durations of completed tasks
+  double down_time = 0.0;  ///< total time spent in the down state
 };
 
 class ComputeElement {
  public:
-  /// Samples the service duration of `task` (seconds). Supplied by the scenario:
-  /// the abstract model ignores the task and draws Exp(lambda_d); the testbed
-  /// derives it from task.size and the node speed.
-  using ServiceTimeFn = std::function<double(const Task&, stoch::RngStream&)>;
   using CompletionHandler = std::function<void(const Task&)>;
-  using Handle = std::function<void(int node_id)>;
 
   /// A CE whose queue draws blocks from `pool` (which must outlive it); it is
   /// unusable until reset() seats it.
@@ -49,12 +42,16 @@ class ComputeElement {
   ComputeElement(const ComputeElement&) = delete;
   ComputeElement& operator=(const ComputeElement&) = delete;
 
-  /// Seats the CE on `sim`, `id`, `service_time` and `rng` (the kernel and the
-  /// stream must outlive its use) in its initial state: an empty queue (its
-  /// capacity is kept), up, idle, zero stats, and no handler, trace or hot
-  /// cells bound. Anything the CE had scheduled must already be gone
-  /// (des::Simulator::reset).
-  void reset(des::Simulator& sim, int id, ServiceTimeFn service_time, stoch::RngStream& rng);
+  /// Seats the CE on `sim`, `id` and `rng` (the kernel and the stream must
+  /// outlive its use) in its initial state: an empty queue (its capacity is
+  /// kept), up, idle, zero stats, and no handler, trace or hot cells bound.
+  /// The CE serves at `service_rate` (> 0) tasks per second: the abstract
+  /// model draws each service time Exp(service_rate) on `rng` and ignores the
+  /// task; a `size_based` CE (the testbed) serves a task in task.size /
+  /// service_rate and draws nothing. Anything the CE had scheduled must
+  /// already be gone (des::Simulator::reset).
+  void reset(des::Simulator& sim, int id, double service_rate, bool size_based,
+             stoch::RngStream& rng);
 
   /// Drops every queued task (their blocks go back to the queue's pool).
   void clear_queue() noexcept { queue_.clear(); }
@@ -114,7 +111,8 @@ class ComputeElement {
 
   des::Simulator* sim_ = nullptr;
   int id_ = 0;
-  ServiceTimeFn service_time_;
+  double service_rate_ = 1.0;
+  bool size_based_ = false;
   stoch::RngStream* rng_ = nullptr;
 
   TaskQueue queue_;

@@ -7,13 +7,16 @@ namespace lbsim::node {
 
 FailureProcess::FailureProcess(ComputeElement& ce) : ce_(ce) {}
 
-void FailureProcess::reset(des::Simulator& sim, const stoch::Distribution* time_to_failure,
-                           const stoch::Distribution* time_to_recovery, stoch::RngStream& rng) {
-  LBSIM_REQUIRE(time_to_failure == nullptr || time_to_recovery != nullptr,
-                "a node that can fail needs a recovery law");
+void FailureProcess::reset(des::Simulator& sim, double lambda_f, double lambda_r,
+                           stoch::RngStream& rng) {
+  LBSIM_REQUIRE(
+      lambda_f >= 0.0 && lambda_r >= 0.0,
+      "churn rates lambda_f=" << lambda_f << ", lambda_r=" << lambda_r << " must be >= 0");
+  LBSIM_REQUIRE(lambda_f == 0.0 || lambda_r > 0.0,
+                "a node that can fail needs a recovery rate > 0");
   sim_ = &sim;
-  ttf_ = time_to_failure;
-  ttr_ = time_to_recovery;
+  lambda_f_ = lambda_f;
+  lambda_r_ = lambda_r;
   rng_ = &rng;
   pending_ = des::EventId{};
   running_ = false;
@@ -27,7 +30,7 @@ void FailureProcess::start(bool initially_down) {
   LBSIM_REQUIRE(!running_, "failure process already started");
   running_ = true;
   if (initially_down) {
-    LBSIM_REQUIRE(ttr_ != nullptr, "initially-down node needs a recovery law");
+    LBSIM_REQUIRE(lambda_r_ > 0.0, "initially-down node needs a recovery rate > 0");
     ce_.fail();
     if (on_failure_) on_failure_(ce_.id());
     arm_recovery();
@@ -36,20 +39,11 @@ void FailureProcess::start(bool initially_down) {
   }
 }
 
-void FailureProcess::stop() {
-  if (!running_) return;
-  running_ = false;
-  failure_armed_ = false;
-  sim_->cancel(pending_);
-}
-
 void FailureProcess::set_hazard_multiplier(double mult) {
   LBSIM_REQUIRE(mult > 0.0, "hazard multiplier " << mult << " must be > 0");
   hazard_mult_ = mult;
-  if (running_ && failure_armed_) {
-    // Refresh the pending draw at the new hazard. Exact for exponential TTF
-    // (memorylessness); for other laws this is the standard regenerative
-    // approximation of a modulated hazard.
+  if (failure_armed_) {
+    // Refresh the pending draw at the new hazard: exact by memorylessness.
     sim_->cancel(pending_);
     failure_armed_ = false;
     arm_failure();
@@ -57,17 +51,17 @@ void FailureProcess::set_hazard_multiplier(double mult) {
 }
 
 void FailureProcess::arm_failure() {
-  if (ttf_ == nullptr) return;  // perfectly reliable node
-  pending_ = sim_->schedule_in(ttf_->sample(*rng_) / hazard_mult_, [this] { fire_failure(); });
+  if (lambda_f_ == 0.0) return;  // perfectly reliable node
+  pending_ = sim_->schedule_in(rng_->exponential(lambda_f_) / hazard_mult_,
+                               [this] { fire_failure(); });
   failure_armed_ = true;
 }
 
 void FailureProcess::arm_recovery() {
-  pending_ = sim_->schedule_in(ttr_->sample(*rng_), [this] { fire_recovery(); });
+  pending_ = sim_->schedule_in(rng_->exponential(lambda_r_), [this] { fire_recovery(); });
 }
 
 void FailureProcess::fire_failure() {
-  if (!running_) return;
   failure_armed_ = false;
   ce_.fail();
   if (on_failure_) on_failure_(ce_.id());
@@ -75,7 +69,6 @@ void FailureProcess::fire_failure() {
 }
 
 void FailureProcess::fire_recovery() {
-  if (!running_) return;
   ce_.recover();
   if (on_recovery_) on_recovery_(ce_.id());
   arm_failure();

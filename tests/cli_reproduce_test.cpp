@@ -202,6 +202,13 @@ TEST(CliRun, ReportsConfigErrorsWithExitCode2) {
   const CliResult mc_reps = run({"reproduce", "table2", "--quick", "--reps=-1"});
   EXPECT_EQ(mc_reps.exit_code, 2);
   EXPECT_NE(mc_reps.err.find("--reps must be >= 1"), std::string::npos) << mc_reps.err;
+  // validate refuses a gate that no point could fail (NaN compares false) and
+  // an explicit --sigma that is not > 0, naming the flag.
+  for (const std::string flag : {"--ks-slack=nan", "--sigma=nan", "--sigma=0"}) {
+    const CliResult gate = run({"validate", "paper-two-node", "--reps=2", flag});
+    EXPECT_EQ(gate.exit_code, 2) << flag << "\n" << gate.out;
+    EXPECT_NE(gate.err.find(flag.substr(0, flag.find('='))), std::string::npos) << gate.err;
+  }
 }
 
 /// The `--flag` tokens of `command`'s section of the usage text: from its

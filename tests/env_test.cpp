@@ -22,7 +22,6 @@
 #include "node/compute_element.hpp"
 #include "node/failure_process.hpp"
 #include "sim/simulator.hpp"
-#include "stochastic/distributions.hpp"
 #include "test_support.hpp"
 
 namespace lbsim {
@@ -152,45 +151,49 @@ TEST(Environment, AbsorbingStateStopsTransitions) {
 
 // ---------- FailureProcess hazard modulation ----------
 
+// The churn driver draws Exp(lambda_f) / multiplier on its stream, so a
+// second stream on the same seed predicts each failure instant exactly. The
+// CEs (size-based, rate 1) hold no task, so churn timers are the only events
+// besides the test's own.
+
 TEST(FailureProcessModulation, MultiplierScalesDeterministicTtfExactly) {
-  // Deterministic(8) under multiplier 4 must fire at exactly 2 s — hazard
-  // scaling is time scaling.
+  // A draw under multiplier 4 fires at exactly a quarter of the unscaled
+  // draw: hazard scaling is time scaling.
   des::Simulator sim;
-  stoch::RngStream service_rng(1), churn_rng(2);
+  stoch::RngStream service_rng(1), churn_rng(2), expect(2);
   node::BlockPool pool;
   node::ComputeElement ce(pool);
-  ce.reset(
-      sim, 0, [](const node::Task&, stoch::RngStream&) { return 1.0; }, service_rng);
-  const stoch::Deterministic ttf(8.0);
-  const stoch::Deterministic ttr(100.0);
+  ce.reset(sim, 0, 1.0, /*size_based=*/true, service_rng);
   node::FailureProcess process(ce);
-  process.reset(sim, &ttf, &ttr, churn_rng);
+  process.reset(sim, 1.0 / 8.0, 1.0 / 100.0, churn_rng);
   double failed_at = -1.0;
   process.set_failure_handler([&](int) { failed_at = sim.now(); });
   process.set_hazard_multiplier(4.0);
   process.start();
-  sim.run_until(10.0);
-  EXPECT_DOUBLE_EQ(failed_at, 2.0);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(failed_at, expect.exponential(1.0 / 8.0) / 4.0);
+  EXPECT_FALSE(ce.is_up());
 }
 
 TEST(FailureProcessModulation, MultiplierChangeReArmsThePendingDraw) {
   des::Simulator sim;
-  stoch::RngStream service_rng(1), churn_rng(2);
+  stoch::RngStream service_rng(1), churn_rng(2), expect(2);
   node::BlockPool pool;
   node::ComputeElement ce(pool);
-  ce.reset(
-      sim, 0, [](const node::Task&, stoch::RngStream&) { return 1.0; }, service_rng);
-  const stoch::Deterministic ttf(8.0);
-  const stoch::Deterministic ttr(100.0);
+  ce.reset(sim, 0, 1.0, /*size_based=*/true, service_rng);
   node::FailureProcess process(ce);
-  process.reset(sim, &ttf, &ttr, churn_rng);
+  process.reset(sim, 1.0 / 8.0, 1.0 / 100.0, churn_rng);
   double failed_at = -1.0;
   process.set_failure_handler([&](int) { failed_at = sim.now(); });
-  process.start();  // failure armed for t = 8
+  process.start();
+  // For this seed the first failure is armed past t = 1, where the
+  // multiplier changes.
+  ASSERT_GT(expect.exponential(1.0 / 8.0), 1.0);
   sim.schedule_at(1.0, [&] { process.set_hazard_multiplier(4.0); });
-  sim.run_until(10.0);
-  // Re-armed at t = 1 with a fresh draw 8 / 4 = 2 -> fires at t = 3.
-  EXPECT_DOUBLE_EQ(failed_at, 3.0);
+  ASSERT_TRUE(sim.step());  // t = 1: the pending draw is cancelled
+  ASSERT_TRUE(sim.step());
+  // Re-armed at t = 1 with a fresh draw at four times the hazard.
+  EXPECT_EQ(failed_at, 1.0 + expect.exponential(1.0 / 8.0) / 4.0);
   EXPECT_FALSE(ce.is_up());
 }
 

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cmath>
 #include <vector>
 
 #include "node/block_pool.hpp"
@@ -11,21 +11,20 @@
 #include "node/failure_process.hpp"
 #include "node/task.hpp"
 #include "sim/simulator.hpp"
-#include "stochastic/distributions.hpp"
-#include "stochastic/stats.hpp"
+#include "stochastic/rng.hpp"
 
 namespace lbsim::node {
 namespace {
 
-/// Deterministic unit service: every task takes exactly 1 s.
-ComputeElement::ServiceTimeFn unit_service() {
-  return [](const Task&, stoch::RngStream&) { return 1.0; };
-}
+/// Unit service: a size-based CE at rate 1 serves each unit-size task
+/// (enqueue_units) in exactly 1 s.
+constexpr double kUnitRate = 1.0;
+constexpr bool kSizeBased = true;
 
 /// One CE, seated on the fixture's kernel and stream with unit service, its
 /// queue drawing from the fixture's pool.
 struct Fixture {
-  Fixture() { ce.reset(sim, 0, unit_service(), rng); }
+  Fixture() { ce.reset(sim, 0, kUnitRate, kSizeBased, rng); }
 
   des::Simulator sim;
   stoch::RngStream rng{42};
@@ -164,23 +163,72 @@ TEST(ComputeElementTest, QueueTraceRecordsChanges) {
 }
 
 TEST(ComputeElementTest, StochasticServiceUsesProvidedStream) {
-  const ComputeElement::ServiceTimeFn exp2 = [](const Task&, stoch::RngStream& r) {
-    return r.exponential(2.0);
-  };
   BlockPool pool;
   des::Simulator sim;
   stoch::RngStream rng_a(7), rng_b(7);
   ComputeElement a(pool);
-  a.reset(sim, 0, exp2, rng_a);
+  a.reset(sim, 0, 2.0, /*size_based=*/false, rng_a);
   a.enqueue_units(50, 1);
   sim.run();
   const double t_a = sim.now();
   des::Simulator sim2;
   ComputeElement b(pool);
-  b.reset(sim2, 0, exp2, rng_b);
+  b.reset(sim2, 0, 2.0, /*size_based=*/false, rng_b);
   b.enqueue_units(50, 1);
   sim2.run();
   EXPECT_DOUBLE_EQ(t_a, sim2.now());  // same stream, same trajectory
+}
+
+/// Tasks 1, 2, ... with the given sizes, queued as one batch.
+void enqueue_sized(ComputeElement& ce, BlockPool& pool, const std::vector<double>& sizes) {
+  TaskChain batch(pool);
+  for (std::size_t k = 0; k < sizes.size(); ++k) batch.push_back(Task{k + 1, sizes[k], 0, 0.0});
+  ce.enqueue_batch(batch);
+}
+
+TEST(ComputeElementTest, SizeBasedServiceTakesSizeOverRate) {
+  BlockPool pool;
+  des::Simulator sim;
+  stoch::RngStream rng(7);
+  ComputeElement ce(pool);
+  ce.reset(sim, 0, 1.5, kSizeBased, rng);
+  std::vector<double> done_at;
+  ce.set_completion_handler([&](const Task&) { done_at.push_back(sim.now()); });
+  enqueue_sized(ce, pool, {3.0, 0.75, 0.0});
+  sim.run();
+  // 3 / 1.5 = 2, then 0.75 / 1.5 = 0.5, then a zero-size task takes no time.
+  EXPECT_EQ(done_at, (std::vector<double>{2.0, 2.5, 2.5}));
+  stoch::RngStream untouched(7);
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64());  // the service drew nothing
+}
+
+TEST(ComputeElementTest, ExponentialServiceDrawsFromItsStreamWhateverTheSize) {
+  BlockPool pool;
+  des::Simulator sim;
+  stoch::RngStream rng(24);
+  ComputeElement ce(pool);
+  ce.reset(sim, 0, 1.08, /*size_based=*/false, rng);
+  std::vector<double> done_at;
+  ce.set_completion_handler([&](const Task&) { done_at.push_back(sim.now()); });
+  enqueue_sized(ce, pool, {0.001, 1000.0, 1.0});
+  sim.run();
+  stoch::RngStream expect(24);
+  std::vector<double> expected;
+  double t = 0.0;
+  for (int k = 0; k < 3; ++k) expected.push_back(t += expect.exponential(1.08));
+  EXPECT_EQ(done_at, expected);
+}
+
+TEST(ComputeElementTest, ResetRefusesANonPositiveRate) {
+  des::Simulator sim;
+  stoch::RngStream rng(1);
+  BlockPool pool;
+  ComputeElement ce(pool);
+  for (const double rate : {0.0, -1.0, std::nan("")}) {
+    EXPECT_THROW(ce.reset(sim, 0, rate, /*size_based=*/false, rng), std::invalid_argument)
+        << rate;
+    EXPECT_THROW(ce.reset(sim, 0, rate, kSizeBased, rng), std::invalid_argument) << rate;
+  }
 }
 
 // ---------- workspace form: pooled queues and bundles, reset ----------
@@ -196,7 +244,7 @@ TEST(ComputeElementTest, PooledBundleKeepsExtractionOrderAcrossBlocks) {
   for (std::uint64_t id = 50; id > 10; --id) expected.push_back(id);
   EXPECT_EQ(ids(bundle), expected);
   ComputeElement receiver(f.pool);
-  receiver.reset(f.sim, 2, unit_service(), f.rng);
+  receiver.reset(f.sim, 2, kUnitRate, kSizeBased, f.rng);
   std::vector<std::uint64_t> completed;
   receiver.set_completion_handler([&](const Task& t) { completed.push_back(t.id); });
   receiver.enqueue_batch(bundle);
@@ -211,14 +259,14 @@ TEST(ComputeElementTest, ResetReturnsAWorkspaceCeToItsFreshState) {
   Fixture f;
   BlockPool pool;
   ComputeElement ce(pool);
-  ce.reset(f.sim, 3, unit_service(), f.rng);
+  ce.reset(f.sim, 3, kUnitRate, kSizeBased, f.rng);
   ce.enqueue_units(5, 1);
   f.sim.schedule_at(0.5, [&] { ce.fail(); });  // freezes task 1 half done
   f.sim.run_until(1.0);
   ASSERT_FALSE(ce.is_up());
   // The next replication resets the kernel first, then the CE.
   f.sim.reset();
-  ce.reset(f.sim, 4, unit_service(), f.rng);
+  ce.reset(f.sim, 4, kUnitRate, kSizeBased, f.rng);
   EXPECT_EQ(ce.id(), 4);
   EXPECT_TRUE(ce.is_up());
   EXPECT_EQ(ce.queue_length(), 0u);
@@ -232,71 +280,83 @@ TEST(ComputeElementTest, ResetReturnsAWorkspaceCeToItsFreshState) {
 }
 
 // ---------- failure process ----------
+//
+// A churn driver draws Exp(lambda_f) / hazard multiplier and Exp(lambda_r) on
+// its stream, so a second stream on the same seed predicts every churn
+// instant bit for bit. The fixture's CE holds no task, so churn timers are
+// the only events.
 
 TEST(FailureProcessTest, ResetRestoresTheNotStartedState) {
   des::Simulator sim;
-  stoch::RngStream svc_rng(1), churn_rng(2);
+  stoch::RngStream svc_rng(1), churn_rng(2), expect(2);
   BlockPool pool;
   ComputeElement ce(pool);
-  ce.reset(sim, 0, unit_service(), svc_rng);
-  const stoch::Deterministic ttf(2.0);
-  const stoch::Deterministic ttr(1.0);
+  ce.reset(sim, 0, kUnitRate, kSizeBased, svc_rng);
   FailureProcess churn(ce);
-  churn.reset(sim, &ttf, &ttr, churn_rng);
+  churn.reset(sim, 0.5, 1.0, churn_rng);
   churn.set_hazard_multiplier(4.0);
   int failures = 0;
   churn.set_failure_handler([&](int) { ++failures; });
   churn.start();
-  sim.run_until(1.0);  // failed at 2 / 4 = 0.5
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), expect.exponential(0.5) / 4.0);
   EXPECT_EQ(failures, 1);
+  (void)expect.exponential(1.0);  // the recovery armed by that failure
   sim.reset();
-  ce.reset(sim, 0, unit_service(), svc_rng);
-  churn.reset(sim, &ttf, &ttr, churn_rng);
+  ce.reset(sim, 0, kUnitRate, kSizeBased, svc_rng);
+  churn.reset(sim, 0.5, 1.0, churn_rng);
   EXPECT_DOUBLE_EQ(churn.hazard_multiplier(), 1.0);
   churn.start();  // not running any more, so it may start again
-  sim.run_until(1.5);
-  EXPECT_TRUE(ce.is_up());  // the first failure now comes at t = 2
-  sim.run_until(2.5);
+  ASSERT_TRUE(sim.step());
+  // The first failure comes at an undivided draw, and the old handler is gone.
+  EXPECT_EQ(sim.now(), expect.exponential(0.5));
   EXPECT_FALSE(ce.is_up());
-  EXPECT_EQ(failures, 1);  // the old handler is gone
+  EXPECT_EQ(failures, 1);
 }
 
 TEST(FailureProcessTest, AlternatesUpDown) {
   Fixture f;
-  stoch::RngStream churn_rng(2);
-  const stoch::Deterministic ttf(2.0);
-  const stoch::Deterministic ttr(1.0);
+  stoch::RngStream churn_rng(2), expect(2);
   FailureProcess churn(f.ce);
-  churn.reset(f.sim, &ttf, &ttr, churn_rng);
-  int failures = 0, recoveries = 0;
-  churn.set_failure_handler([&](int) { ++failures; });
-  churn.set_recovery_handler([&](int) { ++recoveries; });
+  churn.reset(f.sim, 0.5, 1.0, churn_rng);
+  std::vector<double> failed_at, recovered_at;
+  churn.set_failure_handler([&](int) { failed_at.push_back(f.sim.now()); });
+  churn.set_recovery_handler([&](int) { recovered_at.push_back(f.sim.now()); });
   churn.start();
-  f.sim.run_until(10.5);  // fail at 2,5,8; recover at 3,6,9
-  EXPECT_EQ(failures, 3);
-  EXPECT_EQ(recoveries, 3);
-  churn.stop();
+  std::vector<double> expect_failed, expect_recovered;
+  double t = 0.0;
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(f.sim.step());
+    EXPECT_FALSE(f.ce.is_up());
+    ASSERT_TRUE(f.sim.step());
+    EXPECT_TRUE(f.ce.is_up());
+    expect_failed.push_back(t += expect.exponential(0.5));
+    expect_recovered.push_back(t += expect.exponential(1.0));
+  }
+  EXPECT_EQ(failed_at, expect_failed);
+  EXPECT_EQ(recovered_at, expect_recovered);
 }
 
 TEST(FailureProcessTest, InitiallyDownFailsImmediately) {
   Fixture f;
-  stoch::RngStream churn_rng(2);
-  const stoch::Deterministic ttr(3.0);
+  stoch::RngStream churn_rng(2), expect(2);
   FailureProcess churn(f.ce);
-  churn.reset(f.sim, nullptr, &ttr, churn_rng);
+  churn.reset(f.sim, 0.0, 1.0 / 3.0, churn_rng);
   churn.start(/*initially_down=*/true);
   EXPECT_FALSE(f.ce.is_up());
-  f.sim.run_until(3.5);
-  EXPECT_TRUE(f.ce.is_up());  // recovered at t = 3, and (no failure law) stays up
-  f.sim.run_until(100.0);
+  EXPECT_EQ(f.ce.stats().failures, 1u);
+  ASSERT_TRUE(f.sim.step());
+  EXPECT_EQ(f.sim.now(), expect.exponential(1.0 / 3.0));
   EXPECT_TRUE(f.ce.is_up());
+  // With no failure rate nothing more is armed: the node stays up.
+  EXPECT_EQ(f.sim.pending_events(), 0u);
 }
 
 TEST(FailureProcessTest, NullFailureLawMeansReliable) {
   Fixture f;
   stoch::RngStream churn_rng(2);
   FailureProcess churn(f.ce);
-  churn.reset(f.sim, nullptr, nullptr, churn_rng);
+  churn.reset(f.sim, 0.0, 0.0, churn_rng);
   churn.start();
   f.ce.enqueue_units(5, 1);
   f.sim.run();
@@ -307,22 +367,20 @@ TEST(FailureProcessTest, NullFailureLawMeansReliable) {
 TEST(FailureProcessTest, FailureLawWithoutRecoveryRejected) {
   Fixture f;
   stoch::RngStream churn_rng(2);
-  const stoch::Exponential ttf(0.05);
   FailureProcess churn(f.ce);
-  EXPECT_THROW(churn.reset(f.sim, &ttf, nullptr, churn_rng), std::invalid_argument);
+  EXPECT_THROW(churn.reset(f.sim, 0.05, 0.0, churn_rng), std::invalid_argument);
 }
 
-TEST(FailureProcessTest, StopCancelsPendingChurn) {
+TEST(FailureProcessTest, ResetRefusesANegativeRate) {
   Fixture f;
   stoch::RngStream churn_rng(2);
-  const stoch::Deterministic ttf(2.0);
-  const stoch::Deterministic ttr(1.0);
   FailureProcess churn(f.ce);
-  churn.reset(f.sim, &ttf, &ttr, churn_rng);
-  churn.start();
-  churn.stop();
-  f.sim.run_until(10.0);
-  EXPECT_EQ(f.ce.stats().failures, 0u);
+  EXPECT_THROW(churn.reset(f.sim, -0.05, 1.0, churn_rng), std::invalid_argument);
+  EXPECT_THROW(churn.reset(f.sim, 0.0, -1.0, churn_rng), std::invalid_argument);
+  EXPECT_THROW(churn.reset(f.sim, std::nan(""), 1.0, churn_rng), std::invalid_argument);
+  churn.reset(f.sim, 0.0, 1.0, churn_rng);  // may start down and recover
+  churn.start(/*initially_down=*/true);
+  EXPECT_FALSE(f.ce.is_up());
 }
 
 TEST(FailureProcessTest, EmpiricalAvailabilityMatchesTheory) {
@@ -330,10 +388,8 @@ TEST(FailureProcessTest, EmpiricalAvailabilityMatchesTheory) {
   // mean up 20 s / mean down 10 s (node 1 of the paper).
   Fixture f;
   stoch::RngStream churn_rng(99);
-  const stoch::Exponential ttf(1.0 / 20.0);
-  const stoch::Exponential ttr(1.0 / 10.0);
   FailureProcess churn(f.ce);
-  churn.reset(f.sim, &ttf, &ttr, churn_rng);
+  churn.reset(f.sim, 1.0 / 20.0, 1.0 / 10.0, churn_rng);
   churn.start();
   const double horizon = 200000.0;
   f.sim.run_until(horizon);

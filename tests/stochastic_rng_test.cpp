@@ -1,4 +1,4 @@
-// Unit tests for src/stochastic: RNG streams and distribution samplers.
+// Unit tests for src/stochastic: RNG streams and their variate samplers.
 
 #include <gtest/gtest.h>
 
@@ -6,11 +6,9 @@
 #include <cstdint>
 #include <iterator>
 #include <latch>
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "stochastic/distributions.hpp"
 #include "stochastic/rng.hpp"
 #include "stochastic/stats.hpp"
 
@@ -239,34 +237,6 @@ TEST(RngStreamTest, UniformIndexBounds) {
   }
   for (const int c : counts) EXPECT_NEAR(c, 10000, 500);
   EXPECT_THROW((void)rng.uniform_index(0), std::invalid_argument);
-}
-
-// ---------- distributions ----------
-
-TEST(DistributionTest, ExponentialMoments) {
-  const Exponential d(0.5);
-  EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(d.variance(), 4.0);
-  EXPECT_THROW(Exponential(-1.0), std::invalid_argument);
-}
-
-TEST(DistributionTest, DeterministicIsConstant) {
-  const Deterministic d(3.5);
-  RngStream rng(1);
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(d.sample(rng), 3.5);
-  EXPECT_DOUBLE_EQ(d.variance(), 0.0);
-}
-
-TEST(DistributionTest, CloneIsIndependentButIdenticalLaw) {
-  const Exponential d(1.08);
-  const DistributionPtr c = d.clone();
-  EXPECT_EQ(c->describe(), d.describe());
-  RngStream r1(42), r2(42);
-  for (int i = 0; i < 20; ++i) EXPECT_DOUBLE_EQ(d.sample(r1), c->sample(r2));
-}
-
-TEST(DistributionTest, DescribeMentionsParameters) {
-  EXPECT_NE(Exponential(1.08).describe().find("1.08"), std::string::npos);
 }
 
 }  // namespace
