@@ -240,7 +240,7 @@ bool fig1_fit_and_print(std::ostream& os, util::TextTable& all, const std::strin
   times.reserve(samples);
   for (std::size_t k = 0; k < samples; ++k) times.push_back(rng.exponential(1.0) / rate);
 
-  const stoch::ExponentialFit fit = stoch::fit_exponential(times);
+  const auto fit = stoch::fit_exponential(times);
   stoch::Histogram hist(0.0, hist_hi, 12);
   hist.add_all(times);
 
@@ -299,7 +299,7 @@ util::TextTable run_fig2(ArtifactOptions& options, std::ostream& os) {
   const int pdf_samples = options.quick ? 2000 : 20000;
   for (int i = 0; i < pdf_samples; ++i) single.push_back(testbed_model.sample(1, rng));
   double fitted_shift = 0.0;
-  const stoch::ExponentialFit fit = stoch::fit_shifted_exponential(single, &fitted_shift);
+  const auto fit = stoch::fit_shifted_exponential(single, &fitted_shift);
   stoch::Histogram hist(0.0, 0.12, 12);
   hist.add_all(single);
 
