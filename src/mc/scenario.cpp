@@ -775,10 +775,9 @@ RunResult run_replication(const ScenarioConfig& config, core::LoadBalancingPolic
       schedules[i]->start();  // fires a down@0 synchronously, like initially_down
       continue;
     }
-    const bool can_churn = config.churn_enabled && config.params.nodes[i].lambda_f > 0.0;
     const bool starts_down = config.starts_down(i);
     if (testbed && starts_down) continue;  // started before the decisions
-    if (can_churn || starts_down) ws.nodes[i].churn.start(starts_down);
+    ws.nodes[i].churn.start(starts_down);  // failure rate 0: arms nothing
   }
   if (environment) environment->start();
   if (arrivals) arrivals->start();
