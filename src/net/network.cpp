@@ -1,6 +1,5 @@
 #include "net/network.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "util/error.hpp"
@@ -40,45 +39,26 @@ double Network::sample_data_delay(std::size_t tasks) {
   return config_.data_delay->sample(tasks, *rng_) * channel_.data_multiplier();
 }
 
-std::size_t Network::broadcast_state(const StateInfoPacket& packet, StateHandler on_state) {
-  LBSIM_REQUIRE(on_state != nullptr, "null state handler");
-  // One shared allocation per round holds the handler and the packet; each of
-  // the n-1 deliveries captures only {shared_ptr, receiver}, which fits
-  // des::SmallCallback's inline buffer (no per-copy std::function or packet
-  // copies, and no per-event heap allocation).
-  struct StateDelivery {
-    StateHandler handler;
-    StateInfoPacket packet;
-  };
-  auto delivery =
-      std::make_shared<const StateDelivery>(StateDelivery{std::move(on_state), packet});
-  std::size_t delivered = 0;
-  for (std::size_t to = 0; to < node_count_; ++to) {
-    if (static_cast<int>(to) == packet.sender) continue;
-    state_bytes_ += packet.wire_bytes();
-    // Unconditionally-per-packet channel step: stream consumption is the same
-    // whatever the loss/channel configuration, so CRN pairing survives sweeps.
-    const std::size_t state_before = channel_.effective_state();
-    const ChannelHop hop = channel_.step(*state_rng_);
-    if (event_trace_ != nullptr && channel_.effective_state() != state_before) {
-      event_trace_->emit(sim_->now(), obs::Kind::kChannelState, packet.sender,
-                         static_cast<std::int32_t>(to),
-                         static_cast<std::uint32_t>(channel_.effective_state()));
-    }
-    if (hop.lost) {
-      ++state_lost_;
-      if (event_trace_ != nullptr) {
-        event_trace_->emit(sim_->now(), obs::Kind::kStatePacketLost, packet.sender,
-                           static_cast<std::int32_t>(to));
-      }
-      continue;
-    }
-    ++delivered;
-    sim_->schedule_in(config_.state_latency * hop.latency_mult, [delivery, to] {
-      delivery->handler(static_cast<int>(to), delivery->packet);
-    });
+std::optional<double> Network::send_copy(const StateInfoPacket& packet, std::size_t to) {
+  state_bytes_ += packet.wire_bytes();
+  // Unconditionally-per-packet channel step: stream consumption is the same
+  // whatever the loss/channel configuration, so CRN pairing survives sweeps.
+  const std::size_t state_before = channel_.effective_state();
+  const ChannelHop hop = channel_.step(*state_rng_);
+  if (event_trace_ != nullptr && channel_.effective_state() != state_before) {
+    event_trace_->emit(sim_->now(), obs::Kind::kChannelState, packet.sender,
+                       static_cast<std::int32_t>(to),
+                       static_cast<std::uint32_t>(channel_.effective_state()));
   }
-  return delivered;
+  if (hop.lost) {
+    ++state_lost_;
+    if (event_trace_ != nullptr) {
+      event_trace_->emit(sim_->now(), obs::Kind::kStatePacketLost, packet.sender,
+                         static_cast<std::int32_t>(to));
+    }
+    return std::nullopt;
+  }
+  return config_.state_latency * hop.latency_mult;
 }
 
 }  // namespace lbsim::net

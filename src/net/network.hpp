@@ -6,14 +6,15 @@
 /// and optional loss. The bundles themselves travel through the replication
 /// workspace's pooled bundle slots (mc::run_testbed_replication).
 
-#include <functional>
-#include <memory>
+#include <optional>
 
 #include "net/channel.hpp"
 #include "net/delay_model.hpp"
 #include "net/message.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_callback.hpp"
+#include "util/error.hpp"
 
 namespace lbsim::net {
 
@@ -32,8 +33,6 @@ class Network {
     /// latency — bit-identical to the historical behaviour.
     ChannelSpec channel;
   };
-
-  using StateHandler = std::function<void(int receiver, const StateInfoPacket&)>;
 
   /// A network of `node_count` >= 2 nodes, ready to use. Data delays draw
   /// from `rng`; every state-plane decision (channel stepping and loss) draws
@@ -62,11 +61,18 @@ class Network {
   /// stream, scaled by the channel's current data multiplier.
   [[nodiscard]] double sample_data_delay(std::size_t tasks);
 
-  /// Sends `packet` to every other node. Each copy steps the channel once and
-  /// suffers that state's loss probability; survivors arrive after
-  /// `state_latency` scaled by the state's latency multiplier. Returns the
-  /// number of copies actually delivered (scheduled).
-  std::size_t broadcast_state(const StateInfoPacket& packet, StateHandler on_state);
+  /// Sends `packet` to every other node, in ascending node order. Each copy
+  /// steps the channel once and suffers that state's loss probability; a
+  /// survivor becomes one kernel event, `state_latency` scaled by the state's
+  /// latency multiplier from now, that calls `on_state(receiver, packet)` on
+  /// its own copy of the packet as sent. That event holds `on_state`, the
+  /// receiver and the packet by value, which fits des::SmallCallback's inline
+  /// buffer when the handler is pointer-sized (a `[this]` lambda), so a
+  /// broadcast allocates nothing. A nullable handler (function pointer,
+  /// std::function) must not be empty. Returns the number of copies actually
+  /// delivered (scheduled).
+  template <typename Handler>
+  std::size_t broadcast_state(const StateInfoPacket& packet, Handler on_state);
 
   /// Environment-coupling hook: forces the channel into (at least) `state`.
   void set_channel_floor(std::size_t state) noexcept { channel_.set_floor_state(state); }
@@ -86,6 +92,12 @@ class Network {
   void set_event_trace(obs::TraceBuffer* trace) noexcept { event_trace_ = trace; }
 
  private:
+  /// One copy's trip through the state plane, bar its delivery: its wire
+  /// bytes, one channel step (three draws on the state stream), the
+  /// kChannelState and kStatePacketLost records and the loss count. Returns
+  /// the copy's latency, or nothing when the channel lost it.
+  std::optional<double> send_copy(const StateInfoPacket& packet, std::size_t to);
+
   des::Simulator* sim_ = nullptr;
   std::size_t node_count_;
   Config config_;
@@ -96,5 +108,28 @@ class Network {
   std::uint64_t state_bytes_ = 0;
   obs::TraceBuffer* event_trace_ = nullptr;
 };
+
+// A delivery event's closure: the handler, the receiver and the packet.
+static_assert(sizeof(void*) + sizeof(int) + sizeof(StateInfoPacket) <=
+                  des::SmallCallback::kInlineSize,
+              "a state-packet delivery with a pointer-sized handler must fit inline");
+
+template <typename Handler>
+std::size_t Network::broadcast_state(const StateInfoPacket& packet, Handler on_state) {
+  if constexpr (des::kNullable<Handler>) {
+    LBSIM_REQUIRE(static_cast<bool>(on_state), "null state handler");
+  }
+  std::size_t delivered = 0;
+  for (std::size_t to = 0; to < node_count_; ++to) {
+    if (static_cast<int>(to) == packet.sender) continue;
+    const std::optional<double> latency = send_copy(packet, to);
+    if (!latency) continue;
+    ++delivered;
+    sim_->schedule_in(*latency, [on_state, receiver = static_cast<int>(to), packet] {
+      on_state(receiver, packet);
+    });
+  }
+  return delivered;
+}
 
 }  // namespace lbsim::net

@@ -29,9 +29,9 @@ class SmallCallback {
                                     std::is_invocable_r_v<void, std::remove_cvref_t<F>&>;
 
  public:
-  /// Inline capacity in bytes. 64 covers the engine's largest event capture
-  /// (a link delivery: owner pointer + owned transfer + std::function handler
-  /// + task count); measured captures beyond this are testbed-only cold paths.
+  /// Inline capacity in bytes. 64 covers the engine's largest event capture,
+  /// a testbed state-packet delivery (handler pointer + receiver + 40-byte
+  /// packet, 56 bytes; net::Network::broadcast_state).
   static constexpr std::size_t kInlineSize = 64;
 
   SmallCallback() noexcept = default;
