@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <vector>
 
+#include "net/channel.hpp"
 #include "net/delay_model.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
@@ -125,6 +130,145 @@ TEST(NetworkTest, BroadcastReachesAllPeers) {
   EXPECT_EQ(receivers.size(), 3u);
   EXPECT_EQ(network.state_packets_lost(), 0u);
   EXPECT_GT(network.state_bytes_sent(), 0u);
+}
+
+TEST(NetworkTest, EachCopyCarriesThePacketAsSent) {
+  des::Simulator sim;
+  stoch::RngStream rng(17);
+  stoch::RngStream state_rng(117);
+  Network network(sim, 3, deterministic_config(), rng, state_rng);
+  auto packet = std::make_unique<StateInfoPacket>();
+  packet->sender = 2;
+  packet->timestamp = 0.25;
+  packet->queue_size = 7;
+  packet->processing_rate = 3.5;
+  packet->node_up = false;
+  packet->policy_payload = -1.5;
+  packet->has_policy_payload = true;
+  std::vector<StateInfoPacket> received;
+  EXPECT_EQ(network.broadcast_state(
+                *packet, [&received](int, const StateInfoPacket& p) { received.push_back(p); }),
+            2u);
+  // The caller changes its packet and then destroys it before any delivery.
+  packet->queue_size = 99;
+  packet->node_up = true;
+  packet->policy_payload = 4.0;
+  packet.reset();
+  sim.run();
+  ASSERT_EQ(received.size(), 2u);
+  for (const StateInfoPacket& p : received) {
+    EXPECT_EQ(p.sender, 2);
+    EXPECT_EQ(p.timestamp, 0.25);
+    EXPECT_EQ(p.queue_size, 7u);
+    EXPECT_EQ(p.processing_rate, 3.5);
+    EXPECT_FALSE(p.node_up);
+    EXPECT_EQ(p.policy_payload, -1.5);
+    EXPECT_TRUE(p.has_policy_payload);
+  }
+}
+
+TEST(NetworkTest, EachCopyArrivesAfterItsHopsScaledLatency) {
+  // A 2-state channel whose bad state is lossy and five times slower. A twin
+  // channel stepped on a second stream with the state stream's seed predicts
+  // every copy's hop, so each arrival time is known exactly.
+  ChannelSpec spec;
+  spec.states = 2;
+  spec.loss = {0.0, 0.3};
+  spec.mean_burst = {3.0, 2.0};
+  spec.latency_mult = {1.0, 5.0};
+  des::Simulator sim;
+  stoch::RngStream rng(18);
+  stoch::RngStream state_rng(118);
+  auto config = deterministic_config();
+  config.state_latency = 0.01;
+  config.channel = spec;
+  Network network(sim, 4, std::move(config), rng, state_rng);
+
+  struct Copy {
+    int receiver;
+    double sent;
+    double arrival;
+    bool operator==(const Copy&) const = default;
+  };
+  std::vector<Copy> arrived;
+  const auto on_state = [&](int receiver, const StateInfoPacket& p) {
+    arrived.push_back({receiver, p.timestamp, sim.now()});
+  };
+  // Twelve broadcasts, 0.5 s apart, so no round's copies overlap the next's.
+  for (int k = 0; k < 12; ++k) {
+    sim.schedule_at(0.5 * k, [&network, &sim, &on_state, k] {
+      StateInfoPacket packet;
+      packet.sender = k % 4;
+      packet.timestamp = sim.now();
+      (void)network.broadcast_state(packet, on_state);
+    });
+  }
+  sim.run();
+
+  ChannelModel twin(spec, 0.0);
+  stoch::RngStream twin_rng(118);
+  std::vector<Copy> expected;
+  bool saw_slow = false;
+  for (int k = 0; k < 12; ++k) {
+    const double sent = 0.5 * k;
+    std::vector<Copy> round;
+    for (int to = 0; to < 4; ++to) {
+      if (to == k % 4) continue;
+      const ChannelHop hop = twin.step(twin_rng);
+      saw_slow = saw_slow || hop.latency_mult == 5.0;
+      if (!hop.lost) round.push_back({to, sent, sent + 0.01 * hop.latency_mult});
+    }
+    // Within a round the earlier arrival comes first; equal times keep the
+    // receiver order.
+    std::stable_sort(round.begin(), round.end(),
+                     [](const Copy& a, const Copy& b) { return a.arrival < b.arrival; });
+    expected.insert(expected.end(), round.begin(), round.end());
+  }
+  EXPECT_TRUE(saw_slow);
+  EXPECT_EQ(arrived, expected);
+  EXPECT_EQ(network.state_packets_lost(), 12u * 3u - expected.size());
+}
+
+TEST(NetworkTest, EqualLatencyCopiesArriveInReceiverOrder) {
+  des::Simulator sim;
+  stoch::RngStream rng(19);
+  stoch::RngStream state_rng(119);
+  auto config = deterministic_config();
+  config.state_latency = 0.002;
+  Network network(sim, 6, std::move(config), rng, state_rng);
+  StateInfoPacket packet;
+  packet.sender = 3;
+  std::vector<int> receivers;
+  std::vector<double> times;
+  (void)network.broadcast_state(packet, [&](int to, const StateInfoPacket&) {
+    receivers.push_back(to);
+    times.push_back(sim.now());
+  });
+  sim.run();
+  EXPECT_EQ(receivers, (std::vector<int>{0, 1, 2, 4, 5}));
+  EXPECT_EQ(times, std::vector<double>(5, 0.002));
+}
+
+TEST(NetworkTest, RefusesAnEmptyHandler) {
+  des::Simulator sim;
+  stoch::RngStream rng(20);
+  stoch::RngStream state_rng(120);
+  Network network(sim, 3, deterministic_config(), rng, state_rng);
+  StateInfoPacket packet;
+  const std::function<void(int, const StateInfoPacket&)> empty;
+  EXPECT_THROW((void)network.broadcast_state(packet, empty), std::invalid_argument);
+  void (*none)(int, const StateInfoPacket&) = nullptr;
+  EXPECT_THROW((void)network.broadcast_state(packet, none), std::invalid_argument);
+  // Refused before any copy is sent: no bytes, no channel step, no event.
+  EXPECT_EQ(network.state_bytes_sent(), 0u);
+  EXPECT_FALSE(sim.step());
+  // A non-empty std::function is a valid handler.
+  int calls = 0;
+  const std::function<void(int, const StateInfoPacket&)> counting =
+      [&calls](int, const StateInfoPacket&) { ++calls; };
+  EXPECT_EQ(network.broadcast_state(packet, counting), 2u);
+  sim.run();
+  EXPECT_EQ(calls, 2);
 }
 
 TEST(NetworkTest, LossyStatePlaneDropsSomePackets) {
