@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -313,6 +314,27 @@ unsigned parse_threads(const std::string& text, const std::string& key) {
                       key + " must be >= 0 (0 = one per hardware thread)");
   }
   return static_cast<unsigned>(threads);
+}
+
+std::uint64_t parse_seed(const std::string& text, const std::string& key) {
+  // from_chars reads no sign, so a leading '-' is split off by hand: a
+  // negative seed is out of range, not a malformed one (strtoull would wrap it).
+  const bool negative = !text.empty() && text.front() == '-';
+  const char* const first = text.data() + (negative ? 1 : 0);
+  const char* const last = text.data() + text.size();
+  std::uint64_t seed = 0;
+  const auto [end, error] = std::from_chars(first, last, seed);
+  if (end != last || error == std::errc::invalid_argument) {
+    throw ConfigError(ConfigError::Kind::kBadValue, key,
+                      "value '" + text + "' for key '" + key + "' is not an integer");
+  }
+  if (negative || error == std::errc::result_out_of_range || seed == 0) {
+    throw ConfigError(ConfigError::Kind::kOutOfRange, key,
+                      key + " must be an integer from 1 to " +
+                          std::to_string(std::numeric_limits<std::uint64_t>::max()) + " (got '" +
+                          text + "'); omit it for the default seed");
+  }
+  return seed;
 }
 
 double parse_double(const std::string& text, const std::string& key) {

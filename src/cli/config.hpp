@@ -11,6 +11,7 @@
 /// distinguish a typo from a type error from an out-of-range value.
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -164,5 +165,12 @@ class Config {
 /// `text` is not such a count.
 [[nodiscard]] std::size_t parse_reps(const std::string& text, const std::string& key);
 [[nodiscard]] unsigned parse_threads(const std::string& text, const std::string& key);
+
+/// The seed that the same four commands read (`--seed`, `mc.seed`): an
+/// integer from 1 to 2^64 - 1, so that any seed the metadata prints can be
+/// passed back. Throws ConfigError naming `key` for anything else: 0, a
+/// negative, an overflowing or a malformed value. Omitting the seed selects
+/// the command's default.
+[[nodiscard]] std::uint64_t parse_seed(const std::string& text, const std::string& key);
 
 }  // namespace lbsim::cli

@@ -97,7 +97,9 @@ Global flags: --log-level=trace|debug|info|warn|error|off (default warn) and
 Scenario keys are INI-style (`lbsim list <scenario>` documents them); a
 --config file may also carry them, with command-line key=value pairs winning.
 The reserved keys `mc.reps`, `mc.threads`, `mc.seed`, `mc.vr`, `mc.cv-pilot`,
-and `engine` select the execution engine rather than the scenario.
+and `engine` select the execution engine rather than the scenario. A seed
+(`--seed=S`, `mc.seed`) is an integer from 1 to 18446744073709551615: omit it
+for the command's default, which the output's metadata prints.
 )";
 
 /// Throws ConfigError(kUnknownKey), with a did-you-mean suggestion, on any
@@ -245,9 +247,7 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
   if (const std::string v = take("mc.threads"); !v.empty()) {
     options.threads = parse_threads(v, "mc.threads");
   }
-  if (const std::string v = take("mc.seed"); !v.empty()) {
-    options.seed = static_cast<std::uint64_t>(parse_int(v, "mc.seed"));
-  }
+  if (const std::string v = take("mc.seed"); !v.empty()) options.seed = parse_seed(v, "mc.seed");
   std::string vr_text = take("mc.vr");
   std::string cv_pilot_text = take("mc.cv-pilot");
   // Command-line flags win over config-file keys.
@@ -258,8 +258,7 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
   if (args.has("threads")) {
     options.threads = parse_threads(args.get_string("threads", ""), "--threads");
   }
-  options.seed =
-      static_cast<std::uint64_t>(args.get_int64("seed", static_cast<long long>(options.seed)));
+  if (args.has("seed")) options.seed = parse_seed(args.get_string("seed", ""), "--seed");
   vr_text = args.get_string("vr", vr_text);
   cv_pilot_text = args.get_string("cv-pilot", cv_pilot_text);
   if (!vr_text.empty() && !mc::parse_vr_mode(vr_text, options.vr)) {
@@ -635,9 +634,7 @@ int cmd_validate(int argc, const char* const* argv, const util::CliArgs& args,
   if (args.has("reps")) {
     options.replications = parse_reps(args.get_string("reps", ""), "--reps");
   }
-  if (const long long seed = args.get_int64("seed", 0); seed != 0) {
-    options.seed = static_cast<std::uint64_t>(seed);
-  }
+  if (args.has("seed")) options.seed = parse_seed(args.get_string("seed", ""), "--seed");
   if (args.has("threads")) {
     options.threads = parse_threads(args.get_string("threads", ""), "--threads");
   }
@@ -687,7 +684,7 @@ int cmd_reproduce(int argc, const char* const* argv, const util::CliArgs& args,
   if (args.has("realizations")) {
     options.realizations = parse_reps(args.get_string("realizations", ""), "--realizations");
   }
-  options.seed = static_cast<std::uint64_t>(args.get_int64("seed", 0));
+  if (args.has("seed")) options.seed = parse_seed(args.get_string("seed", ""), "--seed");
   options.format = args.get_string("format", "table");
   if (options.format != "table" && options.format != "csv" && options.format != "json") {
     throw ConfigError(ConfigError::Kind::kOutOfRange, "format",

@@ -35,7 +35,7 @@ void assign(const std::string& key, const std::string& value, RawConfig& raw,
   } else if (key == "mc.threads") {
     options.threads = parse_threads(value, key);
   } else if (key == "mc.seed") {
-    options.seed = static_cast<std::uint64_t>(parse_int(value, key));
+    options.seed = parse_seed(value, key);
   } else if (key == "mc.vr") {
     if (!mc::parse_vr_mode(value, options.vr)) {
       throw ConfigError(ConfigError::Kind::kOutOfRange, key,

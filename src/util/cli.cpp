@@ -64,6 +64,9 @@ double CliArgs::get_double(const std::string& key, double fallback) const {
     return out;
   } catch (const std::invalid_argument&) {
     throw std::invalid_argument("flag --" + key + " expects a number, got '" + *v + "'");
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("flag --" + key + " is out of the double range, got '" + *v +
+                                "'");
   }
 }
 
@@ -77,6 +80,9 @@ long long CliArgs::get_int64(const std::string& key, long long fallback) const {
     return out;
   } catch (const std::invalid_argument&) {
     throw std::invalid_argument("flag --" + key + " expects an integer, got '" + *v + "'");
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("flag --" + key + " is out of the 64-bit integer range, got '" +
+                                *v + "'");
   }
 }
 

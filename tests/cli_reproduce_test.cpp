@@ -211,6 +211,87 @@ TEST(CliRun, ReportsConfigErrorsWithExitCode2) {
   }
 }
 
+// ---------- seeds: run, sweep, validate and reproduce read them through one
+// check, which takes 1 to 2^64 - 1 and refuses anything else before a
+// replication runs ----------
+
+constexpr char kLargestSeed[] = "18446744073709551615";
+
+/// Expects `args` to exit 2 naming `key`, its range and how to get the default.
+void expect_seed_refused(const std::vector<std::string>& args, const std::string& key) {
+  const CliResult result = run(args);
+  EXPECT_EQ(result.exit_code, 2) << result.out;
+  EXPECT_NE(result.err.find(key + " must be an integer from 1 to " + kLargestSeed),
+            std::string::npos)
+      << result.err;
+  EXPECT_NE(result.err.find("omit it for the default seed"), std::string::npos) << result.err;
+}
+
+TEST(CliSeed, ZeroIsRefused) {
+  // 0 used to run the default seed without a word.
+  expect_seed_refused({"run", "paper-two-node", "--reps=2", "--seed=0"}, "--seed");
+  expect_seed_refused({"validate", "paper-two-node", "--reps=2", "--seed=0"}, "--seed");
+  expect_seed_refused({"reproduce", "fig4", "--quick", "--seed=0"}, "--seed");
+}
+
+TEST(CliSeed, NegativeIsRefused) {
+  // A negative seed used to wrap to 2^64 minus its magnitude.
+  expect_seed_refused({"run", "paper-two-node", "--reps=2", "--seed=-5"}, "--seed");
+  expect_seed_refused({"validate", "paper-two-node", "--reps=2", "--seed=-5"}, "--seed");
+  expect_seed_refused({"reproduce", "fig4", "--quick", "--seed=-5"}, "--seed");
+}
+
+TEST(CliSeed, ConfigKeyAndSweepAxisAreCheckedLikeTheFlag) {
+  expect_seed_refused({"run", "paper-two-node", "--reps=2", "mc.seed=-3"}, "mc.seed");
+  expect_seed_refused({"sweep", "paper-two-node", "gain=0.2,0.4", "mc.seed=0", "--dry-run"},
+                      "mc.seed");
+  expect_seed_refused({"sweep", "paper-two-node", "mc.seed=1,-3", "--dry-run"}, "mc.seed");
+}
+
+TEST(CliSeed, OverflowIsRefused) {
+  // One past the largest seed used to exit with only "lbsim: error: stoll".
+  const std::string past = "--seed=18446744073709551616";
+  expect_seed_refused({"run", "paper-two-node", "--reps=2", past}, "--seed");
+  expect_seed_refused({"validate", "paper-two-node", "--reps=2", past}, "--seed");
+  expect_seed_refused({"sweep", "paper-two-node", "gain=0.2,0.4", past, "--dry-run"}, "--seed");
+}
+
+TEST(CliSeed, MalformedIsRefused) {
+  for (const std::string seed : {"--seed=12x", "--seed=", "--seed=-"}) {
+    const CliResult result = run({"run", "paper-two-node", "--reps=2", seed});
+    EXPECT_EQ(result.exit_code, 2) << seed;
+    EXPECT_NE(result.err.find("for key '--seed' is not an integer"), std::string::npos)
+        << result.err;
+  }
+}
+
+TEST(CliSeed, PrintedSeedsRunAsGiven) {
+  // The largest seed, and the one that --seed=-5 used to wrap to, run as given
+  // and are printed back.
+  const auto data = [](const std::string& csv) {
+    return csv.substr(csv.find("\nscenario,"));  // past the # metadata lines
+  };
+  const CliResult fallback = run({"run", "paper-two-node", "--reps=4", "--format=csv"});
+  for (const std::string& seed :
+       {std::string(kLargestSeed), std::string("18446744073709551611")}) {
+    const CliResult result =
+        run({"run", "paper-two-node", "--reps=4", "--format=csv", "--seed=" + seed});
+    ASSERT_EQ(result.exit_code, 0) << result.err;
+    EXPECT_NE(result.out.find("# seed=" + seed + "\n"), std::string::npos) << result.out;
+    EXPECT_NE(data(result.out), data(fallback.out)) << seed;
+  }
+  const CliResult sweep = run({"sweep", "paper-two-node", "gain=0.2,0.4", "--format=csv",
+                               std::string("mc.seed=") + kLargestSeed, "--dry-run"});
+  EXPECT_EQ(sweep.exit_code, 0) << sweep.err;
+  EXPECT_NE(sweep.out.find(std::string("# seed=") + kLargestSeed + "\n"), std::string::npos)
+      << sweep.out;
+  const CliResult fig4 =
+      run({"reproduce", "fig4", "--quick", "--format=csv", std::string("--seed=") + kLargestSeed});
+  EXPECT_EQ(fig4.exit_code, 0) << fig4.err;
+  EXPECT_NE(fig4.out.find(std::string("# seed=") + kLargestSeed + "\n"), std::string::npos)
+      << fig4.out;
+}
+
 /// The `--flag` tokens of `command`'s section of the usage text: from its
 /// "  lbsim <command>" line up to the next subcommand or blank line.
 std::vector<std::string> usage_flags(const std::string& usage, const std::string& command) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -92,6 +93,23 @@ TEST(CliTest, RejectsMalformedNumbers) {
   const CliArgs args(3, argv);
   EXPECT_THROW((void)args.get_double("gain", 0.0), std::invalid_argument);
   EXPECT_THROW((void)args.get_int64("n", 0), std::invalid_argument);
+}
+
+TEST(CliTest, OutOfRangeNumbersNameTheFlag) {
+  const char* argv[] = {"prog", "--seed=18446744073709551611", "--sigma=1e999"};
+  const CliArgs args(3, argv);
+  const auto message = [](const auto& get) -> std::string {
+    try {
+      (void)get();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  EXPECT_EQ(message([&] { return args.get_int64("seed", 0); }),
+            "flag --seed is out of the 64-bit integer range, got '18446744073709551611'");
+  EXPECT_EQ(message([&] { return args.get_double("sigma", 0.0); }),
+            "flag --sigma is out of the double range, got '1e999'");
 }
 
 TEST(CliTest, BooleanSpellings) {
