@@ -7,13 +7,16 @@ Usage:
 Runs each tree's perfbench/run.py with CARGO_TARGET_DIR set to the tree's own
 .bench_build (the first run of each tree builds it), once per side per pair,
 alternating which side goes first, with seed S + i for pair i. Prints every
-pair's reps_per_s, each side's median of every metric the runs report, then
-for reps_per_s the number of pairs the change wins, each side's median and
-quartiles, the parent's interquartile range (IQR) and the gain-rule verdict:
-the change wins at least nine pairs in ten, and its median beats the parent's
-by more than the parent's IQR. Exit status: 0 when the rule holds, 1 when it
-does not, 2 when a build or a run fails (including a run with failed
-operations).
+pair's reps_per_s, then for every metric the runs report: its direction
+(`better`) and `bound` as CHANGE_TREE/BENCHMARK.json declares them, each
+side's median and quartiles, the median per-pair ratio, the number of pairs
+the change wins (is strictly better in the metric's direction) and WORSE
+when the change's median is worse than the parent's by more than the bound,
+a fraction of the parent's median. Last comes the gain-rule verdict on
+reps_per_s: the change wins at least nine pairs in ten, and its median beats
+the parent's by more than the parent's interquartile range (IQR). Exit
+status: 0 when the gain rule holds, 1 when it does not, 2 when a build or a
+run fails (including a run with failed operations).
 """
 
 from __future__ import annotations
@@ -39,24 +42,60 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def verdict(pairs: list[tuple[float, float]]) -> dict:
-    """The gain rule over (parent, change) pairs."""
-    wins = sum(1 for parent, change in pairs if change > parent)
+def load_specs(path: Path) -> dict[str, dict]:
+    """{metric: {"better": "higher"|"lower", "bound": float or None}} from the
+    end_to_end and per_layer lists of a BENCHMARK.json."""
+    benchmark = json.loads(path.read_text())
+    return {m["name"]: {"better": m["better"], "bound": m.get("bound")}
+            for m in benchmark.get("end_to_end", []) + benchmark.get("per_layer", [])}
+
+
+def summarize(pairs: list[tuple[float, float]], better: str = "higher",
+              bound: float | None = None) -> dict:
+    """One metric over (parent, change) pairs, `better` being its direction."""
+    sign = 1.0 if better == "higher" else -1.0
     parent_q = quartiles([p for p, _ in pairs])
     change_q = quartiles([c for _, c in pairs])
-    parent_iqr = parent_q[2] - parent_q[0]
-    gap = change_q[1] - parent_q[1]
-    needed = math.ceil(WIN_SHARE * len(pairs))
+    ratios = [c / p for p, c in pairs if p != 0]
+    loss = sign * (parent_q[1] - change_q[1])  # > 0: the change's median is worse
     return {
-        "wins": wins,
-        "needed": needed,
+        "wins": sum(1 for p, c in pairs if sign * (c - p) > 0),
         "parent": parent_q,
         "change": change_q,
-        "parent_iqr": parent_iqr,
-        "gap": gap,
-        "ratio": statistics.median(c / p for p, c in pairs),
-        "holds": wins >= needed and gap > parent_iqr,
+        "ratio": statistics.median(ratios) if ratios else math.nan,
+        "worse": bound is not None and loss > bound * abs(parent_q[1]),
     }
+
+
+def verdict(pairs: list[tuple[float, float]]) -> dict:
+    """The gain rule over (parent, change) pairs of a higher-is-better metric."""
+    v = summarize(pairs)
+    v["parent_iqr"] = v["parent"][2] - v["parent"][0]
+    v["gap"] = v["change"][1] - v["parent"][1]
+    v["needed"] = math.ceil(WIN_SHARE * len(pairs))
+    v["holds"] = v["wins"] >= v["needed"] and v["gap"] > v["parent_iqr"]
+    return v
+
+
+def metric_table(runs: list[tuple[dict, dict]], specs: dict[str, dict]) -> list[str]:
+    """One line per metric the runs report, in the order the parent's first run
+    lists them; a metric BENCHMARK.json does not declare has no direction, so
+    no wins and no bound."""
+    lines = [f"{'metric':24s} {'better':6s} {'bound':>5s}  {'parent median [Q1, Q3]':34s} "
+             f"{'change median [Q1, Q3]':34s} {'ratio':>6s}  wins"]
+    for name in runs[0][0]:
+        spec = specs.get(name, {})
+        better, bound = spec.get("better"), spec.get("bound")
+        pairs = [(p[name], c[name]) for p, c in runs]
+        s = summarize(pairs, better or "higher", bound)
+        cells = [f"{s[side][1]:.6g} [{s[side][0]:.6g}, {s[side][2]:.6g}]"
+                 for side in ("parent", "change")]
+        wins = f"{s['wins']}/{len(pairs)}" if better else "-"
+        flag = "  WORSE" if s["worse"] else ""
+        lines.append(f"{name:24s} {better or '-':6s} "
+                     f"{'-' if bound is None else f'{bound:g}':>5s}  {cells[0]:34s} "
+                     f"{cells[1]:34s} {s['ratio']:6.4f}  {wins}{flag}")
+    return lines
 
 
 def fail(message: str):
@@ -90,6 +129,10 @@ def main() -> int:
     args = parser.parse_args()
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    try:
+        specs = load_specs(sides["change"] / "BENCHMARK.json")
+    except (OSError, ValueError, KeyError) as e:
+        fail(f"cannot read {sides['change'] / 'BENCHMARK.json'}: {e}")
     runs = []  # (parent metrics, change metrics) per pair
     for i in range(args.pairs):
         seed = args.seed0 + i
@@ -101,18 +144,12 @@ def main() -> int:
               f"parent={parent:.6g}  change={change:.6g}  ratio={change / parent:.4f}",
               flush=True)
 
-    for name in runs[0][0]:
-        parent = statistics.median(p[name] for p, _ in runs)
-        change = statistics.median(c[name] for _, c in runs)
-        print(f"median {name}: parent {parent:.6g}  change {change:.6g}  "
-              f"ratio {change / parent if parent else float('nan'):.4f}")
+    for line in metric_table(runs, specs):
+        print(line)
     pairs = [(p[METRIC], c[METRIC]) for p, c in runs]
     v = verdict(pairs)
     print(f"{args.workload} {METRIC}: change wins {v['wins']} of {len(pairs)} "
           f"(needs {v['needed']}); median ratio {v['ratio']:.4f}")
-    for name in ("parent", "change"):
-        q1, median, q3 = v[name]
-        print(f"  {name:6s} median {median:.6g}  quartiles [{q1:.6g}, {q3:.6g}]")
     print(f"  median gap {v['gap']:.6g} vs parent IQR {v['parent_iqr']:.6g}")
     print(f"  gain rule: {'HOLDS' if v['holds'] else 'does not hold'}")
     return 0 if v["holds"] else 1
