@@ -331,8 +331,8 @@ std::uint64_t parse_seed(const std::string& text, const std::string& key) {
   if (negative || error == std::errc::result_out_of_range || seed == 0) {
     throw ConfigError(ConfigError::Kind::kOutOfRange, key,
                       key + " must be an integer from 1 to " +
-                          std::to_string(std::numeric_limits<std::uint64_t>::max()) + " (got '" +
-                          text + "'); omit it for the default seed");
+                          std::to_string(std::numeric_limits<std::uint64_t>::max()) +
+                          " (got '" + text + "'); omit it for the default seed");
   }
   return seed;
 }

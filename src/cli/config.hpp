@@ -166,9 +166,9 @@ class Config {
 [[nodiscard]] std::size_t parse_reps(const std::string& text, const std::string& key);
 [[nodiscard]] unsigned parse_threads(const std::string& text, const std::string& key);
 
-/// The seed that the same four commands read (`--seed`, `mc.seed`): an
-/// integer from 1 to 2^64 - 1, so that any seed the metadata prints can be
-/// passed back. Throws ConfigError naming `key` for anything else: 0, a
+/// The seed that run, sweep, validate and reproduce read (`--seed`,
+/// `mc.seed`): an integer from 1 to 2^64 - 1, so that any seed the metadata
+/// prints can be passed back. Throws ConfigError naming `key` for anything else: 0, a
 /// negative, an overflowing or a malformed value. Omitting the seed selects
 /// the command's default.
 [[nodiscard]] std::uint64_t parse_seed(const std::string& text, const std::string& key);

@@ -247,7 +247,9 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
   if (const std::string v = take("mc.threads"); !v.empty()) {
     options.threads = parse_threads(v, "mc.threads");
   }
-  if (const std::string v = take("mc.seed"); !v.empty()) options.seed = parse_seed(v, "mc.seed");
+  if (const std::string v = take("mc.seed"); !v.empty()) {
+    options.seed = parse_seed(v, "mc.seed");
+  }
   std::string vr_text = take("mc.vr");
   std::string cv_pilot_text = take("mc.cv-pilot");
   // Command-line flags win over config-file keys.

@@ -68,9 +68,9 @@ class Network {
   /// its own copy of the packet as sent. That event holds `on_state`, the
   /// receiver and the packet by value, which fits des::SmallCallback's inline
   /// buffer when the handler is pointer-sized (a `[this]` lambda), so a
-  /// broadcast allocates nothing. A nullable handler (function pointer,
-  /// std::function) must not be empty. Returns the number of copies actually
-  /// delivered (scheduled).
+  /// broadcast allocates nothing. A handler that can be empty (des::kNullable:
+  /// a function pointer, a type-erased function) must not be. Returns the
+  /// number of copies actually delivered (scheduled).
   template <typename Handler>
   std::size_t broadcast_state(const StateInfoPacket& packet, Handler on_state);
 
@@ -96,7 +96,7 @@ class Network {
   /// bytes, one channel step (three draws on the state stream), the
   /// kChannelState and kStatePacketLost records and the loss count. Returns
   /// the copy's latency, or nothing when the channel lost it.
-  std::optional<double> send_copy(const StateInfoPacket& packet, std::size_t to);
+  [[nodiscard]] std::optional<double> send_copy(const StateInfoPacket& packet, std::size_t to);
 
   des::Simulator* sim_ = nullptr;
   std::size_t node_count_;

@@ -285,8 +285,8 @@ TEST(CliSeed, PrintedSeedsRunAsGiven) {
   EXPECT_EQ(sweep.exit_code, 0) << sweep.err;
   EXPECT_NE(sweep.out.find(std::string("# seed=") + kLargestSeed + "\n"), std::string::npos)
       << sweep.out;
-  const CliResult fig4 =
-      run({"reproduce", "fig4", "--quick", "--format=csv", std::string("--seed=") + kLargestSeed});
+  const CliResult fig4 = run(
+      {"reproduce", "fig4", "--quick", "--format=csv", std::string("--seed=") + kLargestSeed});
   EXPECT_EQ(fig4.exit_code, 0) << fig4.err;
   EXPECT_NE(fig4.out.find(std::string("# seed=") + kLargestSeed + "\n"), std::string::npos)
       << fig4.out;
