@@ -43,11 +43,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def load_specs(path: Path) -> dict[str, dict]:
-    """{metric: {"better": "higher"|"lower", "bound": float or None}} from the
-    end_to_end and per_layer lists of a BENCHMARK.json."""
+    """{metric: {"better": "higher"|"lower", "bound": float}} from the end_to_end
+    list of a BENCHMARK.json: the metrics an untraced run reports."""
     benchmark = json.loads(path.read_text())
-    return {m["name"]: {"better": m["better"], "bound": m.get("bound")}
-            for m in benchmark.get("end_to_end", []) + benchmark.get("per_layer", [])}
+    return {m["name"]: {"better": m["better"], "bound": m["bound"]}
+            for m in benchmark["end_to_end"]}
 
 
 def summarize(pairs: list[tuple[float, float]], better: str = "higher",
@@ -81,21 +81,21 @@ def metric_table(runs: list[tuple[dict, dict]], specs: dict[str, dict]) -> list[
     """One line per metric the runs report, in the order the parent's first run
     lists them; a metric BENCHMARK.json does not declare has no direction, so
     no wins and no bound."""
-    lines = [f"{'metric':24s} {'better':6s} {'bound':>5s}  {'parent median [Q1, Q3]':34s} "
-             f"{'change median [Q1, Q3]':34s} {'ratio':>6s}  wins"]
+    rows = [["metric", "better", "bound", "parent median [Q1, Q3]", "change median [Q1, Q3]",
+             "ratio", "wins"]]
     for name in runs[0][0]:
         spec = specs.get(name, {})
         better, bound = spec.get("better"), spec.get("bound")
         pairs = [(p[name], c[name]) for p, c in runs]
         s = summarize(pairs, better or "higher", bound)
-        cells = [f"{s[side][1]:.6g} [{s[side][0]:.6g}, {s[side][2]:.6g}]"
+        sides = [f"{s[side][1]:.6g} [{s[side][0]:.6g}, {s[side][2]:.6g}]"
                  for side in ("parent", "change")]
         wins = f"{s['wins']}/{len(pairs)}" if better else "-"
-        flag = "  WORSE" if s["worse"] else ""
-        lines.append(f"{name:24s} {better or '-':6s} "
-                     f"{'-' if bound is None else f'{bound:g}':>5s}  {cells[0]:34s} "
-                     f"{cells[1]:34s} {s['ratio']:6.4f}  {wins}{flag}")
-    return lines
+        rows.append([name, better or "-", "-" if bound is None else f"{bound:g}", *sides,
+                     f"{s['ratio']:.4f}", wins + ("  WORSE" if s["worse"] else "")])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]) - 1)]
+    return ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)) + "  " + row[-1]
+            for row in rows]
 
 
 def fail(message: str):

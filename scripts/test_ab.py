@@ -60,8 +60,7 @@ class SpecTest(unittest.TestCase):
         self.assertEqual(specs["reps_per_s"], {"better": "higher", "bound": 0.25})
         self.assertEqual(specs["setup_s"], {"better": "lower", "bound": 0.25})
         self.assertEqual(specs["peak_rss_mb"], {"better": "lower", "bound": 0.1})
-        # Per-layer metrics have a direction but no bound.
-        self.assertEqual(specs["net.broadcast_ns"], {"better": "lower", "bound": None})
+        self.assertEqual(set(specs), {"reps_per_s", "reps_per_s_mt", "setup_s", "peak_rss_mb"})
 
 
 class SummarizeTest(unittest.TestCase):
