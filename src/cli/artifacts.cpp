@@ -82,9 +82,9 @@ util::TextTable run_table1(ArtifactOptions& options, std::ostream& os) {
     const core::Lbp1Optimum opt_nf =
         core::optimize_lbp1_grid(markov::without_failures(params), row.m0, row.m1, 0.05);
 
-    testbed::TestbedConfig tb = testbed::paper_testbed(
-        row.m0, row.m1, std::make_unique<core::Lbp1Policy>(opt.sender, opt.gain));
-    const testbed::ExperimentSummary summary = testbed::run_experiment(tb, realizations);
+    const mc::ScenarioConfig scenario = mc::make_two_node_scenario(
+        params, row.m0, row.m1, std::make_unique<core::Lbp1Policy>(opt.sender, opt.gain));
+    const testbed::ExperimentSummary summary = testbed::run_experiment(scenario, realizations);
 
     table.add_row({workload_label(row.m0, row.m1),
                    util::format_double(opt.gain, 2) + " (" +
@@ -141,15 +141,12 @@ util::TextTable run_table2(ArtifactOptions& options, std::ostream& os) {
         core::optimize_lbp2_initial_gain(params, row.m0, row.m1);
     const double gain = row.paper_gain;
 
-    mc::ScenarioConfig scenario = mc::make_two_node_scenario(
+    const mc::ScenarioConfig scenario = mc::make_two_node_scenario(
         params, row.m0, row.m1, std::make_unique<core::Lbp2Policy>(gain));
     mc::McConfig mc_cfg;
     mc_cfg.replications = mc_reps;
     const mc::McResult mc_result = mc::run_monte_carlo(scenario, mc_cfg);
-
-    testbed::TestbedConfig tb =
-        testbed::paper_testbed(row.m0, row.m1, std::make_unique<core::Lbp2Policy>(gain));
-    const testbed::ExperimentSummary summary = testbed::run_experiment(tb, realizations);
+    const testbed::ExperimentSummary summary = testbed::run_experiment(scenario, realizations);
 
     table.add_row({workload_label(row.m0, row.m1), util::format_double(fitted.gain, 2),
                    util::format_double(row.paper_gain, 2),
@@ -367,15 +364,12 @@ util::TextTable run_fig3(ArtifactOptions& options, std::ostream& os) {
     const double mu = theory.lbp1_mean(m0, m1, 0, gain);
     const double mu_nf = theory_nf.lbp1_mean(m0, m1, 0, gain);
 
-    mc::ScenarioConfig scenario = mc::make_two_node_scenario(
-        params, m0, m1, std::make_unique<core::Lbp1Policy>(0, gain));
+    const mc::ScenarioConfig scenario =
+        mc::make_two_node_scenario(params, m0, m1, std::make_unique<core::Lbp1Policy>(0, gain));
     mc::McConfig mc_cfg;
     mc_cfg.replications = mc_reps;
     const mc::McResult mc_result = mc::run_monte_carlo(scenario, mc_cfg);
-
-    testbed::TestbedConfig tb =
-        testbed::paper_testbed(m0, m1, std::make_unique<core::Lbp1Policy>(0, gain));
-    const testbed::ExperimentSummary tb_result = testbed::run_experiment(tb, tb_reps);
+    const testbed::ExperimentSummary tb_result = testbed::run_experiment(scenario, tb_reps);
 
     table.add_row({util::format_double(gain, 2), util::format_double(mu, 2),
                    util::format_double(mc_result.mean(), 2),
@@ -419,7 +413,8 @@ util::TextTable run_fig3(ArtifactOptions& options, std::ostream& os) {
 void fig4_show_realization(std::ostream& os, util::TextTable& all, const std::string& label,
                            core::PolicyPtr policy, std::uint64_t seed, std::size_t m0,
                            std::size_t m1) {
-  testbed::TestbedConfig config = testbed::paper_testbed(m0, m1, std::move(policy));
+  const mc::ScenarioConfig config =
+      mc::make_two_node_scenario(markov::ipdps2006_params(), m0, m1, std::move(policy));
   mc::RunTrace trace;
   const mc::RunResult run = testbed::run_realization(config, seed, 0, &trace);
 

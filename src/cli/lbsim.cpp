@@ -28,7 +28,6 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
-#include "testbed/config.hpp"
 #include "testbed/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
@@ -517,12 +516,11 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
     warning = degeneration_warning(*scenario.policy, scenario.params, scenario.workloads,
                                    result.mean_tasks_moved);
   } else {
-    testbed::TestbedConfig tb = testbed::from_scenario(std::move(scenario));
     const std::size_t realizations = engine.replications != 0 ? engine.replications : 60;
     const std::uint64_t seed = engine.seed != 0 ? engine.seed : 0xbed2006;
-    const std::string policy_name = tb.policy->name();
     const testbed::ExperimentSummary result =
-        testbed::run_experiment(tb, realizations, seed, engine.threads, sinks);
+        testbed::run_experiment(scenario, realizations, seed, engine.threads, sinks);
+    const std::string policy_name = scenario.policy->name();
     table.add_row({invocation.spec->name, policy_name, "testbed",
                    std::to_string(realizations), util::format_double(result.mean(), 3),
                    util::format_double(result.ci95(), 3),
@@ -536,8 +534,8 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
                    util::format_double(result.mean_state_lost, 1)});
     meta.seed = seed;
     meta.replications = realizations;
-    warning =
-        degeneration_warning(*tb.policy, tb.params, tb.workloads, result.mean_tasks_moved);
+    warning = degeneration_warning(*scenario.policy, scenario.params, scenario.workloads,
+                                   result.mean_tasks_moved);
   }
   meta.wall_seconds = std::chrono::duration_cast<std::chrono::duration<double>>(
                           std::chrono::steady_clock::now() - start)
@@ -1068,14 +1066,14 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
 
   // perf_testbed_lossy: the emulated testbed with a bursty 2-state channel on
   // the state plane — guards the per-round broadcast cost (channel stepping,
-  // shared-delivery captures, staleness accounting) of the lossy-exchange hot
-  // path, which no abstract-MC row exercises.
+  // the inline per-copy delivery events, staleness accounting) of the
+  // lossy-exchange hot path, which no abstract-MC row exercises.
   {
     const std::size_t reps = quick ? 20 : 60;
     const ScenarioSpec& spec = find_scenario("lossy-exchange");
     RawConfig raw;
     raw.set("channel.states", "2");
-    testbed::TestbedConfig tb = testbed::from_scenario(spec.build(spec.schema.resolve(raw)));
+    const mc::ScenarioConfig tb = spec.build(spec.schema.resolve(raw));
     double mean = 0.0;
     const double ms = time_ms(3, [&] {
       bench_profile = {};

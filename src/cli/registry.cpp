@@ -267,8 +267,8 @@ Schema channel_schema(const char* default_states) {
 /// Applies the exchange.*/channel.* keys onto a built scenario.
 void apply_channel(mc::ScenarioConfig& scenario, const Config& config) {
   scenario.exchange_period = config.get_double("exchange.period");
-  scenario.exchange_latency = config.get_double("exchange.latency");
-  scenario.exchange_loss = config.get_double("exchange.loss");
+  scenario.state_latency = config.get_double("exchange.latency");
+  scenario.state_loss_probability = config.get_double("exchange.loss");
   const std::size_t k = config.get_size("channel.states");
   if (k == 0) {
     if (config.get_bool("channel.env")) {
@@ -296,7 +296,7 @@ void apply_channel(mc::ScenarioConfig& scenario, const Config& config) {
   } catch (const std::invalid_argument& e) {
     throw ConfigError(ConfigError::Kind::kBadValue, "channel.states", e.what());
   }
-  scenario.state_channel = std::move(channel);
+  scenario.channel = std::move(channel);
 }
 
 /// Topology key group (the graph-* families). `topology` selects the

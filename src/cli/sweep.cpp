@@ -211,8 +211,8 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
     for (const auto& [key, value] : assignment) {
       assign(key, value, raw, point_options);
     }
-    mc::ScenarioConfig built = scenario.build(scenario.schema.resolve(raw));
-    if (scenario.testbed) (void)testbed::from_scenario(std::move(built));
+    const mc::ScenarioConfig built = scenario.build(scenario.schema.resolve(raw));
+    if (scenario.testbed) testbed::check_emulable(built);
   }
 
   std::vector<std::string> header;
@@ -345,9 +345,9 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
     } else if (scenario.testbed) {
       const std::size_t reps =
           point_options.replications_explicit ? point_options.replications : 60;
-      testbed::TestbedConfig tb = testbed::from_scenario(scenario.build(config));
+      const mc::ScenarioConfig built = scenario.build(config);
       const testbed::ExperimentSummary summary = testbed::run_experiment(
-          tb, reps, point_options.seed, point_options.threads, options.obs);
+          built, reps, point_options.seed, point_options.threads, options.obs);
       row.push_back(util::format_double(summary.mean(), 3));
       row.push_back(util::format_double(summary.ci95(), 3));
       row.push_back(util::format_double(summary.completion.std_error(), 3));

@@ -13,7 +13,6 @@
 #include "mc/steady.hpp"
 #include "mc/theory.hpp"
 #include "stochastic/stats.hpp"
-#include "testbed/config.hpp"
 #include "testbed/experiment.hpp"
 
 namespace lbsim::cli {
@@ -242,14 +241,14 @@ ValidationReport run_validation(const ValidationOptions& options) {
     }
 
     if (spec.testbed) {
-      const net::ChannelSpec& channel = built.state_channel;
+      const net::ChannelSpec& channel = built.channel;
       if (channel.enabled() && (channel.states >= 2 || channel.env_coupled)) {
         ++report.skipped;
         report.table.add_row({point.family, point.label, "-", "-", "-", "-", "-",
                               "skip: bursty Markov state-plane channel (no closed form)"});
         continue;
       }
-      if (!channel.enabled() && built.exchange_loss >= 1.0) {
+      if (!channel.enabled() && built.state_loss_probability >= 1.0) {
         ++report.skipped;
         report.table.add_row({point.family, point.label, "-", "-", "-", "-", "-",
                               "skip: blackout state plane (no closed form)"});
@@ -260,15 +259,15 @@ ValidationReport run_validation(const ValidationOptions& options) {
       // the same per-packet uniforms from the same stream, so the gate is
       // exact equality of the completion-time statistics, not a z-score.
       mc::ScenarioConfig reduced = built.clone();
-      reduced.exchange_loss = channel.enabled() && !channel.loss.empty() ? channel.loss[0]
-                                                                        : built.exchange_loss;
-      reduced.state_channel = net::ChannelSpec{};
+      reduced.state_loss_probability = channel.enabled() && !channel.loss.empty()
+                                           ? channel.loss[0]
+                                           : built.state_loss_probability;
+      reduced.channel = net::ChannelSpec{};
       constexpr std::size_t kTestbedReps = 20;
-      const testbed::ExperimentSummary with_channel = testbed::run_experiment(
-          testbed::from_scenario(built.clone()), kTestbedReps, options.seed, options.threads);
-      const testbed::ExperimentSummary fallback = testbed::run_experiment(
-          testbed::from_scenario(std::move(reduced)), kTestbedReps, options.seed,
-          options.threads);
+      const testbed::ExperimentSummary with_channel =
+          testbed::run_experiment(built, kTestbedReps, options.seed, options.threads);
+      const testbed::ExperimentSummary fallback =
+          testbed::run_experiment(reduced, kTestbedReps, options.seed, options.threads);
       const bool failed = with_channel.completion.mean() != fallback.completion.mean() ||
                           with_channel.completion.max() != fallback.completion.max();
       ++report.checked;

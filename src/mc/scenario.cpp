@@ -413,9 +413,9 @@ struct Replication {
   /// channel storms coincide with failure storms.
   void apply_environment(std::size_t state) {
     set_hazard_multiplier(config.environment.failure_mult[state]);
-    if (network == nullptr || !config.state_channel.env_coupled) return;
+    if (network == nullptr || !config.channel.env_coupled) return;
     const std::size_t k_env = config.environment.states;
-    const std::size_t k_ch = config.state_channel.states;
+    const std::size_t k_ch = config.channel.states;
     const double frac =
         k_env > 1 ? static_cast<double>(state) / static_cast<double>(k_env - 1) : 0.0;
     network->set_channel_floor(
@@ -468,10 +468,11 @@ ScenarioConfig ScenarioConfig::clone() const {
   copy.schedule = schedule;
   copy.steady = steady;
   copy.topology = topology;
+  copy.transfer_setup_shift = transfer_setup_shift;
   copy.exchange_period = exchange_period;
-  copy.exchange_latency = exchange_latency;
-  copy.exchange_loss = exchange_loss;
-  copy.state_channel = state_channel;
+  copy.state_latency = state_latency;
+  copy.state_loss_probability = state_loss_probability;
+  copy.channel = channel;
   return copy;
 }
 

@@ -48,9 +48,9 @@ struct SteadySpec {
   double warmup_cap = 0.5;
 };
 
-/// A complete experiment description. Move-only: it owns the policy and the
-/// delay model, which engines clone once per worker (clone()); a replication
-/// uses them in place.
+/// A complete experiment description, on the abstract MC and the testbed
+/// engine alike. Move-only: it owns the policy and the delay model, which
+/// engines clone once per worker (clone()); a replication uses them in place.
 struct ScenarioConfig {
   markov::MultiNodeParams params;
   std::vector<std::size_t> workloads;
@@ -93,14 +93,16 @@ struct ScenarioConfig {
   net::TopologySpec topology;
   /// Steady-state window parameters (consumed by mc::run_steady only).
   SteadySpec steady;
-  /// State-exchange plane emulation (consumed by the testbed engine only; the
-  /// abstract MC's policies see exact state, so these are inert there).
-  double exchange_period = 1.0;    ///< UDP sync period (s)
-  double exchange_latency = 1e-3;  ///< one-way state-packet latency (s)
-  double exchange_loss = 0.0;      ///< i.i.d. state-packet loss (1 = blackout)
+  /// The testbed's communication layer (consumed by the testbed engine only;
+  /// the abstract MC's bundles take delay_model and its policies see exact
+  /// state, so these are inert there).
+  double transfer_setup_shift = 0.005;  ///< TCP setup; the Fig. 2 pdf shift (s)
+  double exchange_period = 1.0;         ///< UDP sync period (s)
+  double state_latency = 1e-3;          ///< one-way state-packet latency (s)
+  double state_loss_probability = 0.0;  ///< i.i.d. state-packet loss (1 = blackout)
   /// Optional bursty k-state Markov channel for the state plane (states == 0
-  /// keeps the i.i.d. exchange_loss above); testbed engine only.
-  net::ChannelSpec state_channel;
+  /// keeps the i.i.d. state_loss_probability above); testbed engine only.
+  net::ChannelSpec channel;
 
   /// Deep copy (clones policy and delay model).
   [[nodiscard]] ScenarioConfig clone() const;
@@ -276,7 +278,7 @@ struct RunControls {
 ///   hook, and every decision first pools its peer entries' ages into
 ///   RunResult::state_age.
 /// The environment, when configured, draws on stream 2n + 2 and, with
-/// config.state_channel.env_coupled, floors the channel. `policy` runs in
+/// config.channel.env_coupled, floors the channel. `policy` runs in
 /// place (config.policy is not read); `network` is re-seated on `sim` and
 /// this replication's streams. The testbed emulates no periodic tick,
 /// delay model, arrivals, schedule or topology, and refuses a config that

@@ -10,24 +10,9 @@
 namespace lbsim::testbed {
 namespace {
 
-/// The part of the config the replication core reads. Its policy stays with
-/// the testbed config (the core runs it in place), and its communication layer
-/// is the network's (network_config).
-mc::ScenarioConfig as_scenario(const TestbedConfig& config) {
-  mc::ScenarioConfig scenario;
-  scenario.params = config.params;
-  scenario.workloads = config.workloads;
-  scenario.churn_enabled = config.churn_enabled;
-  scenario.initially_down = config.initially_down;
-  scenario.environment = config.environment;
-  scenario.exchange_period = config.state_broadcast_period;
-  scenario.state_channel = config.channel;
-  return scenario;
-}
-
 /// The communication layer: Erlang per-task bundle delays with the TCP setup
 /// shift (Fig. 2), and the lossy UDP state plane.
-net::Network::Config network_config(const TestbedConfig& config) {
+net::Network::Config network_config(const mc::ScenarioConfig& config) {
   net::Network::Config net_config;
   net_config.data_delay = std::make_unique<net::ErlangPerTaskDelay>(
       config.params.per_task_delay_mean, config.transfer_setup_shift);
@@ -38,13 +23,13 @@ net::Network::Config network_config(const TestbedConfig& config) {
 }
 
 /// What a testbed worker builds once and reuses for every realization: the
-/// converted config, its network, and (from mc::WorkerState) the simulator,
+/// network the config describes, and (from mc::WorkerState) the simulator,
 /// plus the workspace that mc::run_testbed_replication resets and re-seats
-/// each time.
+/// each time. It reads the caller's config in place: run_experiment and
+/// run_realization keep it alive and unchanged until the emulation is gone.
 struct Emulation : mc::WorkerState {
-  explicit Emulation(const TestbedConfig& config)
-      : scenario(as_scenario(config)),
-        network(config.params.nodes.size(), network_config(config)) {}
+  explicit Emulation(const mc::ScenarioConfig& scenario)
+      : config(scenario), network(scenario.params.nodes.size(), network_config(scenario)) {}
 
   mc::RunResult run(core::LoadBalancingPolicy& policy, std::uint64_t seed,
                     std::uint64_t replication, mc::RunTrace* trace,
@@ -52,11 +37,11 @@ struct Emulation : mc::WorkerState {
     mc::RunControls controls;
     controls.profile = run_profile;
     controls.workspace = &workspace;
-    return mc::run_testbed_replication(scenario, policy, network, seed, replication, trace, sim,
+    return mc::run_testbed_replication(config, policy, network, seed, replication, trace, sim,
                                        controls);
   }
 
-  mc::ScenarioConfig scenario;
+  const mc::ScenarioConfig& config;
   net::Network network;
   mc::ReplicationWorkspace workspace;
 };
@@ -64,28 +49,28 @@ struct Emulation : mc::WorkerState {
 /// A run_experiment worker: an emulation and the policy clone its
 /// realizations run.
 struct Realizer : Emulation {
-  explicit Realizer(const TestbedConfig& config)
+  explicit Realizer(const mc::ScenarioConfig& config)
       : Emulation(config), policy(config.policy->clone()) {}
   core::PolicyPtr policy;
 };
 
 }  // namespace
 
-mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
+mc::RunResult run_realization(const mc::ScenarioConfig& config, std::uint64_t seed,
                               std::uint64_t replication, mc::RunTrace* trace,
                               obs::PhaseProfile* profile, obs::Registry* metrics) {
-  validate(config);
+  check_emulable(config);
   Emulation emulation(config);
   const mc::RunResult result = emulation.run(*config.policy, seed, replication, trace, profile);
   if (metrics != nullptr) mc::fold_queue_metrics(*metrics, emulation.sim.queue_stats());
   return result;
 }
 
-ExperimentSummary run_experiment(const TestbedConfig& config, std::size_t realizations,
+ExperimentSummary run_experiment(const mc::ScenarioConfig& config, std::size_t realizations,
                                  std::uint64_t seed, unsigned threads,
                                  const mc::ObsSinks& sinks) {
   LBSIM_REQUIRE(realizations >= 1, "realizations=" << realizations);
-  validate(config);
+  check_emulable(config);
 
   // Folded in replication order. The samples are reserved here, on the
   // caller, so their growth does not land in a driver worker's malloc arena.

@@ -17,14 +17,16 @@
 
 namespace lbsim::testbed {
 
-/// One emulated realisation on a simulator and workspace of its own; same
-/// result/trace types as the abstract MC so that the artefacts can tabulate
-/// them side by side. The config's policy runs in place. `profile` (optional)
-/// accumulates the setup / event-loop wall-time split; `metrics` (optional)
-/// receives the realisation's DES-core instrument updates. Neither consumes
-/// RNG draws or changes any simulated quantity.
-[[nodiscard]] mc::RunResult run_realization(const TestbedConfig& config, std::uint64_t seed,
-                                            std::uint64_t replication,
+/// One emulated realisation of `config` on a network, simulator and workspace
+/// of its own; same result/trace types as the abstract MC so that the
+/// artefacts can tabulate them side by side. The config's policy runs in
+/// place. `profile` (optional) accumulates the setup / event-loop wall-time
+/// split; `metrics` (optional) receives the realisation's DES-core instrument
+/// updates. Neither consumes RNG draws or changes any simulated quantity.
+/// A config the testbed cannot run (check_emulable) or that holds an invalid
+/// value throws std::invalid_argument.
+[[nodiscard]] mc::RunResult run_realization(const mc::ScenarioConfig& config,
+                                            std::uint64_t seed, std::uint64_t replication,
                                             mc::RunTrace* trace = nullptr,
                                             obs::PhaseProfile* profile = nullptr,
                                             obs::Registry* metrics = nullptr);
@@ -47,10 +49,12 @@ struct ExperimentSummary {
 /// Runs `realizations` independent emulated experiments (the paper uses
 /// 20-60 per configuration) on the ordered replication driver (mc/driver.hpp)
 /// with `threads` workers (0 = hardware concurrency), deterministic in
-/// (config, realizations, seed). Each worker clones the policy once and
-/// reuses one simulator and one mc::ReplicationWorkspace for every
-/// realization it runs. `sinks` optionally attaches the observability layer.
-[[nodiscard]] ExperimentSummary run_experiment(const TestbedConfig& config,
+/// (config, realizations, seed). Each worker reads `config` in place, clones
+/// its policy once, and reuses one network, one simulator and one
+/// mc::ReplicationWorkspace for every realization it runs. `sinks` optionally
+/// attaches the observability layer. Throws what run_realization throws, at
+/// any thread count.
+[[nodiscard]] ExperimentSummary run_experiment(const mc::ScenarioConfig& config,
                                                std::size_t realizations,
                                                std::uint64_t seed = 0xbed2006,
                                                unsigned threads = 0,

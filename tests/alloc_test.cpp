@@ -28,7 +28,6 @@
 #include "mc/engine.hpp"
 #include "mc/scenario.hpp"
 #include "mc/steady.hpp"
-#include "testbed/config.hpp"
 #include "testbed/experiment.hpp"
 
 namespace {
@@ -184,12 +183,11 @@ Allocations finite_run(const ScenarioConfig& config, VrMode vr = VrMode::kNone) 
   });
 }
 
-/// The testbed engine's allocations: `scenario` mapped as `--engine=testbed`
-/// maps it, run through testbed::run_experiment on one worker.
+/// The testbed engine's allocations: `scenario` run through
+/// testbed::run_experiment on one worker, as `--engine=testbed` runs it.
 Allocations testbed_run(const ScenarioConfig& scenario) {
-  const testbed::TestbedConfig config = testbed::from_scenario(scenario.clone());
   return past_warmup([&](std::size_t reps) {
-    (void)testbed::run_experiment(config, reps, 0xbed2006, /*threads=*/1);
+    (void)testbed::run_experiment(scenario, reps, 0xbed2006, /*threads=*/1);
   });
 }
 

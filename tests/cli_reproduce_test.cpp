@@ -106,6 +106,19 @@ TEST(CliRun, TestbedEngineRejectsSemanticsItCannotEmulate) {
   EXPECT_EQ(periodic.exit_code, 2);
   EXPECT_NE(periodic.err.find("periodic"), std::string::npos);
 
+  // The probe and diffusion policies run off the same round timer; the
+  // refusal names the policy that was set and its period, not policy=periodic.
+  const CliResult probe =
+      run({"run", "graph-rr", "topology=complete", "--engine=testbed", "--reps=2"});
+  EXPECT_EQ(probe.exit_code, 2);
+  EXPECT_NE(probe.err.find("RandomProbe(d=2) every 10 s"), std::string::npos) << probe.err;
+  EXPECT_EQ(probe.err.find("policy=periodic"), std::string::npos) << probe.err;
+  const CliResult diffusion = run({"run", "graph-ring", "topology=complete", "policy=diffusion",
+                                   "--engine=testbed", "--reps=2"});
+  EXPECT_EQ(diffusion.exit_code, 2);
+  EXPECT_NE(diffusion.err.find("Diffusion(alpha="), std::string::npos) << diffusion.err;
+  EXPECT_EQ(diffusion.err.find("policy=periodic"), std::string::npos) << diffusion.err;
+
   // Plain scenarios still run on the testbed.
   const CliResult ok = run({"run", "paper-two-node", "--engine=testbed", "--reps=2"});
   EXPECT_EQ(ok.exit_code, 0) << ok.err;

@@ -144,7 +144,7 @@ std::pair<int, std::string> lbsim(std::vector<std::string> args) {
 }
 
 TEST(CliSweep, TestbedFamiliesRefuseWhatTheTestbedCannotEmulate) {
-  // The refusal lives in testbed::from_scenario, the one mapping run and
+  // The refusal lives in testbed::check_emulable, the one check run and
   // sweep share, so a sweep over a testbed family refuses a key exactly as
   // `lbsim run` does, dry or not, before any point runs, even when only one
   // point sets it.

@@ -133,16 +133,13 @@ TEST(IntegrationTest, TestbedAgreesWithMcWithinTolerance) {
   // their means for the same policy must land within a few percent, the same
   // agreement the paper reports between its experiment and MC columns.
   const markov::TwoNodeParams p = markov::ipdps2006_params();
-  mc::ScenarioConfig mc_config = mc::make_two_node_scenario(
-      p, 200, 100, std::make_unique<core::Lbp1Policy>(0, 0.35));
+  const mc::ScenarioConfig config =
+      mc::make_two_node_scenario(p, 200, 100, std::make_unique<core::Lbp1Policy>(0, 0.35));
   mc::McConfig mc_cfg;
   mc_cfg.seed = test::kFixedSeed;
   mc_cfg.replications = 600;
-  const double mc_mean = mc::run_monte_carlo(mc_config, mc_cfg).mean();
-
-  testbed::TestbedConfig tb =
-      testbed::paper_testbed(200, 100, std::make_unique<core::Lbp1Policy>(0, 0.35));
-  const double tb_mean = testbed::run_experiment(tb, 300, 19, 2).mean();
+  const double mc_mean = mc::run_monte_carlo(config, mc_cfg).mean();
+  const double tb_mean = testbed::run_experiment(config, 300, 19, 2).mean();
   EXPECT_NEAR_REL(tb_mean, mc_mean, 0.06);
 }
 

@@ -28,7 +28,6 @@
 #include "sim/simulator.hpp"
 #include "stochastic/stats.hpp"
 #include "test_support.hpp"
-#include "testbed/config.hpp"
 #include "testbed/experiment.hpp"
 
 namespace lbsim::mc {
@@ -350,6 +349,69 @@ TEST(ScenarioTest, ValidatesConfig) {
   EXPECT_THROW((void)run_scenario(no_policy, 1, 0), std::invalid_argument);
 }
 
+TEST(ScenarioTest, CloneCarriesEveryField) {
+  // clone() copies field by field. Every engine worker, the variance-reduction
+  // surrogate and the traced testbed replay run on a clone, where a field it
+  // missed would silently read its default: set each one away from it.
+  ScenarioConfig config = fig3_scenario(0.35);
+  config.params.nodes[1].lambda_f = 0.5;
+  config.params.per_task_delay_mean = 0.5;
+  config.workloads = {7, 9};
+  config.delay_model = std::make_unique<net::ErlangPerTaskDelay>(0.5, 0.25);
+  config.churn_enabled = false;
+  config.initially_down = 0b10;
+  config.rebalance_period = 3.0;
+  config.environment.states = 2;
+  config.environment.failure_mult = {1.0, 4.0};
+  config.environment.initial_state = 1;
+  config.arrivals.process = env::ArrivalSpec::Process::kPoisson;
+  config.arrivals.count = 3;
+  config.schedule.per_node = {{{5.0, true}, {8.0, false}}};
+  config.topology.kind = net::TopologySpec::Kind::kRing;
+  config.steady.tasks = 123;
+  config.transfer_setup_shift = 0.125;
+  config.exchange_period = 2.5;
+  config.state_latency = 0.01;
+  config.state_loss_probability = 0.2;
+  config.channel.states = 2;
+  config.channel.loss = {0.0, 0.9};
+  config.channel.env_coupled = true;
+
+  const ScenarioConfig copy = config.clone();
+  EXPECT_EQ(copy.params.nodes.size(), 2u);
+  EXPECT_EQ(copy.params.nodes[1].lambda_f, 0.5);
+  EXPECT_EQ(copy.params.per_task_delay_mean, 0.5);
+  EXPECT_EQ(copy.workloads, (std::vector<std::size_t>{7, 9}));
+  EXPECT_FALSE(copy.churn_enabled);
+  EXPECT_EQ(copy.initially_down, 0b10u);
+  EXPECT_EQ(copy.rebalance_period, 3.0);
+  EXPECT_EQ(copy.environment.states, 2u);
+  EXPECT_EQ(copy.environment.failure_mult, (std::vector<double>{1.0, 4.0}));
+  EXPECT_EQ(copy.environment.initial_state, 1u);
+  EXPECT_TRUE(copy.arrivals.active());
+  ASSERT_EQ(copy.schedule.per_node.size(), 1u);
+  ASSERT_EQ(copy.schedule.per_node[0].size(), 2u);
+  EXPECT_EQ(copy.schedule.per_node[0][1].time, 8.0);
+  EXPECT_EQ(copy.topology.kind, net::TopologySpec::Kind::kRing);
+  EXPECT_EQ(copy.steady.tasks, 123u);
+  EXPECT_EQ(copy.transfer_setup_shift, 0.125);
+  EXPECT_EQ(copy.exchange_period, 2.5);
+  EXPECT_EQ(copy.state_latency, 0.01);
+  EXPECT_EQ(copy.state_loss_probability, 0.2);
+  EXPECT_EQ(copy.channel.states, 2u);
+  EXPECT_EQ(copy.channel.loss, (std::vector<double>{0.0, 0.9}));
+  EXPECT_TRUE(copy.channel.env_coupled);
+
+  // The policy and the delay model are deep copies: a worker runs its clone
+  // in place, so it must share neither with the original.
+  ASSERT_NE(copy.policy, nullptr);
+  EXPECT_NE(copy.policy.get(), config.policy.get());
+  EXPECT_EQ(copy.policy->name(), config.policy->name());
+  ASSERT_NE(copy.delay_model, nullptr);
+  EXPECT_NE(copy.delay_model.get(), config.delay_model.get());
+  EXPECT_EQ(copy.delay_model->describe(), config.delay_model->describe());
+}
+
 // ---------- engine ----------
 
 /// Every statistic of two MC results, bit for bit.
@@ -575,8 +637,8 @@ constexpr Golden kFiniteGoldens[] = {
 // Testbed engine, captured at realizations = 25, seed = 0x5eed2006,
 // threads = 2 (re-pinned, like the finite rows, to the one-thread means and
 // state ages when the ordered driver made them thread-count independent),
-// each row mapped through testbed::from_scenario (the
-// `--engine=testbed` path). The rows pin the testbed's seams into the
+// each row's registry config run as `--engine=testbed` runs it. The rows pin
+// the testbed's seams into the
 // replication core: the lossy-exchange defaults (bursty channel), the i.i.d.
 // state-plane fallback, the env-coupled channel floor under storms,
 // paper-two-node, cold-start (the testbed's t = 0 order for an initially-down
@@ -646,10 +708,8 @@ TEST(EngineTest, FiniteFamilyStatisticsBitIdenticalToPreRefactorGoldens) {
 
 TEST(EngineTest, TestbedFamilyStatisticsBitIdenticalToGoldens) {
   for (const TestbedGolden& g : kTestbedGoldens) {
-    const testbed::TestbedConfig config =
-        testbed::from_scenario(family_config(g.family, g.overrides));
-    const testbed::ExperimentSummary result =
-        testbed::run_experiment(config, 25, 0x5eed2006, /*threads=*/2);
+    const testbed::ExperimentSummary result = testbed::run_experiment(
+        family_config(g.family, g.overrides), 25, 0x5eed2006, /*threads=*/2);
     const std::string row = std::string(g.family) + " " + g.overrides;
     expect_golden(result.mean(), g.mean, row + " mean");
     expect_golden(stoch::quantile_sorted(result.samples, 0.50), g.p50, row + " p50");
@@ -750,10 +810,9 @@ TEST(EngineTest, EachEngineShowsAnInitiallyDownNodeAtTimeZeroItsOwnWay) {
   EXPECT_FALSE(mc_log[1].node0_up);
   EXPECT_EQ(decisions_at_zero(mc_trace), (std::vector<int>{-1, 0}));
 
-  ScenarioConfig bed_scenario = family_config("cold-start");
+  ScenarioConfig bed = family_config("cold-start");
   std::vector<HookSpy::Call> bed_log;
-  bed_scenario.policy = std::make_unique<HookSpy>(std::move(bed_scenario.policy), bed_log);
-  const testbed::TestbedConfig bed = testbed::from_scenario(std::move(bed_scenario));
+  bed.policy = std::make_unique<HookSpy>(std::move(bed.policy), bed_log);
   RunTrace bed_trace;
   bed_trace.record_queues = false;
   (void)testbed::run_realization(bed, 0x5eed2006, 0, &bed_trace);

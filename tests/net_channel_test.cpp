@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/lbp1.hpp"
@@ -14,7 +15,6 @@
 #include "core/policy.hpp"
 #include "net/channel.hpp"
 #include "stochastic/rng.hpp"
-#include "testbed/config.hpp"
 #include "testbed/experiment.hpp"
 
 namespace lbsim::net {
@@ -120,31 +120,35 @@ TEST(ChannelModelTest, FloorStateClampsAndReleases) {
 namespace lbsim::testbed {
 namespace {
 
+/// The paper's two-node testbed at workloads (m0, m1).
+mc::ScenarioConfig paper_scenario(std::size_t m0, std::size_t m1, core::PolicyPtr policy) {
+  return mc::make_two_node_scenario(markov::ipdps2006_params(), m0, m1, std::move(policy));
+}
+
 TEST(ChannelStalenessTest, DecisionAgeNearHalfPeriodUnderLosslessExchange) {
   // With a lossless state plane, the peer entry consulted at a random
   // failure/recovery instant was broadcast Uniform(0, period) ago: the pooled
   // decision-age mean sits well inside (0, period) and the max just under
   // period + latency. (t = 0 decisions contribute exact age-0 samples.)
-  const TestbedConfig config =
-      paper_testbed(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
+  const mc::ScenarioConfig config =
+      paper_scenario(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
   const ExperimentSummary summary = run_experiment(config, 200, 91, 2);
   ASSERT_GT(summary.state_age.count(), 400u);
   EXPECT_GT(summary.state_age.mean(), 0.15);
   EXPECT_LT(summary.state_age.mean(), 0.70);
   EXPECT_GT(summary.state_age.max(), 0.80);
-  EXPECT_LE(summary.state_age.max(),
-            config.state_broadcast_period + 2.0 * config.state_latency);
+  EXPECT_LE(summary.state_age.max(), config.exchange_period + 2.0 * config.state_latency);
   EXPECT_DOUBLE_EQ(summary.state_age.min(), 0.0);  // the exact t = 0 seed
 }
 
 TEST(ChannelStalenessTest, BurstyChannelRaisesDecisionAge) {
   // Same 20% stationary loss, bursts 16x longer: contiguous outages must
   // stretch the staleness tail far past one broadcast period.
-  TestbedConfig light = paper_testbed(100, 60, std::make_unique<core::Lbp2Policy>(1.0));
+  mc::ScenarioConfig light = paper_scenario(100, 60, std::make_unique<core::Lbp2Policy>(1.0));
   light.channel.states = 2;
   light.channel.loss = {0.0, 1.0};
   light.channel.mean_burst = {4.0, 1.0};
-  TestbedConfig bursty = light.clone();
+  mc::ScenarioConfig bursty = light.clone();
   bursty.channel.mean_burst = {64.0, 16.0};
   const ExperimentSummary a = run_experiment(light, 120, 17, 2);
   const ExperimentSummary b = run_experiment(bursty, 120, 17, 2);
@@ -183,8 +187,8 @@ class BootstrapProbePolicy final : public core::LoadBalancingPolicy {
 
 TEST(ChannelBootstrapTest, InitiallyDownNodeVisibleToFirstDecisions) {
   const auto log = std::make_shared<BootstrapProbePolicy::Log>();
-  TestbedConfig config =
-      paper_testbed(50, 30, std::make_unique<BootstrapProbePolicy>(log));
+  mc::ScenarioConfig config =
+      paper_scenario(50, 30, std::make_unique<BootstrapProbePolicy>(log));
   config.initially_down = 0b01;  // node 0 starts down
   const mc::RunResult run = run_realization(config, 3, 0);
 
@@ -211,12 +215,12 @@ TEST(ChannelEffectTest, LbpGainDegradesWithMeanBurstLength) {
   // one). Common random numbers across the two settings (same seed, and the
   // channel draws from its own dedicated stream) isolate the channel
   // trajectory as the only difference.
-  TestbedConfig light =
-      paper_testbed(100, 60, std::make_unique<core::Lbp2Policy>(1.0, /*state_aware=*/true));
+  mc::ScenarioConfig light =
+      paper_scenario(100, 60, std::make_unique<core::Lbp2Policy>(1.0, /*state_aware=*/true));
   light.channel.states = 2;
   light.channel.loss = {0.0, 1.0};
   light.channel.mean_burst = {4.0, 1.0};
-  TestbedConfig bursty = light.clone();
+  mc::ScenarioConfig bursty = light.clone();
   bursty.channel.mean_burst = {256.0, 64.0};
   const ExperimentSummary a = run_experiment(light, 200, 7, 2);
   const ExperimentSummary b = run_experiment(bursty, 200, 7, 2);

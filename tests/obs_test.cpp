@@ -27,7 +27,6 @@
 #include "obs/profile.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "testbed/config.hpp"
 #include "testbed/experiment.hpp"
 #include "test_support.hpp"
 #include "util/log.hpp"
@@ -448,8 +447,8 @@ TEST(ObsEngine, PolicyDecisionCountersAgreeWithTheTrace) {
   mc::ObsSinks sinks;
   sinks.trace = &bed_trace;
   sinks.metrics = &bed_metrics;
-  const testbed::TestbedConfig bed =
-      testbed::paper_testbed(40, 20, std::make_unique<core::Lbp2Policy>(0.5));
+  const mc::ScenarioConfig bed = mc::make_two_node_scenario(
+      markov::ipdps2006_params(), 40, 20, std::make_unique<core::Lbp2Policy>(0.5));
   (void)testbed::run_experiment(bed, 4, test::kFixedSeed, 2, sinks);
   const std::uint64_t bed_decisions = bed_metrics.counter("policy.decisions").value();
   const std::uint64_t bed_empty = bed_metrics.counter("policy.decisions.empty").value();
@@ -519,8 +518,8 @@ TEST(ObsProfile, MergeSumsAndEngineFillsPhases) {
   mc::ObsSinks sinks;
   sinks.profile = &bed_profile;
   sinks.metrics = &bed_metrics;
-  const testbed::TestbedConfig bed =
-      testbed::paper_testbed(40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35));
+  const mc::ScenarioConfig bed = mc::make_two_node_scenario(
+      markov::ipdps2006_params(), 40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35));
   const testbed::ExperimentSummary bed_profiled =
       testbed::run_experiment(bed, 4, test::kFixedSeed, 1, sinks);
   EXPECT_EQ(bed_profile.reps, 4u);
@@ -594,8 +593,8 @@ TEST(ObsBitIdentity, SteadyEngineIsUnperturbedByAllThreeSinks) {
 }
 
 TEST(ObsBitIdentity, TestbedEngineIsUnperturbedByAllThreeSinks) {
-  const testbed::TestbedConfig config =
-      testbed::paper_testbed(40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35));
+  const mc::ScenarioConfig config = mc::make_two_node_scenario(
+      markov::ipdps2006_params(), 40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35));
   obs::TraceBuffer trace;
   obs::Registry metrics;
   obs::PhaseProfile profile;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/baseline.hpp"
@@ -16,7 +17,6 @@
 #include "core/lbp2.hpp"
 #include "markov/two_node_mean.hpp"
 #include "mc/state_plane.hpp"
-#include "testbed/config.hpp"
 #include "testbed/experiment.hpp"
 
 namespace lbsim::testbed {
@@ -38,26 +38,77 @@ TEST(StateBoardTest, StoreAndRecall) {
   EXPECT_EQ(board.last_heard(0, 1).queue_size, 0u);
 }
 
-TEST(TestbedConfigTest, PaperPresetAndValidation) {
-  TestbedConfig config = paper_testbed(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
-  EXPECT_NO_THROW(validate(config));
-  EXPECT_DOUBLE_EQ(config.params.nodes[0].lambda_d, 1.08);
-  TestbedConfig broken = config.clone();
-  broken.policy = nullptr;
-  EXPECT_THROW(validate(broken), std::invalid_argument);
-  // loss = 1.0 is the blackout boundary and must validate; above 1 is
-  // malformed.
-  TestbedConfig blackout = config.clone();
+/// The paper's two-node testbed at workloads (m0, m1).
+mc::ScenarioConfig paper_scenario(std::size_t m0, std::size_t m1, core::PolicyPtr policy) {
+  return mc::make_two_node_scenario(markov::ipdps2006_params(), m0, m1, std::move(policy));
+}
+
+/// Expects both entry points, run_experiment at threads 1 and 4 and
+/// run_realization, to refuse `config` with std::invalid_argument.
+void expect_refused(const mc::ScenarioConfig& config, const std::string& what) {
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_THROW((void)run_experiment(config, 8, 3, threads), std::invalid_argument)
+        << what << " at threads " << threads;
+  }
+  EXPECT_THROW((void)run_realization(config, 3, 0), std::invalid_argument) << what;
+}
+
+TEST(TestbedTest, RefusalsReachTheCallerFromBothEntryPoints) {
+  // Each value is checked where it is used (the replication core, the
+  // network, the Erlang delay law, the state broadcaster) or, for what the
+  // testbed cannot run at all, by check_emulable; either way the caller gets
+  // std::invalid_argument.
+  const auto paper = [] {
+    return paper_scenario(40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35));
+  };
+  EXPECT_DOUBLE_EQ(paper().params.nodes[0].lambda_d, 1.08);
+  EXPECT_DOUBLE_EQ(paper().transfer_setup_shift, 0.005);  // the Fig. 2 shift
+
+  mc::ScenarioConfig no_policy = paper();
+  no_policy.policy = nullptr;
+  expect_refused(no_policy, "no policy");
+  // loss = 1.0 is the blackout boundary and runs; above 1 is malformed.
+  mc::ScenarioConfig blackout = paper();
   blackout.state_loss_probability = 1.0;
-  EXPECT_NO_THROW(validate(blackout));
-  TestbedConfig bad_loss = config.clone();
+  EXPECT_EQ(run_realization(blackout, 3, 0).tasks_completed, 60u);
+  EXPECT_EQ(run_experiment(blackout, 8, 3, 4).completion.count(), 8u);
+  mc::ScenarioConfig bad_loss = paper();
   bad_loss.state_loss_probability = 1.0 + 1e-9;
-  EXPECT_THROW(validate(bad_loss), std::invalid_argument);
+  expect_refused(bad_loss, "loss 1 + 1e-9");
+  mc::ScenarioConfig bad_shift = paper();
+  bad_shift.transfer_setup_shift = -1e-3;
+  expect_refused(bad_shift, "negative setup shift");
+  mc::ScenarioConfig no_period = paper();
+  no_period.exchange_period = 0.0;
+  expect_refused(no_period, "exchange period 0");
+  mc::ScenarioConfig coupled = paper();
+  coupled.channel.states = 2;
+  coupled.channel.env_coupled = true;
+  expect_refused(coupled, "env-coupled channel without an environment");
+
+  // Every key the testbed does not emulate.
+  mc::ScenarioConfig periodic = paper();
+  periodic.rebalance_period = 10.0;
+  expect_refused(periodic, "periodic round");
+  mc::ScenarioConfig delay = paper();
+  delay.delay_model = std::make_unique<net::ExponentialBundleDelay>(0.02, 1.0);
+  expect_refused(delay, "delay model");
+  mc::ScenarioConfig arrivals = paper();
+  arrivals.arrivals.process = env::ArrivalSpec::Process::kPoisson;
+  arrivals.arrivals.rate = 1.0;
+  arrivals.arrivals.count = 2;
+  expect_refused(arrivals, "arrivals");
+  mc::ScenarioConfig schedule = paper();
+  schedule.schedule.per_node = {{{5.0, true}, {8.0, false}}};
+  expect_refused(schedule, "schedule");
+  mc::ScenarioConfig ring = paper();
+  ring.topology.kind = net::TopologySpec::Kind::kRing;
+  expect_refused(ring, "topology");
 }
 
 TEST(TestbedTest, RealizationCompletesAllTasks) {
-  const TestbedConfig config =
-      paper_testbed(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
+  const mc::ScenarioConfig config =
+      paper_scenario(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
   const mc::RunResult run = run_realization(config, 1, 0);
   EXPECT_EQ(run.tasks_completed, 160u);
   EXPECT_GT(run.completion_time, 0.0);
@@ -65,8 +116,8 @@ TEST(TestbedTest, RealizationCompletesAllTasks) {
 }
 
 TEST(TestbedTest, DeterministicPerReplication) {
-  const TestbedConfig config =
-      paper_testbed(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
+  const mc::ScenarioConfig config =
+      paper_scenario(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
   const mc::RunResult a = run_realization(config, 9, 4);
   const mc::RunResult b = run_realization(config, 9, 4);
   EXPECT_DOUBLE_EQ(a.completion_time, b.completion_time);
@@ -74,8 +125,8 @@ TEST(TestbedTest, DeterministicPerReplication) {
 }
 
 TEST(TestbedTest, TraceShowsFlatSegmentsDuringDownTime) {
-  const TestbedConfig config =
-      paper_testbed(100, 60, std::make_unique<core::Lbp2Policy>(1.0));
+  const mc::ScenarioConfig config =
+      paper_scenario(100, 60, std::make_unique<core::Lbp2Policy>(1.0));
   mc::RunTrace trace;
   const mc::RunResult run = run_realization(config, 4, 1, &trace);
   ASSERT_EQ(trace.queue_lengths.size(), 2u);
@@ -88,7 +139,8 @@ TEST(TestbedTest, NoChurnMatchesNoFailureTheory) {
   // With churn off and the Erlang delay's mean equal to the analytic model's,
   // the emulated mean must sit near the no-failure theory (the delay-law shape
   // difference moves the completion mean by far less than a second here).
-  TestbedConfig config = paper_testbed(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.45));
+  mc::ScenarioConfig config =
+      paper_scenario(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.45));
   config.churn_enabled = false;
   config.transfer_setup_shift = 0.0;
   const ExperimentSummary summary = run_experiment(config, 400, 77, 2);
@@ -101,15 +153,15 @@ TEST(TestbedTest, ChurnyMeanNearAbstractModel) {
   // The emulation differs from the abstract model (Erlang bundle delay, setup
   // shift, size-based service) but must land in the same regime as the theory
   // for the Fig. 3 operating point (~117 s); allow 10%.
-  const TestbedConfig config =
-      paper_testbed(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
+  const mc::ScenarioConfig config =
+      paper_scenario(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
   const ExperimentSummary summary = run_experiment(config, 300, 13, 2);
   EXPECT_NEAR(summary.mean(), 117.0, 0.10 * 117.0);
 }
 
 TEST(TestbedTest, SummaryAggregatesRealizations) {
-  const TestbedConfig config =
-      paper_testbed(50, 30, std::make_unique<core::Lbp1Policy>(0, 0.3));
+  const mc::ScenarioConfig config =
+      paper_scenario(50, 30, std::make_unique<core::Lbp1Policy>(0, 0.3));
   const ExperimentSummary summary = run_experiment(config, 20, 5, 2);
   EXPECT_EQ(summary.completion.count(), 20u);
   EXPECT_EQ(summary.samples.size(), 20u);
@@ -118,8 +170,8 @@ TEST(TestbedTest, SummaryAggregatesRealizations) {
 }
 
 TEST(TestbedTest, ThreadingInvariance) {
-  const TestbedConfig config =
-      paper_testbed(40, 20, std::make_unique<core::Lbp2Policy>(1.0));
+  const mc::ScenarioConfig config =
+      paper_scenario(40, 20, std::make_unique<core::Lbp2Policy>(1.0));
   const ExperimentSummary a = run_experiment(config, 16, 3, 1);
   const ExperimentSummary b = run_experiment(config, 16, 3, 4);
   EXPECT_DOUBLE_EQ(a.mean(), b.mean());
@@ -143,7 +195,7 @@ TEST(TestbedTest, ThreadCountDoesNotChangeCompletionOrStateAge) {
   // The driver folds the realizations in replication order, so the
   // completion statistics and the pooled state ages keep the threads = 1
   // bits at every thread count.
-  TestbedConfig config = paper_testbed(40, 20, std::make_unique<core::Lbp2Policy>(1.0));
+  mc::ScenarioConfig config = paper_scenario(40, 20, std::make_unique<core::Lbp2Policy>(1.0));
   config.state_loss_probability = 0.3;
   const ExperimentSummary serial = run_experiment(config, 40, 3, 1);
   for (const unsigned threads : {2u, 3u, 4u, 8u}) {
@@ -182,7 +234,7 @@ class StrayPolicy final : public core::LoadBalancingPolicy {
 TEST(TestbedTest, ReplicationErrorsReachTheCallerAtAnyThreadCount) {
   // The core refuses the directive inside a realization; the exception stops
   // the run and reaches the caller after the workers join.
-  const TestbedConfig config = paper_testbed(40, 20, std::make_unique<StrayPolicy>());
+  const mc::ScenarioConfig config = paper_scenario(40, 20, std::make_unique<StrayPolicy>());
   for (const unsigned threads : {1u, 4u}) {
     EXPECT_THROW((void)run_experiment(config, 16, 3, threads), std::invalid_argument)
         << "threads " << threads;
@@ -190,17 +242,17 @@ TEST(TestbedTest, ReplicationErrorsReachTheCallerAtAnyThreadCount) {
 }
 
 TEST(TestbedTest, LossyStatePlaneStillCompletes) {
-  TestbedConfig config = paper_testbed(60, 40, std::make_unique<core::Lbp2Policy>(1.0));
+  mc::ScenarioConfig config = paper_scenario(60, 40, std::make_unique<core::Lbp2Policy>(1.0));
   config.state_loss_probability = 0.3;
   const mc::RunResult run = run_realization(config, 21, 0);
   EXPECT_EQ(run.tasks_completed, 100u);
 }
 
 TEST(TestbedTest, SetupShiftSlowsTransfers) {
-  TestbedConfig fast = paper_testbed(100, 0, std::make_unique<core::Lbp1Policy>(0, 0.5));
+  mc::ScenarioConfig fast = paper_scenario(100, 0, std::make_unique<core::Lbp1Policy>(0, 0.5));
   fast.churn_enabled = false;
   fast.transfer_setup_shift = 0.0;
-  TestbedConfig slow = fast.clone();
+  mc::ScenarioConfig slow = fast.clone();
   slow.transfer_setup_shift = 5.0;  // exaggerated for the test
   const ExperimentSummary a = run_experiment(fast, 60, 2, 2);
   const ExperimentSummary b = run_experiment(slow, 60, 2, 2);
