@@ -70,22 +70,6 @@ double CliArgs::get_double(const std::string& key, double fallback) const {
   }
 }
 
-long long CliArgs::get_int64(const std::string& key, long long fallback) const {
-  const auto v = raw(key);
-  if (!v) return fallback;
-  try {
-    std::size_t pos = 0;
-    const long long out = std::stoll(*v, &pos);
-    LBSIM_REQUIRE(pos == v->size(), "trailing characters in --" << key << "=" << *v);
-    return out;
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument("flag --" + key + " expects an integer, got '" + *v + "'");
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("flag --" + key + " is out of the 64-bit integer range, got '" +
-                                *v + "'");
-  }
-}
-
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
   const auto v = raw(key);
   if (!v) return fallback;

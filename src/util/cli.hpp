@@ -28,7 +28,6 @@ class CliArgs {
   /// std::invalid_argument when present but unparsable or out of the value domain.
   [[nodiscard]] std::string get_string(const std::string& key, const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
-  [[nodiscard]] long long get_int64(const std::string& key, long long fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept { return positional_; }

@@ -56,13 +56,13 @@ TEST(CliTest, ParsesEqualsForm) {
   const char* argv[] = {"prog", "--gain=0.35", "--nodes=2"};
   const CliArgs args(3, argv);
   EXPECT_DOUBLE_EQ(args.get_double("gain", 0.0), 0.35);
-  EXPECT_EQ(args.get_int64("nodes", 0), 2);
+  EXPECT_EQ(args.get_string("nodes", ""), "2");
 }
 
 TEST(CliTest, ParsesSpaceForm) {
   const char* argv[] = {"prog", "--seed", "42"};
   const CliArgs args(3, argv);
-  EXPECT_EQ(args.get_int64("seed", 0), 42);
+  EXPECT_EQ(args.get_string("seed", ""), "42");
 }
 
 TEST(CliTest, BareFlagIsTrue) {
@@ -92,12 +92,12 @@ TEST(CliTest, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--gain=abc", "--n=1.5x"};
   const CliArgs args(3, argv);
   EXPECT_THROW((void)args.get_double("gain", 0.0), std::invalid_argument);
-  EXPECT_THROW((void)args.get_int64("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("n", 0.0), std::invalid_argument);
 }
 
 TEST(CliTest, OutOfRangeNumbersNameTheFlag) {
-  const char* argv[] = {"prog", "--seed=18446744073709551611", "--sigma=1e999"};
-  const CliArgs args(3, argv);
+  const char* argv[] = {"prog", "--sigma=1e999"};
+  const CliArgs args(2, argv);
   const auto message = [](const auto& get) -> std::string {
     try {
       (void)get();
@@ -106,8 +106,6 @@ TEST(CliTest, OutOfRangeNumbersNameTheFlag) {
     }
     return "no exception";
   };
-  EXPECT_EQ(message([&] { return args.get_int64("seed", 0); }),
-            "flag --seed is out of the 64-bit integer range, got '18446744073709551611'");
   EXPECT_EQ(message([&] { return args.get_double("sigma", 0.0); }),
             "flag --sigma is out of the double range, got '1e999'");
 }
