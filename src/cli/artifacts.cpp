@@ -43,6 +43,21 @@ std::string format_quantile(const markov::CdfCurve& curve, double q, int digits)
   return util::format_double(value, digits);
 }
 
+/// The full-size counts of the paper's "MC simulation" and "Experimental
+/// result" columns: each engine's default.
+constexpr std::size_t kMcReps = mc::engine_defaults(mc::Engine::kMc).replications;
+constexpr std::size_t kTestbedReps = mc::engine_defaults(mc::Engine::kTestbed).replications;
+
+/// The testbed's "Experimental result" column entry: `realizations` of
+/// `scenario` on the testbed's default seed.
+mc::McResult run_testbed(const mc::ScenarioConfig& scenario, std::size_t realizations) {
+  mc::McConfig config;
+  config.engine = mc::Engine::kTestbed;
+  config.replications = realizations;
+  config.seed = mc::engine_defaults(mc::Engine::kTestbed).seed;
+  return mc::run_monte_carlo(scenario, config);
+}
+
 std::size_t pick(std::size_t requested, std::size_t quick_default, std::size_t full_default,
                  bool quick) {
   if (requested != 0) return requested;
@@ -61,7 +76,7 @@ util::TextTable run_table1(ArtifactOptions& options, std::ostream& os) {
     golden.print(os);
     return golden;
   }
-  const std::size_t realizations = pick(options.realizations, 10, 60, options.quick);
+  const std::size_t realizations = pick(options.realizations, 10, kTestbedReps, options.quick);
   options.realizations = realizations;  // echoed into run metadata
 
   const markov::TwoNodeParams params = markov::ipdps2006_params();
@@ -84,7 +99,7 @@ util::TextTable run_table1(ArtifactOptions& options, std::ostream& os) {
 
     const mc::ScenarioConfig scenario = mc::make_two_node_scenario(
         params, row.m0, row.m1, std::make_unique<core::Lbp1Policy>(opt.sender, opt.gain));
-    const testbed::ExperimentSummary summary = testbed::run_experiment(scenario, realizations);
+    const mc::McResult summary = run_testbed(scenario, realizations);
 
     table.add_row({workload_label(row.m0, row.m1),
                    util::format_double(opt.gain, 2) + " (" +
@@ -118,8 +133,8 @@ util::TextTable run_table2(ArtifactOptions& options, std::ostream& os) {
     golden.print(os);
     return golden;
   }
-  const std::size_t mc_reps = pick(options.mc_reps, 100, 500, options.quick);
-  const std::size_t realizations = pick(options.realizations, 10, 60, options.quick);
+  const std::size_t mc_reps = pick(options.mc_reps, 100, kMcReps, options.quick);
+  const std::size_t realizations = pick(options.realizations, 10, kTestbedReps, options.quick);
   options.mc_reps = mc_reps;
   options.realizations = realizations;
 
@@ -146,7 +161,7 @@ util::TextTable run_table2(ArtifactOptions& options, std::ostream& os) {
     mc::McConfig mc_cfg;
     mc_cfg.replications = mc_reps;
     const mc::McResult mc_result = mc::run_monte_carlo(scenario, mc_cfg);
-    const testbed::ExperimentSummary summary = testbed::run_experiment(scenario, realizations);
+    const mc::McResult summary = run_testbed(scenario, realizations);
 
     table.add_row({workload_label(row.m0, row.m1), util::format_double(fitted.gain, 2),
                    util::format_double(row.paper_gain, 2),
@@ -341,8 +356,8 @@ util::TextTable run_fig2(ArtifactOptions& options, std::ostream& os) {
 
 util::TextTable run_fig3(ArtifactOptions& options, std::ostream& os) {
   const std::size_t m0 = 100, m1 = 60;
-  const std::size_t mc_reps = pick(options.mc_reps, 100, 500, options.quick);
-  const std::size_t tb_reps = pick(options.realizations, 20, 60, options.quick);
+  const std::size_t mc_reps = pick(options.mc_reps, 100, kMcReps, options.quick);
+  const std::size_t tb_reps = pick(options.realizations, 20, kTestbedReps, options.quick);
   options.mc_reps = mc_reps;
   options.realizations = tb_reps;
 
@@ -369,7 +384,7 @@ util::TextTable run_fig3(ArtifactOptions& options, std::ostream& os) {
     mc::McConfig mc_cfg;
     mc_cfg.replications = mc_reps;
     const mc::McResult mc_result = mc::run_monte_carlo(scenario, mc_cfg);
-    const testbed::ExperimentSummary tb_result = testbed::run_experiment(scenario, tb_reps);
+    const mc::McResult tb_result = run_testbed(scenario, tb_reps);
 
     table.add_row({util::format_double(gain, 2), util::format_double(mu, 2),
                    util::format_double(mc_result.mean(), 2),

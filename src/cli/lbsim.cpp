@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,9 +29,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
-#include "testbed/experiment.hpp"
 #include "util/cli.hpp"
-#include "util/log.hpp"
 
 namespace lbsim::cli {
 namespace {
@@ -44,6 +43,10 @@ Usage:
         [--seed=S] [--vr=none|antithetic|cv|both] [--cv-pilot=N]
         [--trace=FILE[:jsonl|chrome]] [--metrics=FILE]
         [--format=table|csv|json] [--out=FILE]
+        --engine picks the engine: the family's own by default (testbed for
+        lossy-exchange, mc for every other family); a family that cannot run
+        the one named exits 2. A testbed row adds the state-plane columns
+        (state_age_mean_s, state_age_max_s, state_lost).
         --trace writes the structured event trace (task/service/transfer/
         churn/env records, replications in order behind rep_begin markers) as
         JSONL or the Chrome trace-event JSON Perfetto opens; --metrics dumps
@@ -90,24 +93,25 @@ Usage:
         scripts/compare_bench.py gates an --out file against
         BENCH_baseline.json
 
-Global flags: --log-level=trace|debug|info|warn|error|off (default warn) and
---help. Any other flag a subcommand does not list above is an error.
+Global flag: --help. Any other flag a subcommand does not list above is an
+error.
 
 Scenario keys are INI-style (`lbsim list <scenario>` documents them); a
 --config file may also carry them, with command-line key=value pairs winning.
 The reserved keys `mc.reps`, `mc.threads`, `mc.seed`, `mc.vr`, `mc.cv-pilot`,
-and `engine` select the execution engine rather than the scenario. A seed
-(`--seed=S`, `mc.seed`) is an integer from 1 to 18446744073709551615: omit it
-for the command's default, which the output's metadata prints.
+and `engine` select the execution engine rather than the scenario (`engine=`
+is how a sweep names one). A seed (`--seed=S`, `mc.seed`) is an integer from
+1 to 18446744073709551615: omit it for the engine's default (mc 0x5eed2006,
+testbed 0xbed2006), which the output's metadata prints.
 )";
 
 /// Throws ConfigError(kUnknownKey), with a did-you-mean suggestion, on any
-/// flag outside `known` plus the global --log-level and --help. Each
+/// flag outside `known` plus the global --help. Each
 /// subcommand passes exactly the flags kUsage lists for it, so a typo such
 /// as --rep=5 fails instead of being silently ignored.
 void reject_unknown_flags(const util::CliArgs& args, const std::string& command,
                           std::vector<std::string> known) {
-  known.insert(known.end(), {"log-level", "help"});
+  known.push_back("help");
   for (const std::string& flag : args.flag_names()) {
     if (std::find(known.begin(), known.end(), flag) != known.end()) continue;
     std::string msg = "lbsim " + command + " has no flag '--" + flag + "'";
@@ -222,7 +226,7 @@ std::string joined_command(int argc, const char* const* argv) {
 
 /// Splits the reserved engine keys out of a raw scenario config.
 struct EngineOptions {
-  std::string engine = "mc";
+  std::optional<mc::Engine> engine;  // empty = the family's own
   std::size_t replications = 0;  // 0 = engine default
   unsigned threads = 0;
   std::uint64_t seed = 0;        // 0 = engine default
@@ -239,7 +243,7 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
     raw.values.erase(it);
     return value;
   };
-  if (const std::string v = take("engine"); !v.empty()) options.engine = v;
+  std::string engine = take("engine");
   if (const std::string v = take("mc.reps"); !v.empty()) {
     options.replications = parse_reps(v, "mc.reps");
   }
@@ -252,7 +256,7 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
   std::string vr_text = take("mc.vr");
   std::string cv_pilot_text = take("mc.cv-pilot");
   // Command-line flags win over config-file keys.
-  options.engine = args.get_string("engine", options.engine);
+  engine = args.get_string("engine", engine);
   if (args.has("reps")) {
     options.replications = parse_reps(args.get_string("reps", ""), "--reps");
   }
@@ -274,14 +278,36 @@ EngineOptions extract_engine_options(RawConfig& raw, const util::CliArgs& args) 
     }
     options.cv_pilot = static_cast<std::size_t>(pilot);
   }
-  if (options.engine != "mc" && options.engine != "testbed") {
+  for (const mc::Engine named : {mc::Engine::kMc, mc::Engine::kTestbed}) {
+    if (engine == mc::engine_name(named)) options.engine = named;
+  }
+  if (!options.engine && (!engine.empty() || args.has("engine"))) {
     throw ConfigError(ConfigError::Kind::kOutOfRange, "engine",
                       "engine must be 'mc' or 'testbed'");
   }
-  if (options.engine != "mc" && options.vr != mc::VrMode::kNone) {
-    throw ConfigError(ConfigError::Kind::kOutOfRange, "vr", "--vr belongs to the mc engine");
-  }
   return options;
+}
+
+/// The engine a run or sweep of `spec` uses: the one named (--engine or
+/// engine=), else the family's own. An infinite-horizon family runs on mc
+/// (its steady-state engine) only, and an emulation family on the testbed
+/// only: naming the other engine exits 2, as does --vr on the testbed.
+mc::Engine resolve_engine(const ScenarioSpec& spec, const EngineOptions& options) {
+  const mc::Engine own = spec.testbed ? mc::Engine::kTestbed : mc::Engine::kMc;
+  const mc::Engine engine = options.engine.value_or(own);
+  if (engine != own && (spec.steady || spec.testbed)) {
+    throw ConfigError(ConfigError::Kind::kOutOfRange, "engine",
+                      "scenario '" + spec.name + "' " +
+                          (spec.steady ? "is infinite-horizon; only the mc (steady-state)"
+                                       : "emulates the testbed; only the testbed") +
+                          " engine runs it");
+  }
+  if (engine == mc::Engine::kTestbed && options.vr != mc::VrMode::kNone) {
+    throw ConfigError(ConfigError::Kind::kOutOfRange, "vr",
+                      "--vr belongs to the mc engine; scenario '" + spec.name +
+                          "' runs on the testbed engine");
+  }
+  return engine;
 }
 
 /// Gathers the scenario name + raw key=value config for run/sweep: positional
@@ -365,7 +391,8 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
   for (const std::string& assignment : invocation.extra) {
     apply_override(invocation.raw, assignment);
   }
-  EngineOptions engine = extract_engine_options(invocation.raw, args);
+  const EngineOptions engine = extract_engine_options(invocation.raw, args);
+  const mc::Engine resolved = resolve_engine(*invocation.spec, engine);
   const Config config = invocation.spec->schema.resolve(invocation.raw);
   mc::ScenarioConfig scenario = invocation.spec->build(config);
 
@@ -392,26 +419,9 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
     }
   };
 
-  if (invocation.spec->testbed) {
-    // Emulation family: the testbed engine is the only one with a state plane
-    // to degrade, so the family always routes there.
-    if (engine.vr != mc::VrMode::kNone) {
-      throw ConfigError(ConfigError::Kind::kOutOfRange, "vr",
-                        "--vr belongs to the mc engine; scenario '" + invocation.spec->name +
-                            "' runs on the testbed engine");
-    }
-    engine.engine = "testbed";
-  }
-
   if (invocation.spec->steady) {
     // Infinite-horizon family: the steady-state engine is the only one whose
     // semantics (stop at N completions, not drain) are defined for it.
-    if (engine.engine != "mc") {
-      throw ConfigError(ConfigError::Kind::kOutOfRange, "engine",
-                        "scenario '" + invocation.spec->name +
-                            "' is infinite-horizon; only the mc (steady-state) engine "
-                            "runs it");
-    }
     if (engine.vr != mc::VrMode::kNone) {
       throw ConfigError(ConfigError::Kind::kOutOfRange, "vr",
                         "--vr applies to finite-horizon replications; scenario '" +
@@ -462,6 +472,18 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
     return 0;
   }
 
+  const bool testbed = resolved == mc::Engine::kTestbed;
+  const mc::EngineDefaults defaults = mc::engine_defaults(resolved);
+  mc::McConfig mc_config;
+  mc_config.engine = resolved;
+  mc_config.replications =
+      engine.replications != 0 ? engine.replications : defaults.replications;
+  mc_config.seed = engine.seed != 0 ? engine.seed : defaults.seed;
+  mc_config.threads = engine.threads;
+  mc_config.vr = engine.vr;
+  mc_config.cv_pilot = engine.cv_pilot;
+  mc_config.obs = sinks;
+
   std::vector<std::string> header = {"scenario", "policy", "engine", "reps", "mean_s",
                                      "ci95_s", "stderr_s", "min_s", "max_s", "p50_s",
                                      "p90_s", "p99_s", "mean_failures",
@@ -469,7 +491,7 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
   if (engine.vr != mc::VrMode::kNone) {
     header.insert(header.end(), vr_columns().begin(), vr_columns().end());
   }
-  if (engine.engine == "testbed") {
+  if (testbed) {
     header.insert(header.end(), {"state_age_mean_s", "state_age_max_s", "state_lost"});
   }
   util::TextTable table(header);
@@ -477,71 +499,47 @@ int cmd_run(int argc, const char* const* argv, const util::CliArgs& args, std::o
   meta.command = joined_command(argc, argv);
   meta.scenario = invocation.spec->name;
   meta.threads = engine.threads;
+  meta.seed = mc_config.seed;
+  meta.replications = mc_config.replications;
 
-  std::string warning;
   const auto start = std::chrono::steady_clock::now();
-  if (engine.engine == "mc") {
-    mc::McConfig mc_config;
-    if (engine.replications != 0) mc_config.replications = engine.replications;
-    if (engine.seed != 0) mc_config.seed = engine.seed;
-    mc_config.threads = engine.threads;
-    mc_config.vr = engine.vr;
-    mc_config.cv_pilot = engine.cv_pilot;
-    mc_config.obs = sinks;
-    const std::string policy_name = scenario.policy->name();
-    const mc::McResult result = mc::run_monte_carlo(scenario, mc_config);
-    std::vector<std::string> row = {invocation.spec->name, policy_name, "mc",
-                                    std::to_string(mc_config.replications),
-                                    util::format_double(result.mean(), 3),
-                                    util::format_double(result.ci95(), 3),
-                                    util::format_double(result.std_error(), 3),
-                                    util::format_double(result.completion.min(), 3),
-                                    util::format_double(result.completion.max(), 3),
-                                    util::format_double(result.p50, 3),
-                                    util::format_double(result.p90, 3),
-                                    util::format_double(result.p99, 3),
-                                    util::format_double(result.mean_failures, 2),
-                                    util::format_double(result.mean_tasks_moved, 2),
-                                    util::format_double(result.mean_bundles, 2)};
-    if (engine.vr != mc::VrMode::kNone) {
-      append_vr_cells(result, row);
-      note_vr_metadata(result, meta);
-      if (!result.vr.fallback.empty()) {
-        out << "note: " << result.vr.fallback << "\n";
-      }
+  const std::string policy_name = scenario.policy->name();
+  const mc::McResult result = mc::run_monte_carlo(scenario, mc_config);
+  std::vector<std::string> row = {invocation.spec->name,
+                                  policy_name,
+                                  mc::engine_name(resolved),
+                                  std::to_string(mc_config.replications),
+                                  util::format_double(result.mean(), 3),
+                                  util::format_double(result.ci95(), 3),
+                                  util::format_double(result.std_error(), 3),
+                                  util::format_double(result.completion.min(), 3),
+                                  util::format_double(result.completion.max(), 3),
+                                  util::format_double(result.p50, 3),
+                                  util::format_double(result.p90, 3),
+                                  util::format_double(result.p99, 3),
+                                  util::format_double(result.mean_failures, 2),
+                                  util::format_double(result.mean_tasks_moved, 2),
+                                  util::format_double(result.mean_bundles, 2)};
+  if (engine.vr != mc::VrMode::kNone) {
+    append_vr_cells(result, row);
+    note_vr_metadata(result, meta);
+    if (!result.vr.fallback.empty()) {
+      out << "note: " << result.vr.fallback << "\n";
     }
-    table.add_row(std::move(row));
-    meta.seed = mc_config.seed;
-    meta.replications = mc_config.replications;
-    warning = degeneration_warning(*scenario.policy, scenario.params, scenario.workloads,
-                                   result.mean_tasks_moved);
-  } else {
-    const std::size_t realizations = engine.replications != 0 ? engine.replications : 60;
-    const std::uint64_t seed = engine.seed != 0 ? engine.seed : 0xbed2006;
-    const testbed::ExperimentSummary result =
-        testbed::run_experiment(scenario, realizations, seed, engine.threads, sinks);
-    const std::string policy_name = scenario.policy->name();
-    table.add_row({invocation.spec->name, policy_name, "testbed",
-                   std::to_string(realizations), util::format_double(result.mean(), 3),
-                   util::format_double(result.ci95(), 3),
-                   util::format_double(result.completion.std_error(), 3),
-                   util::format_double(result.completion.min(), 3),
-                   util::format_double(result.completion.max(), 3), "-", "-", "-",
-                   util::format_double(result.mean_failures, 2),
-                   util::format_double(result.mean_tasks_moved, 2), "-",
-                   util::format_double(result.state_age.mean(), 3),
-                   util::format_double(result.state_age.max(), 3),
-                   util::format_double(result.mean_state_lost, 1)});
-    meta.seed = seed;
-    meta.replications = realizations;
-    warning = degeneration_warning(*scenario.policy, scenario.params, scenario.workloads,
-                                   result.mean_tasks_moved);
   }
+  if (testbed) {
+    row.insert(row.end(), {util::format_double(result.state_age.mean(), 3),
+                           util::format_double(result.state_age.max(), 3),
+                           util::format_double(result.mean_state_lost, 1)});
+  }
+  table.add_row(std::move(row));
   meta.wall_seconds = std::chrono::duration_cast<std::chrono::duration<double>>(
                           std::chrono::steady_clock::now() - start)
                           .count();
   emit(args, meta, table, out);
   flush_obs(meta, out);
+  const std::string warning = degeneration_warning(*scenario.policy, scenario.params,
+                                                   scenario.workloads, result.mean_tasks_moved);
   if (!warning.empty()) err << "lbsim: warning: " << warning << "\n";
   return 0;
 }
@@ -572,16 +570,10 @@ int cmd_sweep(int argc, const char* const* argv, const util::CliArgs& args,
   const std::string metrics_path = args.get_string("metrics", "");
   obs::Registry metrics_registry;
   if (!metrics_path.empty()) options.obs.metrics = &metrics_registry;
-  EngineOptions engine = extract_engine_options(invocation.raw, args);
-  if (engine.engine != "mc" && !invocation.spec->testbed) {
-    throw ConfigError(ConfigError::Kind::kOutOfRange, "engine",
-                      "lbsim sweep drives the MC engine only");
-  }
-  if (engine.replications != 0) {
-    options.replications = engine.replications;
-    options.replications_explicit = true;
-  }
-  if (engine.seed != 0) options.seed = engine.seed;
+  const EngineOptions engine = extract_engine_options(invocation.raw, args);
+  options.engine = resolve_engine(*invocation.spec, engine);
+  options.replications = engine.replications;
+  options.seed = engine.seed;
   options.threads = engine.threads;
   options.vr = engine.vr;
   options.cv_pilot = engine.cv_pilot;
@@ -782,6 +774,8 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
   meta.extra.emplace_back("tolerance.perf_testbed_lossy", "0.45");
   meta.extra.emplace_back("tolerance.perf_mc_traced", "0.45");
 
+  // Every row but perf_testbed_lossy runs on the mc engine's default seed.
+  const std::uint64_t mc_seed = mc::engine_defaults(mc::Engine::kMc).seed;
   // perf_mc_traced reports its overhead against perf_mc_n16's wall time.
   double untraced_n16_ms = 0.0;
 
@@ -834,7 +828,7 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
       controls.workspace = &workspace;
       for (std::size_t r = 0; r < reps; ++r) {
         total +=
-            mc::run_scenario(scenario, 0x5eed2006, r, nullptr, sim, mc::SteadyProbe{}, controls)
+            mc::run_scenario(scenario, mc_seed, r, nullptr, sim, mc::SteadyProbe{}, controls)
                 .completion_time;
       }
     });
@@ -1049,7 +1043,6 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
     raw.set("steady.tasks", std::to_string(tasks));
     mc::ScenarioConfig scenario = spec.build(spec.schema.resolve(raw));
     mc::SteadyConfig steady_config;
-    steady_config.seed = 0x5eed2006;
     steady_config.obs = profile_sinks();
     double mean = 0.0;
     const double ms = time_ms(3, [&] {
@@ -1073,12 +1066,16 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
     const ScenarioSpec& spec = find_scenario("lossy-exchange");
     RawConfig raw;
     raw.set("channel.states", "2");
-    const mc::ScenarioConfig tb = spec.build(spec.schema.resolve(raw));
+    const mc::ScenarioConfig scenario = spec.build(spec.schema.resolve(raw));
+    mc::McConfig mc_config;
+    mc_config.engine = mc::Engine::kTestbed;
+    mc_config.replications = reps;
+    mc_config.seed = mc::engine_defaults(mc::Engine::kTestbed).seed;
+    mc_config.obs = profile_sinks();
     double mean = 0.0;
     const double ms = time_ms(3, [&] {
       bench_profile = {};
-      mean = testbed::run_experiment(tb, reps, 0xbed2006, /*threads=*/0, profile_sinks())
-                 .mean();
+      mean = mc::run_monte_carlo(scenario, mc_config).mean();
     });
     table.add_row({"perf_testbed_lossy", util::format_double(ms, 2),
                    std::to_string(reps) + " realizations, 2-state channel, mean " +
@@ -1090,7 +1087,7 @@ int cmd_perf(int argc, const char* const* argv, const util::CliArgs& args, std::
 
   meta.command = joined_command(argc, argv);
   meta.scenario = "perf-baseline";
-  meta.seed = 0x5eed2006;
+  meta.seed = mc_seed;
   meta.wall_seconds = std::chrono::duration_cast<std::chrono::duration<double>>(
                           std::chrono::steady_clock::now() - start)
                           .count();
@@ -1145,9 +1142,6 @@ std::string degeneration_warning(const core::LoadBalancingPolicy& policy,
 int run_lbsim(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
   try {
     const util::CliArgs args(argc, argv);
-    if (const std::string level = args.get_string("log-level", ""); !level.empty()) {
-      util::set_log_level(util::parse_log_level(level));
-    }
     if (args.positional().empty() || args.has("help")) {
       out << kUsage;
       return args.positional().empty() && !args.has("help") ? 2 : 0;

@@ -13,7 +13,7 @@
 ///   lbsim perf                     timing baseline (perf_des/perf_mc/perf_solver, ...)
 ///
 /// Each subcommand accepts exactly the flags its usage text lists, plus the
-/// global --log-level and --help; any other flag is a usage error.
+/// global --help; any other flag is a usage error.
 
 #include <iosfwd>
 #include <string>

@@ -764,7 +764,7 @@ std::vector<ScenarioSpec> build_registry() {
          .build = [](const Config& config) { return build_graph(config); }});
   }
 
-  // --- testbed-engine family (src/testbed + net channel layer) ---
+  // --- testbed-engine family (mc::Engine::kTestbed + net channel layer) ---
 
   {
     // Lossy/bursty state exchange: the Section 3 emulation with the state

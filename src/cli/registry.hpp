@@ -28,8 +28,10 @@ struct ScenarioSpec {
   /// Infinite-horizon family: routed to the steady-state engine
   /// (mc::run_steady) instead of the finite completion-time engines.
   bool steady = false;
-  /// Emulation family: routed to the testbed engine (lossy state plane,
-  /// distributed decisions) instead of the abstract MC engine.
+  /// Emulation family: its own engine is the testbed (lossy state plane,
+  /// distributed decisions), and it runs on no other. Every other
+  /// finite-horizon family runs on mc unless the testbed is named
+  /// (`--engine=testbed`, `engine=testbed`).
   bool testbed = false;
 };
 

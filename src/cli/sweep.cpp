@@ -11,8 +11,6 @@
 #include "mc/steady.hpp"
 #include "mc/theory.hpp"
 #include "stochastic/stats.hpp"
-#include "testbed/config.hpp"
-#include "testbed/experiment.hpp"
 #include "util/math.hpp"
 
 namespace lbsim::cli {
@@ -31,7 +29,6 @@ void assign(const std::string& key, const std::string& value, RawConfig& raw,
             SweepOptions& options) {
   if (key == "mc.reps") {
     options.replications = parse_reps(value, key);
-    options.replications_explicit = true;
   } else if (key == "mc.threads") {
     options.threads = parse_threads(value, key);
   } else if (key == "mc.seed") {
@@ -184,16 +181,17 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
                       "mc.vr applies to finite-horizon replications; scenario '" +
                           scenario.name + "' is infinite-horizon");
   }
-  if (scenario.testbed) {
+  const bool testbed = options.engine == mc::Engine::kTestbed;
+  if (testbed) {
     if (vr_active) {
       throw ConfigError(ConfigError::Kind::kOutOfRange, "mc.vr",
-                        "mc.vr belongs to the abstract MC engine; scenario '" + scenario.name +
-                            "' runs on the testbed engine");
+                        "mc.vr belongs to the abstract MC engine; this sweep of scenario '" +
+                            scenario.name + "' runs on the testbed engine");
     }
     if (options.compare_theory) {
       throw ConfigError(ConfigError::Kind::kOutOfRange, "compare",
                         "--compare joins the exact-solver oracle, which models the abstract MC "
-                        "semantics only; scenario '" +
+                        "semantics only; this sweep of scenario '" +
                             scenario.name + "' runs on the testbed engine");
     }
   }
@@ -212,56 +210,39 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
       assign(key, value, raw, point_options);
     }
     const mc::ScenarioConfig built = scenario.build(scenario.schema.resolve(raw));
-    if (scenario.testbed) testbed::check_emulable(built);
+    if (testbed) mc::check_emulable(built);
   }
+
+  // The count and seed a point runs when no mc.reps or mc.seed sets them.
+  const mc::EngineDefaults defaults = mc::engine_defaults(options.engine);
+  const auto replications = [&](const SweepOptions& point) {
+    if (point.replications != 0) return point.replications;
+    return scenario.steady ? std::size_t{1} : defaults.replications;
+  };
+  const auto seed = [&](const SweepOptions& point) {
+    return point.seed != 0 ? point.seed : defaults.seed;
+  };
 
   std::vector<std::string> header;
   for (const SweepAxis& axis : axes) header.push_back(axis.key);
   if (options.dry_run) {
     header.insert(header.end(), {"policy", "reps"});
-  } else if (scenario.steady) {
-    // Steady-state families report the stationary sojourn time, not a
-    // completion time: the CI is the batch-means CI, `warmup` the MSER-5
-    // truncation, `lag1` the batch-means autocorrelation diagnostic.
-    header.insert(header.end(), {"mean_sojourn_s", "ci95_s", "stderr_s", "reps", "tasks",
-                                 "warmup", "lag1", "mean_queue"});
-    if (options.quantiles) {
-      header.insert(header.end(), {"p50_s", "p90_s", "p99_s"});
-    }
-    if (options.ecdf_points > 0) {
-      for (std::size_t i = 0; i <= options.ecdf_points; ++i) {
-        std::string name = "q";
-        name += format_axis_value(100.0 * static_cast<double>(i) /
-                                  static_cast<double>(options.ecdf_points));
-        name += "_s";
-        header.push_back(std::move(name));
-      }
-    }
-    if (options.compare_theory) {
-      header.insert(header.end(), {"theory_mean", "abs_err", "sigma_err"});
-    }
-  } else if (scenario.testbed) {
-    // Testbed families swap the bundle column for the state-plane staleness
-    // diagnostics: mean/max peer state age observed at decision points, and
-    // state packets lost per realization.
-    header.insert(header.end(), {"mean_s", "ci95_s", "stderr_s", "reps", "mean_failures",
-                                 "mean_tasks_moved", "state_age_mean_s", "state_age_max_s",
-                                 "state_lost"});
-    if (options.quantiles) {
-      header.insert(header.end(), {"p50_s", "p90_s", "p99_s"});
-    }
-    if (options.ecdf_points > 0) {
-      for (std::size_t i = 0; i <= options.ecdf_points; ++i) {
-        std::string name = "q";
-        name += format_axis_value(100.0 * static_cast<double>(i) /
-                                  static_cast<double>(options.ecdf_points));
-        name += "_s";
-        header.push_back(std::move(name));
-      }
-    }
   } else {
-    header.insert(header.end(), {"mean_s", "ci95_s", "stderr_s", "reps", "mean_failures",
-                                 "mean_tasks_moved", "mean_bundles"});
+    if (scenario.steady) {
+      // Steady-state families report the stationary sojourn time, not a
+      // completion time: the CI is the batch-means CI, `warmup` the MSER-5
+      // truncation, `lag1` the batch-means autocorrelation diagnostic.
+      header.insert(header.end(), {"mean_sojourn_s", "ci95_s", "stderr_s", "reps", "tasks",
+                                   "warmup", "lag1", "mean_queue"});
+    } else {
+      header.insert(header.end(), {"mean_s", "ci95_s", "stderr_s", "reps", "mean_failures",
+                                   "mean_tasks_moved", "mean_bundles"});
+      if (testbed) {
+        // The state-plane staleness diagnostics: mean/max peer state age
+        // observed at decision points, and state packets lost per realization.
+        header.insert(header.end(), {"state_age_mean_s", "state_age_max_s", "state_lost"});
+      }
+    }
     if (options.quantiles) {
       header.insert(header.end(), {"p50_s", "p90_s", "p99_s"});
     }
@@ -304,18 +285,12 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
     if (options.dry_run) {
       const mc::ScenarioConfig built = scenario.build(config);
       row.push_back(built.policy->name());
-      std::size_t shown = point_options.replications;
-      if (!point_options.replications_explicit) {
-        if (scenario.steady) shown = 1;          // one batch-means window
-        if (scenario.testbed) shown = 60;        // paper's realization count
-      }
-      row.push_back(std::to_string(shown));
+      row.push_back(std::to_string(replications(point_options)));
     } else if (scenario.steady) {
       mc::SteadyConfig steady_config;
-      steady_config.replications =
-          point_options.replications_explicit ? point_options.replications : 1;
+      steady_config.replications = replications(point_options);
       steady_config.threads = point_options.threads;
-      steady_config.seed = point_options.seed;
+      steady_config.seed = seed(point_options);
       steady_config.collect_samples = options.ecdf_points > 0;
       steady_config.obs = options.obs;
       const mc::ScenarioConfig built = scenario.build(config);
@@ -342,37 +317,12 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
       if (options.compare_theory) {
         append_open_theory_cells(built, steady, row);
       }
-    } else if (scenario.testbed) {
-      const std::size_t reps =
-          point_options.replications_explicit ? point_options.replications : 60;
-      const mc::ScenarioConfig built = scenario.build(config);
-      const testbed::ExperimentSummary summary = testbed::run_experiment(
-          built, reps, point_options.seed, point_options.threads, options.obs);
-      row.push_back(util::format_double(summary.mean(), 3));
-      row.push_back(util::format_double(summary.ci95(), 3));
-      row.push_back(util::format_double(summary.completion.std_error(), 3));
-      row.push_back(std::to_string(reps));
-      row.push_back(util::format_double(summary.mean_failures, 2));
-      row.push_back(util::format_double(summary.mean_tasks_moved, 2));
-      row.push_back(util::format_double(summary.state_age.mean(), 3));
-      row.push_back(util::format_double(summary.state_age.max(), 3));
-      row.push_back(util::format_double(summary.mean_state_lost, 1));
-      if (options.quantiles) {
-        row.push_back(util::format_double(stoch::quantile_sorted(summary.samples, 0.50), 3));
-        row.push_back(util::format_double(stoch::quantile_sorted(summary.samples, 0.90), 3));
-        row.push_back(util::format_double(stoch::quantile_sorted(summary.samples, 0.99), 3));
-      }
-      if (options.ecdf_points > 0) {
-        for (std::size_t i = 0; i <= options.ecdf_points; ++i) {
-          const double q = static_cast<double>(i) / static_cast<double>(options.ecdf_points);
-          row.push_back(util::format_double(stoch::quantile_sorted(summary.samples, q), 3));
-        }
-      }
     } else {
       mc::McConfig mc_config;
-      mc_config.replications = point_options.replications;
+      mc_config.engine = options.engine;
+      mc_config.replications = replications(point_options);
       mc_config.threads = point_options.threads;
-      mc_config.seed = point_options.seed;
+      mc_config.seed = seed(point_options);
       mc_config.collect_samples = options.ecdf_points > 0;
       mc_config.vr = point_options.vr;
       mc_config.cv_pilot = point_options.cv_pilot;
@@ -386,6 +336,11 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
       row.push_back(util::format_double(mc_result.mean_failures, 2));
       row.push_back(util::format_double(mc_result.mean_tasks_moved, 2));
       row.push_back(util::format_double(mc_result.mean_bundles, 2));
+      if (testbed) {
+        row.push_back(util::format_double(mc_result.state_age.mean(), 3));
+        row.push_back(util::format_double(mc_result.state_age.max(), 3));
+        row.push_back(util::format_double(mc_result.mean_state_lost, 1));
+      }
       if (options.quantiles) {
         row.push_back(util::format_double(mc_result.p50, 3));
         row.push_back(util::format_double(mc_result.p90, 3));
@@ -409,8 +364,8 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   result.metadata.scenario = scenario.name;
-  result.metadata.seed = options.seed;
-  result.metadata.replications = options.replications;
+  result.metadata.seed = seed(options);
+  result.metadata.replications = replications(options);
   result.metadata.threads = options.threads;
   result.metadata.wall_seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(elapsed).count();

@@ -5,9 +5,11 @@
 /// An axis is written `key=v1,v2,v3` (explicit list) or `key=lo:hi:step`
 /// (inclusive range). `lbsim sweep` expands the cartesian product of every
 /// axis, overrides each point's keys onto the scenario's base config, and runs
-/// the parallel Monte-Carlo engine per point. Axes may target any scenario key
-/// (gain, workloads, failure scales, delay parameters, ...) as well as the
-/// engine keys `mc.reps`, `mc.threads`, and `mc.seed`.
+/// mc::run_monte_carlo per point, on the abstract model or the testbed (or
+/// mc::run_steady on an infinite-horizon family), so that a one-point sweep
+/// prints the row `lbsim run` prints. Axes may target any scenario key (gain,
+/// workloads, failure scales, delay parameters, ...) as well as the engine
+/// keys `mc.reps`, `mc.threads`, `mc.seed`, `mc.vr` and `mc.cv-pilot`.
 
 #include <cstdint>
 #include <string>
@@ -35,16 +37,17 @@ struct SweepAxis {
 [[nodiscard]] std::vector<std::vector<std::pair<std::string, std::string>>> expand_grid(
     const std::vector<SweepAxis>& axes);
 
-/// Engine knobs for one sweep (defaults mirror mc::McConfig).
+/// Engine knobs for one sweep.
 struct SweepOptions {
-  std::size_t replications = 500;
-  /// True when the user supplied a replication count (mc.reps or --reps).
-  /// Steady-state families default to 1 window per point — each window is
-  /// already tens of thousands of tasks and carries its own batch-means CI —
-  /// so the finite default of 500 applies only when asked for explicitly.
-  bool replications_explicit = false;
+  /// The engine every finite-horizon point runs on (`lbsim sweep`: the
+  /// family's own, or the one `engine=` names).
+  mc::Engine engine = mc::Engine::kMc;
+  /// 0 = the engine's default (mc::engine_defaults). A steady-state family
+  /// defaults to 1 window per point instead: each window is already tens of
+  /// thousands of tasks and carries its own batch-means CI.
+  std::size_t replications = 0;
   unsigned threads = 0;
-  std::uint64_t seed = 0x5eed2006;
+  std::uint64_t seed = 0;  ///< 0 = the engine's default
   bool dry_run = false;  ///< list the points, run nothing
   /// Append p50_s/p90_s/p99_s columns: exact type-7 values up to
   /// mc::kExactQuantileCap replications per point, P² streaming estimates

@@ -13,7 +13,6 @@
 #include "mc/steady.hpp"
 #include "mc/theory.hpp"
 #include "stochastic/stats.hpp"
-#include "testbed/experiment.hpp"
 
 namespace lbsim::cli {
 namespace {
@@ -263,11 +262,13 @@ ValidationReport run_validation(const ValidationOptions& options) {
                                            ? channel.loss[0]
                                            : built.state_loss_probability;
       reduced.channel = net::ChannelSpec{};
-      constexpr std::size_t kTestbedReps = 20;
-      const testbed::ExperimentSummary with_channel =
-          testbed::run_experiment(built, kTestbedReps, options.seed, options.threads);
-      const testbed::ExperimentSummary fallback =
-          testbed::run_experiment(reduced, kTestbedReps, options.seed, options.threads);
+      mc::McConfig testbed_config;
+      testbed_config.engine = mc::Engine::kTestbed;
+      testbed_config.replications = 20;
+      testbed_config.seed = options.seed;
+      testbed_config.threads = options.threads;
+      const mc::McResult with_channel = mc::run_monte_carlo(built, testbed_config);
+      const mc::McResult fallback = mc::run_monte_carlo(reduced, testbed_config);
       const bool failed = with_channel.completion.mean() != fallback.completion.mean() ||
                           with_channel.completion.max() != fallback.completion.max();
       ++report.checked;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cli/output.hpp"
+#include "mc/engine.hpp"
 #include "util/format.hpp"
 
 namespace lbsim::cli {
@@ -26,7 +27,7 @@ struct ValidationOptions {
   bool strict = false;
   /// 0 = mode default (400 replications, 1500 under --strict).
   std::size_t replications = 0;
-  std::uint64_t seed = 0x5eed2006;
+  std::uint64_t seed = mc::engine_defaults(mc::Engine::kMc).seed;
   unsigned threads = 0;
   /// |mc_mean - theory| / stderr gate; 0 = mode default (5.0, 4.0 strict).
   double sigma_gate = 0.0;

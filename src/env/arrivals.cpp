@@ -92,7 +92,6 @@ void ArrivalProcess::fire() {
       spec_.target >= 0 ? static_cast<std::size_t>(spec_.target)
                         : static_cast<std::size_t>(rng_.uniform_index(node_count_));
   ++epochs_;
-  tasks_ += tasks;
   const bool last = !spec_.unbounded && epochs_ >= spec_.count;
   sink_(node, tasks, last);
   if (!last) arm();

@@ -94,8 +94,6 @@ class ArrivalProcess {
 
   /// Epochs fired so far.
   [[nodiscard]] std::uint64_t epochs() const noexcept { return epochs_; }
-  /// Tasks injected so far.
-  [[nodiscard]] std::uint64_t tasks_injected() const noexcept { return tasks_; }
   /// True once every epoch of the stream has fired (or the spec is inactive).
   /// An unbounded stream never finishes.
   [[nodiscard]] bool finished() const noexcept {
@@ -117,7 +115,6 @@ class ArrivalProcess {
   des::EventId pending_;
   bool armed_ = false;
   std::uint64_t epochs_ = 0;
-  std::uint64_t tasks_ = 0;
 };
 
 }  // namespace lbsim::env

@@ -1,10 +1,39 @@
 #include "mc/driver.hpp"
 
+#include <memory>
 #include <thread>
 
 #include "util/error.hpp"
 
 namespace lbsim::mc {
+namespace {
+
+/// The testbed's communication layer: Erlang per-task bundle delays with the
+/// TCP setup shift (Fig. 2), and the lossy UDP state plane.
+net::Network::Config network_config(const ScenarioConfig& config) {
+  net::Network::Config net_config;
+  net_config.data_delay = std::make_unique<net::ErlangPerTaskDelay>(
+      config.params.per_task_delay_mean, config.transfer_setup_shift);
+  net_config.state_latency = config.state_latency;
+  net_config.state_loss_probability = config.state_loss_probability;
+  net_config.channel = config.channel;
+  return net_config;
+}
+
+}  // namespace
+
+TestbedWorker::TestbedWorker(const ScenarioConfig& scenario)
+    : config(scenario), network(scenario.params.nodes.size(), network_config(scenario)) {}
+
+RunResult TestbedWorker::run(core::LoadBalancingPolicy& policy, std::uint64_t seed,
+                             std::uint64_t replication, RunTrace* trace,
+                             obs::PhaseProfile* run_profile) {
+  RunControls controls;
+  controls.profile = run_profile;
+  controls.workspace = &workspace;
+  return run_testbed_replication(config, policy, network, seed, replication, trace, sim,
+                                 controls);
+}
 
 void fold_queue_metrics(obs::Registry& metrics, const des::EventQueue::Stats& stats) {
   metrics.counter("des.events.scheduled").add(stats.scheduled);

@@ -1,7 +1,7 @@
 #pragma once
 /// \file
-/// The replication driver every engine runs on: run_monte_carlo (plain and
-/// variance-reduced), run_steady and testbed::run_experiment. Workers claim
+/// The replication driver every engine runs on: run_monte_carlo (plain,
+/// variance-reduced and on the testbed) and run_steady. Workers claim
 /// blocks of replications from a shared counter and run them on state of
 /// their own; the driver hands every replication's result to the engine's
 /// fold strictly in replication order. An engine therefore folds, at any
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "mc/scenario.hpp"
+#include "net/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace lbsim::mc {
@@ -49,6 +50,25 @@ struct ScenarioWorker : WorkerState {
   ScenarioConfig config;
   ReplicationWorkspace workspace;
   RunControls controls;
+};
+
+/// A worker of the testbed engine: the network the config's communication
+/// layer describes (Erlang per-task bundle delays with the TCP setup shift of
+/// Fig. 2, and the lossy UDP state plane), plus the workspace that
+/// run_testbed_replication resets and re-seats every realization. It reads
+/// the caller's config in place, which must outlive it unchanged.
+struct TestbedWorker : WorkerState {
+  explicit TestbedWorker(const ScenarioConfig& scenario);
+
+  /// One realization with `policy` (a clone of config.policy, or that policy
+  /// in place); `run_profile` (optional) accumulates its phase times.
+  [[nodiscard]] RunResult run(core::LoadBalancingPolicy& policy, std::uint64_t seed,
+                              std::uint64_t replication, RunTrace* trace,
+                              obs::PhaseProfile* run_profile);
+
+  const ScenarioConfig& config;
+  net::Network network;
+  ReplicationWorkspace workspace;
 };
 
 /// Folds a simulator's cumulative DES-core stats (every replication it ran)

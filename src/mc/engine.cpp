@@ -1,6 +1,7 @@
 #include "mc/engine.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "markov/theory_oracle.hpp"
@@ -11,6 +12,10 @@
 #include "util/error.hpp"
 
 namespace lbsim::mc {
+
+const char* engine_name(Engine engine) noexcept {
+  return engine == Engine::kTestbed ? "testbed" : "mc";
+}
 
 const char* vr_mode_name(VrMode mode) noexcept {
   switch (mode) {
@@ -107,6 +112,13 @@ struct McWorker : ScenarioWorker {
     if (plan.ok) surrogate = plan.surrogate.clone();
   }
   ScenarioConfig surrogate;
+};
+
+/// A testbed worker: the emulation and the policy clone its realizations run.
+struct TestbedRealizer : TestbedWorker {
+  explicit TestbedRealizer(const ScenarioConfig& config)
+      : TestbedWorker(config), policy(config.policy->clone()) {}
+  core::PolicyPtr policy;
 };
 
 /// One replication: the target run and, under a control variate, the
@@ -215,6 +227,12 @@ double streaming_quantile(const stoch::P2Quantile& sketch) {
 McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
   const std::size_t reps = mc.replications;
   LBSIM_REQUIRE(reps >= 1, "replications=" << reps);
+  const bool testbed = mc.engine == Engine::kTestbed;
+  if (testbed) {
+    check_emulable(config);
+    LBSIM_REQUIRE(mc.vr == VrMode::kNone,
+                  "variance reduction belongs to the mc engine, not the testbed");
+  }
   // The exchange graphs are replication-invariant: build them once and share
   // them read-only with every replication on every worker.
   const std::vector<net::Topology> topology_states = build_topology_states(config);
@@ -254,67 +272,90 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
   double failures = 0.0;
   double moved = 0.0;
   double bundles = 0.0;
+  double state_lost = 0.0;
 
-  run_replications(
-      reps, mc.threads, mc.obs, "mc",
-      [&] { return McWorker(config, topology_states, mc.obs.profile != nullptr, plan); },
-      [&](McWorker& worker, std::size_t rep, RunTrace* trace) {
-        // Only the target run is profiled and traced; the surrogate's cost
-        // shows up in measured reps/s and the mc.vr.surrogate_runs counter
-        // instead, so profile.reps keeps meaning "replications".
-        RunControls controls = worker.controls;
-        std::uint64_t stream_rep = rep;
-        if (antithetic) {
-          // Pair (2k, 2k+1): one stream id used twice, the odd member mirrored.
-          controls.antithetic = rep % 2 == 1;
-          stream_rep = rep / 2;
-        }
-        McRun out;
-        out.run = run_scenario(worker.config, mc.seed, stream_rep, trace, worker.sim,
-                               SteadyProbe{}, controls);
-        if (use_control) {
-          // Common random numbers: stripping churn leaves the stream layout
-          // unchanged, so the surrogate replays the same draws and Y stays
-          // tightly coupled to T. It keeps the target's topology and
-          // environment, so it shares the target's graphs too.
-          controls.profile = nullptr;
-          out.control = run_scenario(worker.surrogate, mc.seed, stream_rep, nullptr, worker.sim,
-                                     SteadyProbe{}, controls)
-                            .completion_time;
-        }
-        return out;
-      },
-      [&](std::size_t, const McRun& out, obs::Registry* metrics) {
-        const RunResult& run = out.run;
-        result.completion.add(run.completion_time);
-        result.sojourn.merge(run.sojourn);
-        failures += static_cast<double>(run.failures);
-        moved += static_cast<double>(run.tasks_moved);
-        bundles += static_cast<double>(run.bundles_sent);
-        if (keep_samples) {
-          target.push_back(run.completion_time);
-        } else {
-          p50.add(run.completion_time);
-          p90.add(run.completion_time);
-          p99.add(run.completion_time);
-        }
-        if (metrics != nullptr) {
-          metrics->counter("mc.replications").add(1);
-          fold_run_counters(*metrics, "mc", run);
-          metrics->counter("mc.tasks_arrived").add(run.tasks_arrived);
-          metrics->counter("env.transitions").add(run.env_transitions);
-          metrics->histogram("mc.completion_time").observe(run.completion_time);
-        }
-        if (use_control) {
-          control.push_back(out.control);
-          if (metrics != nullptr) metrics->counter("mc.vr.surrogate_runs").add(1);
-        }
-      });
+  const std::string engine = engine_name(mc.engine);
+  const auto fold = [&](std::size_t, const McRun& out, obs::Registry* metrics) {
+    const RunResult& run = out.run;
+    result.completion.add(run.completion_time);
+    result.sojourn.merge(run.sojourn);
+    result.state_age.merge(run.state_age);
+    failures += static_cast<double>(run.failures);
+    moved += static_cast<double>(run.tasks_moved);
+    bundles += static_cast<double>(run.bundles_sent);
+    state_lost += static_cast<double>(run.state_packets_lost);
+    if (keep_samples) {
+      target.push_back(run.completion_time);
+    } else {
+      p50.add(run.completion_time);
+      p90.add(run.completion_time);
+      p99.add(run.completion_time);
+    }
+    if (metrics != nullptr) {
+      metrics->counter(testbed ? "testbed.realizations" : "mc.replications").add(1);
+      fold_run_counters(*metrics, engine, run);
+      if (testbed) {
+        metrics->counter("net.state_packets_lost").add(run.state_packets_lost);
+      } else {
+        metrics->counter("mc.tasks_arrived").add(run.tasks_arrived);
+        metrics->counter("env.transitions").add(run.env_transitions);
+      }
+      metrics->histogram(engine + ".completion_time").observe(run.completion_time);
+    }
+    if (use_control) {
+      control.push_back(out.control);
+      if (metrics != nullptr) metrics->counter("mc.vr.surrogate_runs").add(1);
+    }
+  };
+  // Both engines run through this one driver call and fold; only the worker
+  // and what it runs per replication differ.
+  const auto replicate = [&](auto make, auto run) {
+    run_replications(reps, mc.threads, mc.obs, engine, make, run, fold);
+  };
+
+  if (testbed) {
+    replicate([&] { return TestbedRealizer(config); },
+              [&](TestbedRealizer& worker, std::size_t rep, RunTrace* trace) {
+                obs::PhaseProfile* profile =
+                    mc.obs.profile != nullptr ? &worker.profile : nullptr;
+                return McRun{worker.run(*worker.policy, mc.seed, rep, trace, profile)};
+              });
+  } else {
+    replicate(
+        [&] { return McWorker(config, topology_states, mc.obs.profile != nullptr, plan); },
+        [&](McWorker& worker, std::size_t rep, RunTrace* trace) {
+          // Only the target run is profiled and traced; the surrogate's cost
+          // shows up in measured reps/s and the mc.vr.surrogate_runs counter
+          // instead, so profile.reps keeps meaning "replications".
+          RunControls controls = worker.controls;
+          std::uint64_t stream_rep = rep;
+          if (antithetic) {
+            // Pair (2k, 2k+1): one stream id used twice, the odd member mirrored.
+            controls.antithetic = rep % 2 == 1;
+            stream_rep = rep / 2;
+          }
+          McRun out;
+          out.run = run_scenario(worker.config, mc.seed, stream_rep, trace, worker.sim,
+                                 SteadyProbe{}, controls);
+          if (use_control) {
+            // Common random numbers: stripping churn leaves the stream layout
+            // unchanged, so the surrogate replays the same draws and Y stays
+            // tightly coupled to T. It keeps the target's topology and
+            // environment, so it shares the target's graphs too.
+            controls.profile = nullptr;
+            out.control = run_scenario(worker.surrogate, mc.seed, stream_rep, nullptr,
+                                       worker.sim, SteadyProbe{}, controls)
+                              .completion_time;
+          }
+          return out;
+        });
+  }
 
   const double n = static_cast<double>(reps);
   result.mean_failures = failures / n;
   result.mean_tasks_moved = moved / n;
   result.mean_bundles = bundles / n;
+  result.mean_state_lost = state_lost / n;
   if (keep_samples) {
     // The adjustment below needs the values in replication order.
     std::vector<double> sorted;

@@ -1,8 +1,9 @@
 #pragma once
 /// \file
-/// Monte-Carlo engine: runs N independent replications of a scenario on the
-/// ordered replication driver (mc/driver.hpp), so every statistic is the same
-/// at any thread count, and aggregates completion-time statistics.
+/// Monte-Carlo engine: runs N independent replications of a scenario, on the
+/// abstract model or the emulated testbed, on the ordered replication driver
+/// (mc/driver.hpp), so every statistic is the same at any thread count, and
+/// aggregates completion-time statistics.
 
 #include <cstdint>
 #include <string>
@@ -30,9 +31,33 @@ enum class VrMode {
 /// Parses a vr_mode_name() string; false (and `mode` untouched) on anything else.
 [[nodiscard]] bool parse_vr_mode(std::string_view text, VrMode& mode) noexcept;
 
+/// What one replication runs: the abstract model of Section 2
+/// (run_scenario), or the emulated testbed of Section 3
+/// (run_testbed_replication), behind the paper's "Experimental result"
+/// columns.
+enum class Engine { kMc, kTestbed };
+
+/// CLI-facing name of an engine, mc|testbed; also its metrics' prefix.
+[[nodiscard]] const char* engine_name(Engine engine) noexcept;
+
+/// An engine's default replication count and seed.
+struct EngineDefaults {
+  std::size_t replications;
+  std::uint64_t seed;
+};
+
+/// The paper uses 500 replications for its MC columns and 20-60 realizations
+/// per testbed configuration.
+[[nodiscard]] constexpr EngineDefaults engine_defaults(Engine engine) noexcept {
+  return engine == Engine::kTestbed ? EngineDefaults{60, 0xbed2006}
+                                    : EngineDefaults{500, 0x5eed2006};
+}
+
 struct McConfig {
-  std::size_t replications = 500;  ///< the paper uses 500 for its MC columns
-  std::uint64_t seed = 0x5eed2006;
+  /// The testbed refuses what check_emulable refuses, and variance reduction.
+  Engine engine = Engine::kMc;
+  std::size_t replications = engine_defaults(Engine::kMc).replications;
+  std::uint64_t seed = engine_defaults(Engine::kMc).seed;
   unsigned threads = 0;            ///< workers; 0 = one per hardware thread
   bool collect_samples = false;    ///< keep raw completion times (ECDF/quantiles)
   /// Variance reduction. Antithetic modes need an even replication count; the
@@ -89,6 +114,10 @@ struct McResult {
   double mean_failures = 0.0;       ///< average churn events per run
   double mean_tasks_moved = 0.0;    ///< average migrated tasks per run
   double mean_bundles = 0.0;        ///< average transfers per run
+  /// Per-decision peer state age pooled over all runs (testbed engine; see
+  /// RunResult::state_age).
+  stoch::RunningStats state_age;
+  double mean_state_lost = 0.0;     ///< state-plane packets dropped per run (testbed)
   std::vector<double> samples;      ///< raw times, sorted (empty unless collect_samples)
   /// Completion-time quantiles, always populated: exact type-7 values when
   /// collect_samples is on or replications <= kExactQuantileCap, and beyond
@@ -110,7 +139,8 @@ struct McResult {
   [[nodiscard]] double sample_quantile(double q) const;
 };
 
-/// Runs the experiment. Deterministic in (config, mc.seed, mc.replications).
+/// Runs the experiment on mc.engine. Deterministic in (config, mc.engine,
+/// mc.seed, mc.replications).
 [[nodiscard]] McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc);
 
 }  // namespace lbsim::mc

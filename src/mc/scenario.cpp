@@ -4,6 +4,9 @@
 #include <cmath>
 #include <deque>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "mc/state_plane.hpp"
 #include "net/network.hpp"
@@ -513,11 +516,7 @@ RunResult run_replication(const ScenarioConfig& config, core::LoadBalancingPolic
   if (testbed) {
     LBSIM_REQUIRE(network->node_count() == n,
                   "network has " << network->node_count() << " nodes for " << n);
-    LBSIM_REQUIRE(config.rebalance_period == 0.0 && config.delay_model == nullptr &&
-                      !config.arrivals.active() && config.schedule.empty() &&
-                      config.topology.complete(),
-                  "the testbed emulates no periodic tick, delay model, arrivals, schedule "
-                  "or topology");
+    check_emulable(config);
   }
   sim.reset();  // recycles the pooled event slab when the caller reuses `sim`
   std::optional<ReplicationWorkspace> own_workspace;
@@ -821,6 +820,32 @@ RunResult run_scenario(const ScenarioConfig& config, std::uint64_t seed,
   LBSIM_REQUIRE(config.policy != nullptr, "scenario needs a policy");
   return run_replication(config, *config.policy, seed, replication, trace, sim, probe, controls,
                          nullptr);
+}
+
+void check_emulable(const ScenarioConfig& config) {
+  LBSIM_REQUIRE(config.policy != nullptr, "testbed needs a policy");
+  LBSIM_REQUIRE(!config.channel.env_coupled || config.environment.enabled(),
+                "channel env coupling needs a configured environment");
+  std::string unsupported;
+  const auto refuse = [&unsupported](const std::string& what) {
+    if (!unsupported.empty()) unsupported += ", ";
+    unsupported += what;
+  };
+  if (config.rebalance_period > 0.0) {
+    // Every round-based policy (periodic, probe, diffusion) runs off this tick.
+    std::ostringstream round;
+    round << "a periodic round (" << config.policy->name() << " every "
+          << config.rebalance_period << " s)";
+    refuse(round.str());
+  }
+  if (config.delay_model != nullptr) refuse("delay.model/delay.shift");
+  if (config.arrivals.active()) refuse("arrivals.*");
+  if (!config.schedule.empty()) refuse("schedule");
+  if (!config.topology.complete()) refuse("topology");
+  if (!unsupported.empty()) {
+    throw std::invalid_argument("the testbed engine does not emulate " + unsupported +
+                                " for this scenario; use the default mc engine");
+  }
 }
 
 RunResult run_testbed_replication(const ScenarioConfig& config,

@@ -264,6 +264,16 @@ struct RunControls {
                                      des::Simulator& sim, const SteadyProbe& probe = {},
                                      const RunControls& controls = {});
 
+/// Throws std::invalid_argument unless the testbed can run `config`. It needs
+/// a policy, and an environment behind a channel coupled to one. It emulates
+/// no periodic round, delay model, arrivals, schedule or topology: each needs
+/// semantics of its own on a node-local view, so rather than silently drop
+/// one, the message names every one the config sets (mc is the engine for
+/// those keys). The one statement of what the testbed emulates: the testbed
+/// run_monte_carlo, testbed::run_realization and run_testbed_replication all
+/// call it.
+void check_emulable(const ScenarioConfig& config);
+
 /// One replication of the emulated testbed (testbed::run_realization): the
 /// replication core run_scenario runs, with the testbed's three seams in
 /// place of the model's.
@@ -279,10 +289,9 @@ struct RunControls {
 ///   RunResult::state_age.
 /// The environment, when configured, draws on stream 2n + 2 and, with
 /// config.channel.env_coupled, floors the channel. `policy` runs in
-/// place (config.policy is not read); `network` is re-seated on `sim` and
-/// this replication's streams. The testbed emulates no periodic tick,
-/// delay model, arrivals, schedule or topology, and refuses a config that
-/// sets one.
+/// place (config.policy is only checked, never run); `network` is re-seated
+/// on `sim` and this replication's streams. A config that check_emulable
+/// refuses throws.
 [[nodiscard]] RunResult run_testbed_replication(const ScenarioConfig& config,
                                                 core::LoadBalancingPolicy& policy,
                                                 net::Network& network, std::uint64_t seed,

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "mc/engine.hpp"
 #include "mc/scenario.hpp"
 #include "stochastic/steady_state.hpp"
 
@@ -21,7 +22,7 @@ struct SteadyConfig {
   /// spend (batch means already give a CI), so the default is 1; extra
   /// replications multiply the batch-means pool.
   std::size_t replications = 1;
-  std::uint64_t seed = 0x5eed2006;
+  std::uint64_t seed = engine_defaults(Engine::kMc).seed;
   unsigned threads = 0;         ///< workers; 0 = one per hardware thread
   bool collect_samples = false; ///< keep post-warm-up sojourns (ECDF/KS use)
   /// Observability sinks (trace / metrics / profile), all optional and

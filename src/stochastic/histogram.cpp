@@ -48,10 +48,4 @@ double Histogram::density(std::size_t i) const {
          (static_cast<double>(in_range_) * width_);
 }
 
-std::vector<double> Histogram::densities() const {
-  std::vector<double> out(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) out[i] = density(i);
-  return out;
-}
-
 }  // namespace lbsim::stoch

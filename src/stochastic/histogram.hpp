@@ -29,9 +29,6 @@ class Histogram {
   /// Density estimate at bin i: count / (total_in_range * bin_width); 0 if empty.
   [[nodiscard]] double density(std::size_t i) const;
 
-  /// All bin densities (integrates to ~1 over [lo, hi) when overflow is negligible).
-  [[nodiscard]] std::vector<double> densities() const;
-
  private:
   double lo_;
   double width_;

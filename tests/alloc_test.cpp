@@ -28,7 +28,6 @@
 #include "mc/engine.hpp"
 #include "mc/scenario.hpp"
 #include "mc/steady.hpp"
-#include "testbed/experiment.hpp"
 
 namespace {
 
@@ -183,11 +182,16 @@ Allocations finite_run(const ScenarioConfig& config, VrMode vr = VrMode::kNone) 
   });
 }
 
-/// The testbed engine's allocations: `scenario` run through
-/// testbed::run_experiment on one worker, as `--engine=testbed` runs it.
+/// The testbed engine's allocations: `scenario` run through run_monte_carlo
+/// on one worker, as `--engine=testbed` runs it.
 Allocations testbed_run(const ScenarioConfig& scenario) {
   return past_warmup([&](std::size_t reps) {
-    (void)testbed::run_experiment(scenario, reps, 0xbed2006, /*threads=*/1);
+    McConfig mc;
+    mc.engine = Engine::kTestbed;
+    mc.replications = reps;
+    mc.seed = engine_defaults(Engine::kTestbed).seed;
+    mc.threads = 1;
+    (void)run_monte_carlo(scenario, mc);
   });
 }
 
@@ -252,7 +256,7 @@ TEST(AllocGate, OpenSteady) {
 TEST(AllocGate, TestbedQuietStatePlane) {
   // No broadcast round (period 1,000 s) and no churn: each node's t = 0
   // decision returns one directive vector, and the engine allocates nothing
-  // per realization (run_experiment reserves its sample vector up front).
+  // per realization (run_monte_carlo reserves its sample vector up front).
   const Allocations a =
       testbed_run(family("lossy-exchange", "exchange.period=1000 churn=false"));
   EXPECT_EQ(a.engine, 0u);

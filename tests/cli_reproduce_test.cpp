@@ -6,6 +6,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/lbsim.hpp"
@@ -122,6 +123,43 @@ TEST(CliRun, TestbedEngineRejectsSemanticsItCannotEmulate) {
   // Plain scenarios still run on the testbed.
   const CliResult ok = run({"run", "paper-two-node", "--engine=testbed", "--reps=2"});
   EXPECT_EQ(ok.exit_code, 0) << ok.err;
+}
+
+TEST(CliRun, AnEngineTheFamilyCannotRunExits2NamingTheFamily) {
+  // The engine named is the one that runs, or the command exits 2: an
+  // explicit mc on lossy-exchange used to run the testbed without a word.
+  const std::vector<std::vector<std::string>> refused = {
+      {"run", "lossy-exchange", "--engine=mc", "--reps=3"},
+      {"run", "lossy-exchange", "engine=mc", "--reps=3"},
+      {"sweep", "lossy-exchange", "engine=mc", "gain=0.5,1", "--reps=2"},
+      {"sweep", "lossy-exchange", "engine=mc", "gain=0.5,1", "--dry-run"},
+      {"run", "open-steady", "--engine=testbed", "--reps=1"},
+      {"sweep", "open-steady", "engine=testbed", "rho=0.5,0.6", "--dry-run"},
+  };
+  for (const std::vector<std::string>& args : refused) {
+    const CliResult result = run(args);
+    EXPECT_EQ(result.exit_code, 2) << args[1] << " " << args[2];
+    EXPECT_NE(result.err.find("scenario '" + args[1] + "'"), std::string::npos) << result.err;
+    EXPECT_NE(result.err.find("engine runs it"), std::string::npos) << result.err;
+  }
+
+  // --vr and --compare=theory stay refused on the testbed, whichever way it
+  // was reached, in run and sweep alike.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> testbed_refusals = {
+      {{"run", "lossy-exchange", "--vr=antithetic", "--reps=2"}, "--vr"},
+      {{"run", "multi-node", "--engine=testbed", "--vr=cv", "--reps=2"}, "--vr"},
+      {{"sweep", "lossy-exchange", "gain=0.5,1", "--vr=antithetic", "--dry-run"}, "--vr"},
+      {{"sweep", "multi-node", "engine=testbed", "mc.vr=none,cv", "--dry-run"}, "mc.vr"},
+      {{"sweep", "lossy-exchange", "gain=0.5,1", "--compare=theory", "--dry-run"}, "--compare"},
+      {{"sweep", "multi-node", "engine=testbed", "gain=0.5,1", "--compare=theory", "--reps=2"},
+       "--compare"},
+  };
+  for (const auto& [args, flag] : testbed_refusals) {
+    const CliResult result = run(args);
+    EXPECT_EQ(result.exit_code, 2) << args[1] << " " << flag;
+    EXPECT_NE(result.err.find(flag), std::string::npos) << result.err;
+    EXPECT_NE(result.err.find("testbed engine"), std::string::npos) << result.err;
+  }
 }
 
 TEST(CliReproduce, UnknownArtifactFailsWithTheKnownList) {
@@ -341,10 +379,10 @@ TEST(CliFlags, UnknownFlagsFailWithADidYouMean) {
   EXPECT_NE(check.err.find("has no flag '--check'"), std::string::npos) << check.err;
   const CliResult list = run({"list", "--format=csv"});
   EXPECT_EQ(list.exit_code, 2);
-
-  // The global flags ride along with any subcommand.
-  const CliResult global = run({"run", "paper-two-node", "--reps=2", "--log-level=warn"});
-  EXPECT_EQ(global.exit_code, 0) << global.err;
+  // So is the removed global logger flag.
+  const CliResult logger = run({"run", "paper-two-node", "--reps=2", "--log-level=warn"});
+  EXPECT_EQ(logger.exit_code, 2);
+  EXPECT_NE(logger.err.find("has no flag '--log-level'"), std::string::npos) << logger.err;
 }
 
 TEST(CliFlags, EverySubcommandAcceptsTheFlagsItsUsageLists) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -133,18 +134,95 @@ TEST(CliSweep, GridIsFullyValidatedBeforeAnyPointRuns) {
   }
 }
 
-/// `lbsim args...` driven in-process: its exit code and its stderr.
-std::pair<int, std::string> lbsim(std::vector<std::string> args) {
+/// `lbsim args...` driven in-process: its exit code and its stderr (and its
+/// stdout into `out`, when given).
+std::pair<int, std::string> lbsim(std::vector<std::string> args, std::string* out = nullptr) {
   args.insert(args.begin(), "lbsim");
   std::vector<const char*> argv;
   for (const std::string& arg : args) argv.push_back(arg.c_str());
-  std::ostringstream out, err;
-  const int code = run_lbsim(static_cast<int>(argv.size()), argv.data(), out, err);
+  std::ostringstream stdout_text, err;
+  const int code = run_lbsim(static_cast<int>(argv.size()), argv.data(), stdout_text, err);
+  if (out != nullptr) *out = stdout_text.str();
   return {code, err.str()};
 }
 
+/// The table `lbsim args... --format=csv` prints past its # metadata lines,
+/// one column-to-cell map per row. A nonzero exit fails the test.
+std::vector<std::map<std::string, std::string>> csv_rows(std::vector<std::string> args) {
+  args.push_back("--format=csv");
+  std::string out;
+  const auto [code, err] = lbsim(args, &out);
+  EXPECT_EQ(code, 0) << err;
+  // Splits one line; a quoted cell (a policy name) may hold commas.
+  const auto cells = [](const std::string& line) {
+    std::vector<std::string> split(1);
+    bool quoted = false;
+    for (const char c : line) {
+      if (c == '"') {
+        quoted = !quoted;
+      } else if (c == ',' && !quoted) {
+        split.emplace_back();
+      } else {
+        split.back() += c;
+      }
+    }
+    return split;
+  };
+  std::istringstream lines(out);
+  std::vector<std::string> header;
+  std::vector<std::map<std::string, std::string>> rows;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::vector<std::string> row = cells(line);
+    if (header.empty()) {
+      header = row;
+      continue;
+    }
+    EXPECT_EQ(row.size(), header.size()) << line;
+    std::map<std::string, std::string>& named = rows.emplace_back();
+    for (std::size_t i = 0; i < header.size() && i < row.size(); ++i) named[header[i]] = row[i];
+  }
+  return rows;
+}
+
+/// Expects `point`, one row of a sweep, to print what `run`, the one row of
+/// `lbsim run` at that point, prints in every statistic the two tables share.
+void expect_same_statistics(const std::map<std::string, std::string>& point,
+                            const std::map<std::string, std::string>& run) {
+  for (const char* column :
+       {"reps", "mean_s", "ci95_s", "stderr_s", "mean_failures", "mean_tasks_moved",
+        "mean_bundles", "state_age_mean_s", "state_age_max_s", "state_lost"}) {
+    ASSERT_EQ(point.count(column), 1u) << column;
+    ASSERT_EQ(run.count(column), 1u) << column;
+    EXPECT_EQ(point.at(column), run.at(column)) << column;
+  }
+}
+
+TEST(CliSweep, APointOfATestbedSweepPrintsTheRunRow) {
+  // run and sweep read each engine's default seed and count from one place,
+  // so a sweep point prints the row `lbsim run` prints there: on
+  // lossy-exchange's own engine, and on the testbed named for a family whose
+  // own engine is mc (which sweep used to refuse).
+  const auto lossy_run = csv_rows({"run", "lossy-exchange", "--reps=3"});
+  const auto lossy_sweep = csv_rows({"sweep", "lossy-exchange", "gain=1,0.5", "--reps=3"});
+  ASSERT_EQ(lossy_run.size(), 1u);
+  ASSERT_EQ(lossy_sweep.size(), 2u);
+  EXPECT_EQ(lossy_sweep[0].at("gain"), "1");
+  expect_same_statistics(lossy_sweep[0], lossy_run[0]);
+
+  const auto multi_run =
+      csv_rows({"run", "multi-node", "--engine=testbed", "gain=0.5", "--reps=3"});
+  const auto multi_sweep =
+      csv_rows({"sweep", "multi-node", "engine=testbed", "gain=0.5,1", "--reps=3"});
+  ASSERT_EQ(multi_run.size(), 1u);
+  ASSERT_EQ(multi_sweep.size(), 2u);
+  EXPECT_EQ(multi_run[0].at("engine"), "testbed");
+  EXPECT_EQ(multi_sweep[0].at("gain"), "0.5");
+  expect_same_statistics(multi_sweep[0], multi_run[0]);
+}
+
 TEST(CliSweep, TestbedFamiliesRefuseWhatTheTestbedCannotEmulate) {
-  // The refusal lives in testbed::check_emulable, the one check run and
+  // The refusal lives in mc::check_emulable, the one check run and
   // sweep share, so a sweep over a testbed family refuses a key exactly as
   // `lbsim run` does, dry or not, before any point runs, even when only one
   // point sets it.

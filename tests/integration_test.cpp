@@ -13,7 +13,6 @@
 #include "mc/engine.hpp"
 #include "stochastic/stats.hpp"
 #include "test_support.hpp"
-#include "testbed/experiment.hpp"
 
 namespace lbsim {
 namespace {
@@ -139,7 +138,12 @@ TEST(IntegrationTest, TestbedAgreesWithMcWithinTolerance) {
   mc_cfg.seed = test::kFixedSeed;
   mc_cfg.replications = 600;
   const double mc_mean = mc::run_monte_carlo(config, mc_cfg).mean();
-  const double tb_mean = testbed::run_experiment(config, 300, 19, 2).mean();
+  mc::McConfig tb_cfg;
+  tb_cfg.engine = mc::Engine::kTestbed;
+  tb_cfg.seed = 19;
+  tb_cfg.replications = 300;
+  tb_cfg.threads = 2;
+  const double tb_mean = mc::run_monte_carlo(config, tb_cfg).mean();
   EXPECT_NEAR_REL(tb_mean, mc_mean, 0.06);
 }
 

@@ -708,13 +708,17 @@ TEST(EngineTest, FiniteFamilyStatisticsBitIdenticalToPreRefactorGoldens) {
 
 TEST(EngineTest, TestbedFamilyStatisticsBitIdenticalToGoldens) {
   for (const TestbedGolden& g : kTestbedGoldens) {
-    const testbed::ExperimentSummary result = testbed::run_experiment(
-        family_config(g.family, g.overrides), 25, 0x5eed2006, /*threads=*/2);
+    McConfig mc;
+    mc.engine = Engine::kTestbed;
+    mc.seed = 0x5eed2006;
+    mc.replications = 25;
+    mc.threads = 2;
+    const McResult result = run_monte_carlo(family_config(g.family, g.overrides), mc);
     const std::string row = std::string(g.family) + " " + g.overrides;
     expect_golden(result.mean(), g.mean, row + " mean");
-    expect_golden(stoch::quantile_sorted(result.samples, 0.50), g.p50, row + " p50");
-    expect_golden(stoch::quantile_sorted(result.samples, 0.90), g.p90, row + " p90");
-    expect_golden(stoch::quantile_sorted(result.samples, 0.99), g.p99, row + " p99");
+    expect_golden(result.p50, g.p50, row + " p50");
+    expect_golden(result.p90, g.p90, row + " p90");
+    expect_golden(result.p99, g.p99, row + " p99");
     expect_golden(result.mean_state_lost, g.state_lost, row + " state_lost");
     expect_golden(result.mean_failures, g.failures, row + " failures");
     expect_golden(result.mean_tasks_moved, g.moved, row + " moved");

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/lbp1.hpp"
 #include "core/lbp2.hpp"
 #include "core/policy.hpp"
+#include "mc/engine.hpp"
 #include "net/channel.hpp"
 #include "stochastic/rng.hpp"
 #include "testbed/experiment.hpp"
@@ -125,6 +127,18 @@ mc::ScenarioConfig paper_scenario(std::size_t m0, std::size_t m1, core::PolicyPt
   return mc::make_two_node_scenario(markov::ipdps2006_params(), m0, m1, std::move(policy));
 }
 
+/// `realizations` of `config` on the testbed: mc::run_monte_carlo with
+/// mc::Engine::kTestbed.
+mc::McResult run_testbed(const mc::ScenarioConfig& config, std::size_t realizations,
+                         std::uint64_t seed, unsigned threads) {
+  mc::McConfig mc;
+  mc.engine = mc::Engine::kTestbed;
+  mc.replications = realizations;
+  mc.seed = seed;
+  mc.threads = threads;
+  return mc::run_monte_carlo(config, mc);
+}
+
 TEST(ChannelStalenessTest, DecisionAgeNearHalfPeriodUnderLosslessExchange) {
   // With a lossless state plane, the peer entry consulted at a random
   // failure/recovery instant was broadcast Uniform(0, period) ago: the pooled
@@ -132,7 +146,7 @@ TEST(ChannelStalenessTest, DecisionAgeNearHalfPeriodUnderLosslessExchange) {
   // period + latency. (t = 0 decisions contribute exact age-0 samples.)
   const mc::ScenarioConfig config =
       paper_scenario(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
-  const ExperimentSummary summary = run_experiment(config, 200, 91, 2);
+  const mc::McResult summary = run_testbed(config, 200, 91, 2);
   ASSERT_GT(summary.state_age.count(), 400u);
   EXPECT_GT(summary.state_age.mean(), 0.15);
   EXPECT_LT(summary.state_age.mean(), 0.70);
@@ -150,8 +164,8 @@ TEST(ChannelStalenessTest, BurstyChannelRaisesDecisionAge) {
   light.channel.mean_burst = {4.0, 1.0};
   mc::ScenarioConfig bursty = light.clone();
   bursty.channel.mean_burst = {64.0, 16.0};
-  const ExperimentSummary a = run_experiment(light, 120, 17, 2);
-  const ExperimentSummary b = run_experiment(bursty, 120, 17, 2);
+  const mc::McResult a = run_testbed(light, 120, 17, 2);
+  const mc::McResult b = run_testbed(bursty, 120, 17, 2);
   EXPECT_GT(b.state_age.mean(), a.state_age.mean());
   EXPECT_GT(b.state_age.max(), a.state_age.max());
 }
@@ -222,8 +236,8 @@ TEST(ChannelEffectTest, LbpGainDegradesWithMeanBurstLength) {
   light.channel.mean_burst = {4.0, 1.0};
   mc::ScenarioConfig bursty = light.clone();
   bursty.channel.mean_burst = {256.0, 64.0};
-  const ExperimentSummary a = run_experiment(light, 200, 7, 2);
-  const ExperimentSummary b = run_experiment(bursty, 200, 7, 2);
+  const mc::McResult a = run_testbed(light, 200, 7, 2);
+  const mc::McResult b = run_testbed(bursty, 200, 7, 2);
   EXPECT_GT(b.mean(), a.mean());
 }
 

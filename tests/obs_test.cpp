@@ -2,17 +2,14 @@
 // registry merge discipline, exporter round-trips, engine-level record pins,
 // and — the layer's one non-negotiable invariant — bit-identity of every
 // statistic between observed and unobserved runs (recording consumes zero RNG
-// draws). The log-level concurrency test rides here so the TSan CI leg
-// (`ctest -L "mc|obs"`) exercises it.
+// draws).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,9 +24,7 @@
 #include "obs/profile.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "testbed/experiment.hpp"
 #include "test_support.hpp"
-#include "util/log.hpp"
 
 namespace lbsim {
 namespace {
@@ -40,6 +35,19 @@ mc::ScenarioConfig family_scenario(const std::string& family,
   cli::RawConfig raw;
   for (auto& [key, value] : keys) raw.set(key, value);
   return spec.build(spec.schema.resolve(raw));
+}
+
+/// `realizations` of `config` on the testbed (mc::run_monte_carlo with
+/// mc::Engine::kTestbed), observed through `sinks`.
+mc::McResult run_testbed(const mc::ScenarioConfig& config, std::size_t realizations,
+                         unsigned threads, const mc::ObsSinks& sinks = {}) {
+  mc::McConfig mc;
+  mc.engine = mc::Engine::kTestbed;
+  mc.replications = realizations;
+  mc.seed = test::kFixedSeed;
+  mc.threads = threads;
+  mc.obs = sinks;
+  return mc::run_monte_carlo(config, mc);
 }
 
 // ---------- record layout ----------
@@ -449,7 +457,7 @@ TEST(ObsEngine, PolicyDecisionCountersAgreeWithTheTrace) {
   sinks.metrics = &bed_metrics;
   const mc::ScenarioConfig bed = mc::make_two_node_scenario(
       markov::ipdps2006_params(), 40, 20, std::make_unique<core::Lbp2Policy>(0.5));
-  (void)testbed::run_experiment(bed, 4, test::kFixedSeed, 2, sinks);
+  (void)run_testbed(bed, 4, 2, sinks);
   const std::uint64_t bed_decisions = bed_metrics.counter("policy.decisions").value();
   const std::uint64_t bed_empty = bed_metrics.counter("policy.decisions.empty").value();
   EXPECT_GT(bed_decisions, 8u);
@@ -520,8 +528,7 @@ TEST(ObsProfile, MergeSumsAndEngineFillsPhases) {
   sinks.metrics = &bed_metrics;
   const mc::ScenarioConfig bed = mc::make_two_node_scenario(
       markov::ipdps2006_params(), 40, 20, std::make_unique<core::Lbp1Policy>(0, 0.35));
-  const testbed::ExperimentSummary bed_profiled =
-      testbed::run_experiment(bed, 4, test::kFixedSeed, 1, sinks);
+  const mc::McResult bed_profiled = run_testbed(bed, 4, 1, sinks);
   EXPECT_EQ(bed_profile.reps, 4u);
   EXPECT_GT(bed_profile.streams_s, 0.0);
   EXPECT_LE(bed_profile.streams_s, bed_profile.setup_s);
@@ -529,8 +536,7 @@ TEST(ObsProfile, MergeSumsAndEngineFillsPhases) {
   EXPECT_LE(bed_profile.policy_s, bed_profile.setup_s + bed_profile.loop_s);
   EXPECT_GT(bed_profile.events, 0u);
   EXPECT_EQ(bed_profile.events, bed_metrics.counter("des.events.popped").value());
-  const testbed::ExperimentSummary bed_plain =
-      testbed::run_experiment(bed, 4, test::kFixedSeed, 1);
+  const mc::McResult bed_plain = run_testbed(bed, 4, 1);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(bed_plain.mean()),
             std::bit_cast<std::uint64_t>(bed_profiled.mean()));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(bed_plain.state_age.mean()),
@@ -602,48 +608,14 @@ TEST(ObsBitIdentity, TestbedEngineIsUnperturbedByAllThreeSinks) {
   sinks.trace = &trace;
   sinks.metrics = &metrics;
   sinks.profile = &profile;
-  const testbed::ExperimentSummary a =
-      testbed::run_experiment(config, 20, test::kFixedSeed, 2);
-  const testbed::ExperimentSummary b =
-      testbed::run_experiment(config, 20, test::kFixedSeed, 2, sinks);
+  const mc::McResult a = run_testbed(config, 20, 2);
+  const mc::McResult b = run_testbed(config, 20, 2, sinks);
   EXPECT_DOUBLE_EQ(a.mean(), b.mean());
   EXPECT_DOUBLE_EQ(a.ci95(), b.ci95());
   EXPECT_DOUBLE_EQ(a.mean_failures, b.mean_failures);
   EXPECT_DOUBLE_EQ(a.state_age.mean(), b.state_age.mean());
   EXPECT_GT(trace.size(), 0u);
   EXPECT_EQ(metrics.counter("testbed.realizations").value(), 20u);
-}
-
-// ---------- log-level thread safety (exercised under the TSan CI leg) ----------
-
-TEST(ObsLogLevel, ConcurrentLevelFlipsAndFilteredLoggingAreRaceFree) {
-  // The global level is a relaxed atomic: flipping it while worker threads
-  // evaluate the LBSIM_LOG threshold must be race-free (records in flight may
-  // use either threshold, which is fine). Levels stay >= info so the debug
-  // records are filtered and the test emits nothing.
-  const util::LogLevel restore = util::log_level();
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&go, t] {
-      while (!go.load()) {
-      }
-      for (int i = 0; i < 2000; ++i) {
-        util::set_log_level((i + t) % 2 == 0 ? util::LogLevel::warn : util::LogLevel::error);
-      }
-    });
-    threads.emplace_back([&go] {
-      while (!go.load()) {
-      }
-      for (int i = 0; i < 2000; ++i) {
-        LBSIM_DEBUG("obs_test", "filtered " << i);
-      }
-    });
-  }
-  go.store(true);
-  for (std::thread& t : threads) t.join();
-  util::set_log_level(restore);
-  SUCCEED();
 }
 
 }  // namespace

@@ -16,7 +16,9 @@
 #include "core/lbp1.hpp"
 #include "core/lbp2.hpp"
 #include "markov/two_node_mean.hpp"
+#include "mc/engine.hpp"
 #include "mc/state_plane.hpp"
+#include "stochastic/stats.hpp"
 #include "testbed/experiment.hpp"
 
 namespace lbsim::testbed {
@@ -43,11 +45,24 @@ mc::ScenarioConfig paper_scenario(std::size_t m0, std::size_t m1, core::PolicyPt
   return mc::make_two_node_scenario(markov::ipdps2006_params(), m0, m1, std::move(policy));
 }
 
-/// Expects both entry points, run_experiment at threads 1 and 4 and
+/// `realizations` of `config` on the testbed, every completion time kept:
+/// mc::run_monte_carlo with mc::Engine::kTestbed.
+mc::McResult run_testbed(const mc::ScenarioConfig& config, std::size_t realizations,
+                         std::uint64_t seed, unsigned threads) {
+  mc::McConfig mc;
+  mc.engine = mc::Engine::kTestbed;
+  mc.replications = realizations;
+  mc.seed = seed;
+  mc.threads = threads;
+  mc.collect_samples = true;
+  return mc::run_monte_carlo(config, mc);
+}
+
+/// Expects both entry points, run_monte_carlo at threads 1 and 4 and
 /// run_realization, to refuse `config` with std::invalid_argument.
 void expect_refused(const mc::ScenarioConfig& config, const std::string& what) {
   for (const unsigned threads : {1u, 4u}) {
-    EXPECT_THROW((void)run_experiment(config, 8, 3, threads), std::invalid_argument)
+    EXPECT_THROW((void)run_testbed(config, 8, 3, threads), std::invalid_argument)
         << what << " at threads " << threads;
   }
   EXPECT_THROW((void)run_realization(config, 3, 0), std::invalid_argument) << what;
@@ -71,7 +86,7 @@ TEST(TestbedTest, RefusalsReachTheCallerFromBothEntryPoints) {
   mc::ScenarioConfig blackout = paper();
   blackout.state_loss_probability = 1.0;
   EXPECT_EQ(run_realization(blackout, 3, 0).tasks_completed, 60u);
-  EXPECT_EQ(run_experiment(blackout, 8, 3, 4).completion.count(), 8u);
+  EXPECT_EQ(run_testbed(blackout, 8, 3, 4).completion.count(), 8u);
   mc::ScenarioConfig bad_loss = paper();
   bad_loss.state_loss_probability = 1.0 + 1e-9;
   expect_refused(bad_loss, "loss 1 + 1e-9");
@@ -104,6 +119,19 @@ TEST(TestbedTest, RefusalsReachTheCallerFromBothEntryPoints) {
   mc::ScenarioConfig ring = paper();
   ring.topology.kind = net::TopologySpec::Kind::kRing;
   expect_refused(ring, "topology");
+
+  // The testbed runs plain replications only; run_realization has no VR knob.
+  for (const mc::VrMode vr : {mc::VrMode::kAntithetic, mc::VrMode::kControlVariate}) {
+    for (const unsigned threads : {1u, 4u}) {
+      mc::McConfig mc;
+      mc.engine = mc::Engine::kTestbed;
+      mc.replications = 8;
+      mc.threads = threads;
+      mc.vr = vr;
+      EXPECT_THROW((void)mc::run_monte_carlo(paper(), mc), std::invalid_argument)
+          << mc::vr_mode_name(vr) << " at threads " << threads;
+    }
+  }
 }
 
 TEST(TestbedTest, RealizationCompletesAllTasks) {
@@ -143,7 +171,7 @@ TEST(TestbedTest, NoChurnMatchesNoFailureTheory) {
       paper_scenario(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.45));
   config.churn_enabled = false;
   config.transfer_setup_shift = 0.0;
-  const ExperimentSummary summary = run_experiment(config, 400, 77, 2);
+  const mc::McResult summary = run_testbed(config, 400, 77, 2);
   markov::TwoNodeMeanSolver solver(markov::without_failures(markov::ipdps2006_params()));
   const double theory = solver.lbp1_mean(100, 60, 0, 0.45);
   EXPECT_NEAR(summary.mean(), theory, std::max(1.0, 4.0 * summary.ci95() / 1.96));
@@ -155,14 +183,14 @@ TEST(TestbedTest, ChurnyMeanNearAbstractModel) {
   // for the Fig. 3 operating point (~117 s); allow 10%.
   const mc::ScenarioConfig config =
       paper_scenario(100, 60, std::make_unique<core::Lbp1Policy>(0, 0.35));
-  const ExperimentSummary summary = run_experiment(config, 300, 13, 2);
+  const mc::McResult summary = run_testbed(config, 300, 13, 2);
   EXPECT_NEAR(summary.mean(), 117.0, 0.10 * 117.0);
 }
 
 TEST(TestbedTest, SummaryAggregatesRealizations) {
   const mc::ScenarioConfig config =
       paper_scenario(50, 30, std::make_unique<core::Lbp1Policy>(0, 0.3));
-  const ExperimentSummary summary = run_experiment(config, 20, 5, 2);
+  const mc::McResult summary = run_testbed(config, 20, 5, 2);
   EXPECT_EQ(summary.completion.count(), 20u);
   EXPECT_EQ(summary.samples.size(), 20u);
   EXPECT_TRUE(std::is_sorted(summary.samples.begin(), summary.samples.end()));
@@ -172,8 +200,8 @@ TEST(TestbedTest, SummaryAggregatesRealizations) {
 TEST(TestbedTest, ThreadingInvariance) {
   const mc::ScenarioConfig config =
       paper_scenario(40, 20, std::make_unique<core::Lbp2Policy>(1.0));
-  const ExperimentSummary a = run_experiment(config, 16, 3, 1);
-  const ExperimentSummary b = run_experiment(config, 16, 3, 4);
+  const mc::McResult a = run_testbed(config, 16, 3, 1);
+  const mc::McResult b = run_testbed(config, 16, 3, 4);
   EXPECT_DOUBLE_EQ(a.mean(), b.mean());
 }
 
@@ -197,9 +225,9 @@ TEST(TestbedTest, ThreadCountDoesNotChangeCompletionOrStateAge) {
   // bits at every thread count.
   mc::ScenarioConfig config = paper_scenario(40, 20, std::make_unique<core::Lbp2Policy>(1.0));
   config.state_loss_probability = 0.3;
-  const ExperimentSummary serial = run_experiment(config, 40, 3, 1);
+  const mc::McResult serial = run_testbed(config, 40, 3, 1);
   for (const unsigned threads : {2u, 3u, 4u, 8u}) {
-    const ExperimentSummary other = run_experiment(config, 40, 3, threads);
+    const mc::McResult other = run_testbed(config, 40, 3, threads);
     const std::string where = "threads " + std::to_string(threads);
     expect_same_stats(serial.completion, other.completion, where + " completion");
     expect_same_stats(serial.state_age, other.state_age, where + " state_age");
@@ -208,6 +236,28 @@ TEST(TestbedTest, ThreadCountDoesNotChangeCompletionOrStateAge) {
     EXPECT_TRUE(same_bits(serial.mean_tasks_moved, other.mean_tasks_moved)) << where;
     EXPECT_TRUE(same_bits(serial.mean_state_lost, other.mean_state_lost)) << where;
   }
+}
+
+TEST(TestbedTest, QuantilesAndBundlesFoldLikeTheAbstractModel) {
+  // The testbed folds through run_monte_carlo, so its result fills what the
+  // abstract model's does: the quantiles are the type-7 values of its own
+  // sorted samples, and mean_bundles is the mean of what each realization
+  // shipped.
+  mc::ScenarioConfig config = paper_scenario(60, 20, std::make_unique<core::Lbp2Policy>(1.0));
+  config.state_loss_probability = 0.3;
+  constexpr std::size_t kRealizations = 24;
+  const mc::McResult result = run_testbed(config, kRealizations, 11, 3);
+  ASSERT_EQ(result.samples.size(), kRealizations);
+  EXPECT_TRUE(same_bits(result.p50, stoch::quantile_sorted(result.samples, 0.5)));
+  EXPECT_TRUE(same_bits(result.p90, stoch::quantile_sorted(result.samples, 0.9)));
+  EXPECT_TRUE(same_bits(result.p99, stoch::quantile_sorted(result.samples, 0.99)));
+  double bundles = 0.0;
+  for (std::uint64_t rep = 0; rep < kRealizations; ++rep) {
+    bundles += static_cast<double>(run_realization(config, 11, rep).bundles_sent);
+  }
+  EXPECT_GT(bundles, 0.0);
+  EXPECT_TRUE(same_bits(result.mean_bundles, bundles / static_cast<double>(kRealizations)))
+      << result.mean_bundles << " vs " << bundles / static_cast<double>(kRealizations);
 }
 
 /// Ships a task to node 5, which a two-node system does not have.
@@ -236,7 +286,7 @@ TEST(TestbedTest, ReplicationErrorsReachTheCallerAtAnyThreadCount) {
   // the run and reaches the caller after the workers join.
   const mc::ScenarioConfig config = paper_scenario(40, 20, std::make_unique<StrayPolicy>());
   for (const unsigned threads : {1u, 4u}) {
-    EXPECT_THROW((void)run_experiment(config, 16, 3, threads), std::invalid_argument)
+    EXPECT_THROW((void)run_testbed(config, 16, 3, threads), std::invalid_argument)
         << "threads " << threads;
   }
 }
@@ -254,8 +304,8 @@ TEST(TestbedTest, SetupShiftSlowsTransfers) {
   fast.transfer_setup_shift = 0.0;
   mc::ScenarioConfig slow = fast.clone();
   slow.transfer_setup_shift = 5.0;  // exaggerated for the test
-  const ExperimentSummary a = run_experiment(fast, 60, 2, 2);
-  const ExperimentSummary b = run_experiment(slow, 60, 2, 2);
+  const mc::McResult a = run_testbed(fast, 60, 2, 2);
+  const mc::McResult b = run_testbed(slow, 60, 2, 2);
   EXPECT_GT(b.mean(), a.mean());
 }
 

@@ -8,7 +8,6 @@
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
-#include "util/log.hpp"
 #include "util/math.hpp"
 
 namespace lbsim::util {
@@ -33,21 +32,6 @@ TEST(ErrorTest, CheckThrowsLogicError) {
 TEST(ErrorTest, PassingConditionsDoNotThrow) {
   EXPECT_NO_THROW(LBSIM_REQUIRE(true, "fine"));
   EXPECT_NO_THROW(LBSIM_CHECK(true, "fine"));
-}
-
-// ---------- log.hpp ----------
-
-TEST(LogTest, ParseLevelRoundTrip) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::debug);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::off);
-  EXPECT_THROW(parse_log_level("verbose"), std::invalid_argument);
-}
-
-TEST(LogTest, SetAndGetLevel) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::error);
-  EXPECT_EQ(log_level(), LogLevel::error);
-  set_log_level(before);
 }
 
 // ---------- cli.hpp ----------
