@@ -20,8 +20,10 @@ With --metrics it also checks a `--metrics=FILE` dump: a top-level object
 with a "metadata" stamp (seed + git revision keys present) and a "metrics"
 object holding the counters/gauges/histograms sections. Given both files of
 one `lbsim run`, it cross-checks them: the `policy.decisions` counter must
-equal the trace's `policy_decision` record count, and
-`policy.decisions.empty` the number of those records with count 0. Given
+equal the trace's `policy_decision` record count, `policy.decisions.empty`
+the number of those records with count 0, and `env.transitions` the
+`env_transition` record count (every engine writes it, 0 without an
+environment). Given
 --metrics alone (a `lbsim sweep` dump, which has no trace), it checks the
 metrics structurally.
 
@@ -159,12 +161,16 @@ def check_metrics(path: str, errors: list[str]) -> dict:
     return counters if isinstance(counters, dict) else {}
 
 
-def cross_check(counters: dict, decisions: int, empty_decisions: int, errors: list[str]) -> None:
-    """The policy counters of a run against the policy_decision records of its
-    trace: all of them, and those with count 0."""
+def cross_check(
+    counters: dict, kinds: dict[str, int], empty_decisions: int, errors: list[str]
+) -> None:
+    """The counters of a run against the records of its trace: the policy
+    counters against the policy_decision records (all of them, and those with
+    count 0), and env.transitions against the env_transition records."""
     for counter, records, what in (
-        ("policy.decisions", decisions, "policy_decision records"),
+        ("policy.decisions", kinds.get("policy_decision", 0), "policy_decision records"),
         ("policy.decisions.empty", empty_decisions, "policy_decision records of count 0"),
+        ("env.transitions", kinds.get("env_transition", 0), "env_transition records"),
     ):
         if counter not in counters:
             errors.append(f"metrics missing counter {counter!r}")
@@ -202,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.metrics:
         counters = check_metrics(args.metrics, errors)
         if args.trace is not None and not errors:
-            cross_check(counters, kinds.get("policy_decision", 0), empty_decisions, errors)
+            cross_check(counters, kinds, empty_decisions, errors)
 
     if errors:
         print(f"trace check FAILED ({len(errors)}):", file=sys.stderr)

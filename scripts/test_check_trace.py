@@ -1,7 +1,8 @@
 """Unit tests for check_trace.py (run via `python3 -m unittest` or ctest).
 
-Covers the cross-check of a run's policy counters against its trace: a
-matching trace/metrics pair passes, and a pair whose counts disagree fails.
+Covers the cross-check of a run's counters against its trace: a matching
+trace/metrics pair passes, and a pair whose policy or environment counts
+disagree fails.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ def record(t: float, kind: str, node: int = -1, count: int = 0, payload: int = 0
     return {"t": t, "kind": kind, "node": node, "peer": -1, "count": count, "payload": payload}
 
 
-# One replication: a t = 0 decision that moves work, a failure whose decision
-# moves nothing, and a recovery whose decision moves nothing.
+# One replication: a t = 0 decision that moves work, an environment jump, a
+# failure whose decision moves nothing, and a recovery whose decision moves
+# nothing.
 TRACE = [
     record(0.0, "rep_begin"),
     record(0.0, "policy_decision", count=1),
     record(0.0, "transfer_send", node=0, count=35),
+    record(1.0, "env_transition", node=0),
     record(1.5, "fail", node=1),
     record(1.5, "policy_decision", node=1, count=0),
     record(4.0, "recover", node=1),
@@ -36,11 +39,14 @@ TRACE = [
 ]
 
 
-def metrics_doc(decisions: int, empty: int) -> dict:
+def metrics_doc(decisions: int, empty: int, env: int | None = 1) -> dict:
+    counters = {"policy.decisions": decisions, "policy.decisions.empty": empty}
+    if env is not None:
+        counters["env.transitions"] = env
     return {
         "metadata": {"seed": "1", "git": "abc1234"},
         "metrics": {
-            "counters": {"policy.decisions": decisions, "policy.decisions.empty": empty},
+            "counters": counters,
             "gauges": {},
             "histograms": {},
         },
@@ -76,6 +82,16 @@ class CrossCheckTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("policy.decisions.empty=3", out)
         self.assertNotIn("policy.decisions=3 ", out)
+
+    def test_environment_mismatch_fails(self) -> None:
+        code, out = self.check(metrics_doc(decisions=3, empty=2, env=2))
+        self.assertEqual(code, 1, out)
+        self.assertIn("env.transitions=2 but the trace has 1 env_transition records", out)
+
+    def test_missing_environment_counter_fails(self) -> None:
+        code, out = self.check(metrics_doc(decisions=3, empty=2, env=None))
+        self.assertEqual(code, 1, out)
+        self.assertIn("metrics missing counter 'env.transitions'", out)
 
 
 if __name__ == "__main__":

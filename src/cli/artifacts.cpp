@@ -16,12 +16,14 @@
 #include "markov/two_node_mean.hpp"
 #include "mc/engine.hpp"
 #include "net/delay_model.hpp"
+#include "obs/trace.hpp"
 #include "stochastic/estimate.hpp"
 #include "stochastic/fit.hpp"
 #include "stochastic/histogram.hpp"
 #include "stochastic/stats.hpp"
 #include "testbed/experiment.hpp"
 #include "util/error.hpp"
+#include "util/math.hpp"
 
 namespace lbsim::cli {
 namespace {
@@ -436,23 +438,13 @@ void fig4_show_realization(std::ostream& os, util::TextTable& all, const std::st
   os << "\n--- " << label << " (completion " << util::format_double(run.completion_time, 1)
      << " s, " << run.failures << " failures, " << run.tasks_moved << " tasks moved) ---\n";
 
-  const std::size_t columns = 90;
-  std::vector<double> xs;
-  std::vector<double> q0, q1;
-  for (const auto& point :
-       trace.queue_lengths[0].resample(0.0, run.completion_time, columns)) {
-    xs.push_back(point.time);
-    q0.push_back(point.value);
-  }
-  for (const auto& point :
-       trace.queue_lengths[1].resample(0.0, run.completion_time, columns)) {
-    q1.push_back(point.value);
-  }
+  const std::vector<double> xs = util::linspace(0.0, run.completion_time, 90);
+  const std::vector<std::vector<double>> queues = obs::queue_lengths_at(trace.events, 2, xs);
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    all.add_row({label, util::format_double(xs[i], 2), util::format_double(q0[i], 0),
-                 util::format_double(q1[i], 0)});
+    all.add_row({label, util::format_double(xs[i], 2), util::format_double(queues[0][i], 0),
+                 util::format_double(queues[1][i], 0)});
   }
-  print_ascii_curve(os, xs, {q0, q1}, {"node 1 queue (Crusoe)", "node 2 queue (P4)"}, 14);
+  print_ascii_curve(os, xs, queues, {"node 1 queue (Crusoe)", "node 2 queue (P4)"}, 14);
 
   os << "churn/transfer log (first 12 records):\n";
   // Render the historical string-log lines from the typed records: only the

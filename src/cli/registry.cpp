@@ -668,7 +668,6 @@ std::vector<ScenarioSpec> build_registry() {
                  scenario.environment = build_environment(config);
                }
                scenario.arrivals = build_steady_arrivals(config, scenario);
-               scenario.steady.enabled = true;
                scenario.steady.tasks = config.get_size("steady.tasks");
                scenario.steady.batches = config.get_size("steady.batches");
                scenario.steady.warmup_cap = config.get_double("steady.warmup.cap");

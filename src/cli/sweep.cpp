@@ -161,6 +161,11 @@ SweepResult run_sweep(const ScenarioSpec& scenario, const RawConfig& base,
   // point runs, and naming the family (a sweep error surfacing after hours of
   // grid points, or as a bare key name, is miserable to attribute).
   for (const SweepAxis& axis : axes) {
+    if (axis.key == "engine") {
+      throw ConfigError(ConfigError::Kind::kOutOfRange, axis.key,
+                        "engine is not a sweep axis: a sweep runs one engine, so run one "
+                        "sweep per engine (engine=mc, engine=testbed)");
+    }
     if (axis.key.rfind("mc.", 0) == 0) continue;  // reserved engine keys
     if (scenario.schema.find(axis.key) == nullptr) {
       std::string msg = "scenario '" + scenario.name + "' has no sweep key '" + axis.key + "'";

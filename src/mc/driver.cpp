@@ -48,6 +48,8 @@ void fold_run_counters(obs::Registry& metrics, const std::string& engine,
   metrics.counter(engine + ".failures").add(run.failures);
   metrics.counter(engine + ".recoveries").add(run.recoveries);
   metrics.counter(engine + ".tasks_completed").add(run.tasks_completed);
+  metrics.counter(engine + ".tasks_arrived").add(run.tasks_arrived);
+  metrics.counter("env.transitions").add(run.env_transitions);
   metrics.counter("net.tasks_moved").add(run.tasks_moved);
   metrics.counter("net.bundles_sent").add(run.bundles_sent);
   metrics.counter("policy.decisions").add(run.policy_decisions);

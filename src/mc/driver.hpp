@@ -76,8 +76,8 @@ struct TestbedWorker : WorkerState {
 void fold_queue_metrics(obs::Registry& metrics, const des::EventQueue::Stats& stats);
 
 /// Folds the counters every engine keeps for one replication into `metrics`:
-/// `engine`.failures, .recoveries and .tasks_completed, and the net.* and
-/// policy.* counts.
+/// `engine`.failures, .recoveries, .tasks_completed and .tasks_arrived,
+/// env.transitions, and the net.* and policy.* counts.
 void fold_run_counters(obs::Registry& metrics, const std::string& engine, const RunResult& run);
 
 /// The engine-independent half of run_replications: the worker pool, block
@@ -183,7 +183,6 @@ void run_replications(std::size_t reps, unsigned threads, const ObsSinks& sinks,
   // calling thread, before any worker starts.
   std::vector<Result> results(order.slots());
   std::vector<RunTrace> traces(sinks.trace != nullptr ? order.slots() : 0);
-  for (RunTrace& trace : traces) trace.record_queues = false;
   std::vector<Totals> totals(order.workers());
   obs::Registry run_metrics;
   obs::Registry* metrics = sinks.metrics != nullptr ? &run_metrics : nullptr;

@@ -278,7 +278,6 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
   const auto fold = [&](std::size_t, const McRun& out, obs::Registry* metrics) {
     const RunResult& run = out.run;
     result.completion.add(run.completion_time);
-    result.sojourn.merge(run.sojourn);
     result.state_age.merge(run.state_age);
     failures += static_cast<double>(run.failures);
     moved += static_cast<double>(run.tasks_moved);
@@ -294,12 +293,7 @@ McResult run_monte_carlo(const ScenarioConfig& config, const McConfig& mc) {
     if (metrics != nullptr) {
       metrics->counter(testbed ? "testbed.realizations" : "mc.replications").add(1);
       fold_run_counters(*metrics, engine, run);
-      if (testbed) {
-        metrics->counter("net.state_packets_lost").add(run.state_packets_lost);
-      } else {
-        metrics->counter("mc.tasks_arrived").add(run.tasks_arrived);
-        metrics->counter("env.transitions").add(run.env_transitions);
-      }
+      if (testbed) metrics->counter("net.state_packets_lost").add(run.state_packets_lost);
       metrics->histogram(engine + ".completion_time").observe(run.completion_time);
     }
     if (use_control) {

@@ -110,7 +110,6 @@ struct McVrReport {
 
 struct McResult {
   stoch::RunningStats completion;   ///< completion-time statistics
-  stoch::RunningStats sojourn;      ///< per-task time-in-system, pooled over runs
   double mean_failures = 0.0;       ///< average churn events per run
   double mean_tasks_moved = 0.0;    ///< average migrated tasks per run
   double mean_bundles = 0.0;        ///< average transfers per run

@@ -623,10 +623,6 @@ RunResult run_replication(const ScenarioConfig& config, core::LoadBalancingPolic
   }
 
   if (trace != nullptr) {
-    if (trace->record_queues) {
-      trace->queue_lengths.assign(n, des::TimeSeries{});
-      for (std::size_t i = 0; i < n; ++i) rep.ce(i).set_queue_trace(&trace->queue_lengths[i]);
-    }
     for (std::size_t i = 0; i < n; ++i) rep.ce(i).set_event_trace(&trace->events);
   }
 
@@ -806,9 +802,7 @@ RunResult run_replication(const ScenarioConfig& config, core::LoadBalancingPolic
   result.completion_time = tracker.completion_time;
   if (environment) result.env_transitions = environment->transitions();
   if (testbed) result.state_packets_lost = network->state_packets_lost();
-  for (std::size_t i = 0; i < n; ++i) {
-    result.tasks_completed += rep.ce(i).stats().tasks_completed;
-  }
+  result.tasks_completed = tracker.completed;
   return result;
 }
 

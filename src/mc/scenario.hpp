@@ -23,7 +23,6 @@
 #include "obs/profile.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "sim/trace.hpp"
 #include "stochastic/stats.hpp"
 
 namespace lbsim::des {
@@ -36,10 +35,9 @@ class Network;
 
 namespace lbsim::mc {
 
-/// Knobs for the steady-state engine (mc::run_steady). Inert on the finite
-/// path; `enabled` is what routes a CLI scenario to the steady engine.
+/// Knobs for the steady-state engine (mc::run_steady); inert on the finite
+/// path. The CLI routes a family to that engine by its ScenarioSpec::steady.
 struct SteadySpec {
-  bool enabled = false;
   /// Completed tasks observed per replication (the observation window).
   std::size_t tasks = 20000;
   /// Non-overlapping batch count for the batch-means CI.
@@ -131,29 +129,21 @@ struct RunResult {
   std::uint64_t policy_decisions = 0;
   /// Policy hook calls that returned no directive (trace records of count 0).
   std::uint64_t policy_decisions_empty = 0;
-  stoch::RunningStats sojourn;         ///< per-task time in system (all completed tasks)
+  /// Per-task time in system over all completed tasks (the steady engine's
+  /// Little's-law mean_queue_length reads it).
+  stoch::RunningStats sojourn;
   /// Age (now - peer packet timestamp) of every peer entry consulted at every
   /// policy decision instant — the staleness the state plane imposes on
   /// distributed decisions (testbed engine; empty on the abstract MC path).
   stoch::RunningStats state_age;
-
-  /// Time-averaged number of tasks in system over the run, by Little's law
-  /// (total completed task-seconds / horizon); 0 for an empty run.
-  [[nodiscard]] double mean_queue_length() const noexcept {
-    return completion_time > 0.0
-               ? static_cast<double>(sojourn.count()) * sojourn.mean() / completion_time
-               : 0.0;
-  }
 };
 
-/// Optional per-run observability: queue traces (Fig. 4) and the structured
-/// event log. Recording consumes zero RNG draws and leaves every statistic
-/// bit-identical to an untraced run.
+/// Optional per-run observability: the structured event log, from which
+/// obs::queue_lengths_at replays the queues (Fig. 4). Recording consumes zero
+/// RNG draws and leaves every statistic bit-identical to an untraced run.
 struct RunTrace {
-  std::vector<des::TimeSeries> queue_lengths;  // one per node (record_queues only)
-  /// Whether the per-node queue-length TimeSeries above are recorded. The
-  /// Fig-4 artifact wants them; engine-level tracing of large runs turns them
-  /// off and keeps only the fixed-width `events` records.
+  /// Unread. Kept only because the benchmark harness (perfbench/lbbench.cpp)
+  /// assigns it.
   bool record_queues = true;
   /// Typed 32-byte records: task arrive/service-start/complete, transfer
   /// send/deliver, fail/recover, env transitions, channel-state changes,

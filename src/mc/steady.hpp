@@ -66,8 +66,7 @@ struct SteadyResult {
   [[nodiscard]] double ci95() const noexcept { return batch.ci95(); }
 };
 
-/// Runs the steady-state experiment. `config.steady.enabled` need not be set
-/// (the caller already routed here) but the arrival stream must be active and
+/// Runs the steady-state experiment. The arrival stream must be active and
 /// unbounded, and config.steady's window parameters must be coherent.
 [[nodiscard]] SteadyResult run_steady(const ScenarioConfig& config, const SteadyConfig& sc);
 

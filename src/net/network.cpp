@@ -31,7 +31,6 @@ void Network::reset(des::Simulator& sim, stoch::RngStream& rng, stoch::RngStream
   state_rng_ = &state_rng;
   channel_.reset();
   state_lost_ = 0;
-  state_bytes_ = 0;
   event_trace_ = nullptr;
 }
 
@@ -40,7 +39,6 @@ double Network::sample_data_delay(std::size_t tasks) {
 }
 
 std::optional<double> Network::send_copy(const StateInfoPacket& packet, std::size_t to) {
-  state_bytes_ += packet.wire_bytes();
   // Unconditionally-per-packet channel step: stream consumption is the same
   // whatever the loss/channel configuration, so CRN pairing survives sweeps.
   const std::size_t state_before = channel_.effective_state();

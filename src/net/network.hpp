@@ -82,7 +82,6 @@ class Network {
 
   /// Count of state packets dropped by the loss process.
   [[nodiscard]] std::uint64_t state_packets_lost() const noexcept { return state_lost_; }
-  [[nodiscard]] std::uint64_t state_bytes_sent() const noexcept { return state_bytes_; }
 
   /// Optional structured event sink: state-packet drops (kStatePacketLost,
   /// node = sender, peer = intended receiver) and state-plane channel jumps
@@ -92,10 +91,10 @@ class Network {
   void set_event_trace(obs::TraceBuffer* trace) noexcept { event_trace_ = trace; }
 
  private:
-  /// One copy's trip through the state plane, bar its delivery: its wire
-  /// bytes, one channel step (three draws on the state stream), the
-  /// kChannelState and kStatePacketLost records and the loss count. Returns
-  /// the copy's latency, or nothing when the channel lost it.
+  /// One copy's trip through the state plane, bar its delivery: one channel
+  /// step (three draws on the state stream), the kChannelState and
+  /// kStatePacketLost records and the loss count. Returns the copy's latency,
+  /// or nothing when the channel lost it.
   [[nodiscard]] std::optional<double> send_copy(const StateInfoPacket& packet, std::size_t to);
 
   des::Simulator* sim_ = nullptr;
@@ -105,7 +104,6 @@ class Network {
   stoch::RngStream* state_rng_ = nullptr;
   ChannelModel channel_;
   std::uint64_t state_lost_ = 0;
-  std::uint64_t state_bytes_ = 0;
   obs::TraceBuffer* event_trace_ = nullptr;
 };
 

@@ -22,27 +22,16 @@ void ComputeElement::reset(des::Simulator& sim, int id, double service_rate, boo
   service_started_at_ = 0.0;
   current_service_duration_ = 0.0;
   frozen_remaining_.reset();
-  went_down_at_ = 0.0;
   on_complete_ = nullptr;
-  queue_trace_ = nullptr;
   event_trace_ = nullptr;
   hot_queue_len_ = nullptr;
   hot_up_ = nullptr;
-  stats_ = CeStats{};
 }
 
 void ComputeElement::record_queue() const {
   if (hot_queue_len_ != nullptr) {
     *hot_queue_len_ = static_cast<std::uint32_t>(queue_.size());
   }
-  if (queue_trace_ != nullptr) {
-    queue_trace_->record(sim_->now(), static_cast<double>(queue_.size()));
-  }
-}
-
-void ComputeElement::set_queue_trace(des::TimeSeries* trace) {
-  queue_trace_ = trace;
-  record_queue();
 }
 
 void ComputeElement::bind_hot_cells(std::uint32_t* queue_len, std::uint8_t* up) noexcept {
@@ -59,7 +48,6 @@ void ComputeElement::enqueue_batch(TaskChain& batch) {
   for (const Task& task : batch) {
     queue_.push_back(task);
   }
-  stats_.tasks_received += batch.size();
   if (event_trace_ != nullptr) {
     event_trace_->emit(sim_->now(), obs::Kind::kTaskArrive, id_, -1,
                        static_cast<std::uint32_t>(batch.size()));
@@ -74,7 +62,6 @@ void ComputeElement::enqueue_units(std::size_t count, std::uint64_t first_id) {
   for (std::size_t i = 0; i < count; ++i) {
     queue_.push_back(Task{first_id + i, 1.0, id_, sim_->now()});
   }
-  stats_.tasks_received += count;
   if (event_trace_ != nullptr) {
     event_trace_->emit(sim_->now(), obs::Kind::kTaskArrive, id_, -1,
                        static_cast<std::uint32_t>(count), first_id);
@@ -127,7 +114,6 @@ void ComputeElement::finish_current_task() {
   serving_ = false;
   const Task done = queue_.front();
   queue_.pop_front();
-  ++stats_.tasks_completed;
   if (event_trace_ != nullptr) {
     event_trace_->emit(sim_->now(), obs::Kind::kTaskComplete, id_, -1, 1, done.id);
   }
@@ -140,8 +126,6 @@ void ComputeElement::fail() {
   if (!up_) return;
   up_ = false;
   if (hot_up_ != nullptr) *hot_up_ = 0;
-  ++stats_.failures;
-  went_down_at_ = sim_->now();
   if (serving_) {
     sim_->cancel(service_event_);
     serving_ = false;
@@ -154,8 +138,6 @@ void ComputeElement::recover() {
   if (up_) return;
   up_ = true;
   if (hot_up_ != nullptr) *hot_up_ = 1;
-  ++stats_.recoveries;
-  stats_.down_time += sim_->now() - went_down_at_;
   maybe_start_service();
 }
 

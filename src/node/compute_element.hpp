@@ -17,19 +17,9 @@
 #include "node/task.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "stochastic/rng.hpp"
 
 namespace lbsim::node {
-
-/// Per-CE counters exposed for tests and reports.
-struct CeStats {
-  std::uint64_t tasks_completed = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t tasks_received = 0;
-  double down_time = 0.0;  ///< total time spent in the down state
-};
 
 class ComputeElement {
  public:
@@ -44,7 +34,7 @@ class ComputeElement {
 
   /// Seats the CE on `sim`, `id` and `rng` (the kernel and the stream must
   /// outlive its use) in its initial state: an empty queue (its capacity is
-  /// kept), up, idle, zero stats, and no handler, trace or hot cells bound.
+  /// kept), up, idle, and no handler, trace or hot cells bound.
   /// The CE serves at `service_rate` (> 0) tasks per second: the abstract
   /// model draws each service time Exp(service_rate) on `rng` and ignores the
   /// task; a `size_based` CE (the testbed) serves a task in task.size /
@@ -83,11 +73,8 @@ class ComputeElement {
   /// Transitions to the up state, resuming the frozen task if any. No-op if up.
   void recover();
 
-  /// Invoked after each task completion (after stats are updated).
+  /// Invoked after each task completion.
   void set_completion_handler(CompletionHandler handler) { on_complete_ = std::move(handler); }
-
-  /// Optional queue-length trace (records on every change); pass nullptr to stop.
-  void set_queue_trace(des::TimeSeries* trace);
 
   /// Optional structured event sink: task arrivals (kTaskArrive, count =
   /// tasks added), service starts (kServiceStart, payload = drawn duration)
@@ -101,8 +88,6 @@ class ComputeElement {
   /// scans read two packed arrays instead of chasing one heap allocation per
   /// node. Both cells must outlive the CE; pass nullptrs to unbind.
   void bind_hot_cells(std::uint32_t* queue_len, std::uint8_t* up) noexcept;
-
-  [[nodiscard]] const CeStats& stats() const noexcept { return stats_; }
 
  private:
   void maybe_start_service();
@@ -124,15 +109,12 @@ class ComputeElement {
   /// Remaining service time of the frozen head-of-queue task, if a failure
   /// interrupted it.
   std::optional<double> frozen_remaining_;
-  double went_down_at_ = 0.0;
 
   CompletionHandler on_complete_;
-  des::TimeSeries* queue_trace_ = nullptr;
   obs::TraceBuffer* event_trace_ = nullptr;
   /// Hot-state mirror cells (see bind_hot_cells); null = no mirror.
   std::uint32_t* hot_queue_len_ = nullptr;
   std::uint8_t* hot_up_ = nullptr;
-  CeStats stats_;
 };
 
 }  // namespace lbsim::node

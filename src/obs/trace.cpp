@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <mutex>
+
+#include "util/error.hpp"
 
 namespace lbsim::obs {
 
@@ -190,6 +193,43 @@ void TraceBuffer::grow() {
   cursor_ = chunk.data.get();
   end_ = cursor_ + cap;
   chunks_.push_back(std::move(chunk));
+}
+
+std::vector<std::vector<double>> queue_lengths_at(const TraceBuffer& events, std::size_t nodes,
+                                                  const std::vector<double>& times) {
+  LBSIM_REQUIRE(std::is_sorted(times.begin(), times.end()),
+                "queue sample times must be nondecreasing");
+  std::vector<std::vector<double>> out(nodes, std::vector<double>(times.size(), 0.0));
+  std::vector<std::int64_t> queue(nodes, 0);
+  std::size_t next = 0;  // the first sample not yet taken
+  const auto take = [&] {
+    for (std::size_t i = 0; i < nodes; ++i) out[i][next] = static_cast<double>(queue[i]);
+    ++next;
+  };
+  double last = -std::numeric_limits<double>::infinity();
+  events.for_each([&](const Record& r) {
+    LBSIM_REQUIRE(r.time >= last, "record at t=" << r.time << " follows one at t=" << last
+                                                 << ": not one replication's trace");
+    last = r.time;
+    std::int64_t delta = 0;
+    switch (r.kind_enum()) {
+      case Kind::kTaskArrive:
+        delta = r.count;
+        break;
+      case Kind::kTransferSend:
+      case Kind::kTaskComplete:
+        delta = -static_cast<std::int64_t>(r.count);
+        break;
+      default:
+        return;
+    }
+    LBSIM_REQUIRE(r.node >= 0 && static_cast<std::size_t>(r.node) < nodes,
+                  kind_name(r.kind_enum()) << " record on node " << r.node << " of " << nodes);
+    while (next < times.size() && times[next] < r.time) take();
+    queue[static_cast<std::size_t>(r.node)] += delta;
+  });
+  while (next < times.size()) take();
+  return out;
 }
 
 }  // namespace lbsim::obs

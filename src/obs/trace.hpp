@@ -162,4 +162,15 @@ class TraceBuffer {
   std::size_t size_ = 0;
 };
 
+/// Replays one replication's records into its queue lengths (Fig. 4): each
+/// node's queue is +count at every kTaskArrive and -count at every
+/// kTransferSend (from `node`) and kTaskComplete; every other kind is ignored.
+/// Returns one row per node of `nodes`, holding the queue at each of `times`
+/// (nondecreasing) after every record at or before it; before the first
+/// record a queue reads 0. Throws std::invalid_argument on unsorted times, a
+/// record earlier than its predecessor (the buffer is not one replication) or
+/// a queue record whose node is outside [0, nodes).
+[[nodiscard]] std::vector<std::vector<double>> queue_lengths_at(
+    const TraceBuffer& events, std::size_t nodes, const std::vector<double>& times);
+
 }  // namespace lbsim::obs

@@ -30,8 +30,8 @@ class SmallCallback {
 
  public:
   /// Inline capacity in bytes. 64 covers the engine's largest event capture,
-  /// a testbed state-packet delivery (handler pointer + receiver + 40-byte
-  /// packet, 56 bytes; net::Network::broadcast_state).
+  /// a testbed state-packet delivery (handler pointer + receiver + 32-byte
+  /// packet, 48 bytes; net::Network::broadcast_state).
   static constexpr std::size_t kInlineSize = 64;
 
   SmallCallback() noexcept = default;

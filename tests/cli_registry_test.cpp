@@ -354,7 +354,6 @@ TEST(CliRegistry, OpenSteadyBuildsUnboundedStreamAndDerivesRate) {
   const mc::ScenarioConfig scenario = spec.build(resolve(spec));
   EXPECT_TRUE(scenario.arrivals.unbounded);
   EXPECT_EQ(scenario.arrivals.count, 0u);
-  EXPECT_TRUE(scenario.steady.enabled);
   // Default rho = 0.5 over 2 nodes of lambda_d = (1.08, 1.86):
   // rate = rho * sum(lambda_d).
   EXPECT_NEAR(scenario.arrivals.rate, 0.5 * (1.08 + 1.86), 1e-12);

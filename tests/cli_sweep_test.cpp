@@ -221,6 +221,19 @@ TEST(CliSweep, APointOfATestbedSweepPrintsTheRunRow) {
   expect_same_statistics(multi_sweep[0], multi_run[0]);
 }
 
+TEST(CliSweep, EngineIsNotASweepAxis) {
+  // A sweep runs on one engine, so an engine axis is refused as such (not as
+  // a key the family lacks), dry or not, before any point runs.
+  for (const char* mode : {"--reps=2", "--dry-run"}) {
+    const auto [code, err] =
+        lbsim({"sweep", "paper-two-node", "engine=mc,testbed", "gain=0.3,0.4", mode});
+    EXPECT_EQ(code, 2) << mode;
+    EXPECT_NE(err.find("engine is not a sweep axis"), std::string::npos) << err;
+    EXPECT_NE(err.find("run one sweep per engine"), std::string::npos) << err;
+    EXPECT_EQ(err.find("no sweep key"), std::string::npos) << err;
+  }
+}
+
 TEST(CliSweep, TestbedFamiliesRefuseWhatTheTestbedCannotEmulate) {
   // The refusal lives in mc::check_emulable, the one check run and
   // sweep share, so a sweep over a testbed family refuses a key exactly as

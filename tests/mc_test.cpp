@@ -106,23 +106,13 @@ void expect_bit_identical(const RunResult& a, const RunResult& b, const std::str
   expect_same_stats(a.state_age, b.state_age, where + " state_age");
 }
 
-/// Both traces, record for record and bit for bit: the event log and the
-/// per-node queue-length series.
+/// Both event logs, record for record and bit for bit (the queue curves are
+/// a function of them; see obs::queue_lengths_at).
 void expect_same_trace(const RunTrace& a, const RunTrace& b, const std::string& where) {
   const std::vector<obs::Record> ra = a.events.to_vector();
   const std::vector<obs::Record> rb = b.events.to_vector();
   ASSERT_EQ(ra.size(), rb.size()) << where;
   EXPECT_EQ(std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(obs::Record)), 0) << where;
-  ASSERT_EQ(a.queue_lengths.size(), b.queue_lengths.size()) << where;
-  for (std::size_t i = 0; i < a.queue_lengths.size(); ++i) {
-    const auto& pa = a.queue_lengths[i].points();
-    const auto& pb = b.queue_lengths[i].points();
-    ASSERT_EQ(pa.size(), pb.size()) << where << " node " << i;
-    for (std::size_t k = 0; k < pa.size(); ++k) {
-      EXPECT_TRUE(same_bits(pa[k].time, pb[k].time) && same_bits(pa[k].value, pb[k].value))
-          << where << " node " << i << " point " << k;
-    }
-  }
 }
 
 TEST(ScenarioTest, ReusedSimulatorBitIdenticalToFreshOne) {
@@ -256,7 +246,6 @@ TEST(ScenarioTest, PerTaskRecordsPopulateLatencyStats) {
   const RunResult run = run_scenario(config, 1, 0);
   EXPECT_EQ(run.sojourn.count(), run.tasks_completed);
   EXPECT_LE(run.sojourn.max(), run.completion_time);
-  EXPECT_GT(run.mean_queue_length(), 0.0);
 }
 
 TEST(ScenarioTest, SteadyProbeStopsAtTargetAndLogsSojourns) {
@@ -317,13 +306,12 @@ TEST(ScenarioTest, TraceRecordsQueues) {
   ScenarioConfig config = fig3_scenario(0.35);
   RunTrace trace;
   const RunResult run = run_scenario(config, 5, 0, &trace);
-  ASSERT_EQ(trace.queue_lengths.size(), 2u);
-  // Initial queue sizes after the t = 0 transfer: 65 and 60.
-  EXPECT_DOUBLE_EQ(trace.queue_lengths[0].value_at(0.0), 65.0);
-  EXPECT_DOUBLE_EQ(trace.queue_lengths[1].value_at(0.0), 60.0);
-  // Queues end empty at the completion time.
-  EXPECT_DOUBLE_EQ(trace.queue_lengths[0].value_at(run.completion_time), 0.0);
-  EXPECT_DOUBLE_EQ(trace.queue_lengths[1].value_at(run.completion_time), 0.0);
+  const std::vector<std::vector<double>> queues =
+      obs::queue_lengths_at(trace.events, 2, {0.0, run.completion_time});
+  // Initial queue sizes after the t = 0 transfer, 65 and 60; both queues end
+  // empty at the completion time.
+  EXPECT_EQ(queues[0], (std::vector<double>{65.0, 0.0}));
+  EXPECT_EQ(queues[1], (std::vector<double>{60.0, 0.0}));
 }
 
 TEST(ScenarioTest, InitiallyDownNodeDelaysCompletion) {
@@ -417,7 +405,6 @@ TEST(ScenarioTest, CloneCarriesEveryField) {
 /// Every statistic of two MC results, bit for bit.
 void expect_same_result(const McResult& a, const McResult& b, const std::string& where) {
   expect_same_stats(a.completion, b.completion, where + " completion");
-  expect_same_stats(a.sojourn, b.sojourn, where + " sojourn");
   EXPECT_TRUE(same_bits(a.mean_failures, b.mean_failures)) << where;
   EXPECT_TRUE(same_bits(a.mean_tasks_moved, b.mean_tasks_moved)) << where;
   EXPECT_TRUE(same_bits(a.mean_bundles, b.mean_bundles)) << where;
@@ -804,7 +791,6 @@ TEST(EngineTest, EachEngineShowsAnInitiallyDownNodeAtTimeZeroItsOwnWay) {
   std::vector<HookSpy::Call> mc_log;
   mc_config.policy = std::make_unique<HookSpy>(std::move(mc_config.policy), mc_log);
   RunTrace mc_trace;
-  mc_trace.record_queues = false;
   (void)run_scenario(mc_config, 0x5eed2006, 0, &mc_trace);
   ASSERT_GE(mc_log.size(), 2u);
   EXPECT_EQ(mc_log[0].hook, 's');
@@ -818,7 +804,6 @@ TEST(EngineTest, EachEngineShowsAnInitiallyDownNodeAtTimeZeroItsOwnWay) {
   std::vector<HookSpy::Call> bed_log;
   bed.policy = std::make_unique<HookSpy>(std::move(bed.policy), bed_log);
   RunTrace bed_trace;
-  bed_trace.record_queues = false;
   (void)testbed::run_realization(bed, 0x5eed2006, 0, &bed_trace);
   ASSERT_GE(bed_log.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {

@@ -198,8 +198,6 @@ TEST(McVrTest, VrRunsAreThreadCountInvariant) {
     EXPECT_TRUE(same_bits(one.vr.variance_ratio, other.vr.variance_ratio)) << where;
     EXPECT_TRUE(same_bits(one.mean(), other.mean())) << where;
     EXPECT_TRUE(same_bits(one.completion.variance(), other.completion.variance())) << where;
-    EXPECT_TRUE(same_bits(one.sojourn.mean(), other.sojourn.mean())) << where;
-    EXPECT_TRUE(same_bits(one.sojourn.variance(), other.sojourn.variance())) << where;
     EXPECT_TRUE(same_bits(one.mean_failures, other.mean_failures)) << where;
     EXPECT_TRUE(same_bits(one.p50, other.p50)) << where;
     EXPECT_TRUE(same_bits(one.p99, other.p99)) << where;

@@ -48,25 +48,24 @@ TEST(ComputeElementTest, ProcessesQueueInOrder) {
   EXPECT_EQ(completed, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(f.sim.now(), 3.0);
   EXPECT_EQ(ce.queue_length(), 0u);
-  EXPECT_EQ(ce.stats().tasks_completed, 3u);
 }
 
 TEST(ComputeElementTest, FailureFreezesService) {
   Fixture f;
   ComputeElement& ce = f.ce;
-  int completed = 0;
-  ce.set_completion_handler([&](const Task&) { ++completed; });
+  std::vector<double> done_at;
+  ce.set_completion_handler([&](const Task&) { done_at.push_back(f.sim.now()); });
   ce.enqueue_units(2, 1);
   // Fail at t = 0.4 (task 1 is 40% done), recover at t = 10.4.
   f.sim.schedule_at(0.4, [&] { ce.fail(); });
+  f.sim.schedule_at(5.0, [&] { EXPECT_FALSE(ce.is_up()); });
   f.sim.schedule_at(10.4, [&] { ce.recover(); });
   f.sim.run();
   // Task 1 finishes at 10.4 + 0.6 = 11.0 (checkpoint-resume), task 2 at 12.0.
-  EXPECT_EQ(completed, 2);
-  EXPECT_DOUBLE_EQ(f.sim.now(), 12.0);
-  EXPECT_DOUBLE_EQ(ce.stats().down_time, 10.0);
-  EXPECT_EQ(ce.stats().failures, 1u);
-  EXPECT_EQ(ce.stats().recoveries, 1u);
+  ASSERT_EQ(done_at.size(), 2u);
+  EXPECT_DOUBLE_EQ(done_at[0], 11.0);
+  EXPECT_DOUBLE_EQ(done_at[1], 12.0);
+  EXPECT_TRUE(ce.is_up());
 }
 
 TEST(ComputeElementTest, TasksArrivingWhileDownWaitForRecovery) {
@@ -87,10 +86,9 @@ TEST(ComputeElementTest, FailRecoverIdempotent) {
   ComputeElement& ce = f.ce;
   ce.fail();
   ce.fail();  // no-op
-  EXPECT_EQ(ce.stats().failures, 1u);
+  EXPECT_FALSE(ce.is_up());
   ce.recover();
   ce.recover();  // no-op
-  EXPECT_EQ(ce.stats().recoveries, 1u);
   EXPECT_TRUE(ce.is_up());
 }
 
@@ -114,12 +112,14 @@ TEST(ComputeElementTest, ExtractTakesFromBack) {
 TEST(ComputeElementTest, ExtractMoreThanQueueTakesAllAndAbortsService) {
   Fixture f;
   ComputeElement& ce = f.ce;
+  int completed = 0;
+  ce.set_completion_handler([&](const Task&) { ++completed; });
   ce.enqueue_units(3, 1);
   TaskChain out(f.pool);
   EXPECT_EQ(ce.extract_tasks(10, out), 3u);
   EXPECT_EQ(ce.queue_length(), 0u);
   f.sim.run();
-  EXPECT_EQ(ce.stats().tasks_completed, 0u);
+  EXPECT_EQ(completed, 0);
 }
 
 TEST(ComputeElementTest, ExtractFromDownNodePreservesFrozenWork) {
@@ -148,18 +148,6 @@ TEST(ComputeElementTest, ExtractZeroOrEmptyIsEmpty) {
   ce.enqueue_units(2, 1);
   EXPECT_EQ(ce.extract_tasks(0, out), 0u);
   EXPECT_TRUE(out.empty());
-}
-
-TEST(ComputeElementTest, QueueTraceRecordsChanges) {
-  Fixture f;
-  ComputeElement& ce = f.ce;
-  des::TimeSeries trace;
-  ce.set_queue_trace(&trace);
-  ce.enqueue_units(2, 1);
-  f.sim.run();
-  EXPECT_DOUBLE_EQ(trace.value_at(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(trace.value_at(1.0), 1.0);
-  EXPECT_DOUBLE_EQ(trace.value_at(2.0), 0.0);
 }
 
 TEST(ComputeElementTest, StochasticServiceUsesProvidedStream) {
@@ -237,6 +225,8 @@ TEST(ComputeElementTest, PooledBundleKeepsExtractionOrderAcrossBlocks) {
   // 40 tasks span three pool blocks of a bundle; they must leave in
   // extraction order (back of the queue first) and arrive in that order.
   Fixture f;
+  int sender_completed = 0;
+  f.ce.set_completion_handler([&](const Task&) { ++sender_completed; });
   f.ce.enqueue_units(50, 1);
   TaskChain bundle(f.pool);
   EXPECT_EQ(f.ce.extract_tasks(40, bundle), 40u);
@@ -249,10 +239,10 @@ TEST(ComputeElementTest, PooledBundleKeepsExtractionOrderAcrossBlocks) {
   receiver.set_completion_handler([&](const Task& t) { completed.push_back(t.id); });
   receiver.enqueue_batch(bundle);
   EXPECT_TRUE(bundle.empty());
-  EXPECT_EQ(receiver.stats().tasks_received, 40u);
+  EXPECT_EQ(receiver.queue_length(), 40u);
   f.sim.run();
   EXPECT_EQ(completed, expected);
-  EXPECT_EQ(f.ce.stats().tasks_completed, 10u);
+  EXPECT_EQ(sender_completed, 10);
 }
 
 TEST(ComputeElementTest, ResetReturnsAWorkspaceCeToItsFreshState) {
@@ -270,13 +260,13 @@ TEST(ComputeElementTest, ResetReturnsAWorkspaceCeToItsFreshState) {
   EXPECT_EQ(ce.id(), 4);
   EXPECT_TRUE(ce.is_up());
   EXPECT_EQ(ce.queue_length(), 0u);
-  EXPECT_EQ(ce.stats().failures, 0u);
-  EXPECT_EQ(ce.stats().tasks_received, 0u);
   // No frozen work carries over: the first task takes its full second.
+  int completed = 0;
+  ce.set_completion_handler([&](const Task&) { ++completed; });
   ce.enqueue_units(1, 1);
   f.sim.run();
   EXPECT_DOUBLE_EQ(f.sim.now(), 1.0);
-  EXPECT_EQ(ce.stats().tasks_completed, 1u);
+  EXPECT_EQ(completed, 1);
 }
 
 // ---------- failure process ----------
@@ -342,9 +332,11 @@ TEST(FailureProcessTest, InitiallyDownFailsImmediately) {
   stoch::RngStream churn_rng(2), expect(2);
   FailureProcess churn(f.ce);
   churn.reset(f.sim, 0.0, 1.0 / 3.0, churn_rng);
+  int failures = 0;
+  churn.set_failure_handler([&](int) { ++failures; });
   churn.start(/*initially_down=*/true);
   EXPECT_FALSE(f.ce.is_up());
-  EXPECT_EQ(f.ce.stats().failures, 1u);
+  EXPECT_EQ(failures, 1);
   ASSERT_TRUE(f.sim.step());
   EXPECT_EQ(f.sim.now(), expect.exponential(1.0 / 3.0));
   EXPECT_TRUE(f.ce.is_up());
@@ -357,11 +349,15 @@ TEST(FailureProcessTest, NullFailureLawMeansReliable) {
   stoch::RngStream churn_rng(2);
   FailureProcess churn(f.ce);
   churn.reset(f.sim, 0.0, 0.0, churn_rng);
+  int failures = 0;
+  churn.set_failure_handler([&](int) { ++failures; });
   churn.start();
+  int completed = 0;
+  f.ce.set_completion_handler([&](const Task&) { ++completed; });
   f.ce.enqueue_units(5, 1);
   f.sim.run();
-  EXPECT_EQ(f.ce.stats().failures, 0u);
-  EXPECT_EQ(f.ce.stats().tasks_completed, 5u);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(completed, 5);
 }
 
 TEST(FailureProcessTest, FailureLawWithoutRecoveryRejected) {
@@ -390,10 +386,15 @@ TEST(FailureProcessTest, EmpiricalAvailabilityMatchesTheory) {
   stoch::RngStream churn_rng(99);
   FailureProcess churn(f.ce);
   churn.reset(f.sim, 1.0 / 20.0, 1.0 / 10.0, churn_rng);
+  // Down time accumulates over completed down periods, from the handlers.
+  double went_down_at = 0.0;
+  double down_time = 0.0;
+  churn.set_failure_handler([&](int) { went_down_at = f.sim.now(); });
+  churn.set_recovery_handler([&](int) { down_time += f.sim.now() - went_down_at; });
   churn.start();
   const double horizon = 200000.0;
   f.sim.run_until(horizon);
-  const double up_fraction = 1.0 - f.ce.stats().down_time / horizon;
+  const double up_fraction = 1.0 - down_time / horizon;
   EXPECT_NEAR(up_fraction, 2.0 / 3.0, 0.02);
 }
 

@@ -1,4 +1,4 @@
-// Unit tests for the DES kernel: event ordering, cancellation, clock, tracing.
+// Unit tests for the DES kernel: event ordering, cancellation, clock, stats.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace lbsim::des {
 namespace {
@@ -613,76 +612,6 @@ TEST(SimulatorTest, CancelScheduledEvent) {
   EXPECT_TRUE(sim.cancel(id));
   sim.run();
   EXPECT_FALSE(ran);
-}
-
-// ---------- trace ----------
-
-TEST(TimeSeriesTest, StepFunctionLookup) {
-  TimeSeries ts;
-  ts.record(0.0, 10.0);
-  ts.record(2.0, 8.0);
-  ts.record(5.0, 0.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(1.99), 10.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(2.0), 8.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(100.0), 0.0);
-}
-
-TEST(TimeSeriesTest, RejectsTimeTravel) {
-  TimeSeries ts;
-  ts.record(1.0, 1.0);
-  EXPECT_THROW(ts.record(0.5, 2.0), std::invalid_argument);
-  EXPECT_THROW((void)ts.value_at(0.5), std::invalid_argument);
-}
-
-TEST(TimeSeriesTest, EqualTimesAllowedLastWins) {
-  TimeSeries ts;
-  ts.record(1.0, 1.0);
-  ts.record(1.0, 2.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(1.0), 2.0);
-}
-
-TEST(TimeSeriesTest, ResampleHoldsLastValue) {
-  TimeSeries ts;
-  ts.record(0.0, 4.0);
-  ts.record(10.0, 7.0);
-  const auto pts = ts.resample(0.0, 20.0, 5);
-  ASSERT_EQ(pts.size(), 5u);
-  EXPECT_DOUBLE_EQ(pts[0].value, 4.0);
-  EXPECT_DOUBLE_EQ(pts[1].value, 4.0);   // t = 5
-  EXPECT_DOUBLE_EQ(pts[2].value, 7.0);   // t = 10
-  EXPECT_DOUBLE_EQ(pts[4].value, 7.0);   // t = 20
-}
-
-TEST(TimeSeriesTest, ValueAtOnEmptySeriesThrows) {
-  TimeSeries ts;
-  EXPECT_THROW((void)ts.value_at(0.0), std::invalid_argument);
-}
-
-TEST(TimeSeriesTest, ResampleOnEmptySeriesThrows) {
-  TimeSeries ts;
-  EXPECT_THROW((void)ts.resample(0.0, 1.0, 3), std::invalid_argument);
-}
-
-TEST(TimeSeriesTest, ResampleRejectsReversedWindow) {
-  TimeSeries ts;
-  ts.record(0.0, 1.0);
-  EXPECT_THROW((void)ts.resample(2.0, 1.0, 3), std::invalid_argument);
-}
-
-TEST(TimeSeriesTest, SinglePointDegenerateWindow) {
-  // t0 == t1 collapses the grid onto one instant; a single recorded point
-  // must cover it and every later query time.
-  TimeSeries ts;
-  ts.record(1.0, 5.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(1.0), 5.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(100.0), 5.0);
-  const auto pts = ts.resample(1.0, 1.0, 4);
-  ASSERT_EQ(pts.size(), 4u);
-  for (const auto& p : pts) {
-    EXPECT_DOUBLE_EQ(p.time, 1.0);
-    EXPECT_DOUBLE_EQ(p.value, 5.0);
-  }
 }
 
 TEST(EventQueueStatsTest, CountsScheduledPoppedCancelled) {
