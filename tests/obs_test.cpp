@@ -198,18 +198,57 @@ TEST(ObsQueueReplay, EqualSampleTimesReadTheSameQueues) {
             std::vector<std::vector<double>>(3));
 }
 
-TEST(ObsQueueReplay, RefusesWhatIsNotOneReplicationOnTheseNodes) {
-  const obs::TraceBuffer trace = hand_built_replication();
-  // Node 1 is outside a one-node system.
-  EXPECT_THROW((void)obs::queue_lengths_at(trace, 1, {0.0}), std::invalid_argument);
-  obs::TraceBuffer unowned;
-  unowned.emit(0.0, obs::Kind::kTaskArrive, -1, -1, 3);
-  EXPECT_THROW((void)obs::queue_lengths_at(unowned, 2, {0.0}), std::invalid_argument);
-  EXPECT_THROW((void)obs::queue_lengths_at(trace, 2, {1.0, 0.5}), std::invalid_argument);
+TEST(ObsQueueReplay, StepFunctionLookup) {
+  // One node: 10 tasks arrive at t = 0, 2 complete at t = 2, the other 8 at t = 5.
+  obs::TraceBuffer trace;
+  trace.emit(0.0, obs::Kind::kTaskArrive, 0, -1, 10);
+  trace.emit(2.0, obs::Kind::kTaskComplete, 0, -1, 2);
+  trace.emit(5.0, obs::Kind::kTaskComplete, 0, -1, 8);
+  EXPECT_EQ(obs::queue_lengths_at(trace, 1, {0.0, 1.99, 2.0, 100.0})[0],
+            (std::vector<double>{10, 10, 8, 0}));
+}
+
+TEST(ObsQueueReplay, HoldsTheLastValueBetweenRecords) {
+  // 4 tasks at t = 0 and 3 more at t = 10, sampled at five points over [0, 20].
+  obs::TraceBuffer trace;
+  trace.emit(0.0, obs::Kind::kTaskArrive, 0, -1, 4);
+  trace.emit(10.0, obs::Kind::kTaskArrive, 0, -1, 3);
+  EXPECT_EQ(obs::queue_lengths_at(trace, 1, {0.0, 5.0, 10.0, 15.0, 20.0})[0],
+            (std::vector<double>{4, 4, 7, 7, 7}));
+}
+
+TEST(ObsQueueReplay, ASampleAtSeveralRecordsReadsTheQueueAfterAllOfThem) {
+  // 5 tasks arrive and 3 complete, all at t = 1.
+  obs::TraceBuffer trace;
+  trace.emit(1.0, obs::Kind::kTaskArrive, 0, -1, 5);
+  trace.emit(1.0, obs::Kind::kTaskComplete, 0, -1, 3);
+  EXPECT_EQ(obs::queue_lengths_at(trace, 1, {0.5, 1.0})[0], (std::vector<double>{0, 2}));
+}
+
+TEST(ObsQueueReplay, RefusesARecordEarlierThanItsPredecessor) {
+  obs::TraceBuffer trace;
+  trace.emit(1.0, obs::Kind::kTaskArrive, 0, -1, 1);
+  trace.emit(0.5, obs::Kind::kTaskArrive, 0, -1, 2);
+  EXPECT_THROW((void)obs::queue_lengths_at(trace, 1, {0.5}), std::invalid_argument);
   // Two replications folded into one buffer restart the clock at t = 0.
   obs::TraceBuffer merged = hand_built_replication();
   merged.append_all(hand_built_replication());
   EXPECT_THROW((void)obs::queue_lengths_at(merged, 2, {0.0}), std::invalid_argument);
+}
+
+TEST(ObsQueueReplay, RefusesUnsortedSampleTimes) {
+  const obs::TraceBuffer trace = hand_built_replication();
+  EXPECT_THROW((void)obs::queue_lengths_at(trace, 2, {1.0, 0.5}), std::invalid_argument);
+  EXPECT_THROW((void)obs::queue_lengths_at(trace, 2, {0.0, 2.0, 1.0}), std::invalid_argument);
+}
+
+TEST(ObsQueueReplay, RefusesAQueueRecordOnANodeOutsideTheSystem) {
+  // Node 1 is outside a one-node system.
+  EXPECT_THROW((void)obs::queue_lengths_at(hand_built_replication(), 1, {0.0}),
+               std::invalid_argument);
+  obs::TraceBuffer unowned;
+  unowned.emit(0.0, obs::Kind::kTaskArrive, -1, -1, 3);
+  EXPECT_THROW((void)obs::queue_lengths_at(unowned, 2, {0.0}), std::invalid_argument);
 }
 
 // ---------- metrics registry ----------
